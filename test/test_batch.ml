@@ -292,7 +292,9 @@ let qcheck_structural_key_injective =
 (* The differential property: on any plan over any data, the batch
    engine (either cache config, sequential or parallel, simple or RDF
    layout, with or without a view store) computes the same bag as the
-   legacy row-at-a-time engine. *)
+   legacy row-at-a-time engine — through the plain executor and
+   through the instrumented (EXPLAIN ANALYZE) one, whose root node must
+   also count exactly the rows it returned. *)
 let qcheck_batch_equals_rowexec =
   QCheck2.Test.make ~name:"batch engine = row engine on random plans"
     ~count:120
@@ -312,9 +314,12 @@ let qcheck_batch_equals_rowexec =
               let got = Exec.run ~config ~views ~jobs layout plan in
               (* a second run serves any Materialize from the store *)
               let again = Exec.run ~config ~views ~jobs layout plan in
+              let analyzed, stats = Exec.run_analyzed ~config ~views ~jobs layout plan in
               got.Relation.cols = reference.Relation.cols
               && rows_bag got = ref_bag
               && rows_bag again = ref_bag
+              && rows_bag analyzed = ref_bag
+              && stats.Exec.actual_rows = Relation.cardinality analyzed
               && Exec.answers ~config ~jobs layout plan = ref_answers)
             [
               Exec.postgres_like, 1;
