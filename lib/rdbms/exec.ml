@@ -12,9 +12,15 @@ let db2_like = { scan_cache = true; build_cache = true }
 (* Counters are atomic: the arms of a [Union] node evaluate on
    separate domains and bump them concurrently. Every scan/build
    request increments exactly one of (performed, hit), so
-   performed + hit always equals the number of requests — which a
-   racing cache miss may raise above the sequential count (two arms
-   can both miss on the same signature), but never desynchronise. *)
+   performed + hit equals the number of requests. The requests are the
+   plan's scan, index-join and build-side accesses; a build-table miss
+   reads its canonical scan without issuing a scan request, so two
+   arms racing on the same build miss cannot add requests the
+   sequential run never makes. Request totals are therefore fixed by
+   plan and data at any job count; only the split between performed
+   and hit shifts under racing misses. (A shared view store is the one
+   exception: two arms racing on the same fragment miss both compute
+   it, and its scans count twice.) *)
 type counters = {
   scans : int Atomic.t;
   scan_hits : int Atomic.t;
@@ -22,10 +28,9 @@ type counters = {
   build_hits : int Atomic.t;
 }
 
-(* Registry metrics alongside the per-run counters: request totals are
-   deterministic at any job count (each request bumps exactly one of
-   performed/hit, and the set of requests is fixed by the plan), hit
-   counts can shift under racing misses. *)
+(* Registry metrics alongside the per-run counters, with the same
+   invariants: request totals are independent of scheduling, hit
+   counts are not. *)
 let m_scan_requests =
   Obs.Metrics.counter ~help:"atom scans requested (performed + cache hits)"
     "exec.scan.requests"
@@ -197,23 +202,28 @@ type cache_outcome =
 (* Cache protocol under parallelism: [Cache.Lru] locks internally for
    the lookup and insert, the scan itself runs outside any lock — two
    arms missing on the same signature recompute the same canonical
-   relation and the last writer wins (idempotent). Each request bumps
-   exactly one counter. *)
-let scan_cached ctx atom =
+   relation and the last writer wins (idempotent). [canonical] counts
+   nothing; [scan_cached] is the counted request. *)
+let canonical ctx atom =
   let use_cache = ctx.config.scan_cache && cacheable ctx atom in
   (* the signature sprintf only pays for itself when the cache is on *)
   let signature = if use_cache then scan_signature atom else "" in
-  Obs.Metrics.incr m_scan_requests;
   match if use_cache then Cache.Lru.find ctx.scans signature else None with
-  | Some r ->
-    Atomic.incr ctx.counters.scan_hits;
-    Obs.Metrics.incr m_scan_hits;
-    r, Hit
+  | Some r -> r, Hit
   | None ->
-    Atomic.incr ctx.counters.scans;
     let r = scan_canonical ctx atom in
     if use_cache then Cache.Lru.add ctx.scans signature r;
     r, (if use_cache then Miss else Uncached)
+
+let scan_cached ctx atom =
+  Obs.Metrics.incr m_scan_requests;
+  let r, outcome = canonical ctx atom in
+  (match outcome with
+  | Hit ->
+    Atomic.incr ctx.counters.scan_hits;
+    Obs.Metrics.incr m_scan_hits
+  | Miss | Uncached -> Atomic.incr ctx.counters.scans);
+  r, outcome
 
 let scan ctx atom =
   let canonical, outcome = scan_cached ctx atom in
@@ -234,7 +244,8 @@ let payload_rename actual_cols c =
    atom's variables. The probe over it pipelines: the build is the
    only materialisation point. The stored table is always built from
    the {e unfiltered} canonical scan — sideways reducers must never
-   leak into a cache entry keyed without them. *)
+   leak into a cache entry keyed without them. A miss reads that scan
+   through the scan cache but counts as a build, not a scan request. *)
 let build_cached ctx atom on =
   let actual_cols = Array.of_list (Plan.scan_cols atom) in
   let position_of c =
@@ -259,9 +270,9 @@ let build_cached ctx atom on =
       b, Hit
     | None ->
       Atomic.incr ctx.counters.builds;
-      let canonical, _ = scan_cached ctx atom in
+      let rel, _ = canonical ctx atom in
       let canonical_on = List.map (fun p -> "$" ^ string_of_int p) positions in
-      let b = Relation.build canonical ~on:canonical_on in
+      let b = Relation.build rel ~on:canonical_on in
       if use_cache then Cache.Lru.add ctx.builds key b;
       b, (if use_cache then Miss else Uncached)
   in
@@ -547,7 +558,52 @@ let segmented_scan_op ctx (env : senv) atom =
    materialising. The pipeline breakers are exactly: hash-join build
    sides, merge joins (both sides sorted), [Materialize] fragments,
    and union arms evaluated on the domain pool (jobs > 1) — a
-   sequential union streams its arms without a barrier. *)
+   sequential union streams its arms without a barrier.
+
+   The one compiler serves plain and EXPLAIN ANALYZE runs alike. It
+   takes an instrumentation hook: at each plan node it opens a frame
+   before compiling the node's children, then closes the frame over
+   the node's operator, its cache outcome, the union arms it elided,
+   the reducer it built and its children's results. The [plain] hook
+   returns every operator unchanged and allocates nothing per node;
+   the [analyze] hook (below) wraps each one in a per-node
+   accumulator. Both runs share every helper, and so every cache,
+   counter and parallel code path. *)
+
+type 'n frame = {
+  on_pruned : (int -> unit) option;
+      (* per-node tally of the rows this node's reducer filters drop *)
+  close :
+    cache:cache_outcome ->
+    elided:int ->
+    reducer:Sip.t option ->
+    Physical.op ->
+    'n list ->
+    Physical.op * 'n;
+}
+
+type 'n hook = {
+  enter : Plan.t -> 'n frame;
+  lazy_arms : bool;
+      (* a sequential union opens arm i+1 only once arm i is exhausted,
+         so arm i's build tables and scan extractions are garbage
+         before arm i+1's exist; an instrumented run opens every arm up
+         front, so that each arm's node exists when the union closes *)
+}
+
+let plain_frame =
+  { on_pruned = None; close = (fun ~cache:_ ~elided:_ ~reducer:_ op _ -> op, ()) }
+
+let plain = { enter = (fun _ -> plain_frame); lazy_arms = true }
+
+let finish fr ?(cache = Uncached) ?(elided = 0) ?reducer op children =
+  fr.close ~cache ~elided ~reducer op children
+
+(* [env] with an annotated join's reducer bound to its column *)
+let bind sip reducer env =
+  match sip, reducer with
+  | Some (c, _), Some r -> (c, r) :: env
+  | _ -> env
 
 let encode_out ctx out =
   let dict = Layout.dict ctx.layout in
@@ -557,29 +613,37 @@ let encode_out ctx out =
       | `Const k -> `Const (Dllite.Dict.encode dict k))
     out
 
-let rec compile ctx env plan =
+let rec compile h ctx env plan =
+  let fr = h.enter plan in
   match plan with
-  | Plan.Scan atom -> (
-    match segmented_scan_op ctx env atom with
-    | Some op -> apply_sip env op
-    | None -> apply_sip env (Physical.of_relation (fst (scan ctx atom))))
-  | Plan.Hash_join { left; right; on } -> compile_hash ctx env None left right on
-  | Plan.Merge_join { left; right; on } -> compile_merge ctx env None left right on
+  | Plan.Scan atom ->
+    let op, cache =
+      match segmented_scan_op ctx env atom with
+      | Some op -> op, Uncached
+      | None ->
+        let rel, outcome = scan ctx atom in
+        Physical.of_relation rel, outcome
+    in
+    finish fr ~cache (apply_sip ?on_pruned:fr.on_pruned env op) []
+  | Plan.Hash_join { left; right; on } -> compile_hash h ctx env fr None left right on
+  | Plan.Merge_join { left; right; on } -> compile_merge h ctx env fr None left right on
   | Plan.Index_join { left; atom; probe_col } ->
-    compile_index ctx env ~sip:false left atom probe_col
+    compile_index h ctx env fr ~sip:false left atom probe_col
   | Plan.Project { input; out } ->
-    Physical.project
-      (compile ctx (restrict env (Plan.out_cols input)) input)
-      (encode_out ctx out)
-  | Plan.Distinct p -> Physical.distinct (compile ctx env p)
+    let i, n = compile h ctx (restrict env (Plan.out_cols input)) input in
+    finish fr (Physical.project i (encode_out ctx out)) [ n ]
+  | Plan.Distinct p ->
+    let i, n = compile h ctx env p in
+    finish fr (Physical.distinct i) [ n ]
   | Plan.Union { cols; inputs } ->
     (* The embarrassingly parallel hot path: a reformulated UCQ is one
        [Union] whose arms are independent. At jobs > 1 the arms
-       materialise on the domain pool and merge positionally in input
-       order; sequentially they stream one after the other. Either way
-       the result is identical to the sequential fold at any job
-       count — arm elision is a pure function of plan + data, so it
-       too is deterministic. *)
+       compile, drain and account on the domain pool and merge
+       positionally in input order (the domain join makes their nodes
+       safe to read here); sequentially they stream one after the
+       other. Either way the result is identical to the sequential
+       fold at any job count — arm elision is a pure function of
+       plan + data, so it too is deterministic. *)
     let arms =
       List.filter_map
         (fun p ->
@@ -591,157 +655,173 @@ let rec compile ctx env plan =
           else Some (aenv, p))
         inputs
     in
+    let elided = List.length inputs - List.length arms in
     Obs.Metrics.add m_union_arms (List.length arms);
     if ctx.jobs > 1 && List.length arms > 1 then
-      let rels =
+      let done_arms =
         Parallel.map ~jobs:ctx.jobs
-          (fun (aenv, p) -> Physical.to_relation (compile ctx aenv p))
+          (fun (aenv, p) ->
+            let op, n = compile h ctx aenv p in
+            Physical.to_relation op, n)
           arms
       in
-      Physical.union ~cols (List.map Physical.of_relation rels)
+      finish fr ~elided
+        (Physical.union ~cols
+           (List.map (fun (rel, _) -> Physical.of_relation rel) done_arms))
+        (List.map snd done_arms)
+    else if h.lazy_arms then
+      finish fr ~elided
+        (Physical.union_delayed ~cols
+           (List.map (fun (aenv, p) () -> fst (compile h ctx aenv p)) arms))
+        []
     else
-      (* arms open lazily: arm i's build tables and scan extractions
-         are garbage before arm i+1's exist *)
-      Physical.union_delayed ~cols
-        (List.map (fun (aenv, p) () -> compile ctx aenv p) arms)
+      let done_arms = List.map (fun (aenv, p) -> compile h ctx aenv p) arms in
+      finish fr ~elided
+        (Physical.union ~cols (List.map fst done_arms))
+        (List.map snd done_arms)
   | Plan.Materialize p -> (
     match ctx.views with
-    | None -> compile ctx env p
-    | Some store -> (
+    | None ->
+      let i, n = compile h ctx env p in
+      finish fr i [ n ]
+    | Some store ->
       let key = view_key p in
-      match Cache.Lru.find store key with
-      | Some rel -> apply_sip env (Physical.of_relation rel)
-      | None ->
-        (* the stored fragment is compiled {e without} the reducer
-           environment — the view store is keyed on the fragment alone
-           and outlives this query; filters go on top of the copy *)
-        let rel = Physical.to_relation (compile ctx [] p) in
-        (* keep the first stored copy if a sibling arm won the race *)
-        apply_sip env (Physical.of_relation (Cache.Lru.add_if_absent store key rel))))
+      let cache, rel, children =
+        match Cache.Lru.find store key with
+        | Some rel -> Hit, rel, []
+        | None ->
+          (* the stored fragment is compiled {e without} the reducer
+             environment — the view store is keyed on the fragment
+             alone and outlives this query; filters go on top of the
+             copy. The first stored copy wins if a sibling arm raced. *)
+          let op, n = compile h ctx [] p in
+          Miss, Cache.Lru.add_if_absent store key (Physical.to_relation op), [ n ]
+      in
+      finish fr ~cache
+        (apply_sip ?on_pruned:fr.on_pruned env (Physical.of_relation rel))
+        children)
   | Plan.Sip { join; dir } -> (
+    (* the join compilers close the annotation's frame, so its node
+       carries the annotation *)
     match join with
     | Plan.Hash_join { left; right; on } ->
-      compile_hash ctx env (sip_col on dir) left right on
+      compile_hash h ctx env fr (sip_col on dir) left right on
     | Plan.Merge_join { left; right; on } ->
-      compile_merge ctx env (sip_col on dir) left right on
+      compile_merge h ctx env fr (sip_col on dir) left right on
     | Plan.Index_join { left; atom; probe_col } ->
-      compile_index ctx env ~sip:(dir = Plan.Build_to_probe) left atom probe_col
+      compile_index h ctx env fr ~sip:(dir = Plan.Build_to_probe) left atom probe_col
     | other ->
       (* a stray annotation on a non-join is inert *)
-      compile ctx env other)
+      compile h ctx env other)
 
-and compile_hash ctx env sip left right on =
+and compile_hash h ctx env fr sip left right on =
   let out = Plan.out_cols (Plan.Hash_join { left; right; on }) in
   let lenv = restrict env (Plan.out_cols left) in
   let renv = restrict env (Plan.out_cols right) in
   (* join-column bindings reach the output through the left side *)
   let renv_only = List.filter (fun (c, _) -> not (List.mem c on)) renv in
-  match sip with
-  | Some (c, Plan.Probe_to_build) ->
+  match sip, right with
+  | Some (c, Plan.Probe_to_build), _ ->
     (* materialise the probe side first; its key set prunes the build
        subtree — the direction that reaches into a reformulated
        union's arms before any of their rows exist *)
-    let l_rel = Physical.to_relation (compile ctx lenv left) in
-    if Relation.cardinality l_rel = 0 then empty_op out
+    let lop, ls = compile h ctx lenv left in
+    let l_rel = Physical.to_relation lop in
+    if Relation.cardinality l_rel = 0 then finish fr (empty_op out) [ ls ]
     else begin
       let reducer = reducer_of_relation ctx l_rel c in
       Atomic.incr ctx.counters.builds;
-      let r = Physical.to_relation (compile ctx ((c, reducer) :: renv) right) in
-      Physical.hash_join (Physical.of_relation l_rel) r ~on
+      let rop, rs = compile h ctx ((c, reducer) :: renv) right in
+      finish fr ~reducer
+        (Physical.hash_join (Physical.of_relation l_rel) (Physical.to_relation rop) ~on)
+        [ ls; rs ]
     end
-  | Some (c, Plan.Build_to_probe) -> (
-    match right with
-    | Plan.Scan atom when ctx.config.build_cache -> (
-      let build, _outcome, rename = build_cached ctx atom on in
-      if build_key_count build = 0 then empty_op out
-      else
-        match reducer_of_build ctx build with
-        | Some reducer ->
-          let l = compile ctx ((c, reducer) :: lenv) left in
-          apply_sip renv_only (Physical.probe ~rename l ~build ~on)
-        | None ->
-          let l = compile ctx lenv left in
-          apply_sip renv_only (Physical.probe ~rename l ~build ~on))
-    | _ ->
-      Atomic.incr ctx.counters.builds;
-      let r_rel = Physical.to_relation (compile ctx renv right) in
-      if Relation.cardinality r_rel = 0 then empty_op out
-      else begin
-        let reducer = reducer_of_relation ctx r_rel c in
-        let l = compile ctx ((c, reducer) :: lenv) left in
-        Physical.hash_join l r_rel ~on
-      end)
-  | None -> (
-    match right with
-    | Plan.Scan atom when ctx.config.build_cache ->
-      let build, _outcome, rename = build_cached ctx atom on in
-      (* an empty build table yields nothing: the probe subtree is
-         never even compiled *)
-      if build_key_count build = 0 then empty_op out
-      else
-        let l = compile ctx lenv left in
-        apply_sip renv_only (Physical.probe ~rename l ~build ~on)
-    | _ ->
-      (* build side first for the same early exit *)
-      Atomic.incr ctx.counters.builds;
-      let r_rel = Physical.to_relation (compile ctx renv right) in
-      if Relation.cardinality r_rel = 0 then empty_op out
-      else Physical.hash_join (compile ctx lenv left) r_rel ~on)
+  | _, Plan.Scan atom when ctx.config.build_cache ->
+    (* the build side folds into this node: its build outcome is the
+       node's cache outcome, and it has no separate child. An empty
+       build table yields nothing: the probe subtree is never even
+       compiled. *)
+    let build, cache, rename = build_cached ctx atom on in
+    if build_key_count build = 0 then finish fr ~cache (empty_op out) []
+    else begin
+      let reducer =
+        match sip with
+        | Some (_, Plan.Build_to_probe) -> reducer_of_build ctx build
+        | _ -> None
+      in
+      let l, ls = compile h ctx (bind sip reducer lenv) left in
+      finish fr ~cache ?reducer
+        (apply_sip ?on_pruned:fr.on_pruned renv_only (Physical.probe ~rename l ~build ~on))
+        [ ls ]
+    end
+  | _ ->
+    (* build side first for the same early exit *)
+    Atomic.incr ctx.counters.builds;
+    let rop, rs = compile h ctx renv right in
+    let r_rel = Physical.to_relation rop in
+    if Relation.cardinality r_rel = 0 then finish fr (empty_op out) [ rs ]
+    else begin
+      let reducer =
+        match sip with
+        | Some (c, Plan.Build_to_probe) -> Some (reducer_of_relation ctx r_rel c)
+        | _ -> None
+      in
+      let l, ls = compile h ctx (bind sip reducer lenv) left in
+      finish fr ?reducer (Physical.hash_join l r_rel ~on) [ ls; rs ]
+    end
 
-and compile_merge ctx env sip left right on =
+and compile_merge h ctx env fr sip left right on =
   let out = Plan.out_cols (Plan.Merge_join { left; right; on }) in
   let lenv = restrict env (Plan.out_cols left) in
   let renv = restrict env (Plan.out_cols right) in
+  let side env p =
+    let op, n = compile h ctx env p in
+    Physical.to_relation op, n
+  in
+  let merged l r = Physical.of_relation (Relation.merge_join l r ~on) in
   match sip with
   | Some (c, Plan.Probe_to_build) ->
-    let l = Physical.to_relation (compile ctx lenv left) in
-    if Relation.cardinality l = 0 then empty_op out
+    let l, ls = side lenv left in
+    if Relation.cardinality l = 0 then finish fr (empty_op out) [ ls ]
     else begin
       let reducer = reducer_of_relation ctx l c in
-      let r = Physical.to_relation (compile ctx ((c, reducer) :: renv) right) in
-      Physical.of_relation (Relation.merge_join l r ~on)
+      let r, rs = side ((c, reducer) :: renv) right in
+      finish fr ~reducer (merged l r) [ ls; rs ]
     end
   | Some (c, Plan.Build_to_probe) ->
-    let r = Physical.to_relation (compile ctx renv right) in
-    if Relation.cardinality r = 0 then empty_op out
+    let r, rs = side renv right in
+    if Relation.cardinality r = 0 then finish fr (empty_op out) [ rs ]
     else begin
       let reducer = reducer_of_relation ctx r c in
-      let l = Physical.to_relation (compile ctx ((c, reducer) :: lenv) left) in
-      Physical.of_relation (Relation.merge_join l r ~on)
+      let l, ls = side ((c, reducer) :: lenv) left in
+      finish fr ~reducer (merged l r) [ ls; rs ]
     end
   | None ->
-    let l = Physical.to_relation (compile ctx lenv left) in
-    let r = Physical.to_relation (compile ctx renv right) in
-    Physical.of_relation (Relation.merge_join l r ~on)
+    let l, ls = side lenv left in
+    let r, rs = side renv right in
+    finish fr (merged l r) [ ls; rs ]
 
-and compile_index ctx env ~sip left atom probe_col =
+and compile_index h ctx env fr ~sip left atom probe_col =
   let lcols = Plan.out_cols left in
+  let reducer = if sip then index_reducer ctx atom probe_col else None in
   let lenv = restrict env lcols in
-  let lenv =
-    if sip then
-      match index_reducer ctx atom probe_col with
-      | Some r -> (probe_col, r) :: lenv
-      | None -> lenv
-    else lenv
-  in
-  let op = index_join_op ctx (compile ctx lenv left) atom probe_col in
+  let lenv = match reducer with Some r -> (probe_col, r) :: lenv | None -> lenv in
+  let l, ls = compile h ctx lenv left in
   (* outer bindings on the fresh column the index join introduces *)
-  apply_sip (List.filter (fun (c, _) -> not (List.mem c lcols)) env) op
-
-let eval ctx plan = Physical.to_relation (compile ctx [] plan)
+  let fresh = List.filter (fun (c, _) -> not (List.mem c lcols)) env in
+  finish fr ?reducer
+    (apply_sip ?on_pruned:fr.on_pruned fresh (index_join_op ctx l atom probe_col))
+    [ ls ]
 
 (* {2 Instrumented (EXPLAIN ANALYZE) evaluation}
 
-   A second compiler that attaches a mutable accumulator to every
+   The [analyze] hook attaches a mutable accumulator to every
    operator: the wrapped [next] adds its wall-clock and emitted rows
    to the node's accumulator, and compilation time (which includes any
    child materialised at compile time — builds, merge sorts,
    materialised fragments, parallel arms) is charged to the node up
    front. Because a parent's [next] calls its children's instrumented
-   [next], every node's time is inclusive of its subtree, matching the
-   semantics of the fully-materialised analyzer this replaces. It
-   shares every helper (and thus every cache and counter) with
-   [compile]; the plain compiler stays allocation-free of stats. *)
+   [next], every node's time is inclusive of its subtree. *)
 
 type node_stats = {
   plan : Plan.t;
@@ -791,271 +871,35 @@ let instrument acc (op : Physical.op) =
   in
   { op with Physical.next }
 
-let rec compile_analyzed ctx env plan =
-  let t0 = Obs.Mclock.now_ns () in
-  let finish ?(cache = Uncached) ?(pruned = ref 0) ?(elided = 0) ?reducer op children
-      =
-    let acc =
-      {
-        a_plan = plan;
-        a_rows = 0;
-        a_ns = 0L;
-        a_cache = cache;
-        a_pruned = pruned;
-        a_elided = elided;
-        a_reducer = reducer;
-        a_children = children;
-      }
-    in
-    acc.a_ns <- Obs.Mclock.elapsed_ns ~since:t0;
-    instrument acc op, acc
-  in
-  (* the three join compilers are shared between the bare node and its
-     [Sip]-annotated form: [finish] closes over the matched [plan], so
-     the accumulator carries the annotation when there is one *)
-  let hash_analyzed sip left right on =
-    let out = Plan.out_cols (Plan.Hash_join { left; right; on }) in
-    let lenv = restrict env (Plan.out_cols left) in
-    let renv = restrict env (Plan.out_cols right) in
-    let renv_only = List.filter (fun (c, _) -> not (List.mem c on)) renv in
-    match sip with
-    | Some (c, Plan.Probe_to_build) ->
-      let lop, ls = compile_analyzed ctx lenv left in
-      let l_rel = Physical.to_relation lop in
-      if Relation.cardinality l_rel = 0 then finish (empty_op out) [ ls ]
-      else begin
-        let reducer = reducer_of_relation ctx l_rel c in
-        Atomic.incr ctx.counters.builds;
-        let rop, rs = compile_analyzed ctx ((c, reducer) :: renv) right in
-        finish ~reducer:(Sip.kind_name reducer)
-          (Physical.hash_join (Physical.of_relation l_rel)
-             (Physical.to_relation rop) ~on)
-          [ ls; rs ]
-      end
-    | Some (c, Plan.Build_to_probe) -> (
-      match right with
-      | Plan.Scan atom when ctx.config.build_cache ->
-        (* the build side folds into this node: its scan/build outcome
-           is the node's cache outcome, and it has no separate child *)
-        let build, outcome, rename = build_cached ctx atom on in
-        if build_key_count build = 0 then finish ~cache:outcome (empty_op out) []
-        else begin
-          let r = reducer_of_build ctx build in
-          let lenv' =
-            match r with
-            | Some reducer -> (c, reducer) :: lenv
-            | None -> lenv
-          in
-          let l, ls = compile_analyzed ctx lenv' left in
-          let pruned = ref 0 in
-          let op =
-            apply_sip
-              ~on_pruned:(fun n -> pruned := !pruned + n)
-              renv_only
-              (Physical.probe ~rename l ~build ~on)
-          in
-          finish ~cache:outcome ~pruned ?reducer:(Option.map Sip.kind_name r) op
-            [ ls ]
-        end
-      | _ ->
-        Atomic.incr ctx.counters.builds;
-        let rop, rs = compile_analyzed ctx renv right in
-        let r_rel = Physical.to_relation rop in
-        if Relation.cardinality r_rel = 0 then finish (empty_op out) [ rs ]
-        else begin
-          let reducer = reducer_of_relation ctx r_rel c in
-          let l, ls = compile_analyzed ctx ((c, reducer) :: lenv) left in
-          finish ~reducer:(Sip.kind_name reducer)
-            (Physical.hash_join l r_rel ~on)
-            [ ls; rs ]
-        end)
-    | None -> (
-      match right with
-      | Plan.Scan atom when ctx.config.build_cache ->
-        let build, outcome, rename = build_cached ctx atom on in
-        if build_key_count build = 0 then finish ~cache:outcome (empty_op out) []
-        else begin
-          let l, ls = compile_analyzed ctx lenv left in
-          let pruned = ref 0 in
-          let op =
-            apply_sip
-              ~on_pruned:(fun n -> pruned := !pruned + n)
-              renv_only
-              (Physical.probe ~rename l ~build ~on)
-          in
-          finish ~cache:outcome ~pruned op [ ls ]
-        end
-      | _ ->
-        Atomic.incr ctx.counters.builds;
-        let rop, rs = compile_analyzed ctx renv right in
-        let r_rel = Physical.to_relation rop in
-        if Relation.cardinality r_rel = 0 then finish (empty_op out) [ rs ]
-        else begin
-          let l, ls = compile_analyzed ctx lenv left in
-          finish (Physical.hash_join l r_rel ~on) [ ls; rs ]
-        end)
-  in
-  let merge_analyzed sip left right on =
-    let out = Plan.out_cols (Plan.Merge_join { left; right; on }) in
-    let lenv = restrict env (Plan.out_cols left) in
-    let renv = restrict env (Plan.out_cols right) in
-    match sip with
-    | Some (c, Plan.Probe_to_build) ->
-      let lop, ls = compile_analyzed ctx lenv left in
-      let l = Physical.to_relation lop in
-      if Relation.cardinality l = 0 then finish (empty_op out) [ ls ]
-      else begin
-        let reducer = reducer_of_relation ctx l c in
-        let rop, rs = compile_analyzed ctx ((c, reducer) :: renv) right in
-        finish ~reducer:(Sip.kind_name reducer)
-          (Physical.of_relation
-             (Relation.merge_join l (Physical.to_relation rop) ~on))
-          [ ls; rs ]
-      end
-    | Some (c, Plan.Build_to_probe) ->
-      let rop, rs = compile_analyzed ctx renv right in
-      let r = Physical.to_relation rop in
-      if Relation.cardinality r = 0 then finish (empty_op out) [ rs ]
-      else begin
-        let reducer = reducer_of_relation ctx r c in
-        let lop, ls = compile_analyzed ctx ((c, reducer) :: lenv) left in
-        finish ~reducer:(Sip.kind_name reducer)
-          (Physical.of_relation
-             (Relation.merge_join (Physical.to_relation lop) r ~on))
-          [ ls; rs ]
-      end
-    | None ->
-      let lop, ls = compile_analyzed ctx lenv left in
-      let rop, rs = compile_analyzed ctx renv right in
-      let rel =
-        Relation.merge_join (Physical.to_relation lop) (Physical.to_relation rop)
-          ~on
-      in
-      finish (Physical.of_relation rel) [ ls; rs ]
-  in
-  let index_analyzed ~sip left atom probe_col =
-    let lcols = Plan.out_cols left in
-    let lenv = restrict env lcols in
-    let r = if sip then index_reducer ctx atom probe_col else None in
-    let lenv' =
-      match r with
-      | Some reducer -> (probe_col, reducer) :: lenv
-      | None -> lenv
-    in
-    let l, ls = compile_analyzed ctx lenv' left in
-    let pruned = ref 0 in
-    let op =
-      apply_sip
-        ~on_pruned:(fun n -> pruned := !pruned + n)
-        (List.filter (fun (c, _) -> not (List.mem c lcols)) env)
-        (index_join_op ctx l atom probe_col)
-    in
-    finish ~pruned ?reducer:(Option.map Sip.kind_name r) op [ ls ]
-  in
-  match plan with
-  | Plan.Scan atom -> (
-    match segmented_scan_op ctx env atom with
-    | Some sop ->
-      let pruned = ref 0 in
-      let op = apply_sip ~on_pruned:(fun n -> pruned := !pruned + n) env sop in
-      finish ~cache:Uncached ~pruned op []
-    | None ->
-      let rel, outcome = scan ctx atom in
-      let pruned = ref 0 in
-      let op =
-        apply_sip
-          ~on_pruned:(fun n -> pruned := !pruned + n)
-          env
-          (Physical.of_relation rel)
-      in
-      finish ~cache:outcome ~pruned op [])
-  | Plan.Hash_join { left; right; on } -> hash_analyzed None left right on
-  | Plan.Merge_join { left; right; on } -> merge_analyzed None left right on
-  | Plan.Index_join { left; atom; probe_col } ->
-    index_analyzed ~sip:false left atom probe_col
-  | Plan.Project { input; out } ->
-    let i, is_ = compile_analyzed ctx (restrict env (Plan.out_cols input)) input in
-    finish (Physical.project i (encode_out ctx out)) [ is_ ]
-  | Plan.Distinct p ->
-    let i, is_ = compile_analyzed ctx env p in
-    finish (Physical.distinct i) [ is_ ]
-  | Plan.Union { cols; inputs } ->
-    let arms =
-      List.filter_map
-        (fun p ->
-          let aenv = remap_env env cols (Plan.out_cols p) in
-          if provably_empty ctx aenv p then begin
-            Obs.Metrics.incr m_sip_elided;
-            None
-          end
-          else Some (aenv, p))
-        inputs
-    in
-    let elided = List.length inputs - List.length arms in
-    Obs.Metrics.add m_union_arms (List.length arms);
-    if ctx.jobs > 1 && List.length arms > 1 then begin
-      (* arms compile, drain and account on the pool; the domain join
-         gives the happens-before that makes their accumulators safe
-         to read here *)
-      let done_arms =
-        Parallel.map ~jobs:ctx.jobs
-          (fun (aenv, p) ->
-            let op, acc = compile_analyzed ctx aenv p in
-            Physical.to_relation op, acc)
-          arms
-      in
-      finish ~elided
-        (Physical.union ~cols
-           (List.map (fun (rel, _) -> Physical.of_relation rel) done_arms))
-        (List.map snd done_arms)
-    end
-    else begin
-      let done_arms = List.map (fun (aenv, p) -> compile_analyzed ctx aenv p) arms in
-      finish ~elided
-        (Physical.union ~cols (List.map fst done_arms))
-        (List.map snd done_arms)
-    end
-  | Plan.Materialize p -> (
-    match ctx.views with
-    | None ->
-      let i, is_ = compile_analyzed ctx env p in
-      finish i [ is_ ]
-    | Some store -> (
-      let key = view_key p in
-      let filtered ~cache rel children =
+let analyze =
+  {
+    lazy_arms = false;
+    enter =
+      (fun plan ->
+        let t0 = Obs.Mclock.now_ns () in
         let pruned = ref 0 in
-        let op =
-          apply_sip
-            ~on_pruned:(fun n -> pruned := !pruned + n)
-            env
-            (Physical.of_relation rel)
-        in
-        finish ~cache ~pruned op children
-      in
-      match Cache.Lru.find store key with
-      | Some rel -> filtered ~cache:Hit rel []
-      | None ->
-        (* stored unfiltered (see [compile]); reducers on top *)
-        let op, is_ = compile_analyzed ctx [] p in
-        let rel = Cache.Lru.add_if_absent store key (Physical.to_relation op) in
-        filtered ~cache:Miss rel [ is_ ]))
-  | Plan.Sip { join; dir } -> (
-    match join with
-    | Plan.Hash_join { left; right; on } ->
-      hash_analyzed (sip_col on dir) left right on
-    | Plan.Merge_join { left; right; on } ->
-      merge_analyzed (sip_col on dir) left right on
-    | Plan.Index_join { left; atom; probe_col } ->
-      index_analyzed ~sip:(dir = Plan.Build_to_probe) left atom probe_col
-    | other -> compile_analyzed ctx env other)
-
-let eval_analyzed ctx plan =
-  let op, acc = compile_analyzed ctx [] plan in
-  let rel = Physical.to_relation op in
-  rel, stats_of acc
+        {
+          on_pruned = Some (fun n -> pruned := !pruned + n);
+          close =
+            (fun ~cache ~elided ~reducer op children ->
+              let acc =
+                {
+                  a_plan = plan;
+                  a_rows = 0;
+                  a_ns = Obs.Mclock.elapsed_ns ~since:t0;
+                  a_cache = cache;
+                  a_pruned = pruned;
+                  a_elided = elided;
+                  a_reducer = Option.map Sip.kind_name reducer;
+                  a_children = children;
+                }
+              in
+              instrument acc op, acc);
+        });
+  }
 
 (* Every access to the run caches is gated on the config flags
-   ([scan_cached] checks [scan_cache]; [probe_cached] is only reached
+   ([canonical] checks [scan_cache]; [build_cached] is only reached
    under [build_cache]), so a config with both caches off can share
    one never-touched pair instead of paying two cache allocations and
    eight metrics-registry lookups per query. *)
@@ -1083,10 +927,14 @@ let make_ctx config counters views jobs layout =
   }
 
 let run ?(config = postgres_like) ?counters ?views ?jobs layout plan =
-  eval (make_ctx config counters views jobs layout) plan
+  let ctx = make_ctx config counters views jobs layout in
+  Physical.to_relation (fst (compile plain ctx [] plan))
 
 let run_analyzed ?(config = postgres_like) ?counters ?views ?jobs layout plan =
-  eval_analyzed (make_ctx config counters views jobs layout) plan
+  let ctx = make_ctx config counters views jobs layout in
+  let op, acc = compile analyze ctx [] plan in
+  let rel = Physical.to_relation op in
+  rel, stats_of acc
 
 let decode_rows layout rel =
   let dict = Layout.dict layout in
