@@ -320,7 +320,7 @@ let answer_cmd =
     Fmt.pr "engine     : %s@." (Obda.engine_name engine);
     Fmt.pr "strategy   : %s@." (Obda.strategy_name o.Obda.strategy);
     Fmt.pr "cq count   : %d@." o.Obda.cq_count;
-    Fmt.pr "sql bytes  : %d@." o.Obda.sql_bytes;
+    Fmt.pr "sql bytes  : %d@." (String.length (Lazy.force o.Obda.sql));
     Fmt.pr "search time: %.1f ms%s@." (o.Obda.search_time *. 1000.)
       (if o.Obda.plan_cached then " (cached plan)" else "");
     Fmt.pr "eval time  : %.1f ms@." (o.Obda.eval_time *. 1000.);
@@ -389,33 +389,17 @@ let explain_cmd =
     apply_feedback engine feedback;
     let fb = Obda.feedback_store engine in
     let q = find_query ~inline qname in
-    let reformulate () = Obda.reformulate engine tbox strategy q in
-    let fol, events =
-      if trace then Obs.Trace.record reformulate else reformulate (), []
-    in
+    (* explain what the engine will actually run: the same pipeline as
+       [answer], SIP reducer annotations included; --analyze runs it
+       through the instrumented executor *)
+    let prepare () = Obda.prepare engine tbox strategy q in
+    let p, events = if trace then Obs.Trace.record prepare else prepare (), [] in
+    let fol = p.Obda.reformulation in
+    let stats = if analyze then (Obda.analyze engine tbox strategy q).Obda.a_stats else None in
     let est = Obda.estimator engine Obda.Rdbms_cost in
     let ext = Obda.estimator engine Obda.Ext_cost in
     let profile = Obda.profile engine and lay = Obda.layout engine in
-    (* mirror Obda.answer: explain what the engine will actually run,
-       including the SIP reducer annotations (on by default) *)
-    let plan = Rdbms.Planner.of_fol lay fol in
-    let plan =
-      if Obda.sip_enabled engine then
-        Cost.Sip_pass.annotate
-          ~model:(Cost.Cost_model.calibrated (match engine_kind with
-            | `Pglite -> `Pglite | `Db2lite -> `Db2lite))
-          ?feedback:fb lay plan
-      else plan
-    in
-    let stats =
-      if analyze then
-        let _, stats =
-          Rdbms.Exec.run_analyzed ~config:profile.Rdbms.Explain.exec_config lay plan
-        in
-        Some stats
-      else None
-    in
-    let sql = Sql.Sql_gen.of_fol lay fol in
+    let sql_bytes = String.length (Lazy.force p.Obda.sql) in
     let dialect =
       if Query.Fol.is_ucq fol then "UCQ"
       else if Query.Fol.is_jucq fol then "JUCQ"
@@ -425,9 +409,10 @@ let explain_cmd =
     match format with
     | `Json ->
       let plan_json =
-        match stats with
-        | Some s -> Rdbms.Explain.render_analyze_json profile lay s
-        | None -> Rdbms.Explain.render_json profile lay plan
+        match stats, p.Obda.physical with
+        | Some s, _ -> Rdbms.Explain.render_analyze_json profile lay s
+        | None, Ok plan -> Rdbms.Explain.render_json profile lay plan
+        | None, Error msg -> Fmt.str "{\"error\":%S}" msg
       in
       Fmt.pr
         "{\"query\":%S,\"strategy\":%S,\"dialect\":%S,\"cq_disjuncts\":%d,\
@@ -438,8 +423,7 @@ let explain_cmd =
         (Query.Fol.join_width fol)
         (est.Optimizer.Estimator.estimate fol)
         (ext.Optimizer.Estimator.estimate ?feedback:fb fol)
-        (Sql.Sql_ast.length sql)
-        analyze plan_json
+        sql_bytes analyze plan_json
         (String.concat "," (List.map Obs.Trace.event_to_json events))
     | `Text ->
       Fmt.pr "query        : %a@." Query.Cq.pp q;
@@ -449,7 +433,7 @@ let explain_cmd =
       Fmt.pr "join width   : %d@." (Query.Fol.join_width fol);
       Fmt.pr "rdbms cost   : %.0f@." (est.Optimizer.Estimator.estimate fol);
       Fmt.pr "ext cost     : %.0f@." (ext.Optimizer.Estimator.estimate ?feedback:fb fol);
-      Fmt.pr "sql bytes    : %d@." (Sql.Sql_ast.length sql);
+      Fmt.pr "sql bytes    : %d@." sql_bytes;
       let store = Reform.Relstore.of_tbox tbox in
       let root = Covers.Safety.root_cover ~store tbox q in
       Fmt.pr "root cover   : %a@." Covers.Cover.pp root;
@@ -486,18 +470,18 @@ let explain_cmd =
            Fmt.pr "%a@." Cost.Feedback.pp_stats (Cost.Feedback.stats store)
          | None -> Fmt.pr "%-32s (store detached)@." "feedback.epoch")
       end;
-      (match stats with
-       | Some s ->
+      (match stats, p.Obda.physical with
+       | Some s, _ ->
          Fmt.pr "@.== explain analyze ==@.%s"
            (Rdbms.Explain.render_analyze profile lay s)
-       | None ->
-         if show_plan then
-           Fmt.pr "@.== physical plan ==@.%s"
-             (Rdbms.Explain.render profile lay plan));
+       | None, Ok plan when show_plan ->
+         Fmt.pr "@.== physical plan ==@.%s" (Rdbms.Explain.render profile lay plan)
+       | None, Ok _ -> ()
+       | None, Error msg -> Fmt.pr "@.engine error : %s@." msg);
       if show_datalog then
         Fmt.pr "@.== datalog program (%d rules) ==@.%s@."
           (Syntax.Datalog.rule_count fol) (Syntax.Datalog.of_fol fol);
-      if show_sql then Fmt.pr "@.== sql ==@.%s@." (Sql.Sql_ast.to_string sql)
+      if show_sql then Fmt.pr "@.== sql ==@.%s@." (Lazy.force p.Obda.sql)
   in
   Cmd.v
     (Cmd.info "explain"

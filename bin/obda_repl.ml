@@ -97,9 +97,14 @@ let run_ask st text =
       (if o.Obda.plan_cached then ", cached plan" else "")
       (o.Obda.eval_time *. 1000.)
 
+(* explain, plan, sql and datalog all show the pipeline [ask] runs *)
+let prepare st text =
+  Obda.prepare st.engine st.tbox st.strategy (parse_query st text)
+
 let run_explain st text =
   let q = parse_query st text in
-  let fol = Obda.reformulate st.engine st.tbox st.strategy q in
+  let p = Obda.prepare st.engine st.tbox st.strategy q in
+  let fol = p.Obda.reformulation in
   let root = Covers.Safety.root_cover ~store:(Reform.Relstore.of_tbox st.tbox) st.tbox q in
   Fmt.pr "root cover : %a@." Covers.Cover.pp root;
   Fmt.pr "cq count   : %d@." (Query.Fol.cq_count fol);
@@ -107,7 +112,7 @@ let run_explain st text =
     ((Obda.estimator st.engine Obda.Rdbms_cost).Optimizer.Estimator.estimate fol);
   Fmt.pr "ext cost   : %.0f@."
     ((Obda.estimator st.engine Obda.Ext_cost).Optimizer.Estimator.estimate fol);
-  Fmt.pr "sql bytes  : %d@." (Sql.Sql_gen.sql_length (Obda.layout st.engine) fol)
+  Fmt.pr "sql bytes  : %d@." (String.length (Lazy.force p.Obda.sql))
 
 let run_analyze st text =
   let q = parse_query st text in
@@ -126,20 +131,14 @@ let run_analyze st text =
     (if a.Obda.a_reranked then "; cached plan dropped for re-ranking" else "")
 
 let run_plan st text =
-  let q = parse_query st text in
-  let fol = Obda.reformulate st.engine st.tbox st.strategy q in
-  let plan = Rdbms.Planner.of_fol (Obda.layout st.engine) fol in
-  print_string (Rdbms.Explain.render (Obda.profile st.engine) (Obda.layout st.engine) plan)
+  match (prepare st text).Obda.physical with
+  | Ok plan ->
+    print_string (Rdbms.Explain.render (Obda.profile st.engine) (Obda.layout st.engine) plan)
+  | Error msg -> Printf.printf "engine error: %s\n" msg
 
-let run_sql st text =
-  let q = parse_query st text in
-  let fol = Obda.reformulate st.engine st.tbox st.strategy q in
-  print_endline (Sql.Sql_ast.to_string (Sql.Sql_gen.of_fol (Obda.layout st.engine) fol))
+let run_sql st text = print_endline (Lazy.force (prepare st text).Obda.sql)
 
-let run_datalog st text =
-  let q = parse_query st text in
-  let fol = Obda.reformulate st.engine st.tbox st.strategy q in
-  print_string (Syntax.Datalog.of_fol fol)
+let run_datalog st text = print_string (Syntax.Datalog.of_fol (prepare st text).Obda.reformulation)
 
 let words s =
   List.filter (fun w -> w <> "") (String.split_on_char ' ' (String.trim s))

@@ -59,12 +59,17 @@ let () =
     (Fmt.Dump.list (Fmt.Dump.list Fmt.string))
     (match outcome.Obda.answers with Ok a -> a | Error m -> failwith m);
 
-  (* Look under the hood. *)
-  let fol = outcome.Obda.reformulation in
+  (* Look under the hood: the pipeline [answer] ran, served from the
+     plan cache this time. *)
+  let p = Obda.prepare engine tbox (Obda.Gdl Obda.Ext_cost) q in
+  let fol = p.Obda.reformulation in
   Fmt.pr "reformulation: %d CQ disjuncts, %s dialect@." (Query.Fol.cq_count fol)
     (if Query.Fol.is_jucq fol && not (Query.Fol.is_ucq fol) then "JUCQ" else "UCQ");
-  let plan = Rdbms.Planner.of_fol (Obda.layout engine) fol in
-  Fmt.pr "@.physical plan:@.%s@."
-    (Rdbms.Explain.render (Obda.profile engine) (Obda.layout engine) plan);
+  (match p.Obda.physical with
+  | Ok plan ->
+    Fmt.pr "@.physical plan:@.%s@."
+      (Rdbms.Explain.render (Obda.profile engine) (Obda.layout engine) plan)
+  | Error m -> failwith m);
   Fmt.pr "as Datalog:@.%s@." (Syntax.Datalog.of_fol fol);
-  Fmt.pr "as SQL (%d chars):@.%s@." outcome.Obda.sql_bytes (Lazy.force outcome.Obda.sql)
+  let sql = Lazy.force p.Obda.sql in
+  Fmt.pr "as SQL (%d chars):@.%s@." (String.length sql) sql

@@ -10,6 +10,7 @@ type engine = {
   profile : Rdbms.Explain.profile;
   layout : Rdbms.Layout.t;
   kind : engine_kind;
+  model : Cost.Cost_model.t;  (* the calibrated "ext" cost model *)
   id : int;  (* process-unique, a component of plan-cache keys *)
   mutable generation : int;  (* KB generation: bumped on every insert *)
   mutable views : Rdbms.Exec.view_store option;
@@ -39,6 +40,7 @@ let make_engine_of_layout kind layout =
     profile;
     layout;
     kind;
+    model = Cost.Cost_model.calibrated kind;
     id = Atomic.fetch_and_add next_engine_id 1;
     generation = 0;
     views = None;
@@ -152,26 +154,9 @@ let strategy_name = function
     Printf.sprintf "gdl%.0fms/%s" (budget *. 1000.) (cost_source_name src)
   | Edl src -> "edl/" ^ cost_source_name src
 
-type outcome = {
-  strategy : strategy;
-  reformulation : Query.Fol.t;
-  cq_count : int;
-  sql : string lazy_t;
-  sql_bytes : int;
-  search_time : float;
-  eval_time : float;
-  plan_cached : bool;
-  answers : (string list list, string) Stdlib.result;
-}
-
 let estimator e = function
   | Rdbms_cost -> Optimizer.Estimator.rdbms e.profile e.layout
-  | Ext_cost ->
-    let model =
-      Cost.Cost_model.calibrated
-        (match e.kind with `Pglite -> `Pglite | `Db2lite -> `Db2lite)
-    in
-    Optimizer.Estimator.ext model e.layout
+  | Ext_cost -> Optimizer.Estimator.ext e.model e.layout
 
 (* One optimisation pass: the chosen reformulation, and the chosen
    generalized cover for the strategies that search for one. The
@@ -286,6 +271,63 @@ let plan_for e tbox strategy q =
         { p_reformulation = fol; p_cover = cover; p_epoch = epoch },
       false )
 
+(* {1 The query pipeline}
+
+   [prepare] is everything a query goes through before the executor:
+   the plan-cache lookup or cover search, the SQL statement check, and
+   physical planning with the SIP pass. ANSWER, ANALYZE and every
+   EXPLAIN call it, so EXPLAIN shows exactly the plan ANSWER runs. *)
+
+type prepared = {
+  strategy : strategy;
+  reformulation : Query.Fol.t;
+  plan_cached : bool;
+  epoch : int;
+  search_time : float;
+  sql : string Lazy.t;
+  physical : (Rdbms.Plan.t, string) result;
+}
+
+let seconds_since t0 = Int64.to_float (Obs.Mclock.elapsed_ns ~since:t0) /. 1e9
+
+let prepare e tbox strategy q =
+  let t0 = Obs.Mclock.now_ns () in
+  let plan, plan_cached = plan_for e tbox strategy q in
+  let search_time = seconds_since t0 in
+  let reformulation = plan.p_reformulation in
+  let sql = lazy (Sql.Sql_ast.to_string (Sql.Sql_gen.of_fol e.layout reformulation)) in
+  (* the SQL text is rendered only to check a statement-size limit *)
+  let physical =
+    match e.profile.Rdbms.Explain.max_sql_bytes with
+    | Some limit when String.length (Lazy.force sql) > limit ->
+      Error
+        (Printf.sprintf
+           "The statement is too long or too complex. Current SQL statement size is \
+            %d"
+           (String.length (Lazy.force sql)))
+    | _ ->
+      let plan = Rdbms.Planner.of_fol e.layout reformulation in
+      (* annotation happens after the plan cache (which stores the
+         reformulation, not the physical plan), so toggling SIP takes
+         effect immediately even on cached plans *)
+      Ok
+        (if e.sip then
+           Cost.Sip_pass.annotate ~model:e.model ?feedback:e.feedback e.layout plan
+         else plan)
+  in
+  { strategy; reformulation; plan_cached; epoch = plan.p_epoch; search_time; sql; physical }
+
+type outcome = {
+  strategy : strategy;
+  reformulation : Query.Fol.t;
+  cq_count : int;
+  sql : string lazy_t;
+  search_time : float;
+  eval_time : float;
+  plan_cached : bool;
+  answers : (string list list, string) Stdlib.result;
+}
+
 let m_queries =
   Obs.Metrics.counter ~help:"end-to-end queries answered" "obda.queries"
 
@@ -300,59 +342,41 @@ let m_total_ms =
   Obs.Metrics.histogram
     ~help:"end-to-end query latency, search + SQL + eval (ms)" "obda.total_ms"
 
-let seconds_since t0 = Int64.to_float (Obs.Mclock.elapsed_ns ~since:t0) /. 1e9
+(* ANSWER and ANALYZE share one body up to the executor: [run] turns
+   the physical plan into the answers plus whatever else its executor
+   reports. *)
+let execute e tbox strategy q run =
+  let t0 = Obs.Mclock.now_ns () in
+  let p = prepare e tbox strategy q in
+  let result = Result.map run p.physical in
+  let total = seconds_since t0 in
+  let eval_time = total -. p.search_time in
+  Obs.Metrics.incr m_queries;
+  Obs.Metrics.observe m_search_ms (p.search_time *. 1000.);
+  Obs.Metrics.observe m_eval_ms (eval_time *. 1000.);
+  Obs.Metrics.observe m_total_ms (total *. 1000.);
+  let outcome =
+    {
+      strategy;
+      reformulation = p.reformulation;
+      cq_count = Query.Fol.cq_count p.reformulation;
+      sql = p.sql;
+      search_time = p.search_time;
+      eval_time;
+      plan_cached = p.plan_cached;
+      answers = Result.map fst result;
+    }
+  in
+  p, outcome, Result.to_option (Result.map snd result)
 
 let answer e tbox strategy q =
-  let t0 = Obs.Mclock.now_ns () in
-  let { p_reformulation = reformulation; _ }, plan_cached =
-    plan_for e tbox strategy q
+  let _, outcome, _ =
+    execute e tbox strategy q (fun plan ->
+        ( Rdbms.Exec.answers ~config:e.profile.Rdbms.Explain.exec_config ?views:e.views
+            e.layout plan,
+          () ))
   in
-  let search_time = seconds_since t0 in
-  let sql = lazy (Sql.Sql_ast.to_string (Sql.Sql_gen.of_fol e.layout reformulation)) in
-  let sql_bytes = String.length (Lazy.force sql) in
-  let t1 = Obs.Mclock.now_ns () in
-  let answers =
-    match e.profile.Rdbms.Explain.max_sql_bytes with
-    | Some limit when sql_bytes > limit ->
-      Error
-        (Printf.sprintf
-           "The statement is too long or too complex. Current SQL statement size is \
-            %d"
-           sql_bytes)
-    | _ ->
-      let plan = Rdbms.Planner.of_fol e.layout reformulation in
-      (* annotation happens after the plan cache (which stores the
-         reformulation, not the physical plan), so toggling SIP takes
-         effect immediately even on cached plans *)
-      let plan =
-        if e.sip then
-          let model =
-            Cost.Cost_model.calibrated
-              (match e.kind with `Pglite -> `Pglite | `Db2lite -> `Db2lite)
-          in
-          Cost.Sip_pass.annotate ~model ?feedback:e.feedback e.layout plan
-        else plan
-      in
-      Ok
-        (Rdbms.Exec.answers ~config:e.profile.Rdbms.Explain.exec_config
-           ?views:e.views e.layout plan)
-  in
-  let eval_time = seconds_since t1 in
-  Obs.Metrics.incr m_queries;
-  Obs.Metrics.observe m_search_ms (search_time *. 1000.);
-  Obs.Metrics.observe m_eval_ms (eval_time *. 1000.);
-  Obs.Metrics.observe m_total_ms (seconds_since t0 *. 1000.);
-  {
-    strategy;
-    reformulation;
-    cq_count = Query.Fol.cq_count reformulation;
-    sql;
-    sql_bytes;
-    search_time;
-    eval_time;
-    plan_cached;
-    answers;
-  }
+  outcome
 
 let answers_exn e tbox strategy q =
   match (answer e tbox strategy q).answers with
@@ -370,40 +394,14 @@ type analysis = {
 }
 
 let analyze e tbox strategy q =
-  let t0 = Obs.Mclock.now_ns () in
-  let plan_rec, plan_cached = plan_for e tbox strategy q in
-  let reformulation = plan_rec.p_reformulation in
-  let search_time = seconds_since t0 in
-  let sql = lazy (Sql.Sql_ast.to_string (Sql.Sql_gen.of_fol e.layout reformulation)) in
-  let sql_bytes = String.length (Lazy.force sql) in
-  let t1 = Obs.Mclock.now_ns () in
-  let answers, stats =
-    match e.profile.Rdbms.Explain.max_sql_bytes with
-    | Some limit when sql_bytes > limit ->
-      ( Error
-          (Printf.sprintf
-             "The statement is too long or too complex. Current SQL statement \
-              size is %d"
-             sql_bytes),
-        None )
-    | _ ->
-      let plan = Rdbms.Planner.of_fol e.layout reformulation in
-      let plan =
-        if e.sip then
-          let model =
-            Cost.Cost_model.calibrated
-              (match e.kind with `Pglite -> `Pglite | `Db2lite -> `Db2lite)
-          in
-          Cost.Sip_pass.annotate ~model ?feedback:e.feedback e.layout plan
-        else plan
-      in
-      let rel, stats =
-        Rdbms.Exec.run_analyzed ~config:e.profile.Rdbms.Explain.exec_config
-          ?views:e.views e.layout plan
-      in
-      Ok (Rdbms.Exec.decode_rows e.layout rel), Some stats
+  let p, outcome, stats =
+    execute e tbox strategy q (fun plan ->
+        let rel, stats =
+          Rdbms.Exec.run_analyzed ~config:e.profile.Rdbms.Explain.exec_config
+            ?views:e.views e.layout plan
+        in
+        Rdbms.Exec.decode_rows e.layout rel, stats)
   in
-  let eval_time = seconds_since t1 in
   (* The drift check prices the plan's root under the corrections it
      was (approximately) costed with — *before* this run's harvest —
      so a plan whose estimate already matches reality never churns. *)
@@ -426,30 +424,15 @@ let analyze e tbox strategy q =
     | Some fb
       when (not (data_independent strategy))
            && q_error > e.drift_threshold
-           && Cost.Feedback.epoch fb > plan_rec.p_epoch ->
+           && Cost.Feedback.epoch fb > p.epoch ->
       let key = plan_key e tbox strategy q in
       let dropped = Cache.Lru.invalidate_if gen_plan_cache (fun k -> k = key) in
       if dropped > 0 then Cost.Feedback.note_rerank ();
       dropped > 0
     | _ -> false
   in
-  Obs.Metrics.incr m_queries;
-  Obs.Metrics.observe m_search_ms (search_time *. 1000.);
-  Obs.Metrics.observe m_eval_ms (eval_time *. 1000.);
-  Obs.Metrics.observe m_total_ms (seconds_since t0 *. 1000.);
   {
-    a_outcome =
-      {
-        strategy;
-        reformulation;
-        cq_count = Query.Fol.cq_count reformulation;
-        sql;
-        sql_bytes;
-        search_time;
-        eval_time;
-        plan_cached;
-        answers;
-      };
+    a_outcome = outcome;
     a_stats = stats;
     a_q_error = q_error;
     a_harvested = harvested;

@@ -31,9 +31,9 @@ val engine_name : engine -> string
 val layout : engine -> Rdbms.Layout.t
 
 val kind : engine -> engine_kind
-(** The engine profile the engine was built with — callers that
-    re-derive a calibrated cost model (the server's EXPLAIN path) need
-    it back. *)
+(** The engine profile the engine was built with. {!prepare} already
+    applies its calibrated cost model; callers that re-run the
+    pipeline's stages one by one need the kind to re-derive it. *)
 
 val profile : engine -> Rdbms.Explain.profile
 
@@ -51,14 +51,47 @@ type strategy =
 
 val strategy_name : strategy -> string
 
+(** {2 The query pipeline}
+
+    Every way of running a query goes through {!prepare}: {!answer},
+    {!analyze}, and the EXPLAIN paths of the CLI, the REPL and the
+    server. So EXPLAIN always shows the plan ANSWER runs. *)
+
+type prepared = {
+  strategy : strategy;
+  reformulation : Query.Fol.t;
+  plan_cached : bool;
+      (** the reformulation came from the plan cache — no PerfectRef
+          call and no cover search ran for this query *)
+  epoch : int;
+      (** the feedback-correction epoch the plan was costed under *)
+  search_time : float;  (** seconds spent in the plan-cache lookup or search *)
+  sql : string Lazy.t;
+      (** the SQL translation. It is rendered only when the engine
+          profile has a statement-size limit (Db2Lite) or when a
+          caller forces it. *)
+  physical : (Rdbms.Plan.t, string) Stdlib.result;
+      (** the physical plan the executor runs: SIP-annotated under the
+          engine's feedback store when SIP is on. [Error] is the
+          engine's statement-size rejection, and then nothing runs. *)
+}
+
+val prepare : engine -> Dllite.Tbox.t -> strategy -> Query.Cq.t -> prepared
+(** Everything before the executor: the {{!section-plan_cache}plan
+    cache} lookup or cover search, the statement-size check, physical
+    planning and the SIP pass. *)
+
 type outcome = {
   strategy : strategy;
   reformulation : Query.Fol.t;
   cq_count : int;  (** CQ disjuncts in the reformulation *)
-  sql : string lazy_t;  (** the SQL translation *)
-  sql_bytes : int;
+  sql : string lazy_t;
+      (** the SQL translation, as {!prepared.sql}: not forced on
+          engines without a statement-size limit *)
   search_time : float;  (** seconds spent choosing the reformulation *)
-  eval_time : float;  (** seconds spent evaluating it *)
+  eval_time : float;
+      (** seconds from the chosen reformulation to decoded answers:
+          statement check, physical planning, execution *)
   plan_cached : bool;
       (** the reformulation came from the plan cache — no PerfectRef
           call and no cover search ran for this query *)
@@ -71,11 +104,11 @@ val reformulate : engine -> Dllite.Tbox.t -> strategy -> Query.Cq.t -> Query.Fol
 (** Only the reformulation step (no evaluation). *)
 
 val answer : engine -> Dllite.Tbox.t -> strategy -> Query.Cq.t -> outcome
-(** The full pipeline: reformulate, translate to SQL, check engine
-    limits, evaluate, decode. The optimisation step goes through the
-    {{!section-plan_cache}plan cache}: a repeated query (same engine,
-    KB generation, TBox and strategy, equal canonical form) replays
-    the memoised reformulation instead of searching again. *)
+(** {!prepare}, then the plain executor and decoding. The optimisation
+    step goes through the {{!section-plan_cache}plan cache}: a repeated
+    query (same engine, KB generation, TBox and strategy, equal
+    canonical form) replays the memoised reformulation instead of
+    searching again. *)
 
 val answers_exn : engine -> Dllite.Tbox.t -> strategy -> Query.Cq.t -> string list list
 (** Convenience: the answers of {!answer}, raising [Failure] on engine
@@ -231,7 +264,9 @@ type analysis = {
 }
 
 val analyze : engine -> Dllite.Tbox.t -> strategy -> Query.Cq.t -> analysis
-(** {!answer} through the instrumented executor: same plan cache, same
-    SIP annotations, identical answers — plus the harvest and the
-    drift check described above. This is the only path that trains the
-    store; plain {!answer} never pays the instrumentation. *)
+(** {!answer} through the instrumented executor: the same {!prepare},
+    so the same plan cache, SIP annotations and answers — plus the
+    harvest and the drift check described above. It is also the
+    EXPLAIN ANALYZE path of the CLI, the REPL and the server. This is
+    the only path that trains the store; plain {!answer} never pays the
+    instrumentation. *)

@@ -336,26 +336,28 @@ let run_answer t s ~id ~cq ~strategy ~deadline_ms ~limit ~enq_ns =
              (List.map (fun row -> Wire.List (List.map (fun v -> Wire.String v) row)) shown)
          ])
 
+(* EXPLAIN runs the engine's own pipeline: plain EXPLAIN shows the plan
+   ANSWER would run, EXPLAIN ANALYZE is [Obda.analyze] (and so trains
+   the feedback store like any other analyzed run). *)
 let run_explain t s ~id ~cq ~strategy ~analyze =
+  let profile = Obda.profile t.engine and lay = Obda.layout t.engine in
   let reply =
     read_locked t.rw (fun () ->
-        let fol = Obda.reformulate t.engine t.tbox strategy cq in
-        let profile = Obda.profile t.engine and lay = Obda.layout t.engine in
-        let plan = Rdbms.Planner.of_fol lay fol in
-        let plan =
-          if Obda.sip_enabled t.engine then
-            Cost.Sip_pass.annotate
-              ~model:(Cost.Cost_model.calibrated (Obda.kind t.engine))
-              lay plan
-          else plan
-        in
-        let plan_json =
+        let fol, sql, plan_json =
           if analyze then
-            let _, stats =
-              Rdbms.Exec.run_analyzed ~config:profile.Rdbms.Explain.exec_config lay plan
-            in
-            Rdbms.Explain.render_analyze_json profile lay stats
-          else Rdbms.Explain.render_json profile lay plan
+            let a = Obda.analyze t.engine t.tbox strategy cq in
+            let o = a.Obda.a_outcome in
+            ( o.Obda.reformulation,
+              o.Obda.sql,
+              match a.Obda.a_stats, o.Obda.answers with
+              | Some stats, _ -> Ok (Rdbms.Explain.render_analyze_json profile lay stats)
+              | None, Error e -> Error e
+              | None, Ok _ -> assert false (* stats are absent only on a rejection *) )
+          else
+            let p = Obda.prepare t.engine t.tbox strategy cq in
+            ( p.Obda.reformulation,
+              p.Obda.sql,
+              Result.map (Rdbms.Explain.render_json profile lay) p.Obda.physical )
         in
         let dialect =
           if Query.Fol.is_ucq fol then "UCQ"
@@ -363,19 +365,27 @@ let run_explain t s ~id ~cq ~strategy ~analyze =
           else if Query.Fol.is_juscq fol then "JUSCQ"
           else "FOL"
         in
-        let sql = Sql.Sql_gen.of_fol lay fol in
-        Protocol.ok ~id
-          [ "strategy", Wire.String (Obda.strategy_name strategy);
-            "dialect", Wire.String dialect;
-            "cq_disjuncts", Wire.Int (Query.Fol.cq_count fol);
-            "join_width", Wire.Int (Query.Fol.join_width fol);
-            "sql_bytes", Wire.Int (Sql.Sql_ast.length sql);
-            "analyze", Wire.Bool analyze;
-            "plan", Wire.Raw plan_json ])
+        Result.map
+          (fun plan_json ->
+            Protocol.ok ~id
+              [ "strategy", Wire.String (Obda.strategy_name strategy);
+                "dialect", Wire.String dialect;
+                "cq_disjuncts", Wire.Int (Query.Fol.cq_count fol);
+                "join_width", Wire.Int (Query.Fol.join_width fol);
+                "sql_bytes", Wire.Int (String.length (Lazy.force sql));
+                "analyze", Wire.Bool analyze;
+                "plan", Wire.Raw plan_json ])
+          plan_json)
   in
-  job_done t ~ok:true;
-  Atomic.incr s.s_ok;
-  send s reply
+  match reply with
+  | Ok reply ->
+    job_done t ~ok:true;
+    Atomic.incr s.s_ok;
+    send s reply
+  | Error e ->
+    job_done t ~ok:false;
+    Atomic.incr s.s_errors;
+    send s (Protocol.error ~id ("engine: " ^ e))
 
 (* How long the exclusive write lock is held per UPDATE request. With
    delta-buffered storage this is O(pending delta) per insert, not

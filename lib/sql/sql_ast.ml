@@ -70,4 +70,3 @@ let rec pp ppf = function
 
 let to_string q = Fmt.str "%a" pp q
 
-let length q = String.length (to_string q)

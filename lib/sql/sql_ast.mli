@@ -40,7 +40,3 @@ and query =
 val pp : Format.formatter -> query -> unit
 
 val to_string : query -> string
-
-val length : query -> int
-(** Size in characters of the SQL text — the quantity DB2's statement
-    limit applies to (§6.3 reports failures above ~2.2M characters). *)

@@ -151,5 +151,3 @@ let rec query_of_fol layout ~with_allowed fol =
         (List.map (fun (a, q, _) -> Subquery { query = q; alias = a }) part_queries)
 
 let of_fol layout fol = query_of_fol layout ~with_allowed:true fol
-
-let sql_length layout fol = Sql_ast.length (of_fol layout fol)

@@ -10,6 +10,3 @@
 val of_cq : Rdbms.Layout.t -> Query.Cq.t -> Sql_ast.query
 
 val of_fol : Rdbms.Layout.t -> Query.Fol.t -> Sql_ast.query
-
-val sql_length : Rdbms.Layout.t -> Query.Fol.t -> int
-(** Length in characters of the generated statement. *)

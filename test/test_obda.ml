@@ -44,7 +44,7 @@ let test_outcome_metadata () =
   let engine = Obda.make_engine `Pglite `Simple (example1_abox ()) in
   let o = Obda.answer engine example1_tbox Obda.Ucq example3_query in
   check_bool "cq count matches minimal ucq" true (o.Obda.cq_count = 4);
-  check_bool "sql generated" true (o.Obda.sql_bytes > 0);
+  check_bool "sql generated" true (String.length (Lazy.force o.Obda.sql) > 0);
   let contains hay needle =
     let nh = String.length hay and nn = String.length needle in
     let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
@@ -58,7 +58,8 @@ let test_rdf_sql_longer () =
   let rdf = Obda.make_engine `Db2lite `Rdf (example1_abox ()) in
   let o1 = Obda.answer simple example1_tbox Obda.Ucq example3_query in
   let o2 = Obda.answer rdf example1_tbox Obda.Ucq example3_query in
-  check_bool "rdf layout SQL much longer" true (o2.Obda.sql_bytes > 3 * o1.Obda.sql_bytes)
+  let sql_bytes o = String.length (Lazy.force o.Obda.sql) in
+  check_bool "rdf layout SQL much longer" true (sql_bytes o2 > 3 * sql_bytes o1)
 
 let test_statement_too_long () =
   (* Force the Db2Lite statement-size limit with a tiny cap via a big
@@ -71,7 +72,20 @@ let test_statement_too_long () =
   (match o.Obda.answers with
   | Ok _ -> ()
   | Error msg -> Alcotest.failf "small query should fit: %s" msg);
-  check_bool "under the limit" true (o.Obda.sql_bytes < 2_000_000)
+  check_bool "under the limit" true (String.length (Lazy.force o.Obda.sql) < 2_000_000)
+
+(* The SQL text exists to check DB2's statement-size limit: engines
+   without one never render it unless a caller forces it. *)
+let test_sql_rendered_only_under_a_limit () =
+  let pg = Obda.make_engine `Pglite `Simple (example1_abox ()) in
+  let o = Obda.answer pg example1_tbox Obda.Ucq example3_query in
+  check_bool "pglite answer leaves the SQL unrendered" false (Lazy.is_val o.Obda.sql);
+  let a = Obda.analyze pg example1_tbox Obda.Ucq example3_query in
+  check_bool "pglite analyze leaves the SQL unrendered" false
+    (Lazy.is_val a.Obda.a_outcome.Obda.sql);
+  let db2 = Obda.make_engine `Db2lite `Rdf (example1_abox ()) in
+  let o = Obda.answer db2 example1_tbox Obda.Ucq example3_query in
+  check_bool "db2lite renders the SQL to check its limit" true (Lazy.is_val o.Obda.sql)
 
 let test_strategy_names () =
   Alcotest.(check string) "ucq" "ucq" (Obda.strategy_name Obda.Ucq);
@@ -354,6 +368,8 @@ let suite =
     Alcotest.test_case "outcome metadata" `Quick test_outcome_metadata;
     Alcotest.test_case "rdf sql longer" `Quick test_rdf_sql_longer;
     Alcotest.test_case "statement size check" `Quick test_statement_too_long;
+    Alcotest.test_case "sql rendered only under a statement limit" `Quick
+      test_sql_rendered_only_under_a_limit;
     Alcotest.test_case "strategy names" `Quick test_strategy_names;
     Alcotest.test_case "uscq strategy" `Quick test_uscq_strategy;
     Alcotest.test_case "fragment views" `Quick test_fragment_views;

@@ -470,6 +470,49 @@ let qcheck_concurrent_with_writer =
             results;
           true))
 
+(* EXPLAIN shows what ANSWER runs. After training on the join-skew
+   fixture (R and S never join, so the static estimate of R |><| S is
+   400 rows against an actual 0), the corrections move the SIP pass's
+   decision on the join into T. The server's EXPLAIN must show that
+   corrected plan — the one the engine's pipeline hands the executor —
+   not a plan re-annotated without the feedback store. *)
+let test_explain_shows_the_plan_answer_runs () =
+  let abox = Test_feedback.skewed_abox () in
+  for i = 0 to 19 do
+    for j = 1 to 5 do
+      Dllite.Abox.add_role abox ~role:"T" ~subj:(Printf.sprintf "z%d" i)
+        ~obj:(Printf.sprintf "w%d_%d" i j)
+    done
+  done;
+  let engine = Obda.make_engine `Pglite `Simple abox in
+  let tbox = Dllite.Tbox.empty in
+  let text = "q(?x, ?w) <- R(?x, ?y), S(?y, ?z), T(?z, ?w)" in
+  let q = Syntax.Query_text.parse text in
+  let strategy = Server.Core.default_config.Server.Core.default_strategy in
+  Obda.clear_plan_cache ();
+  for _ = 1 to 3 do
+    ignore (Obda.analyze engine tbox strategy q)
+  done;
+  let lay = Obda.layout engine and profile = Obda.profile engine in
+  let p = Obda.prepare engine tbox strategy q in
+  let plan =
+    match p.Obda.physical with Ok plan -> plan | Error e -> Alcotest.fail e
+  in
+  let uncorrected =
+    Cost.Sip_pass.annotate ~model:(Cost.Cost_model.calibrated `Pglite) lay
+      (Rdbms.Planner.of_fol lay p.Obda.reformulation)
+  in
+  check_bool "the corrections move the SIP annotations" true (plan <> uncorrected);
+  let t = Server.Core.start ~config:{ Server.Core.default_config with port = 0 } ~engine ~tbox () in
+  Fun.protect ~finally:(fun () -> Server.Core.stop t) (fun () ->
+      let c = connect (Server.Core.port t) in
+      Fun.protect ~finally:(fun () -> close c) (fun () ->
+          let r = request c (Printf.sprintf "{\"op\":\"EXPLAIN\",\"cq\":\"%s\"}" text) in
+          check_string "explain status" "OK" (status r);
+          check_bool "EXPLAIN plan = the plan the pipeline runs" true
+            (Wire.of_string (Rdbms.Explain.render_json profile lay plan)
+            = Ok (field r "plan"))))
+
 let suite =
   [
     Alcotest.test_case "wire: print/parse round-trip" `Quick test_wire_roundtrip;
@@ -483,6 +526,8 @@ let suite =
     Alcotest.test_case "server: overload sheds at queue depth" `Quick
       test_overload_sheds_deterministically;
     Alcotest.test_case "server: expired deadline gets TIMEOUT" `Quick test_deadline_timeout;
+    Alcotest.test_case "server: EXPLAIN shows the plan ANSWER runs" `Quick
+      test_explain_shows_the_plan_answer_runs;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [ qcheck_concurrent_equals_sequential; qcheck_concurrent_with_writer ]

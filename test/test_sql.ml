@@ -106,10 +106,12 @@ let test_gen_rdf_probing () =
   check_bool "probes every column" true (contains s "PRED7")
 
 let test_gen_rdf_much_longer () =
-  let simple = Sql.Sql_gen.sql_length (layout_simple ())
-      (Fol.of_cq example3_query)
+  let sql_length layout =
+    String.length
+      (Sql.Sql_ast.to_string (Sql.Sql_gen.of_fol layout (Fol.of_cq example3_query)))
   in
-  let rdf = Sql.Sql_gen.sql_length (layout_rdf ()) (Fol.of_cq example3_query) in
+  let simple = sql_length (layout_simple ()) in
+  let rdf = sql_length (layout_rdf ()) in
   check_bool "rdf blows up the statement" true (rdf > 5 * simple)
 
 (* {1 Structural sanity on the whole workload} *)
