@@ -400,12 +400,7 @@ let explain_cmd =
     let ext = Obda.estimator engine Obda.Ext_cost in
     let profile = Obda.profile engine and lay = Obda.layout engine in
     let sql_bytes = String.length (Lazy.force p.Obda.sql) in
-    let dialect =
-      if Query.Fol.is_ucq fol then "UCQ"
-      else if Query.Fol.is_jucq fol then "JUCQ"
-      else if Query.Fol.is_juscq fol then "JUSCQ"
-      else "FOL"
-    in
+    let dialect = Query.Fol.dialect fol in
     match format with
     | `Json ->
       let plan_json =

@@ -158,35 +158,29 @@ let estimator e = function
   | Rdbms_cost -> Optimizer.Estimator.rdbms e.profile e.layout
   | Ext_cost -> Optimizer.Estimator.ext e.model e.layout
 
-(* One optimisation pass: the chosen reformulation, and the chosen
-   generalized cover for the strategies that search for one. The
-   cost-based searches consult the engine's feedback store, so a
-   trained engine ranks candidate covers with observed cardinalities. *)
-let compute_plan e tbox strategy q =
+(* One optimisation pass: the chosen reformulation. The cost-based
+   searches consult the engine's feedback store, so a trained engine
+   ranks candidate covers with observed cardinalities. *)
+let reformulate e tbox strategy q =
   match strategy with
-  | Ucq -> Covers.Reformulate.ucq tbox q, None
-  | Uscq -> Reform.Uscq_reform.reformulate tbox q, None
+  | Ucq -> Covers.Reformulate.ucq tbox q
+  | Uscq -> Reform.Uscq_reform.reformulate tbox q
   | Croot ->
     let store = Reform.Relstore.of_tbox tbox in
-    Covers.Reformulate.of_cover tbox (Covers.Safety.root_cover ~store tbox q), None
+    Covers.Reformulate.of_cover tbox (Covers.Safety.root_cover ~store tbox q)
   | Gdl src ->
-    let r = Optimizer.Gdl.search ?feedback:e.feedback tbox (estimator e src) q in
-    r.Optimizer.Gdl.reformulation, Some r.Optimizer.Gdl.cover
+    (Optimizer.Gdl.search ?feedback:e.feedback tbox (estimator e src) q)
+      .Optimizer.Gdl.reformulation
   | Gdl_limited (src, budget) ->
-    let r =
-      Optimizer.Gdl.search ~time_budget:budget ?feedback:e.feedback tbox
-        (estimator e src) q
-    in
-    r.Optimizer.Gdl.reformulation, Some r.Optimizer.Gdl.cover
+    (Optimizer.Gdl.search ~time_budget:budget ?feedback:e.feedback tbox
+       (estimator e src) q)
+      .Optimizer.Gdl.reformulation
   | Edl src ->
-    let r = Optimizer.Edl.search ?feedback:e.feedback tbox (estimator e src) q in
-    r.Optimizer.Edl.reformulation, Some r.Optimizer.Edl.cover
-
-let reformulate e tbox strategy q = fst (compute_plan e tbox strategy q)
+    (Optimizer.Edl.search ?feedback:e.feedback tbox (estimator e src) q)
+      .Optimizer.Edl.reformulation
 
 type plan = {
   p_reformulation : Query.Fol.t;
-  p_cover : Covers.Generalized.t option;
   p_epoch : int;
       (* the feedback-store correction epoch the plan was costed
          under; 0 with feedback disabled. A cached cost-based plan
@@ -266,9 +260,9 @@ let plan_for e tbox strategy q =
   | Some p -> p, true
   | None ->
     let epoch = feedback_epoch e in
-    let fol, cover = compute_plan e tbox strategy q in
+    let fol = reformulate e tbox strategy q in
     ( Cache.Lru.add_if_absent cache key
-        { p_reformulation = fol; p_cover = cover; p_epoch = epoch },
+        { p_reformulation = fol; p_epoch = epoch },
       false )
 
 (* {1 The query pipeline}

@@ -101,7 +101,8 @@ type outcome = {
 }
 
 val reformulate : engine -> Dllite.Tbox.t -> strategy -> Query.Cq.t -> Query.Fol.t
-(** Only the reformulation step (no evaluation). *)
+(** Only the reformulation step, searched afresh: it bypasses the plan
+    cache, which {!prepare} goes through. *)
 
 val answer : engine -> Dllite.Tbox.t -> strategy -> Query.Cq.t -> outcome
 (** {!prepare}, then the plain executor and decoding. The optimisation

@@ -98,6 +98,12 @@ let is_juscq = function
   | Join { parts; _ } -> List.for_all is_uscq parts
   | t -> is_uscq t
 
+let dialect t =
+  if is_ucq t then "UCQ"
+  else if is_jucq t then "JUCQ"
+  else if is_juscq t then "JUSCQ"
+  else "FOL"
+
 let rec pp ppf = function
   | Leaf { ucq; _ } -> Fmt.pf ppf "@[<v2>UCQ[%d]:@,%a@]" (Ucq.size ucq) Ucq.pp ucq
   | Join { out; parts } ->

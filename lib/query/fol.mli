@@ -60,6 +60,9 @@ val is_uscq : t -> bool
 
 val is_juscq : t -> bool
 
+val dialect : t -> string
+(** The narrowest of ["UCQ"], ["JUCQ"], ["JUSCQ"], or ["FOL"]. *)
+
 val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string

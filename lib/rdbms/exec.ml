@@ -11,16 +11,11 @@ let db2_like = { scan_cache = true; build_cache = true }
 
 (* Counters are atomic: the arms of a [Union] node evaluate on
    separate domains and bump them concurrently. Every scan/build
-   request increments exactly one of (performed, hit), so
-   performed + hit equals the number of requests. The requests are the
-   plan's scan, index-join and build-side accesses; a build-table miss
-   reads its canonical scan without issuing a scan request, so two
-   arms racing on the same build miss cannot add requests the
-   sequential run never makes. Request totals are therefore fixed by
-   plan and data at any job count; only the split between performed
-   and hit shifts under racing misses. (A shared view store is the one
-   exception: two arms racing on the same fragment miss both compute
-   it, and its scans count twice.) *)
+   request increments exactly one of (performed, hit). A build-table
+   miss reads its canonical scan without issuing a scan request, so
+   arms racing on the same miss add no requests: request totals are
+   fixed by plan and data at any job count (except that two arms
+   racing on the same view-store miss both compute the fragment). *)
 type counters = {
   scans : int Atomic.t;
   scan_hits : int Atomic.t;
@@ -28,9 +23,8 @@ type counters = {
   build_hits : int Atomic.t;
 }
 
-(* Registry metrics alongside the per-run counters, with the same
-   invariants: request totals are independent of scheduling, hit
-   counts are not. *)
+(* Registry metrics with the same invariants: request totals are
+   independent of scheduling, hit counts are not. *)
 let m_scan_requests =
   Obs.Metrics.counter ~help:"atom scans requested (performed + cache hits)"
     "exec.scan.requests"

@@ -42,14 +42,11 @@ type counters = {
 }
 (** Atomic so parallel union arms can bump them concurrently. Each
     scan (resp. build) request increments exactly one of the pair, so
-    [scans + scan_hits] equals the number of requests. Scan requests
-    are the plan's scan and index-join accesses; a build-table miss
-    reads its canonical scan without issuing one, and counts only as a
-    build. The request totals are therefore fixed by plan and data at
-    any job count. Under parallelism two arms may both miss on the
-    same signature, shifting a hit into a performed scan or build.
-    With a shared view store, two arms that both miss on the same
-    fragment both compute it, and its requests count twice. *)
+    [scans + scan_hits] equals the number of requests. A build-table
+    miss reads its canonical scan without a scan request, so the
+    totals are fixed by plan and data at any job count; racing arms
+    only shift hits into performed scans or builds. (Two arms racing
+    on the same view-store miss both compute the fragment.) *)
 
 type view_store = (string list * string, Relation.t) Cache.Lru.t
 (** Materialised fragment views (the paper's §7 future-work extension):
@@ -144,14 +141,11 @@ val run_analyzed :
   Relation.t * node_stats
 (** Like {!run}, but also records per-operator actual cardinalities,
     cache outcomes and monotonic timings. {!run} and [run_analyzed]
-    are one plan compiler under two instrumentation hooks: the plain
-    hook returns every operator unchanged, the analyze hook wraps each
-    in a per-node accumulator. So they share every cache, counter and
-    parallel code path, and the returned relation is identical to
-    [run]'s at any job count; only the timings vary run to run. Union
-    arms are instrumented concurrently on the pool; a sequential
-    instrumented union opens all its arms up front, where {!run} opens
-    them one at a time. *)
+    are one plan compiler under two instrumentation hooks, so they
+    share every cache, counter and parallel code path, and the
+    returned relation is identical to [run]'s at any job count. A
+    sequential instrumented union opens all its arms up front, where
+    {!run} opens them one at a time. *)
 
 val answers :
   ?config:config ->

@@ -296,6 +296,11 @@ let job_done t ~ok =
       t.n_completed <- t.n_completed + 1;
       if ok then t.n_ok <- t.n_ok + 1)
 
+let engine_error t s ~id e =
+  job_done t ~ok:false;
+  Atomic.incr s.s_errors;
+  send s (Protocol.error ~id ("engine: " ^ e))
+
 let run_answer t s ~id ~cq ~strategy ~deadline_ms ~limit ~enq_ns =
   let generation = ref 0 in
   let outcome =
@@ -304,10 +309,7 @@ let run_answer t s ~id ~cq ~strategy ~deadline_ms ~limit ~enq_ns =
         Obda.answer t.engine t.tbox strategy cq)
   in
   match outcome.Obda.answers with
-  | Error e ->
-    job_done t ~ok:false;
-    Atomic.incr s.s_errors;
-    send s (Protocol.error ~id ("engine: " ^ e))
+  | Error e -> engine_error t s ~id e
   | Ok rows ->
     let total = List.length rows in
     let returned = min total limit in
@@ -359,17 +361,11 @@ let run_explain t s ~id ~cq ~strategy ~analyze =
               p.Obda.sql,
               Result.map (Rdbms.Explain.render_json profile lay) p.Obda.physical )
         in
-        let dialect =
-          if Query.Fol.is_ucq fol then "UCQ"
-          else if Query.Fol.is_jucq fol then "JUCQ"
-          else if Query.Fol.is_juscq fol then "JUSCQ"
-          else "FOL"
-        in
         Result.map
           (fun plan_json ->
             Protocol.ok ~id
               [ "strategy", Wire.String (Obda.strategy_name strategy);
-                "dialect", Wire.String dialect;
+                "dialect", Wire.String (Query.Fol.dialect fol);
                 "cq_disjuncts", Wire.Int (Query.Fol.cq_count fol);
                 "join_width", Wire.Int (Query.Fol.join_width fol);
                 "sql_bytes", Wire.Int (String.length (Lazy.force sql));
@@ -382,10 +378,7 @@ let run_explain t s ~id ~cq ~strategy ~analyze =
     job_done t ~ok:true;
     Atomic.incr s.s_ok;
     send s reply
-  | Error e ->
-    job_done t ~ok:false;
-    Atomic.incr s.s_errors;
-    send s (Protocol.error ~id ("engine: " ^ e))
+  | Error e -> engine_error t s ~id e
 
 (* How long the exclusive write lock is held per UPDATE request. With
    delta-buffered storage this is O(pending delta) per insert, not
