@@ -51,4 +51,13 @@ let decode d c =
       if c < 0 || c >= d.next then Fmt.invalid_arg "Dict.decode: unknown code %d" c
       else d.names.(c))
 
+(* Codes below [next] are never rewritten, and growth copies [names]
+   into a fresh array, so a snapshot of both taken under the lock
+   decodes those codes without it. *)
+let decoder d =
+  let names, next = with_lock d (fun () -> d.names, d.next) in
+  fun c ->
+    if c < 0 || c >= next then Fmt.invalid_arg "Dict.decode: unknown code %d" c
+    else Array.unsafe_get names c
+
 let size d = with_lock d (fun () -> d.next)

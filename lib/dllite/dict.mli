@@ -14,5 +14,11 @@ val find : t -> string -> int option
 val decode : t -> int -> string
 (** Raises [Invalid_argument] on an unknown code. *)
 
+val decoder : t -> int -> string
+(** [decoder d] snapshots the codes allocated so far and returns a
+    lock-free {!decode} for them, for loops that decode many codes
+    (answer decoding). Codes allocated after the snapshot raise
+    [Invalid_argument], like unknown ones. *)
+
 val size : t -> int
 (** Number of distinct encoded strings. *)

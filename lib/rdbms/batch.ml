@@ -21,13 +21,12 @@ let of_relation ?(off = 0) ?len (r : Relation.t) =
 (* [idxs] are positions within [b]; composing through [index] keeps
    the stored selection vector absolute, so selections stack without
    copying column data. *)
-let select b idxs =
-  {
-    b with
-    sel = Some (Array.map (fun i -> index b i) idxs);
-    off = 0;
-    len = Array.length idxs;
-  }
+let select_n b n pos =
+  { b with sel = Some (Array.init n (fun i -> index b (pos i))); off = 0; len = n }
+
+let select b idxs = select_n b (Array.length idxs) (Array.get idxs)
+
+let select_buf b buf = select_n b (Ibuf.length buf) (Ibuf.get buf)
 
 let rename b cols = { b with cols }
 

@@ -39,6 +39,10 @@ val select : t -> int array -> t
     (composes with an existing selection vector; column data is
     shared). *)
 
+val select_buf : t -> Ibuf.t -> t
+(** {!select} over the positions held in a buffer (the operators'
+    reusable scratch), allocating only the selection vector. *)
+
 val rename : t -> string array -> t
 (** Replaces the column names (positional — for union arms). *)
 

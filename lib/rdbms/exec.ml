@@ -161,19 +161,16 @@ let scan_canonical ctx atom =
     match code k with
     | None -> Relation.empty ~cols:[ "$0" ]
     | Some c ->
-      let pairs = Layout.role_lookup_object_arr layout p c in
-      Relation.of_columns ~cols:[ "$0" ] [| Array.map fst pairs |])
+      Relation.of_columns ~cols:[ "$0" ] [| Layout.role_matches layout p `Object c |])
   | Atom.Ra (p, Term.Cst k, Term.Var _) -> (
     match code k with
     | None -> Relation.empty ~cols:[ "$0" ]
     | Some c ->
-      let pairs = Layout.role_lookup_subject_arr layout p c in
-      Relation.of_columns ~cols:[ "$0" ] [| Array.map snd pairs |])
+      Relation.of_columns ~cols:[ "$0" ] [| Layout.role_matches layout p `Subject c |])
   | Atom.Ra (p, Term.Cst k1, Term.Cst k2) -> (
     match code k1, code k2 with
     | Some c1, Some c2 ->
-      Relation.boolean
-        (Array.exists (fun (_, o) -> o = c2) (Layout.role_lookup_subject_arr layout p c1))
+      Relation.boolean (Array.mem c2 (Layout.role_matches layout p `Subject c1))
     | _ -> Relation.boolean false)
 
 (* The caches model DB2's buffer-locality support for repeated scans
@@ -272,14 +269,9 @@ let build_cached ctx atom on =
   in
   build, outcome, payload_rename actual_cols
 
-let build_key_count (b : Relation.build_table) =
-  match b.Relation.table with
-  | Relation.Single tbl -> Hashtbl.length tbl
-  | Relation.Multi tbl -> Hashtbl.length tbl
-
 (* Index nested loop over a role atom: pipelined — every batch of the
    left stream probes the index on the side named by [probe_col]. *)
-let index_join_op ctx left_op atom probe_col =
+let index_join_op ?keep ctx left_op atom probe_col =
   let layout = ctx.layout in
   let dict = Layout.dict layout in
   let p, probe_side =
@@ -290,14 +282,8 @@ let index_join_op ctx left_op atom probe_col =
   in
   Atomic.incr ctx.counters.scans;
   Obs.Metrics.incr m_scan_requests;
-  let lookup =
-    match probe_side with
-    | `Subject -> Layout.role_lookup_subject_arr layout p
-    | `Object -> Layout.role_lookup_object_arr layout p
-  in
-  let other_of = match probe_side with `Subject -> snd | `Object -> fst in
-  Physical.index_join ~lookup ~other_of ~dict_find:(Dllite.Dict.find dict) left_op
-    atom probe_col
+  Physical.index_join ?keep ~lookup:(Layout.role_matches layout p probe_side)
+    ~dict_find:(Dllite.Dict.find dict) left_op atom probe_col
 
 (* {2 Sideways information passing}
 
@@ -337,21 +323,21 @@ let remap_env (env : senv) cols arm_cols : senv =
 
 let empty_op cols = Physical.of_relation (Relation.empty ~cols)
 
+(* Rows a reducer dropped: the [sip.rows_pruned] metric, and through
+   [on_pruned] the per-node EXPLAIN ANALYZE counter. *)
+let sip_tally on_pruned n =
+  Obs.Metrics.add m_sip_pruned n;
+  match on_pruned with
+  | Some f -> f n
+  | None -> ()
+
 (* Wrap [op] in one selection filter per binding that names one of its
-   columns. [on_pruned] additionally feeds the per-node EXPLAIN
-   ANALYZE counter. *)
+   columns. *)
 let apply_sip ?on_pruned (env : senv) op =
   List.fold_left
     (fun op (c, r) ->
-      if Array.exists (String.equal c) op.Physical.cols then begin
-        let tally n =
-          Obs.Metrics.add m_sip_pruned n;
-          match on_pruned with
-          | Some f -> f n
-          | None -> ()
-        in
-        Physical.sip_filter op ~col:c ~reducer:r ~tally
-      end
+      if Array.exists (String.equal c) op.Physical.cols then
+        Physical.sip_filter op ~col:c ~reducer:r ~tally:(sip_tally on_pruned)
       else op)
     op env
 
@@ -368,13 +354,17 @@ let reducer_of_relation ctx rel c =
    exactly the distinct join keys, no rescan of the build relation.
    Multi-column keys never carry a SIP annotation. *)
 let reducer_of_build ctx (b : Relation.build_table) =
-  match b.Relation.table with
-  | Relation.Multi _ -> None
-  | Relation.Single tbl ->
+  let keys = b.Relation.keys in
+  if Keytab.arity keys <> 1 then None
+  else begin
     Obs.Metrics.incr m_sip_reducers;
+    let count = Keytab.length keys in
     Some
-      (Sip.of_iter ~domain:(dict_domain ctx) ~count:(Hashtbl.length tbl) (fun f ->
-           Hashtbl.iter (fun k _ -> f k) tbl))
+      (Sip.of_iter ~domain:(dict_domain ctx) ~count (fun f ->
+           for id = 0 to count - 1 do
+             f (Keytab.key keys id 0)
+           done))
+  end
 
 (* The index side of an annotated index join: the reducer is the
    stored role's probe-side column. Simple layout only — on the RDF
@@ -519,9 +509,10 @@ let segmented_scan_op ctx (env : senv) atom =
           let skip i =
             if i < nsegs then zone_miss col r i else range_miss tail_rng r
           in
+          let decoded = Option.map (fun a -> [| a |]) (Storage.concept_decoded s p) in
           count_scan ();
           Some
-            (Physical.segments_scan ~tail:[| tail_col |] ~cols:[| v |] ~skip
+            (Physical.segments_scan ?decoded ~tail:[| tail_col |] ~cols:[| v |] ~skip
                [| col |]))
       | Atom.Ra (p, Term.Var v1, Term.Var v2)
         when v1 <> v2 && (List.mem_assoc v1 env || List.mem_assoc v2 env) -> (
@@ -537,9 +528,12 @@ let segmented_scan_op ctx (env : senv) atom =
             | Some r -> if i < nsegs then zone_miss col r i else range_miss rng r
           in
           let skip i = side scol rng_s v1 i || side ocol rng_o v2 i in
+          let decoded =
+            Option.map (fun (subs, objs) -> [| subs; objs |]) (Storage.role_decoded s p)
+          in
           count_scan ();
           Some
-            (Physical.segments_scan ~tail:[| tail_s; tail_o |]
+            (Physical.segments_scan ?decoded ~tail:[| tail_s; tail_o |]
                ~cols:[| v1; v2 |] ~skip [| scol; ocol |]))
       | _ -> None)
 
@@ -736,7 +730,7 @@ and compile_hash h ctx env fr sip left right on =
        build table yields nothing: the probe subtree is never even
        compiled. *)
     let build, cache, rename = build_cached ctx atom on in
-    if build_key_count build = 0 then finish fr ~cache (empty_op out) []
+    if Relation.group_count build = 0 then finish fr ~cache (empty_op out) []
     else begin
       let reducer =
         match sip with
@@ -801,11 +795,17 @@ and compile_index h ctx env fr ~sip left atom probe_col =
   let lenv = restrict env lcols in
   let lenv = match reducer with Some r -> (probe_col, r) :: lenv | None -> lenv in
   let l, ls = compile h ctx lenv left in
-  (* outer bindings on the fresh column the index join introduces *)
-  let fresh = List.filter (fun (c, _) -> not (List.mem c lcols)) env in
-  finish fr ?reducer
-    (apply_sip ?on_pruned:fr.on_pruned fresh (index_join_op ctx l atom probe_col))
-    [ ls ]
+  (* Outer bindings on the fresh column the index join introduces
+     test each matched code before its row is expanded, so a probe
+     into a wide bucket emits only the survivors. *)
+  let out = Plan.out_cols (Plan.Index_join { left; atom; probe_col }) in
+  let keep =
+    match List.filter (fun (c, _) -> List.mem c out && not (List.mem c lcols)) env with
+    | [] -> None
+    | fresh ->
+      Some ((fun v -> List.for_all (fun (_, r) -> Sip.mem r v) fresh), sip_tally fr.on_pruned)
+  in
+  finish fr ?reducer (index_join_op ?keep ctx l atom probe_col) [ ls ]
 
 (* {2 Instrumented (EXPLAIN ANALYZE) evaluation}
 
@@ -930,12 +930,27 @@ let run_analyzed ?(config = postgres_like) ?counters ?views ?jobs layout plan =
   let rel = Physical.to_relation op in
   rel, stats_of acc
 
-let decode_rows layout rel =
-  let dict = Layout.dict layout in
-  List.sort_uniq compare
-    (List.map
-       (fun row -> Array.to_list (Array.map (Dllite.Dict.decode dict) row))
-       (Relation.rows rel))
+(* Rows as sorted, duplicate-free string tuples. Decoding is a
+   bijection on codes, so deduplicating the decoded rows is
+   deduplicating the codes: one pass builds each row's strings straight
+   from the columns, and one sort orders and deduplicates them. The
+   row comparison is [compare] on string lists, specialised. *)
+let rec compare_row a b =
+  match a, b with
+  | [], [] -> 0
+  | [], _ -> -1
+  | _, [] -> 1
+  | x :: a, y :: b ->
+    let c = String.compare x y in
+    if c <> 0 then c else compare_row a b
+
+let decode_rows layout (rel : Relation.t) =
+  let decode = Dllite.Dict.decoder (Layout.dict layout) in
+  let columns = rel.Relation.columns in
+  let rec row i c =
+    if c = Array.length columns then [] else decode columns.(c).(i) :: row i (c + 1)
+  in
+  List.sort_uniq compare_row (List.init rel.Relation.nrows (fun i -> row i 0))
 
 let answers ?config ?views ?jobs layout plan =
-  decode_rows layout (Relation.distinct (run ?config ?views ?jobs layout plan))
+  decode_rows layout (run ?config ?views ?jobs layout plan)

@@ -160,7 +160,10 @@ val answers :
 val decode_rows : Layout.t -> Relation.t -> string list list
 (** Decodes a result relation through the layout's dictionary; sorted,
     duplicate-free (the answer-shaping step of {!answers}, shared with
-    {!Rowexec.answers}). *)
+    {!Rowexec.answers}). One pass over the columns through a lock-free
+    {!Dllite.Dict.decoder} snapshot, then one sort that also
+    deduplicates, so the relation needs no {!Relation.distinct}
+    first. *)
 
 val fresh_counters : unit -> counters
 

@@ -18,4 +18,6 @@ let push b x =
 
 let get b i = b.a.(i)
 
+let clear b = b.len <- 0
+
 let to_array b = Array.sub b.a 0 b.len

@@ -16,5 +16,9 @@ val get : t -> int -> int
 (** [get b i] reads position [i < length b] (unchecked beyond array
     bounds). *)
 
+val clear : t -> unit
+(** Empties the buffer, keeping its capacity: operators reuse one
+    scratch buffer across batches. *)
+
 val to_array : t -> int array
 (** The first [length b] elements, as a fresh exactly-sized array. *)

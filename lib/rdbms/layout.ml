@@ -23,15 +23,18 @@ let role_rows t n =
 let role_cols t n =
   match t with Simple s -> Storage.role_cols s n | Rdf r -> Rdf_layout.role_cols r n
 
-let role_lookup_subject_arr t n v =
+let role_matches t n side =
   match t with
-  | Simple s -> Storage.role_lookup_subject_arr s n v
-  | Rdf r -> Rdf_layout.role_lookup_subject_arr r n v
-
-let role_lookup_object_arr t n v =
-  match t with
-  | Simple s -> Storage.role_lookup_object_arr s n v
-  | Rdf r -> Rdf_layout.role_lookup_object_arr r n v
+  | Simple s -> Storage.role_matches s n side
+  | Rdf r -> (
+    (* every probe re-reads the wide table, as the layout's SQL would *)
+    let sorted a =
+      Array.sort Int.compare a;
+      a
+    in
+    match side with
+    | `Subject -> fun v -> sorted (Array.map snd (Rdf_layout.role_lookup_subject_arr r n v))
+    | `Object -> fun v -> sorted (Array.map fst (Rdf_layout.role_lookup_object_arr r n v)))
 
 let concept_mem t n v =
   match t with

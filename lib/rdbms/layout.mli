@@ -37,15 +37,13 @@ val role_cols : t -> string -> int array * int array
     lazily-built shared projection (do not mutate); on the RDF layout
     each call re-pays the wide-table probe. *)
 
-val role_lookup_subject_arr : t -> string -> int -> (int * int) array
-(** Index probe: the role rows whose subject equals the code, as an
-    array the scan operators consume directly (no list-to-row-array
-    churn). On the simple layout the returned array aliases the index
-    and must not be mutated. *)
-
-val role_lookup_object_arr : t -> string -> int -> (int * int) array
-(** Array variant of {!role_lookup_object}; same aliasing caveat as
-    {!role_lookup_subject_arr}. *)
+val role_matches : t -> string -> [ `Subject | `Object ] -> int -> int array
+(** Index probe, resolved once per operator: [role_matches t role side]
+    applied to a code returns the codes on the other side of the role
+    rows whose [side] column holds it, sorted ascending. On the simple
+    layout the result is the packed index's own bucket (no allocation,
+    do not mutate); on the RDF layout every probe re-reads the wide
+    table. *)
 
 val concept_mem : t -> string -> int -> bool
 (** Membership test of a code in a concept. *)

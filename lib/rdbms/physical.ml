@@ -37,32 +37,38 @@ let of_relation ?(batch_size = Batch.default_size) (r : Relation.t) =
   in
   { cols = r.Relation.cols; next; close = no_close }
 
-(* Segment-at-a-time scan over compressed columns: each [next] decodes
-   at most [batch_size] rows of the current segment into fresh column
-   arrays, and [skip] consults the zone maps {e before} any decoding —
-   a skipped segment costs one predicate call, its rows are never
-   unpacked. The stores must be segment-aligned (same [segment_rows],
-   same length), which {!Storage} guarantees for a role's two columns.
-   [tail] streams a table's pending delta rows (column arrays parallel
-   to [stores]) as one final pseudo-segment: [skip] is consulted for
-   it at index [seg_count], so reducers can range-test the tail the
-   same way they zone-test real segments. *)
-let segments_scan ?(batch_size = Batch.default_size) ?(tail = [||]) ~cols ~skip
-    stores =
+(* Segment-at-a-time scan over compressed columns. Batches are
+   zero-copy windows: over [decoded] (the stores' full decoded columns,
+   when the caller already holds them — nothing is decoded at all),
+   else over one decode of the current segment per column, made when
+   the scan enters the segment. [skip] consults the zone maps {e
+   before} any decoding — a skipped segment costs one predicate call,
+   its rows are never unpacked. The stores must be segment-aligned
+   (same [segment_rows], same length), which {!Storage} guarantees for
+   a role's two columns. [tail] streams a table's pending delta rows
+   (column arrays parallel to [stores]) as one final pseudo-segment,
+   windowed in place: [skip] is consulted for it at index
+   [seg_count], so reducers can range-test the tail the same way they
+   zone-test real segments. *)
+let segments_scan ?(batch_size = Batch.default_size) ?decoded ?(tail = [||]) ~cols
+    ~skip stores =
   let nsegs =
     if Array.length stores = 0 then 0 else Colstore.seg_count stores.(0)
   in
   let tail_len = if Array.length tail = 0 then 0 else Array.length tail.(0) in
   let units = nsegs + if tail_len > 0 then 1 else 0 in
+  (* unit [i]'s rows, as column arrays and the offset they start at *)
+  let unit_data i =
+    if i >= nsegs then tail, 0
+    else
+      match decoded with
+      | Some full -> full, i * Colstore.segment_rows stores.(0)
+      | None -> Array.map (fun st -> Segment.decode (Colstore.seg st i)) stores, 0
+  in
   let unit_len i =
     if i < nsegs then Segment.length (Colstore.seg stores.(0) i) else tail_len
   in
-  let slice i ~off ~len =
-    if i < nsegs then
-      Array.map (fun st -> Segment.decode_slice (Colstore.seg st i) ~off ~len) stores
-    else Array.map (fun col -> Array.sub col off len) tail
-  in
-  let si = ref 0 and off = ref 0 in
+  let si = ref 0 and off = ref 0 and data = ref [||] and base = ref 0 in
   let rec next () =
     if !si >= units then None
     else begin
@@ -73,10 +79,14 @@ let segments_scan ?(batch_size = Batch.default_size) ?(tail = [||]) ~cols ~skip
         next ()
       end
       else begin
-        if !off = 0 then Colstore.note_segment ~skipped:false;
+        if !off = 0 then begin
+          Colstore.note_segment ~skipped:false;
+          let d, b = unit_data !si in
+          data := d;
+          base := b
+        end;
         let len = min batch_size (seg_len - !off) in
-        let data = slice !si ~off:!off ~len in
-        let b = { Batch.cols; data; sel = None; off = 0; len } in
+        let b = { Batch.cols; data = !data; sel = None; off = !base + !off; len } in
         off := !off + len;
         if !off >= seg_len then begin
           incr si;
@@ -88,10 +98,25 @@ let segments_scan ?(batch_size = Batch.default_size) ?(tail = [||]) ~cols ~skip
   in
   { cols; next; close = no_close }
 
-(* Draining sink. A single whole batch adopts its backing arrays
-   (scans that were materialised anyway convert back for free);
-   otherwise the exact output size is known after the drain, so each
-   column is filled once into an exactly-sized array. *)
+(* Draining sink. When the batches are contiguous windows that tile
+   the same backing columns from row 0 to their end — a scan of a
+   materialised relation or of decoded segments, renamed, projected or
+   passed through a union — the relation adopts those columns with no
+   copy. Otherwise the exact output size is known after the drain, so
+   each column is filled once into an exactly-sized array. *)
+let tiles columns total rev_batches =
+  (Array.length columns = 0 || Array.length columns.(0) = total)
+  && List.for_all
+       (fun b ->
+         Option.is_none b.Batch.sel
+         && Array.length b.Batch.data = Array.length columns
+         && Array.for_all2 ( == ) b.Batch.data columns)
+       rev_batches
+  && List.fold_left
+       (fun stop b -> if b.Batch.off + b.Batch.len = stop then b.Batch.off else -1)
+       total rev_batches
+     = 0
+
 let to_relation op =
   let batches = ref [] and total = ref 0 in
   let rec drain () =
@@ -109,8 +134,8 @@ let to_relation op =
   let a = Array.length op.cols in
   match !batches with
   | [] -> { Relation.cols = op.cols; columns = Array.init a (fun _ -> [||]); nrows = 0 }
-  | [ b ] when Batch.is_whole b ->
-    { Relation.cols = op.cols; columns = b.Batch.data; nrows = b.Batch.len }
+  | newest :: _ as rev_batches when tiles newest.Batch.data !total rev_batches ->
+    { Relation.cols = op.cols; columns = newest.Batch.data; nrows = !total }
   | rev_batches ->
     let columns = Array.init a (fun _ -> Array.make !total 0) in
     let fill off b =
@@ -192,63 +217,49 @@ let project op out =
     { cols; next; close = op.close }
   end
 
-(* Incremental distinct: the seen-set persists across batches; each
-   batch shrinks to the selection vector of its first-occurrence rows.
-   Never materialises the input. *)
+(* The filter shape shared by distinct, the SIP filter and the index
+   join's filters: [fill b keep] pushes the window positions of [b]
+   that survive into [keep], a scratch buffer reused across batches.
+   A batch that loses no row passes through untouched, one that loses
+   every row is skipped, and any other becomes a selection vector over
+   the same columns. *)
+let filtered op fill =
+  let keep = Ibuf.create () in
+  let rec next () =
+    match op.next () with
+    | None -> None
+    | Some b ->
+      Ibuf.clear keep;
+      fill b keep;
+      let kept = Ibuf.length keep in
+      if kept = 0 then next ()
+      else if kept = Batch.length b then Some b
+      else Some (Batch.select_buf b keep)
+  in
+  { cols = op.cols; next; close = op.close }
+
+(* Incremental distinct: a packed seen-set ({!Keytab}) persists across
+   batches and keeps each batch's first-occurrence rows. Never
+   materialises the input, and allocates nothing per row. *)
 let distinct op =
   let a = Array.length op.cols in
-  if a = 1 then begin
-    (* single column (the common shape at the root of a reformulated
-       union): int-keyed seen-set, no scratch tuple, no per-row copy *)
-    let seen = Hashtbl.create 256 in
-    let rec next () =
-      match op.next () with
-      | None -> None
-      | Some b ->
-        let n = Batch.length b in
-        let abs = idx_fun b in
+  let seen = Keytab.create a in
+  let all = Array.init a Fun.id in
+  filtered op (fun b keep ->
+      let abs = idx_fun b in
+      if a = 1 then begin
+        (* the common shape at the root of a reformulated union *)
         let src = b.Batch.data.(0) in
-        let keep = Ibuf.create ~capacity:(max 16 n) () in
-        for i = 0 to n - 1 do
-          let v = src.(abs i) in
-          if not (Hashtbl.mem seen v) then begin
-            Hashtbl.add seen v ();
-            Ibuf.push keep i
-          end
-        done;
-        if Ibuf.length keep = 0 then next ()
-        else if Ibuf.length keep = n then Some b
-        else Some (Batch.select b (Ibuf.to_array keep))
-    in
-    { cols = op.cols; next; close = op.close }
-  end
-  else begin
-    let seen = Hashtbl.create 256 in
-    let scratch = Array.make a 0 in
-    let rec next () =
-      match op.next () with
-      | None -> None
-      | Some b ->
-        let n = Batch.length b in
-        let abs = idx_fun b in
-        let data = b.Batch.data in
-        let keep = Ibuf.create ~capacity:(max 16 n) () in
-        for i = 0 to n - 1 do
-          let ai = abs i in
-          for c = 0 to a - 1 do
-            scratch.(c) <- data.(c).(ai)
-          done;
-          if not (Hashtbl.mem seen scratch) then begin
-            Hashtbl.add seen (Array.copy scratch) ();
-            Ibuf.push keep i
-          end
-        done;
-        if Ibuf.length keep = 0 then next ()
-        else if Ibuf.length keep = n then Some b
-        else Some (Batch.select b (Ibuf.to_array keep))
-    in
-    { cols = op.cols; next; close = op.close }
-  end
+        for i = 0 to Batch.length b - 1 do
+          let fresh = Keytab.length seen in
+          if Keytab.intern1 seen src.(abs i) = fresh then Ibuf.push keep i
+        done
+      end
+      else
+        for i = 0 to Batch.length b - 1 do
+          let fresh = Keytab.length seen in
+          if Keytab.intern seen b.Batch.data all (abs i) = fresh then Ibuf.push keep i
+        done)
 
 (* Sideways-information-passing filter: drops the rows whose value in
    [col] cannot be in the reducer. Selection-vector based (zero-copy,
@@ -257,24 +268,14 @@ let distinct op =
    sip metrics and the per-node EXPLAIN ANALYZE counters. *)
 let sip_filter op ~col ~reducer ~tally =
   let c_idx = col_index op.cols col in
-  let rec next () =
-    match op.next () with
-    | None -> None
-    | Some b ->
+  filtered op (fun b keep ->
       let n = Batch.length b in
       let abs = idx_fun b in
       let src = b.Batch.data.(c_idx) in
-      let keep = Ibuf.create ~capacity:(max 16 n) () in
       for i = 0 to n - 1 do
         if Sip.mem reducer src.(abs i) then Ibuf.push keep i
       done;
-      let kept = Ibuf.length keep in
-      if kept < n then tally (n - kept);
-      if kept = 0 then next ()
-      else if kept = n then Some b
-      else Some (Batch.select b (Ibuf.to_array keep))
-  in
-  { cols = op.cols; next; close = op.close }
+      if Ibuf.length keep < n then tally (n - Ibuf.length keep))
 
 (* Sequential concatenation whose arms open lazily: arm i+1's pipeline
    (and any compile-time materialisation inside it — build tables,
@@ -338,25 +339,26 @@ let union ~cols ops =
   union_delayed ~cols (List.map (fun op () -> op) ops)
 
 (* Batch-at-a-time hash probe against a prebuilt table
-   ({!Relation.build_table}): one hash lookup per input row; the
-   matched (left absolute row, build row) pairs accumulate in growable
-   int buffers, then each output column is gathered in one pass from
-   the batch and the build side's aliased payload columns. [rename]
-   maps the build side's canonical payload names ($i) to actual
-   variables. *)
+   ({!Relation.build_table}): one packed-table lookup per input row;
+   the matched (left absolute row, build row) pairs accumulate in
+   growable int buffers, then each output column is gathered in one
+   pass from the batch and the build side's aliased payload columns.
+   [rename] maps the build side's canonical payload names ($i) to
+   actual variables. *)
+let gather src idx n =
+  let out = Array.make n 0 in
+  for o = 0 to n - 1 do
+    Array.unsafe_set out o src.(Ibuf.get idx o)
+  done;
+  out
+
 let probe ?(rename = fun c -> c) left ~build ~on =
   let b = (build : Relation.build_table) in
   let key_idx = Array.of_list (List.map (col_index left.cols) on) in
-  let nk = Array.length key_idx in
   let nl = Array.length left.cols in
   let np = Array.length b.Relation.payload in
   let cols = Array.append left.cols (Array.map rename b.Relation.payload_cols) in
-  let build_empty =
-    match b.Relation.table with
-    | Relation.Single t -> Hashtbl.length t = 0
-    | Relation.Multi t -> Hashtbl.length t = 0
-  in
-  if build_empty then begin
+  if Relation.group_count b = 0 then begin
     (* an empty build side matches nothing: never drain the probe
        subtree, close it on first pull *)
     let closed = ref false in
@@ -373,22 +375,8 @@ let probe ?(rename = fun c -> c) left ~build ~on =
     { cols; next; close }
   end
   else
-  let scratch = Array.make nk 0 in
-  (* the lookup closes over the batch's column arrays, rebound per
-     batch; single-column keys skip the scratch tuple entirely *)
-  let lookup =
-    match b.Relation.table with
-    | Relation.Single t ->
-      let k0 = key_idx.(0) in
-      fun data ai ->
-        (match Hashtbl.find_opt t data.(k0).(ai) with None -> [] | Some l -> l)
-    | Relation.Multi t ->
-      fun data ai ->
-        for j = 0 to nk - 1 do
-          scratch.(j) <- data.(key_idx.(j)).(ai)
-        done;
-        (match Hashtbl.find_opt t scratch with None -> [] | Some l -> l)
-  in
+  let keys = b.Relation.keys in
+  let li = Ibuf.create () and bi = Ibuf.create () in
   let rec next () =
     match left.next () with
     | None -> None
@@ -396,26 +384,37 @@ let probe ?(rename = fun c -> c) left ~build ~on =
       let n = Batch.length batch in
       let abs = idx_fun batch in
       let data = batch.Batch.data in
-      let li = Ibuf.create () and bi = Ibuf.create () in
-      for i = 0 to n - 1 do
-        let ai = abs i in
-        List.iter
-          (fun r ->
+      Ibuf.clear li;
+      Ibuf.clear bi;
+      (match b.Relation.groups with
+      | Relation.Unique ->
+        for i = 0 to n - 1 do
+          let ai = abs i in
+          let g = Keytab.find keys data key_idx ai in
+          if g >= 0 then begin
             Ibuf.push li ai;
-            Ibuf.push bi r)
-          (lookup data ai)
-      done;
+            Ibuf.push bi g
+          end
+        done
+      | Relation.Grouped { starts; rows } ->
+        for i = 0 to n - 1 do
+          let ai = abs i in
+          let g = Keytab.find keys data key_idx ai in
+          if g >= 0 then
+            for k = starts.(g) to starts.(g + 1) - 1 do
+              Ibuf.push li ai;
+              Ibuf.push bi rows.(k)
+            done
+        done);
       let total = Ibuf.length li in
       if total = 0 then next ()
       else begin
         let out = Array.make (nl + np) [||] in
         for c = 0 to nl - 1 do
-          let src = data.(c) in
-          out.(c) <- Array.init total (fun o -> src.(Ibuf.get li o))
+          out.(c) <- gather data.(c) li total
         done;
         for c = 0 to np - 1 do
-          let src = b.Relation.payload.(c) in
-          out.(nl + c) <- Array.init total (fun o -> src.(Ibuf.get bi o))
+          out.(nl + c) <- gather b.Relation.payload.(c) bi total
         done;
         Some { Batch.cols; data = out; sel = None; off = 0; len = total }
       end
@@ -425,11 +424,23 @@ let probe ?(rename = fun c -> c) left ~build ~on =
 let hash_join left right ~on = probe left ~build:(Relation.build right ~on) ~on
 
 (* Index nested loop over a role atom, batch-at-a-time: every row of
-   the left batch probes the role index on [probe_col]'s side; the
-   opposite term either filters the row (constant / bound variable /
-   self-loop) or extends it with the matched values (fresh variable).
+   the left batch probes the role index on [probe_col]'s side, whose
+   [lookup] yields the codes on the opposite side, sorted; the opposite term
+   either filters the row (constant / bound variable / self-loop) or
+   extends it with the matched codes (fresh variable), dropping — and
+   tallying — the codes [keep] rejects before they are expanded.
    Filters emit selection vectors; extension emits compact batches. *)
-let index_join ~lookup ~other_of ~dict_find left atom probe_col =
+(* Membership in a sorted bucket: binary search, since a bucket is
+   every member of a class or department for roles like [memberOf]. *)
+let mem_sorted v a =
+  let lo = ref 0 and hi = ref (Array.length a) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if Array.unsafe_get a mid < v then lo := mid + 1 else hi := mid
+  done;
+  !lo < Array.length a && Array.unsafe_get a !lo = v
+
+let index_join ?keep ~lookup ~dict_find left atom probe_col =
   let p_idx = col_index left.cols probe_col in
   let other_term =
     match (atom : Query.Atom.t) with
@@ -440,41 +451,29 @@ let index_join ~lookup ~other_of ~dict_find left atom probe_col =
         atom
   in
   let filter keep_row =
-    let rec next () =
-      match left.next () with
-      | None -> None
-      | Some b ->
-        let n = Batch.length b in
-        let keep = Ibuf.create ~capacity:(max 16 n) () in
-        for i = 0 to n - 1 do
+    filtered left (fun b keep ->
+        for i = 0 to Batch.length b - 1 do
           if keep_row b i then Ibuf.push keep i
-        done;
-        if Ibuf.length keep = 0 then next ()
-        else if Ibuf.length keep = n then Some b
-        else Some (Batch.select b (Ibuf.to_array keep))
-    in
-    { cols = left.cols; next; close = left.close }
+        done)
   in
   match other_term with
   | Query.Term.Cst k -> (
     match dict_find k with
     | None -> filter (fun _ _ -> false)
-    | Some c ->
-      filter (fun b i ->
-          Array.exists (fun pr -> other_of pr = c) (lookup (Batch.get b p_idx i))))
+    | Some c -> filter (fun b i -> mem_sorted c (lookup (Batch.get b p_idx i))))
   | Query.Term.Var w when w = probe_col ->
     (* self loop R(x,x) *)
     filter (fun b i ->
         let v = Batch.get b p_idx i in
-        Array.exists (fun pr -> other_of pr = v) (lookup v))
+        mem_sorted v (lookup v))
   | Query.Term.Var w when Array.exists (String.equal w) left.cols ->
     let w_idx = col_index left.cols w in
-    filter (fun b i ->
-        let wv = Batch.get b w_idx i in
-        Array.exists (fun pr -> other_of pr = wv) (lookup (Batch.get b p_idx i)))
+    filter (fun b i -> mem_sorted (Batch.get b w_idx i) (lookup (Batch.get b p_idx i)))
   | Query.Term.Var w ->
     let cols = Array.append left.cols [| w |] in
     let nl = Array.length left.cols in
+    (* absolute left row index per match, plus the new column *)
+    let rows = Ibuf.create () and vals = Ibuf.create () in
     let rec next () =
       match left.next () with
       | None -> None
@@ -483,25 +482,38 @@ let index_join ~lookup ~other_of ~dict_find left atom probe_col =
         let abs = idx_fun b in
         let src = b.Batch.data in
         let probe_src = src.(p_idx) in
-        (* absolute left row index per match, plus the new column *)
-        let rows = Ibuf.create () and vals = Ibuf.create () in
-        for i = 0 to n - 1 do
-          let ai = abs i in
-          Array.iter
-            (fun pr ->
+        Ibuf.clear rows;
+        Ibuf.clear vals;
+        (match keep with
+        | None ->
+          for i = 0 to n - 1 do
+            let ai = abs i in
+            let others = lookup probe_src.(ai) in
+            for k = 0 to Array.length others - 1 do
               Ibuf.push rows ai;
-              Ibuf.push vals (other_of pr))
-            (lookup probe_src.(ai))
-        done;
+              Ibuf.push vals others.(k)
+            done
+          done
+        | Some (keep, tally) ->
+          let dropped = ref 0 in
+          for i = 0 to n - 1 do
+            let ai = abs i in
+            let others = lookup probe_src.(ai) in
+            for k = 0 to Array.length others - 1 do
+              if keep others.(k) then begin
+                Ibuf.push rows ai;
+                Ibuf.push vals others.(k)
+              end
+              else incr dropped
+            done
+          done;
+          if !dropped > 0 then tally !dropped);
         let total = Ibuf.length rows in
         if total = 0 then next ()
         else begin
           let data =
             Array.init (nl + 1) (fun c ->
-                if c < nl then
-                  let col = src.(c) in
-                  Array.init total (fun o -> col.(Ibuf.get rows o))
-                else Ibuf.to_array vals)
+                if c < nl then gather src.(c) rows total else Ibuf.to_array vals)
           in
           Some { Batch.cols; data; sel = None; off = 0; len = total }
         end

@@ -26,22 +26,27 @@ val of_relation : ?batch_size:int -> Relation.t -> op
 
 val segments_scan :
   ?batch_size:int ->
+  ?decoded:int array array ->
   ?tail:int array array ->
   cols:string array ->
   skip:(int -> bool) ->
   Colstore.t array ->
   op
 (** Streams segment-aligned compressed columns (one {!Colstore.t} per
-    output column), decoding lazily in windows of at most [batch_size]
-    rows. [skip i] is consulted once per segment {e before} decoding —
+    output column) in zero-copy windows of at most [batch_size] rows.
+    [skip i] is consulted once per segment {e before} decoding —
     returning [true] (e.g. because a sideways-information-passing
     reducer's key range misses the segment's zone map) drops all of
     segment [i]'s rows at the cost of a single predicate call. Both
-    outcomes feed the {!Colstore} scan counters. [tail] (column arrays
-    parallel to the stores — a table's pending delta rows) streams as
-    one final pseudo-segment after the real ones, with [skip]
-    consulted for it at index [Colstore.seg_count]; when absent or
-    empty the scan is exactly the segments. *)
+    outcomes feed the {!Colstore} scan counters. A surviving segment is
+    decoded once, as the scan enters it, and windowed; with [decoded]
+    (the stores' full decoded columns, parallel to [stores]) the
+    windows are cut from those arrays and nothing is decoded. [tail]
+    (column arrays parallel to the stores — a table's pending delta
+    rows) streams as one final pseudo-segment after the real ones,
+    windowed in place, with [skip] consulted for it at index
+    [Colstore.seg_count]; when absent or empty the scan is exactly the
+    segments. *)
 
 val to_relation : op -> Relation.t
 (** Drains (and closes) an operator into a relation. A single whole
@@ -96,15 +101,20 @@ val hash_join : op -> Relation.t -> on:string list -> op
 (** [probe] after building the right side. *)
 
 val index_join :
-  lookup:(int -> (int * int) array) ->
-  other_of:(int * int -> int) ->
+  ?keep:(int -> bool) * (int -> unit) ->
+  lookup:(int -> int array) ->
   dict_find:(string -> int option) ->
   op ->
   Query.Atom.t ->
   string ->
   op
 (** Index nested loop over a role atom: every row of each input batch
-    probes [lookup] with its [probe_col] value; [other_of] reads the
-    non-probed side of a matched pair. A constant / bound-variable /
-    self-loop opposite term filters the batch (selection vector); a
-    fresh variable extends it with one new column (compact batches). *)
+    probes [lookup] with its [probe_col] value, which returns the codes
+    on the role's other side, sorted ascending ({!Layout.role_matches});
+    membership tests binary-search them. A constant /
+    bound-variable / self-loop opposite term filters the batch
+    (selection vector); a fresh variable extends it with one new column
+    (compact batches). With [keep = (pred, tally)], a matched code
+    failing [pred] is dropped before its row is expanded, and [tally]
+    receives each batch's count of dropped codes — the fused form of a
+    {!sip_filter} on the new column. *)

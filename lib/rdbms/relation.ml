@@ -95,21 +95,19 @@ let project r out =
     nrows = n;
   }
 
+let all_cols r = Array.init (arity r) Fun.id
+
+(* First occurrences, in row order, through a packed seen-set: no
+   per-row tuple copy, no polymorphic hash. *)
 let distinct r =
   if r.nrows = 0 then r
   else begin
-    let a = arity r in
-    let seen = Hashtbl.create (max 16 r.nrows) in
-    let keep = Ibuf.create ~capacity:(max 16 r.nrows) () in
-    let scratch = Array.make a 0 in
+    let seen = Keytab.create ~expected:r.nrows (arity r) in
+    let idx = all_cols r in
+    let keep = Ibuf.create ~capacity:r.nrows () in
     for i = 0 to r.nrows - 1 do
-      for c = 0 to a - 1 do
-        scratch.(c) <- r.columns.(c).(i)
-      done;
-      if not (Hashtbl.mem seen scratch) then begin
-        Hashtbl.add seen (Array.copy scratch) ();
-        Ibuf.push keep i
-      end
+      let fresh = Keytab.length seen in
+      if Keytab.intern seen r.columns idx i = fresh then Ibuf.push keep i
     done;
     if Ibuf.length keep = r.nrows then r else gather r (Ibuf.to_array keep)
   end
@@ -158,27 +156,54 @@ let filter_eq_cols r n1 n2 =
   let c1 = r.columns.(col_index r n1) and c2 = r.columns.(col_index r n2) in
   filter_indexes r (fun i -> c1.(i) = c2.(i))
 
-(* The build table keeps the build side columnar: the hash table maps
-   a join key to the {e row indexes} of the build relation, and the
-   payload columns alias the build relation's non-join columns. A probe
-   therefore allocates nothing per build row — matches are gathered
-   straight out of the shared column arrays. Single-column keys (the
-   overwhelmingly common case for reformulated plans) get their own
-   int-keyed table: no per-row key array on build, no structural hash
-   over an array on either side. *)
-type key_table =
-  | Single of (int, int list) Hashtbl.t  (* 1-column join key *)
-  | Multi of (int array, int list) Hashtbl.t
+(* The build table keeps the build side columnar: a packed key table
+   maps a join key to a group id, and the payload columns alias the
+   build relation's non-join columns. When every key occurs once —
+   concept scans, and role scans keyed on both columns — a group is
+   its row and there is nothing else to build; otherwise the group's
+   build-row indexes sit contiguously in [rows] (CSR, for every key
+   arity, zero included). A probe allocates nothing per build row —
+   matches are gathered straight out of the shared column arrays. *)
+type groups =
+  | Unique
+  | Grouped of {
+      starts : int array;
+      rows : int array;
+    }
 
 type build_table = {
-  table : key_table;  (* key -> build row indexes *)
+  keys : Keytab.t;  (* join key -> group id *)
+  groups : groups;
   payload_cols : string array;  (* non-join columns of the build side *)
   payload : int array array;  (* their column arrays (aliased) *)
 }
 
+let group_count b = Keytab.length b.keys
+
+(* Interning in row order hands out ids in row order, so when no key
+   repeats, id [g] is row [g]. *)
+let group_rows keys columns key_idx n =
+  if Keytab.length keys = n then Unique
+  else begin
+    let gid = Array.init n (Keytab.find keys columns key_idx) in
+    let groups = Keytab.length keys in
+    let starts = Array.make (groups + 1) 0 in
+    Array.iter (fun g -> starts.(g + 1) <- starts.(g + 1) + 1) gid;
+    for g = 1 to groups do
+      starts.(g) <- starts.(g) + starts.(g - 1)
+    done;
+    (* newest row first within a group: the order the probe emits *)
+    let fill = Array.sub starts 0 groups and rows = Array.make n 0 in
+    for i = n - 1 downto 0 do
+      let g = gid.(i) in
+      rows.(fill.(g)) <- i;
+      fill.(g) <- fill.(g) + 1
+    done;
+    Grouped { starts; rows }
+  end
+
 let build r ~on =
   let key_idx = Array.of_list (List.map (col_index r) on) in
-  let nk = Array.length key_idx in
   let payload_idx =
     Array.to_list r.cols
     |> List.mapi (fun i c -> i, c)
@@ -188,71 +213,46 @@ let build r ~on =
   let payload =
     Array.of_list (List.map (fun (i, _) -> r.columns.(i)) payload_idx)
   in
-  let table =
-    if nk = 1 then begin
-      let col = r.columns.(key_idx.(0)) in
-      let t = Hashtbl.create (max 16 r.nrows) in
-      for i = 0 to r.nrows - 1 do
-        let k = col.(i) in
-        let cur = match Hashtbl.find_opt t k with Some l -> l | None -> [] in
-        Hashtbl.replace t k (i :: cur)
-      done;
-      Single t
-    end
-    else begin
-      let t = Hashtbl.create (max 16 r.nrows) in
-      for i = 0 to r.nrows - 1 do
-        let k = Array.init nk (fun j -> r.columns.(key_idx.(j)).(i)) in
-        let cur = match Hashtbl.find_opt t k with Some l -> l | None -> [] in
-        Hashtbl.replace t k (i :: cur)
-      done;
-      Multi t
-    end
-  in
-  { table; payload_cols; payload }
+  let keys = Keytab.create ~expected:r.nrows (Array.length key_idx) in
+  for i = 0 to r.nrows - 1 do
+    ignore (Keytab.intern keys r.columns key_idx i)
+  done;
+  { keys; groups = group_rows keys r.columns key_idx r.nrows; payload_cols; payload }
+
+(* [f] on every build row matching group [g] *)
+let iter_group b g f =
+  match b.groups with
+  | Unique -> f g
+  | Grouped { starts; rows } ->
+    for k = starts.(g) to starts.(g + 1) - 1 do
+      f rows.(k)
+    done
 
 (* Two passes over the probe side: count the exact output cardinality,
-   then fill exactly-sized output columns. The multi-column key lookup
-   reuses one scratch array (Hashtbl hashes it structurally), so the
-   only allocation is the output itself. *)
+   then fill exactly-sized output columns. *)
 let probe ~left ~right_build ~on =
   let b = right_build in
   let key_idx = Array.of_list (List.map (col_index left) on) in
-  let nk = Array.length key_idx in
   let nl = arity left in
   let np = Array.length b.payload in
   let cols = Array.append left.cols b.payload_cols in
-  let lookup =
-    match b.table with
-    | Single t ->
-      let col = left.columns.(key_idx.(0)) in
-      fun i -> ( match Hashtbl.find_opt t col.(i) with None -> [] | Some l -> l)
-    | Multi t ->
-      let scratch = Array.make nk 0 in
-      fun i ->
-        for j = 0 to nk - 1 do
-          scratch.(j) <- left.columns.(key_idx.(j)).(i)
-        done;
-        (match Hashtbl.find_opt t scratch with None -> [] | Some l -> l)
-  in
+  let gid = Array.init left.nrows (Keytab.find b.keys left.columns key_idx) in
   let total = ref 0 in
-  for i = 0 to left.nrows - 1 do
-    total := !total + List.length (lookup i)
-  done;
+  Array.iter (fun g -> if g >= 0 then iter_group b g (fun _ -> incr total)) gid;
   let columns = Array.init (nl + np) (fun _ -> Array.make !total 0) in
   let o = ref 0 in
-  for i = 0 to left.nrows - 1 do
-    List.iter
-      (fun bi ->
-        for c = 0 to nl - 1 do
-          columns.(c).(!o) <- left.columns.(c).(i)
-        done;
-        for c = 0 to np - 1 do
-          columns.(nl + c).(!o) <- b.payload.(c).(bi)
-        done;
-        incr o)
-      (lookup i)
-  done;
+  Array.iteri
+    (fun i g ->
+      if g >= 0 then
+        iter_group b g (fun bi ->
+            for c = 0 to nl - 1 do
+              columns.(c).(!o) <- left.columns.(c).(i)
+            done;
+            for c = 0 to np - 1 do
+              columns.(nl + c).(!o) <- b.payload.(c).(bi)
+            done;
+            incr o))
+    gid;
   { cols; columns; nrows = !total }
 
 let hash_join r1 r2 ~on = probe ~left:r1 ~right_build:(build r2 ~on) ~on

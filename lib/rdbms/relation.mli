@@ -68,7 +68,8 @@ val project : t -> [ `Col of string | `Const of int ] list -> t
     ([_const0], [_const1], ...) matching {!Plan.out_cols}. *)
 
 val distinct : t -> t
-(** Set semantics: removes duplicate rows (hash-based). *)
+(** Set semantics: keeps the first occurrence of every row, in row
+    order (a packed {!Keytab} seen-set). *)
 
 val union_all : cols:string list -> t list -> t
 (** Positional union of same-arity relations. *)
@@ -79,23 +80,31 @@ val filter_const : t -> string -> int -> t
 val filter_eq_cols : t -> string -> string -> t
 (** Keeps rows where the two columns are equal. *)
 
-type key_table =
-  | Single of (int, int list) Hashtbl.t
-      (** single-column join key: int-keyed, no per-row key allocation
-          and no structural hash over an array *)
-  | Multi of (int array, int list) Hashtbl.t
-      (** general case: the key is the tuple of join-column values *)
+type groups =
+  | Unique  (** no key repeats: group [g] is build row [g] *)
+  | Grouped of {
+      starts : int array;
+      rows : int array;
+    }
+      (** group [g]'s build rows are [rows.(starts.(g))] up to
+          [rows.(starts.(g + 1) - 1)] *)
 
 type build_table = {
-  table : key_table;  (** join key -> row indexes of the build relation *)
+  keys : Keytab.t;  (** join key -> group id *)
+  groups : groups;
   payload_cols : string array;  (** non-join columns of the build side *)
   payload : int array array;
       (** their column arrays, aliased from the build relation *)
 }
 (** A hash table built on the join key of one relation, reusable across
-    probes (DB2-style repeated-scan/build sharing). The fields are
-    exposed read-only for the batch-at-a-time probe operator in
-    {!Physical}. *)
+    probes (DB2-style repeated-scan/build sharing): a packed key table
+    ({!Keytab}) and, unless every key is unique, the build rows laid
+    out contiguously per key. The fields are exposed read-only for the
+    batch-at-a-time probe operator in {!Physical}. *)
+
+val group_count : build_table -> int
+(** Distinct join keys in the table; [0] exactly when the build side
+    was empty. *)
 
 val build : t -> on:string list -> build_table
 (** Builds the join hash table of a relation on the given columns. *)

@@ -55,19 +55,18 @@ let scan layout atom =
     match code k with
     | None -> { cols; rows = [] }
     | Some c ->
-      let pairs = Layout.role_lookup_object_arr layout p c in
-      { cols; rows = Array.to_list (Array.map (fun (s, _) -> [| s |]) pairs) })
+      let subjects = Layout.role_matches layout p `Object c in
+      { cols; rows = Array.to_list (Array.map (fun s -> [| s |]) subjects) })
   | Atom.Ra (p, Term.Cst k, Term.Var _) -> (
     match code k with
     | None -> { cols; rows = [] }
     | Some c ->
-      let pairs = Layout.role_lookup_subject_arr layout p c in
-      { cols; rows = Array.to_list (Array.map (fun (_, o) -> [| o |]) pairs) })
+      let objects = Layout.role_matches layout p `Subject c in
+      { cols; rows = Array.to_list (Array.map (fun o -> [| o |]) objects) })
   | Atom.Ra (p, Term.Cst k1, Term.Cst k2) -> (
     match code k1, code k2 with
     | Some c1, Some c2 ->
-      boolean
-        (Array.exists (fun (_, o) -> o = c2) (Layout.role_lookup_subject_arr layout p c1))
+      boolean (Array.mem c2 (Layout.role_matches layout p `Subject c1))
     | _ -> boolean false)
 
 let key_extractor r on =
@@ -112,12 +111,7 @@ let index_join layout left atom probe_col =
     | _ -> Fmt.invalid_arg "Index_join: %s does not bind %a" probe_col Atom.pp atom
   in
   let probe_idx = col_index left probe_col in
-  let pairs v =
-    match probe_side with
-    | `Subject -> Layout.role_lookup_subject_arr layout p v
-    | `Object -> Layout.role_lookup_object_arr layout p v
-  in
-  let other_of = match probe_side with `Subject -> snd | `Object -> fst in
+  let others = Layout.role_matches layout p probe_side in
   match other_term with
   | Term.Cst k ->
     let code = Dllite.Dict.find dict k in
@@ -126,7 +120,7 @@ let index_join layout left atom probe_col =
         (fun row ->
           match code with
           | None -> false
-          | Some c -> Array.exists (fun pr -> other_of pr = c) (pairs row.(probe_idx)))
+          | Some c -> Array.mem c (others row.(probe_idx)))
         left.rows
     in
     { left with rows }
@@ -135,7 +129,7 @@ let index_join layout left atom probe_col =
     let rows =
       List.filter
         (fun row ->
-          Array.exists (fun pr -> other_of pr = row.(probe_idx)) (pairs row.(probe_idx)))
+          Array.mem row.(probe_idx) (others row.(probe_idx)))
         left.rows
     in
     { left with rows }
@@ -144,7 +138,7 @@ let index_join layout left atom probe_col =
     let rows =
       List.filter
         (fun row ->
-          Array.exists (fun pr -> other_of pr = row.(w_idx)) (pairs row.(probe_idx)))
+          Array.mem row.(w_idx) (others row.(probe_idx)))
         left.rows
     in
     { left with rows }
@@ -154,9 +148,7 @@ let index_join layout left atom probe_col =
       List.concat_map
         (fun row ->
           Array.to_list
-            (Array.map
-               (fun pr -> Array.append row [| other_of pr |])
-               (pairs row.(probe_idx))))
+            (Array.map (fun o -> Array.append row [| o |]) (others row.(probe_idx))))
         left.rows
     in
     { cols; rows }
@@ -226,4 +218,4 @@ let rec eval layout plan =
 let run layout plan = to_relation (eval layout plan)
 
 let answers layout plan =
-  Exec.decode_rows layout (Relation.distinct (run layout plan))
+  Exec.decode_rows layout (run layout plan)

@@ -34,11 +34,11 @@ let word_count t = Bigarray.Array1.dim t.words
 let bytes t = (8 * word_count t) + 48
 
 let exact_ndv a ~off ~len =
-  let seen = Hashtbl.create (max 16 len) in
+  let seen = Keytab.create ~expected:len 1 in
   for i = off to off + len - 1 do
-    Hashtbl.replace seen a.(i) ()
+    ignore (Keytab.intern1 seen a.(i))
   done;
-  Hashtbl.length seen
+  Keytab.length seen
 
 let encode ?ndv a ~off ~len =
   if len = 0 then { base = 0; bits = 0; len = 0; zmax = 0; ndv = 0; words = empty_words }

@@ -23,7 +23,17 @@ type concept_table = {
   mutable col : Colstore.t;  (* sorted, deduplicated codes *)
   mutable c_tail : Ibuf.t;  (* pending inserts, disjoint from [col] *)
   members_c : int array option Atomic.t;  (* lazy merged decoded view *)
-  member_set : (int, unit) Hashtbl.t option Atomic.t;  (* lazy index *)
+  member_set : Keytab.t option Atomic.t;  (* lazy index *)
+}
+
+(* A role index on one side: a packed table from a code on that side
+   to a bucket id, and per bucket the codes on the other side, sorted
+   ascending (the (subject, object) order of the table restricted to
+   one key). Buckets are replaced, never written, so a lookup result
+   stays valid after later inserts. *)
+type role_index = {
+  ix_keys : Keytab.t;
+  mutable buckets : int array array;
 }
 
 type role_table = {
@@ -32,9 +42,8 @@ type role_table = {
   mutable rs_tail : Ibuf.t;  (* pending subjects, parallel to ro_tail *)
   mutable ro_tail : Ibuf.t;  (* pending objects *)
   mutable r_stats : table_stats;
-  pairs_c : (int * int) array option Atomic.t;  (* lazy merged view *)
-  by_subject : (int, (int * int) array) Hashtbl.t option Atomic.t;
-  by_object : (int, (int * int) array) Hashtbl.t option Atomic.t;
+  by_subject : role_index option Atomic.t;
+  by_object : role_index option Atomic.t;
   hist_subject : Histogram.t option Atomic.t;  (* lazy column histograms *)
   hist_object : Histogram.t option Atomic.t;
   columns : (int array * int array) option Atomic.t;
@@ -138,9 +147,9 @@ let sorted_distinct a =
   end
 
 let count_distinct_arr a =
-  let seen = Hashtbl.create (max 16 (Array.length a)) in
-  Array.iter (fun v -> Hashtbl.replace seen v ()) a;
-  Hashtbl.length seen
+  let seen = Keytab.create ~expected:(Array.length a) 1 in
+  Array.iter (fun v -> ignore (Keytab.intern1 seen v)) a;
+  Keytab.length seen
 
 (* Linear merge of two sorted {e disjoint} arrays — how a decoded view
    folds a sorted delta tail into the sorted segment decode without a
@@ -196,16 +205,16 @@ let merge_pair_cols (asub, aobj) (bsub, bobj) =
 
 (* {1 Table construction} *)
 
-let fresh_concept_table ?decoded ~segment_rows members =
+let fresh_concept_table ~segment_rows members =
   {
     col = Colstore.of_array ~segment_rows ~sorted:true members;
     c_tail = Ibuf.create ();
-    members_c = Atomic.make (if decoded = Some false then None else Some members);
+    members_c = Atomic.make (Some members);
     member_set = Atomic.make None;
   }
 
 (* [subs]/[objs] must already be (s,o)-sorted and deduplicated. *)
-let fresh_role_table ?decoded ~segment_rows subs objs =
+let fresh_role_table ~segment_rows subs objs =
   let stats =
     {
       card = Array.length subs;
@@ -218,12 +227,11 @@ let fresh_role_table ?decoded ~segment_rows subs objs =
     rs_tail = Ibuf.create ();
     ro_tail = Ibuf.create ();
     r_stats = stats;
-    pairs_c = Atomic.make None;
     by_subject = Atomic.make None;
     by_object = Atomic.make None;
     hist_subject = Atomic.make None;
     hist_object = Atomic.make None;
-    columns = Atomic.make (if decoded = Some false then None else Some (subs, objs));
+    columns = Atomic.make (Some (subs, objs));
   }
 
 let of_abox ?(segment_rows = Colstore.default_segment_rows) abox =
@@ -305,15 +313,9 @@ let role_cols t name =
   | None -> empty_cols
   | Some rt -> role_columns rt
 
-let role_pairs rt =
-  force_index rt.pairs_c (fun () ->
-      let subs, objs = role_columns rt in
-      Array.init (Array.length subs) (fun i -> subs.(i), objs.(i)))
-
 let role_rows t name =
-  match Hashtbl.find_opt t.roles name with
-  | None -> [||]
-  | Some rt -> role_pairs rt
+  let subs, objs = role_cols t name in
+  Array.init (Array.length subs) (fun i -> subs.(i), objs.(i))
 
 let concept_stats t name =
   match Hashtbl.find_opt t.concepts name with
@@ -327,67 +329,61 @@ let role_stats t name =
   | Some rt -> rt.r_stats
   | None -> { card = 0; ndv = [| 0; 0 |] }
 
-(* Group the pairs by [extract], keeping each per-key group in input
-   order — the pairs arrive (s, o)-sorted, so every bucket is sorted
-   ascending by (s, o). Incremental maintenance ([insert_role])
+(* Group the rows by their [keys] code, each bucket holding the
+   [others] codes in row order. The rows arrive (s, o)-sorted, so every
+   bucket is sorted ascending. Incremental maintenance ([insert_role])
    preserves exactly this order, so an incrementally-updated index and
    a from-scratch rebuild are identical, buckets included. *)
-let group_by extract pairs =
-  let n = max 16 (Array.length pairs) in
-  let counts = Hashtbl.create n in
-  Array.iter
-    (fun p ->
-      let k = extract p in
-      Hashtbl.replace counts k
-        (1 + Option.value ~default:0 (Hashtbl.find_opt counts k)))
-    pairs;
-  let out = Hashtbl.create (max 16 (Hashtbl.length counts)) in
-  let fill = Hashtbl.create (max 16 (Hashtbl.length counts)) in
-  Array.iter
-    (fun p ->
-      let k = extract p in
-      let arr =
-        match Hashtbl.find_opt out k with
-        | Some arr -> arr
-        | None ->
-          let arr = Array.make (Hashtbl.find counts k) p in
-          Hashtbl.add out k arr;
-          arr
-      in
-      let i = Option.value ~default:0 (Hashtbl.find_opt fill k) in
-      arr.(i) <- p;
-      Hashtbl.replace fill k (i + 1))
-    pairs;
-  out
+let index_of keys others =
+  let n = Array.length keys in
+  let ix_keys = Keytab.create ~expected:n 1 in
+  let bucket = Array.map (Keytab.intern1 ix_keys) keys in
+  let sizes = Array.make (Keytab.length ix_keys) 0 in
+  Array.iter (fun b -> sizes.(b) <- sizes.(b) + 1) bucket;
+  let buckets = Array.map (fun k -> Array.make k 0) sizes in
+  let fill = Array.make (Keytab.length ix_keys) 0 in
+  Array.iteri
+    (fun i b ->
+      buckets.(b).(fill.(b)) <- others.(i);
+      fill.(b) <- fill.(b) + 1)
+    bucket;
+  { ix_keys; buckets }
 
-let empty_pairs : (int * int) array = [||]
+let no_codes : int array = [||]
 
-let role_lookup_subject_arr t name subj =
+let bucket ix code =
+  let b = Keytab.find1 ix.ix_keys code in
+  if b < 0 then no_codes else ix.buckets.(b)
+
+let role_index rt side =
+  match side with
+  | `Subject ->
+    force_index rt.by_subject (fun () ->
+        let subs, objs = role_columns rt in
+        index_of subs objs)
+  | `Object ->
+    force_index rt.by_object (fun () ->
+        let subs, objs = role_columns rt in
+        index_of objs subs)
+
+let role_matches t name side =
   match Hashtbl.find_opt t.roles name with
-  | None -> empty_pairs
+  | None -> fun _ -> no_codes
   | Some rt ->
-    let idx = force_index rt.by_subject (fun () -> group_by fst (role_rows t name)) in
-    Option.value ~default:empty_pairs (Hashtbl.find_opt idx subj)
+    let ix = role_index rt side in
+    bucket ix
 
-let role_lookup_object_arr t name obj =
-  match Hashtbl.find_opt t.roles name with
-  | None -> empty_pairs
-  | Some rt ->
-    let idx = force_index rt.by_object (fun () -> group_by snd (role_rows t name)) in
-    Option.value ~default:empty_pairs (Hashtbl.find_opt idx obj)
+let member_set ct =
+  force_index ct.member_set (fun () ->
+      let members = concept_members ct in
+      let set = Keytab.create ~expected:(Array.length members) 1 in
+      Array.iter (fun m -> ignore (Keytab.intern1 set m)) members;
+      set)
 
 let concept_mem t name ind =
   match Hashtbl.find_opt t.concepts name with
   | None -> false
-  | Some ct ->
-    let idx =
-      force_index ct.member_set (fun () ->
-          let members = concept_rows t name in
-          let h = Hashtbl.create (max 16 (Array.length members)) in
-          Array.iter (fun m -> Hashtbl.replace h m ()) members;
-          h)
-    in
-    Hashtbl.mem idx ind
+  | Some ct -> Keytab.find1 (member_set ct) ind >= 0
 
 let total_facts t = t.total_facts
 
@@ -408,8 +404,8 @@ let warm t =
     (fun r ->
       incr tables;
       ignore (role_cols t r);
-      ignore (role_lookup_subject_arr t r (-1));
-      ignore (role_lookup_object_arr t r (-1)))
+      ignore (role_matches t r `Subject (-1));
+      ignore (role_matches t r `Object (-1)))
     (role_names t);
   !tables
 
@@ -420,6 +416,18 @@ let concept_col t name =
 
 let role_colstores t name =
   Option.map (fun rt -> rt.scol, rt.ocol) (Hashtbl.find_opt t.roles name)
+
+(* With an empty tail the merged view is the segments' decode,
+   concatenated: a segment scan can window it instead of decoding. *)
+let concept_decoded t name =
+  match Hashtbl.find_opt t.concepts name with
+  | Some ct when Ibuf.length ct.c_tail = 0 -> Atomic.get ct.members_c
+  | _ -> None
+
+let role_decoded t name =
+  match Hashtbl.find_opt t.roles name with
+  | Some rt when Ibuf.length rt.rs_tail = 0 -> Atomic.get rt.columns
+  | _ -> None
 
 (* {1 Delta tails} *)
 
@@ -551,18 +559,12 @@ let insert_concept t ~concept ~ind =
       Hashtbl.add t.concepts concept ct;
       ct
   in
-  (* duplicate probe against the member-set hash index (forced if
-     absent), not a linear scan of the decoded table *)
-  let set =
-    force_index ct.member_set (fun () ->
-        let members = concept_members ct in
-        let h = Hashtbl.create (max 16 (Array.length members)) in
-        Array.iter (fun m -> Hashtbl.replace h m ()) members;
-        h)
-  in
-  if Hashtbl.mem set code then false
+  (* duplicate probe against the member-set index (forced if absent),
+     not a linear scan of the decoded table *)
+  let set = member_set ct in
+  let fresh = Keytab.length set in
+  if Keytab.intern1 set code < fresh then false
   else begin
-    Hashtbl.replace set code ();
     Ibuf.push ct.c_tail code;
     Atomic.set ct.members_c None;
     t.total_facts <- t.total_facts + 1;
@@ -570,20 +572,44 @@ let insert_concept t ~concept ~ind =
     true
   end
 
-(* Splice a pair into a bucket at its (s, o)-sorted position, so the
-   bucket stays identical to what a from-scratch [group_by] over the
-   sorted merged pairs would build. *)
-let bucket_insert arr p =
+(* Splice a code into a sorted bucket, so the bucket stays identical
+   to what a from-scratch [index_of] over the merged table would
+   build. [None] when the code is already there. *)
+let bucket_insert arr v =
   let n = Array.length arr in
   let lo = ref 0 and hi = ref n in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if arr.(mid) < p then lo := mid + 1 else hi := mid
+    if arr.(mid) < v then lo := mid + 1 else hi := mid
   done;
-  let out = Array.make (n + 1) p in
-  Array.blit arr 0 out 0 !lo;
-  Array.blit arr !lo out (!lo + 1) (n - !lo);
-  out
+  if !lo < n && arr.(!lo) = v then None
+  else begin
+    let out = Array.make (n + 1) v in
+    Array.blit arr 0 out 0 !lo;
+    Array.blit arr !lo out (!lo + 1) (n - !lo);
+    Some out
+  end
+
+(* Adds [other] to [key]'s bucket; [None] when the pair was present.
+   The second result says whether [key] is new to the index. *)
+let index_insert ix key other =
+  let fresh = Keytab.length ix.ix_keys in
+  let b = Keytab.intern1 ix.ix_keys key in
+  if b = fresh then begin
+    if b >= Array.length ix.buckets then begin
+      let grown = Array.make (2 * max 8 b) no_codes in
+      Array.blit ix.buckets 0 grown 0 b;
+      ix.buckets <- grown
+    end;
+    ix.buckets.(b) <- [| other |];
+    Some true
+  end
+  else
+    match bucket_insert ix.buckets.(b) other with
+    | None -> None
+    | Some arr ->
+      ix.buckets.(b) <- arr;
+      Some false
 
 let insert_role t ~role ~subj ~obj =
   let s = Dllite.Dict.encode t.dict subj in
@@ -596,18 +622,16 @@ let insert_role t ~role ~subj ~obj =
       Hashtbl.add t.roles role rt;
       rt
   in
-  (* duplicate probe against the subject hash index (forced if
-     absent): O(bucket), not O(table) *)
-  let by_s = force_index rt.by_subject (fun () -> group_by fst (role_pairs rt)) in
-  let sbucket = Option.value ~default:empty_pairs (Hashtbl.find_opt by_s s) in
-  if Array.exists (fun p -> p = (s, o)) sbucket then false
-  else begin
-    let by_o = force_index rt.by_object (fun () -> group_by snd (role_pairs rt)) in
-    let obucket = Option.value ~default:empty_pairs (Hashtbl.find_opt by_o o) in
-    let new_subject = Array.length sbucket = 0 in
-    let new_object = Array.length obucket = 0 in
-    Hashtbl.replace by_s s (bucket_insert sbucket (s, o));
-    Hashtbl.replace by_o o (bucket_insert obucket (s, o));
+  (* the subject index doubles as the duplicate probe (forced if
+     absent): O(log bucket), not O(table) *)
+  match index_insert (role_index rt `Subject) s o with
+  | None -> false
+  | Some new_subject ->
+    let new_object =
+      match index_insert (role_index rt `Object) o s with
+      | Some fresh -> fresh
+      | None -> false
+    in
     rt.r_stats <-
       {
         card = rt.r_stats.card + 1;
@@ -618,14 +642,12 @@ let insert_role t ~role ~subj ~obj =
     Ibuf.push rt.rs_tail s;
     Ibuf.push rt.ro_tail o;
     Atomic.set rt.columns None;
-    Atomic.set rt.pairs_c None;
     (* histograms are derived snapshots; rebuild lazily after updates *)
     Atomic.set rt.hist_subject None;
     Atomic.set rt.hist_object None;
     t.total_facts <- t.total_facts + 1;
     if Ibuf.length rt.rs_tail >= t.delta_rows then compact_role t rt;
     true
-  end
 
 let role_histogram t name side =
   match Hashtbl.find_opt t.roles name with
@@ -973,7 +995,6 @@ let load file =
                     rs_tail = Ibuf.create ();
                     ro_tail = Ibuf.create ();
                     r_stats = { card; ndv = [| ndv_s; ndv_o |] };
-                    pairs_c = Atomic.make None;
                     by_subject = Atomic.make None;
                     by_object = Atomic.make None;
                     hist_subject = Atomic.make None;

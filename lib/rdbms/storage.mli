@@ -35,7 +35,9 @@ val concept_rows : t -> string -> int array
     Decoded lazily from the segments; callers must not mutate. *)
 
 val role_rows : t -> string -> (int * int) array
-(** Duplicate-free pairs of the role, sorted by (subject, object). *)
+(** Duplicate-free pairs of the role, sorted by (subject, object); a
+    fresh array built from {!role_cols} (for tests and row-at-a-time
+    reference code, not hot paths). *)
 
 val role_cols : t -> string -> int array * int array
 (** The role's (subjects, objects) as two column arrays — the decoded
@@ -50,15 +52,15 @@ val concept_stats : t -> string -> table_stats
 val role_stats : t -> string -> table_stats
 (** Cardinality and per-attribute distinct counts of a role table. *)
 
-val role_lookup_subject_arr : t -> string -> int -> (int * int) array
-(** Index access: pairs of the role with the given subject, as the
-    index's own array — no per-lookup allocation; callers must not
-    mutate it. The index is built lazily on first use (safe to race
-    from parallel plan arms). *)
-
-val role_lookup_object_arr : t -> string -> int -> (int * int) array
-(** Index access: pairs of the role with the given object; same
-    aliasing caveat as {!role_lookup_subject_arr}. *)
+val role_matches : t -> string -> [ `Subject | `Object ] -> int -> int array
+(** Index access: [role_matches t role side] resolves the role's index
+    on [side] once; applied to a code, it returns the codes on the
+    other side of the pairs whose [side] column holds that code, sorted
+    ascending. The array is the index's own bucket — no per-lookup
+    allocation; callers must not mutate it. The index (a packed
+    {!Keytab} over codes) is built lazily on first use, safe to race
+    from parallel plan arms. Resolve per operator, not per row: an
+    insert into the role may publish a new index. *)
 
 val concept_mem : t -> string -> int -> bool
 (** Index access: membership of an individual in a concept. *)
@@ -90,6 +92,15 @@ val concept_col : t -> string -> Colstore.t option
 val role_colstores : t -> string -> (Colstore.t * Colstore.t) option
 (** The role's compressed (subject, object) columns; segment-aligned,
     so segment [i] of both covers the same row range. *)
+
+val concept_decoded : t -> string -> int array option
+(** The concept's decoded member array, only when it is already built
+    and the table has no pending tail — then it is exactly the
+    segments' decode, concatenated, and a segment scan can window it
+    instead of decoding. *)
+
+val role_decoded : t -> string -> (int array * int array) option
+(** {!concept_decoded} for a role's (subject, object) columns. *)
 
 val role_eq_zone_rows : t -> string -> [ `Subject | `Object ] -> int -> int option
 (** Zone-map upper estimate of the rows whose [side] column equals a

@@ -8,6 +8,7 @@ let () =
       "covers", Test_cover.suite;
       "rdbms", Test_rdbms.suite;
       "batch", Test_batch.suite;
+      "kernels", Test_kernels.suite;
       "sip", Test_sip.suite;
       "storage", Test_storage.suite;
       "optimizer", Test_optimizer.suite;

@@ -163,7 +163,7 @@ let test_storage_dedup_stats () =
   check_int "card" 3 st.Storage.card;
   check_int "ndv subject" 2 st.Storage.ndv.(0);
   check_int "ndv object" 2 st.Storage.ndv.(1);
-  check_int "lookup subject" 2 (Array.length (Storage.role_lookup_subject_arr s "R" 0));
+  check_int "lookup subject" 2 (Array.length (Storage.role_matches s "R" `Subject 0));
   check_bool "concept membership" true (Storage.concept_mem s "A" 0)
 
 (* {1 Incremental updates} *)
@@ -181,7 +181,7 @@ let test_storage_insert () =
   check_bool "membership index updated" true (Storage.concept_mem s "A" 0 || true);
   let code = Option.get (Dllite.Dict.find (Storage.dict s) "a9") in
   check_int "subject index sees it" 1
-    (Array.length (Storage.role_lookup_subject_arr s "R" code));
+    (Array.length (Storage.role_matches s "R" `Subject code));
   check_int "stats card" 4 (Storage.role_stats s "R").Storage.card
 
 let test_rdf_insert () =

@@ -269,7 +269,7 @@ let test_delta_tail_visibility () =
   check_bool "role rows merged" true
     (Array.exists (fun p -> p = (code "z", code "a")) (Storage.role_rows s "R"));
   check_bool "subject probe sees tail fact" true
-    (Storage.role_lookup_subject_arr s "R" (code "z") = [| code "z", code "a" |]);
+    (Storage.role_matches s "R" `Subject (code "z") = [| code "a" |]);
   check_int "stats count tail rows" 2 (Storage.role_stats s "R").Storage.card;
   (* compaction folds the tails into segments without changing views *)
   let members = Storage.concept_rows s "C" and pairs = Storage.role_rows s "R" in
@@ -337,13 +337,19 @@ let test_incremental_index_order_matches_fresh () =
     (fun n ->
       check_bool ("rows of " ^ n) true
         (dec grown (Storage.role_rows grown n) = dec fresh (Storage.role_rows fresh n));
+      let bucket st side code =
+        Array.map (Dllite.Dict.decode (Storage.dict st)) (Storage.role_matches st n side code)
+      in
+      let same_bucket side code =
+        let name = Dllite.Dict.decode (Storage.dict grown) code in
+        let code' = Option.get (Dllite.Dict.find (Storage.dict fresh) name) in
+        check_bool ("bucket of " ^ name) true
+          (bucket grown side code = bucket fresh side code')
+      in
       Array.iter
-        (fun (s, _) ->
-          let subj = Dllite.Dict.decode (Storage.dict grown) s in
-          let s' = Option.get (Dllite.Dict.find (Storage.dict fresh) subj) in
-          check_bool ("bucket of " ^ subj) true
-            (dec grown (Storage.role_lookup_subject_arr grown n s)
-            = dec fresh (Storage.role_lookup_subject_arr fresh n s')))
+        (fun (s, o) ->
+          same_bucket `Subject s;
+          same_bucket `Object o)
         (Storage.role_rows grown n))
     [ "advisor"; "takesCourse" ]
 
