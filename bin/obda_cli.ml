@@ -417,7 +417,7 @@ let explain_cmd =
         (Obda.strategy_name strategy) dialect (Query.Fol.cq_count fol)
         (Query.Fol.join_width fol)
         (est.Optimizer.Estimator.estimate fol)
-        (ext.Optimizer.Estimator.estimate ?feedback:fb fol)
+        (ext.Optimizer.Estimator.estimate fol)
         sql_bytes analyze plan_json
         (String.concat "," (List.map Obs.Trace.event_to_json events))
     | `Text ->
@@ -427,10 +427,9 @@ let explain_cmd =
       Fmt.pr "cq disjuncts : %d@." (Query.Fol.cq_count fol);
       Fmt.pr "join width   : %d@." (Query.Fol.join_width fol);
       Fmt.pr "rdbms cost   : %.0f@." (est.Optimizer.Estimator.estimate fol);
-      Fmt.pr "ext cost     : %.0f@." (ext.Optimizer.Estimator.estimate ?feedback:fb fol);
+      Fmt.pr "ext cost     : %.0f@." (ext.Optimizer.Estimator.estimate fol);
       Fmt.pr "sql bytes    : %d@." sql_bytes;
-      let store = Reform.Relstore.of_tbox tbox in
-      let root = Covers.Safety.root_cover ~store tbox q in
+      let root = Covers.Safety.root_cover tbox q in
       Fmt.pr "root cover   : %a@." Covers.Cover.pp root;
       if trace then begin
         Fmt.pr "@.== cover-search trace (%d events) ==@." (List.length events);
@@ -442,8 +441,6 @@ let explain_cmd =
               (fun c -> Fmt.pr "%-32s %d@." name (Obs.Metrics.counter_value c))
               (Obs.Metrics.find_counter name))
           [
-            "reform.relstore.unions"; "reform.relstore.finds";
-            "reform.relstore.dep_fastpath"; "reform.relstore.dep_exact";
             "reform.dedup_hits"; "reform.containment.checks";
             "reform.containment.skipped"; "reform.containment.memo_hits";
             "reform.fixpoint.iterations"; "reform.cq.generated";
@@ -494,7 +491,7 @@ let covers_cmd =
     let tbox, abox = load_kb rdf tbox_file data facts seed in
     let engine = Obda.make_engine `Pglite `Simple abox in
     let q = find_query ~inline qname in
-    let root = Covers.Safety.root_cover ~store:(Reform.Relstore.of_tbox tbox) tbox q in
+    let root = Covers.Safety.root_cover tbox q in
     Fmt.pr "root cover           : %a@." Covers.Cover.pp root;
     let lq = Covers.Safety.safe_cover_count ~max_count:20_000 tbox q in
     Fmt.pr "|Lq| (cap 20000)     : %d@." lq;

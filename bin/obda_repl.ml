@@ -105,7 +105,7 @@ let run_explain st text =
   let q = parse_query st text in
   let p = Obda.prepare st.engine st.tbox st.strategy q in
   let fol = p.Obda.reformulation in
-  let root = Covers.Safety.root_cover ~store:(Reform.Relstore.of_tbox st.tbox) st.tbox q in
+  let root = Covers.Safety.root_cover st.tbox q in
   Fmt.pr "root cover : %a@." Covers.Cover.pp root;
   Fmt.pr "cq count   : %d@." (Query.Fol.cq_count fol);
   Fmt.pr "rdbms cost : %.0f@."

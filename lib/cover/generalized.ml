@@ -85,8 +85,8 @@ let connected_set atoms set =
     grow [ first ];
     Iset.equal !seen set
 
-let in_gq ?store tbox t =
-  Safety.is_safe ?store tbox (base_cover t)
+let in_gq tbox t =
+  Safety.is_safe tbox (base_cover t)
   &&
   let atoms = atom_array t in
   List.for_all (fun { f; _ } -> connected_set atoms f) t.fragments
@@ -194,10 +194,10 @@ let connected_supersets adj n g =
   extend g initial_candidates;
   List.sort_uniq Iset.compare !results
 
-let enumerate ?(max_count = 20_000) ?store tbox q =
+let enumerate ?(max_count = 20_000) tbox q =
   let adj = Cover.adjacency q in
   let n = Cq.atom_count q in
-  let safe = Safety.safe_covers ?store tbox q in
+  let safe = Safety.safe_covers tbox q in
   let results = ref [] and count = ref 0 in
   let seen = Hashtbl.create 256 in
   let record t =
@@ -234,8 +234,8 @@ let enumerate ?(max_count = 20_000) ?store tbox q =
    with Exit -> ());
   List.rev !results
 
-let gq_count ?(max_count = 20_000) ?store tbox q =
-  let l = enumerate ~max_count ?store tbox q in
+let gq_count ?(max_count = 20_000) tbox q =
+  let l = enumerate ~max_count tbox q in
   let c = List.length l in
   c, c >= max_count
 

@@ -38,7 +38,7 @@ val fragments : t -> gfragment list
 
 val fragment_count : t -> int
 
-val in_gq : ?store:Reform.Relstore.t -> Dllite.Tbox.t -> t -> bool
+val in_gq : Dllite.Tbox.t -> t -> bool
 (** Membership in [Gq]: base cover safe and every [f] connected. *)
 
 val fragment_query : t -> gfragment -> Query.Cq.t
@@ -64,15 +64,13 @@ val enlarge : t -> gfragment -> int -> t
 val enlargeable_atoms : t -> gfragment -> int list
 (** Atoms usable by {!enlarge} on this fragment. *)
 
-val enumerate :
-  ?max_count:int -> ?store:Reform.Relstore.t -> Dllite.Tbox.t -> Query.Cq.t -> t list
+val enumerate : ?max_count:int -> Dllite.Tbox.t -> Query.Cq.t -> t list
 (** The space [Gq]: for every safe cover of [Lq], every way of
     extending its fragments with connected atoms (an antichain of
     connected supersets). Capped at [max_count] covers (default
     20,000, as in the paper's experiment on A6). *)
 
-val gq_count :
-  ?max_count:int -> ?store:Reform.Relstore.t -> Dllite.Tbox.t -> Query.Cq.t -> int * bool
+val gq_count : ?max_count:int -> Dllite.Tbox.t -> Query.Cq.t -> int * bool
 (** [(count, capped)]: the size of [Gq], and whether the cap was hit. *)
 
 val compare : t -> t -> int

@@ -37,10 +37,10 @@ let of_cover ?(language = Ucq_fragments) ?jobs tbox cover =
   in
   join_parts q parts
 
-let of_generalized ?(language = Ucq_fragments) ?jobs tbox gcover =
+let of_generalized ?jobs tbox gcover =
   let q = gcover.Generalized.query in
   let parts =
-    Parallel.map ?jobs (reformulate_fragment language tbox)
+    Parallel.map ?jobs (reformulate_fragment Ucq_fragments tbox)
       (Generalized.fragment_queries gcover)
   in
   join_parts q parts

@@ -19,13 +19,9 @@ val of_cover :
     that may miss answers (Example 7), which the test-suite exercises
     deliberately. *)
 
-val of_generalized :
-  ?language:fragment_language ->
-  ?jobs:int ->
-  Dllite.Tbox.t ->
-  Generalized.t ->
-  Query.Fol.t
-(** The generalized cover-based reformulation (Theorem 3). [jobs]
+val of_generalized : ?jobs:int -> Dllite.Tbox.t -> Generalized.t -> Query.Fol.t
+(** The generalized cover-based reformulation (Theorem 3), with every
+    fragment reformulated into a UCQ (a JUCQ). [jobs]
     bounds the per-fragment reformulation fan-out on the {!Parallel}
     pool (default {!Parallel.default_jobs}; order-preserving, so the
     result never depends on it). *)

@@ -1,31 +1,15 @@
 open Query
 module Iset = Cover.Iset
 
-(* All entry points optionally consult the per-TBox relation store
-   ({!Reform.Relstore}): dependency-overlap tests then answer through
-   the union-find class fast path / pair memo instead of intersecting
-   dep sets from scratch. Omitting [store] keeps the original
-   from-scratch path — the differential oracle the store is
-   qcheck-tested against. *)
-
-let overlap_fn ?store tbox =
-  match store with
-  | Some s -> Reform.Relstore.dep_overlap s
-  | None -> Dllite.Tbox.dep_overlap tbox
-
-let dep_overlapping ?store tbox q i j =
-  let atoms = Array.of_list (Cq.atoms q) in
-  overlap_fn ?store tbox (Atom.pred_name atoms.(i)) (Atom.pred_name atoms.(j))
-
 (* Union-find over atom indexes, merging dep-overlapping atoms. When a
    dependency-merged fragment is not join-connected (condition (iii) of
    Definition 1 — e.g. Faculty(x) and Student(y) both depend on the
    advisor role without sharing a variable), it is further merged with
    a variable-sharing fragment: coarsening preserves safety. *)
-let root_cover ?store tbox q =
+let root_cover tbox q =
   let atoms = Array.of_list (Cq.atoms q) in
   let n = Array.length atoms in
-  let overlap = overlap_fn ?store tbox in
+  let overlap = Dllite.Tbox.dep_overlap tbox in
   let uf = Unionfind.create ~capacity:(max n 1) () in
   for _ = 1 to n do
     ignore (Unionfind.make uf)
@@ -70,13 +54,13 @@ let root_cover ?store tbox q =
   in
   connect ()
 
-let is_safe ?store tbox cover =
+let is_safe tbox cover =
   Cover.is_partition cover
   &&
   let q = cover.Cover.query in
   let atoms = Array.of_list (Cq.atoms q) in
   let n = Array.length atoms in
-  let overlap = overlap_fn ?store tbox in
+  let overlap = Dllite.Tbox.dep_overlap tbox in
   let fragment_of = Array.make n (-1) in
   List.iteri
     (fun k f -> Iset.iter (fun i -> fragment_of.(i) <- k) f)
@@ -123,8 +107,8 @@ let partitions_of_blocks ?max_count ~keep blocks =
   place [] blocks;
   List.rev !results
 
-let safe_covers ?max_count ?store tbox q =
-  let root = root_cover ?store tbox q in
+let safe_covers ?max_count tbox q =
+  let root = root_cover tbox q in
   let blocks = Cover.fragments root in
   (* Definition 1 (iii): keep only partitions whose fragments are
      join-connected (a union of root fragments need not be). The
@@ -142,13 +126,5 @@ let safe_covers ?max_count ?store tbox q =
   | Some m -> List.filteri (fun i _ -> i < m) root_first
   | None -> root_first
 
-let safe_cover_count ?max_count ?store tbox q =
-  List.length (safe_covers ?max_count ?store tbox q)
-
-let merge_fragments cover f1 f2 =
-  let fs = Cover.fragments cover in
-  let mem f = List.exists (Iset.equal f) fs in
-  if not (mem f1 && mem f2) then invalid_arg "Safety.merge_fragments: not in cover";
-  if Iset.equal f1 f2 then invalid_arg "Safety.merge_fragments: same fragment";
-  let rest = List.filter (fun f -> not (Iset.equal f f1 || Iset.equal f f2)) fs in
-  Cover.of_fragments cover.Cover.query (Iset.union f1 f2 :: rest)
+let safe_cover_count ?max_count tbox q =
+  List.length (safe_covers ?max_count tbox q)

@@ -11,40 +11,21 @@
     coarsest, and every safe cover's fragments are unions of root
     fragments (Theorem 2). *)
 
-val dep_overlapping :
-  ?store:Reform.Relstore.t -> Dllite.Tbox.t -> Query.Cq.t -> int -> int -> bool
-(** Whether the predicates of atoms [i] and [j] of the query depend on
-    a common name. With [store], answered through the relation store's
-    dependency classes and pair memo; without, from scratch (the
-    differential oracle). *)
-
-val root_cover :
-  ?store:Reform.Relstore.t -> Dllite.Tbox.t -> Query.Cq.t -> Cover.t
+val root_cover : Dllite.Tbox.t -> Query.Cq.t -> Cover.t
 (** The root cover [Croot] (Definition 6): the finest partition where
     dep-overlapping atoms share a fragment. When a dependency-merged
     fragment is not join-connected, it is further merged with a
     variable-sharing fragment so that condition (iii) of Definition 1
     holds (coarsening preserves safety). *)
 
-val is_safe : ?store:Reform.Relstore.t -> Dllite.Tbox.t -> Cover.t -> bool
+val is_safe : Dllite.Tbox.t -> Cover.t -> bool
 (** Definition 5 check. *)
 
-val safe_covers :
-  ?max_count:int ->
-  ?store:Reform.Relstore.t ->
-  Dllite.Tbox.t ->
-  Query.Cq.t ->
-  Cover.t list
+val safe_covers : ?max_count:int -> Dllite.Tbox.t -> Query.Cq.t -> Cover.t list
 (** All covers of the lattice [Lq]: partitions of the root-cover
     fragments whose fragments are join-connected (Definition 1 (iii)).
     The enumeration stops after [max_count] covers (default unlimited);
     the root cover comes first. *)
 
-val safe_cover_count :
-  ?max_count:int -> ?store:Reform.Relstore.t -> Dllite.Tbox.t -> Query.Cq.t -> int
+val safe_cover_count : ?max_count:int -> Dllite.Tbox.t -> Query.Cq.t -> int
 (** [|Lq|], capped at [max_count] when provided. *)
-
-val merge_fragments : Cover.t -> Cover.fragment -> Cover.fragment -> Cover.t
-(** Union two fragments of a cover into one — the [C.union(f1,f2)] move
-    of the GDL algorithm. Raises [Invalid_argument] when the fragments
-    are not both part of the cover. *)

@@ -12,8 +12,8 @@ type t = {
   declared_cdisj : (Concept.t * Concept.t) list;
   declared_rdisj : (Role.t * Role.t) list;
   unsat : Concept.Set.t;
-  dep_edges : (string, String_set.t) Hashtbl.t;
-  dep_memo : (string, String_set.t) Hashtbl.t;
+  deps : (string, String_set.t) Hashtbl.t;
+      (* dep(N) of every name the axioms mention; read-only once built *)
 }
 
 let dedup_axioms axs = List.sort_uniq Axiom.compare axs
@@ -164,6 +164,18 @@ let of_axioms raw =
       | Axiom.Role_sub (y, x) -> add_dep_edge (Role.name x) (Role.name y)
       | Axiom.Concept_disj _ | Axiom.Role_disj _ -> ())
     axioms;
+  (* Every dep closure is computed here, so the built TBox is never
+     written again and concurrent readers need no lock. *)
+  let dep_succ x =
+    String_set.elements
+      (Option.value ~default:String_set.empty (Hashtbl.find_opt dep_edges x))
+  in
+  let deps = Hashtbl.create 256 in
+  String_set.iter
+    (fun n ->
+      Hashtbl.replace deps n
+        (bfs_closure n dep_succ String_set.mem String_set.add String_set.empty))
+    (String_set.union concept_names role_names);
   let tbox =
     {
       uid = Atomic.fetch_and_add next_uid 1;
@@ -177,8 +189,7 @@ let of_axioms raw =
       declared_cdisj;
       declared_rdisj;
       unsat = Concept.Set.empty;
-      dep_edges;
-      dep_memo = Hashtbl.create 64;
+      deps;
     }
   in
   (* Unsatisfiable basic concepts, as a monotone fixpoint:
@@ -276,17 +287,9 @@ let unsatisfiable_concepts t = t.unsat
 
 let is_unsatisfiable t c = Concept.Set.mem c t.unsat
 
+(* A name the axioms never mention depends only on itself. *)
 let dep t n =
-  match Hashtbl.find_opt t.dep_memo n with
-  | Some s -> s
-  | None ->
-    let succ x =
-      String_set.elements
-        (Option.value ~default:String_set.empty (Hashtbl.find_opt t.dep_edges x))
-    in
-    let s = bfs_closure n succ String_set.mem String_set.add String_set.empty in
-    Hashtbl.replace t.dep_memo n s;
-    s
+  Option.value ~default:(String_set.singleton n) (Hashtbl.find_opt t.deps n)
 
 let dep_overlap t n1 n2 = not (String_set.disjoint (dep t n1) (dep t n2))
 

@@ -72,7 +72,9 @@ val dep : t -> string -> String_set.t
 (** [dep tbox n] is the set of concept and role names on which the
     predicate name [n] depends w.r.t. the TBox: the fixpoint of
     [dep0(N) = {N}], [depk(N) = depk-1(N) ∪ {cr(Y) | Y ⊑ X ∈ T, cr(X) ∈
-    depk-1(N)}]. Results are memoised. *)
+    depk-1(N)}]. Every closure is computed by {!of_axioms}, so reads
+    are lock-free and safe from concurrent threads; a name the TBox
+    does not mention gets the singleton [{n}]. *)
 
 val dep_overlap : t -> string -> string -> bool
 (** Whether the two predicate names depend on a common name — the

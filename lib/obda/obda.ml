@@ -154,30 +154,26 @@ let strategy_name = function
     Printf.sprintf "gdl%.0fms/%s" (budget *. 1000.) (cost_source_name src)
   | Edl src -> "edl/" ^ cost_source_name src
 
+(* The ext estimator reads the engine's feedback store as it stands
+   now, so a trained engine ranks candidate covers with observed
+   cardinalities and EXPLAIN prints the cost the search saw. *)
 let estimator e = function
   | Rdbms_cost -> Optimizer.Estimator.rdbms e.profile e.layout
-  | Ext_cost -> Optimizer.Estimator.ext e.model e.layout
+  | Ext_cost -> Optimizer.Estimator.ext ?feedback:e.feedback e.model e.layout
 
-(* One optimisation pass: the chosen reformulation. The cost-based
-   searches consult the engine's feedback store, so a trained engine
-   ranks candidate covers with observed cardinalities. *)
+(* One optimisation pass: the chosen reformulation. *)
 let reformulate e tbox strategy q =
   match strategy with
   | Ucq -> Covers.Reformulate.ucq tbox q
   | Uscq -> Reform.Uscq_reform.reformulate tbox q
-  | Croot ->
-    let store = Reform.Relstore.of_tbox tbox in
-    Covers.Reformulate.of_cover tbox (Covers.Safety.root_cover ~store tbox q)
+  | Croot -> Covers.Reformulate.of_cover tbox (Covers.Safety.root_cover tbox q)
   | Gdl src ->
-    (Optimizer.Gdl.search ?feedback:e.feedback tbox (estimator e src) q)
-      .Optimizer.Gdl.reformulation
+    (Optimizer.Gdl.search tbox (estimator e src) q).Optimizer.Gdl.reformulation
   | Gdl_limited (src, budget) ->
-    (Optimizer.Gdl.search ~time_budget:budget ?feedback:e.feedback tbox
-       (estimator e src) q)
+    (Optimizer.Gdl.search ~time_budget:budget tbox (estimator e src) q)
       .Optimizer.Gdl.reformulation
   | Edl src ->
-    (Optimizer.Edl.search ?feedback:e.feedback tbox (estimator e src) q)
-      .Optimizer.Edl.reformulation
+    (Optimizer.Edl.search tbox (estimator e src) q).Optimizer.Edl.reformulation
 
 type plan = {
   p_reformulation : Query.Fol.t;

@@ -116,6 +116,9 @@ val answers_exn : engine -> Dllite.Tbox.t -> strategy -> Query.Cq.t -> string li
     errors. *)
 
 val estimator : engine -> cost_source -> Optimizer.Estimator.t
+(** The cost function ε of a cost source. The [Ext_cost] estimator
+    reads the engine's feedback store ({!feedback_store}) as it is at
+    this call; [Rdbms_cost] never consults it. *)
 
 (** {2 Incremental updates}
 

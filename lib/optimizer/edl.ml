@@ -16,16 +16,12 @@ let m_examined =
     ~help:"covers enumerated and cost-estimated by EDL"
     "edl.covers.examined"
 
-let search ?(max_covers = 20_000) ?(language = Reformulate.Ucq_fragments) ?jobs
-    ?feedback tbox estimator q =
+let search ?(max_covers = 20_000) ?jobs tbox estimator q =
   (* Monotonic clock: wall clock can step backwards under NTP and
      report a negative search_time. *)
   let t0 = Obs.Mclock.now_ns () in
   Obs.Metrics.incr m_searches;
-  (* One relation store per TBox: every dep-overlap test of the
-     enumeration answers through its dependency classes. *)
-  let store = Reform.Relstore.of_tbox tbox in
-  let covers = Generalized.enumerate ~max_count:max_covers ~store tbox q in
+  let covers = Generalized.enumerate ~max_count:max_covers tbox q in
   let examined = List.length covers in
   Obs.Metrics.add m_examined examined;
   (* Reformulating and cost-estimating a cover touches no search
@@ -36,8 +32,8 @@ let search ?(max_covers = 20_000) ?(language = Reformulate.Ucq_fragments) ?jobs
   let scored =
     Parallel.map ?jobs
       (fun cover ->
-        let fol = Reformulate.of_generalized ~language tbox cover in
-        cover, fol, estimator.Estimator.estimate ?feedback fol)
+        let fol = Reformulate.of_generalized tbox cover in
+        cover, fol, estimator.Estimator.estimate fol)
       covers
   in
   (* Trace emission happens after the parallel scoring pass, in

@@ -14,17 +14,8 @@ type result = {
 }
 
 val search :
-  ?max_covers:int ->
-  ?language:Covers.Reformulate.fragment_language ->
-  ?jobs:int ->
-  ?feedback:Cost.Feedback.t ->
-  Dllite.Tbox.t ->
-  Estimator.t ->
-  Query.Cq.t ->
-  result
-(** Default [max_covers] is 20,000. [feedback] threads a
-    {!Cost.Feedback} correction store into every candidate's cost
-    estimate. Candidate covers cost-estimate in parallel on the
-    {!Parallel} pool ([jobs], default {!Parallel.default_jobs}); the
-    returned cover is independent of the job count (ties resolve to
-    the earliest enumerated cover). *)
+  ?max_covers:int -> ?jobs:int -> Dllite.Tbox.t -> Estimator.t -> Query.Cq.t -> result
+(** Default [max_covers] is 20,000. Candidate covers cost-estimate in
+    parallel on the {!Parallel} pool ([jobs], default
+    {!Parallel.default_jobs}); the returned cover is independent of the
+    job count (ties resolve to the earliest enumerated cover). *)

@@ -1,6 +1,6 @@
 type t = {
   name : string;
-  estimate : ?feedback:Cost.Feedback.t -> Query.Fol.t -> float;
+  estimate : Query.Fol.t -> float;
 }
 
 let rdbms profile layout =
@@ -9,14 +9,10 @@ let rdbms profile layout =
     estimate =
       (* the engine's own estimator: its quirks are the point, so
          feedback corrections (ours, not the engine's) don't apply *)
-      (fun ?feedback:_ fol ->
+      (fun fol ->
         let plan = Rdbms.Planner.of_fol layout fol in
         (Rdbms.Explain.cost profile layout plan).Rdbms.Explain.total_cost);
   }
 
-let ext model layout =
-  {
-    name = "ext";
-    estimate =
-      (fun ?feedback fol -> Cost.Cost_model.fol_cost ?feedback model layout fol);
-  }
+let ext ?feedback model layout =
+  { name = "ext"; estimate = Cost.Cost_model.fol_cost ?feedback model layout }

@@ -4,18 +4,18 @@
 
 type t = {
   name : string;  (** ["rdbms"] or ["ext"] *)
-  estimate : ?feedback:Cost.Feedback.t -> Query.Fol.t -> float;
-      (** estimated evaluation cost of a reformulation; [?feedback]
-          threads a {!Cost.Feedback} correction store so the estimate
-          reflects observed cardinalities *)
+  estimate : Query.Fol.t -> float;
+      (** estimated evaluation cost of a reformulation *)
 }
 
 val rdbms : Rdbms.Explain.profile -> Rdbms.Layout.t -> t
 (** Plans the reformulation and prices it with the engine's native
     estimator, including its quirks (sampling shortcuts, repeated-scan
-    discounts). Ignores [?feedback]: the corrections calibrate {e our}
-    external model, not the engine's black box. *)
+    discounts). Feedback corrections calibrate {e our} external model,
+    not the engine's black box, so none apply here. *)
 
-val ext : Cost.Cost_model.t -> Rdbms.Layout.t -> t
-(** The external cost model over the same statistics; consults the
-    [?feedback] store through {!Cost.Cost_model.fol_cost}. *)
+val ext : ?feedback:Cost.Feedback.t -> Cost.Cost_model.t -> Rdbms.Layout.t -> t
+(** The external cost model over the same statistics. With [feedback],
+    every estimate consults that {!Cost.Feedback} correction store
+    through {!Cost.Cost_model.fol_cost}, so it reflects observed
+    cardinalities. *)

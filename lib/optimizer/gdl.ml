@@ -14,8 +14,6 @@ type result = {
 
 type search_state = {
   estimator : Estimator.t;
-  feedback : Cost.Feedback.t option;
-  language : Reformulate.fragment_language;
   tbox : Dllite.Tbox.t;
   cost_cache : (string, float * Query.Fol.t) Hashtbl.t;
   mutable simple_seen : int;
@@ -60,8 +58,8 @@ let out_of_time st =
    returned for the sequential merge to accumulate. *)
 let score st cover =
   let t0 = Obs.Mclock.now_ns () in
-  let fol = Reformulate.of_generalized ~language:st.language st.tbox cover in
-  let c = st.estimator.Estimator.estimate ?feedback:st.feedback fol in
+  let fol = Reformulate.of_generalized st.tbox cover in
+  let c = st.estimator.Estimator.estimate fol in
   c, fol, seconds_since t0
 
 (* Always called sequentially (in candidate order after a parallel
@@ -153,15 +151,12 @@ let candidate_moves ?(space = `Gq) cover =
   in
   unions @ enlargements
 
-let search ?time_budget ?(space = `Gq) ?(language = Reformulate.Ucq_fragments)
-    ?jobs ?feedback tbox estimator q =
+let search ?time_budget ?(space = `Gq) ?jobs tbox estimator q =
   let t0 = Obs.Mclock.now_ns () in
   Obs.Metrics.incr m_searches;
   let st =
     {
       estimator;
-      feedback;
-      language;
       tbox;
       cost_cache = Hashtbl.create 64;
       simple_seen = 0;
@@ -174,10 +169,7 @@ let search ?time_budget ?(space = `Gq) ?(language = Reformulate.Ucq_fragments)
           time_budget;
     }
   in
-  let start =
-    Generalized.of_cover
-      (Safety.root_cover ~store:(Reform.Relstore.of_tbox tbox) tbox q)
-  in
+  let start = Generalized.of_cover (Safety.root_cover tbox q) in
   let rec loop cover cost moves =
     if out_of_time st then cover, cost, moves, true
     else begin

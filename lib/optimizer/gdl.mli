@@ -25,9 +25,7 @@ type result = {
 val search :
   ?time_budget:float ->
   ?space:[ `Gq | `Lq ] ->
-  ?language:Covers.Reformulate.fragment_language ->
   ?jobs:int ->
-  ?feedback:Cost.Feedback.t ->
   Dllite.Tbox.t ->
   Estimator.t ->
   Query.Cq.t ->
@@ -36,10 +34,7 @@ val search :
     reformulation. [time_budget] (seconds) bounds the search as in the
     time-limited GDL experiment (e.g. [0.02] for 20 ms); [space = `Lq]
     disables the enlarge move, restricting the search to simple safe
-    covers (the generalized-cover ablation). [feedback] threads a
-    {!Cost.Feedback} correction store into every candidate's cost
-    estimate, so the search ranks covers with observed cardinalities.
-    Each step's candidate moves cost-estimate in parallel on the
-    {!Parallel} pool ([jobs], default {!Parallel.default_jobs});
+    covers (the generalized-cover ablation). Each step's candidate
+    moves cost-estimate in parallel on the {!Parallel} pool ([jobs], default {!Parallel.default_jobs});
     without a time budget the chosen cover and the exploration counts
     are independent of the job count. *)

@@ -4,8 +4,8 @@
     Every structural write — including the parent rewrites done by path
     compression — is recorded on an undo trail, so {!rollback} restores
     the {e exact} forest a {!snapshot} observed. This is the core the
-    reformulation-time relation store ({!Reform.Relstore}) and the
-    union-find term unifier ({!Subst.Unifier}) are built on. *)
+    union-find term unifier ({!Subst.Unifier}) is built on; root covers
+    and UCQ minimisation use it for their equivalence classes. *)
 
 type t
 

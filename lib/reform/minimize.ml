@@ -223,15 +223,17 @@ let minimize (u : Ucq.t) =
   let cmask = masks_of (Array.map cst_set ds) in
   let heads = Array.map (fun cq -> cq.Cq.head) ds in
   let head_free = Array.map (List.for_all Term.is_var) heads in
-  let classes = Relstore.Classes.create n in
+  let classes = Unionfind.create ~capacity:(max n 1) () in
+  for _ = 1 to n do
+    ignore (Unionfind.make classes)
+  done;
   let memo : (int * int, bool) Hashtbl.t = Hashtbl.create 256 in
   (* [contained i j] = [Cq.contained_in ds.(i) ds.(j)], memoised per
      (class root, class root): containment is invariant under mutual
      containment, so once i and j are discovered equivalent any verdict
      for their class transfers. Same class = contained, both ways. *)
   let contained i j =
-    let ri = Relstore.Classes.find classes i
-    and rj = Relstore.Classes.find classes j in
+    let ri = Unionfind.find classes i and rj = Unionfind.find classes j in
     if ri = rj then true
     else
       match Hashtbl.find_opt memo (ri, rj) with
@@ -255,7 +257,7 @@ let minimize (u : Ucq.t) =
         if hom_possible ~pmask ~cmask ~heads ~head_free i !j then begin
           if contained i !j then
             if contained !j i then begin
-              ignore (Relstore.Classes.union classes i !j);
+              ignore (Unionfind.union classes i !j);
               if !j > i then () else dead.(i) <- true
             end
             else dead.(i) <- true

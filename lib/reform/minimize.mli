@@ -3,7 +3,7 @@
     differential oracle), with the quadratic containment phase pruned
     by hash-consed canonical-form dedup, predicate/constant/head
     prefilters and a containment memo keyed by union-find
-    equivalence-class roots ({!Relstore.Classes}).
+    equivalence-class roots ({!Query.Unionfind}).
 
     Instruments [reform.dedup_hits], [reform.containment.checks],
     [reform.containment.skipped], [reform.containment.memo_hits] and

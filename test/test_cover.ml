@@ -334,62 +334,6 @@ let test_structural_key_injective () =
         covers)
     [ example7_tbox, example7_query; example7_tbox, example5_query ]
 
-(* {1 Relation-store fast path = naive dependency tests} *)
-
-(* Every cover-layer entry point accepts an optional per-TBox relation
-   store; with it, dep-overlap answers through union-find classes and a
-   pair memo. The store-backed results must match the from-scratch path
-   exactly. *)
-let covers_equal c1 c2 =
-  List.length c1 = List.length c2 && List.for_all2 Cover.equal c1 c2
-
-let test_store_equals_naive_covers () =
-  let rng = Random.State.make [| 662607 |] in
-  for _ = 1 to 80 do
-    let tbox = Test_reform.random_tbox rng in
-    let q = Test_reform.random_query rng in
-    let store = Reform.Relstore.of_tbox tbox in
-    check_bool "root cover" true
-      (Cover.equal (Safety.root_cover tbox q) (Safety.root_cover ~store tbox q));
-    let naive = Safety.safe_covers ~max_count:40 tbox q in
-    let fast = Safety.safe_covers ~max_count:40 ~store tbox q in
-    check_bool "safe covers" true (covers_equal naive fast);
-    List.iter
-      (fun cover ->
-        check_bool "is_safe" (Safety.is_safe tbox cover)
-          (Safety.is_safe ~store tbox cover))
-      naive
-  done
-
-let test_store_equals_naive_generalized () =
-  let rng = Random.State.make [| 141421 |] in
-  for _ = 1 to 40 do
-    let tbox = Test_reform.random_tbox rng in
-    let q = Test_reform.random_query rng in
-    let store = Reform.Relstore.of_tbox tbox in
-    let keys l = List.map Generalized.structural_key l in
-    check_bool "generalized enumeration" true
-      (keys (Generalized.enumerate ~max_count:500 tbox q)
-      = keys (Generalized.enumerate ~max_count:500 ~store tbox q))
-  done
-
-let prop_store_equals_naive =
-  QCheck2.Test.make ~name:"store-backed covers = naive covers"
-    ~count:80
-    QCheck2.Gen.(int_bound 1_000_000)
-    (fun seed ->
-      let rng = Random.State.make [| seed; 0xACE |] in
-      let tbox = Test_reform.random_tbox rng in
-      let q = Test_reform.random_query rng in
-      let store = Reform.Relstore.of_tbox tbox in
-      Cover.equal (Safety.root_cover tbox q) (Safety.root_cover ~store tbox q)
-      && covers_equal
-           (Safety.safe_covers ~max_count:30 tbox q)
-           (Safety.safe_covers ~max_count:30 ~store tbox q)
-      && List.map Generalized.structural_key (Generalized.enumerate ~max_count:200 tbox q)
-         = List.map Generalized.structural_key
-             (Generalized.enumerate ~max_count:200 ~store tbox q))
-
 let suite =
   [
     Alcotest.test_case "structural key injective" `Quick test_structural_key_injective;
@@ -415,8 +359,4 @@ let suite =
     Alcotest.test_case "theorem 1 (random)" `Slow test_theorem1_random;
     Alcotest.test_case "theorem 3 (random)" `Slow test_theorem3_random;
     Alcotest.test_case "juscq language" `Quick test_juscq_language;
-    Alcotest.test_case "store = naive (covers)" `Slow test_store_equals_naive_covers;
-    Alcotest.test_case "store = naive (generalized)" `Slow
-      test_store_equals_naive_generalized;
   ]
-  @ List.map QCheck_alcotest.to_alcotest [ prop_store_equals_naive ]

@@ -244,6 +244,34 @@ let test_dep_properties () =
       names
   done
 
+(* dep closures are computed when the TBox is built, so the server's
+   concurrent sessions can read them with no lock. *)
+let test_dep_concurrent_reads () =
+  let axioms = Tbox.axioms Lubm.Ontology.tbox in
+  let names t = Tbox.concept_names t @ Tbox.role_names t in
+  let reference = Tbox.of_axioms axioms in
+  let expected = List.map (Tbox.dep reference) (names reference) in
+  let fresh = Tbox.of_axioms axioms in
+  let results = Array.make 4 [] in
+  let threads =
+    List.init 4 (fun k ->
+        Thread.create
+          (fun () ->
+            for _ = 1 to 50 do
+              results.(k) <- List.map (Tbox.dep fresh) (names fresh)
+            done)
+          ())
+  in
+  List.iter Thread.join threads;
+  Array.iteri
+    (fun k got ->
+      check_bool (Printf.sprintf "thread %d dep sets" k) true
+        (List.equal Tbox.String_set.equal expected got))
+    results;
+  check_bool "unknown name depends on itself" true
+    (Tbox.String_set.equal (Tbox.String_set.singleton "NotInTBox")
+       (Tbox.dep fresh "NotInTBox"))
+
 let test_subsumees_subsumers_inverse () =
   let t = example1_tbox in
   let concepts =
@@ -378,6 +406,7 @@ let suite =
   [
     Alcotest.test_case "tbox closure properties" `Slow test_tbox_closure_properties;
     Alcotest.test_case "dep properties" `Slow test_dep_properties;
+    Alcotest.test_case "dep concurrent reads" `Quick test_dep_concurrent_reads;
     Alcotest.test_case "subsumees/subsumers" `Quick test_subsumees_subsumers_inverse;
     Alcotest.test_case "abox roundtrip" `Quick test_abox_roundtrip;
     Alcotest.test_case "abox malformed line" `Quick test_abox_malformed_line;

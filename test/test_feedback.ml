@@ -221,7 +221,14 @@ let test_analyze_harvests_and_reranks () =
     (rows a1.Obda.a_outcome = rows o2
     && rows a2.Obda.a_outcome = rows o2
     && rows a3.Obda.a_outcome = rows o2
-    && rows o4 = rows o2)
+    && rows o4 = rows o2);
+  (* the engine's ext estimator (what EXPLAIN prints) reads the
+     trained store; detaching it restores the static estimate *)
+  let fol = (Obda.prepare engine tbox strategy rare_query).Obda.reformulation in
+  let ext_cost () = (Obda.estimator engine Obda.Ext_cost).Optimizer.Estimator.estimate fol in
+  let trained = ext_cost () in
+  Obda.set_feedback engine false;
+  check_bool "ext estimate uses the engine's store" true (trained <> ext_cost ())
 
 let test_feedback_toggle_and_metrics () =
   let engine = Obda.make_engine `Pglite `Simple (skewed_abox ()) in

@@ -379,24 +379,6 @@ let test_minimize_matches_ucq_minimize () =
       (same_ucq (Reform.Minimize.minimize raw) (Ucq.minimize raw))
   done
 
-let test_relstore_overlap_matches_tbox () =
-  let rng = Random.State.make [| 577215 |] in
-  let names = [ "A0"; "A1"; "A2"; "A3"; "R0"; "R1"; "R2"; "Unknown" ] in
-  for _ = 1 to 200 do
-    let tbox = random_tbox rng in
-    let store = Reform.Relstore.of_tbox tbox in
-    List.iter
-      (fun n1 ->
-        List.iter
-          (fun n2 ->
-            check_bool
-              (Printf.sprintf "dep_overlap %s %s" n1 n2)
-              (Dllite.Tbox.dep_overlap tbox n1 n2)
-              (Reform.Relstore.dep_overlap store n1 n2))
-          names)
-      names
-  done
-
 let test_dedup_metric () =
   (* Two specializable atoms reach shared descendants through either
      derivation order, so the fixpoint's duplicate counter must move. *)
@@ -528,7 +510,6 @@ let suite =
     Alcotest.test_case "fast = naive (lubm)" `Slow test_fast_equals_naive_lubm;
     Alcotest.test_case "fast = naive (random)" `Slow test_fast_equals_naive_random;
     Alcotest.test_case "minimize = ucq minimize" `Slow test_minimize_matches_ucq_minimize;
-    Alcotest.test_case "relstore overlap = tbox" `Quick test_relstore_overlap_matches_tbox;
     Alcotest.test_case "dedup metric" `Quick test_dedup_metric;
     Alcotest.test_case "containment repeated vars" `Quick test_containment_repeated_vars;
     Alcotest.test_case "containment constants" `Quick test_containment_constants_vs_vars;
