@@ -446,6 +446,20 @@ let explain_cmd =
             "reform.fixpoint.iterations"; "reform.cq.generated";
             "reform.cache.requests"; "reform.cache.hits";
           ];
+        (* each distinct fragment is estimated once per search; the
+           rest of the scored fragments come from the search's memo *)
+        Fmt.pr "@.== cover-search estimation (cost.leaves.*) ==@.";
+        let leaves name =
+          Option.fold ~none:0 ~some:Obs.Metrics.counter_value
+            (Obs.Metrics.find_counter name)
+        in
+        let estimated = leaves "cost.leaves.estimated"
+        and reused = leaves "cost.leaves.reused" in
+        Fmt.pr "%-32s %d@.%-32s %d@." "cost.leaves.estimated" estimated
+          "cost.leaves.reused" reused;
+        if estimated + reused > 0 then
+          Fmt.pr "%-32s %.2f@." "reuse ratio"
+            (float_of_int reused /. float_of_int (estimated + reused));
         Fmt.pr "@.== feedback metrics (feedback.*) ==@.";
         List.iter
           (fun name ->

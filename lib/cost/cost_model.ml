@@ -37,139 +37,201 @@ let access_rows layout atom =
     card p /. Float.max 1. (float_of_int o)
   | Atom.Ra (p, _, _) -> card p
 
-(* The ?feedback parameter threads a {!Feedback} correction store
-   through every estimate. The join fold follows the same
-   {!Estimate.order_atoms} order as the planner, so the fold's prefix
-   shapes are exactly the join subtrees EXPLAIN ANALYZE observed: a
-   corrected prefix replaces the textbook intermediate with
-   (raw static estimate of the prefix) x (its learned factor), while
-   an uncorrected step composes the containment-assumption join of the
-   corrected inputs. *)
-let cq_cost ?feedback model layout cq =
-  match Estimate.order_atoms layout (Cq.atoms cq) with
-  | [] -> 0.
-  | first :: rest ->
-    let e0 = Feedback.atom_est ?feedback layout first in
-    let raw0 = Estimate.atom layout first in
-    let cost0 = model.c_access *. access_rows layout first in
-    let _, _, _, total =
-      List.fold_left
-        (fun (prefix, cur, cur_raw, cost) atom ->
-          let e = Feedback.atom_est ?feedback layout atom in
-          let raw = Estimate.atom layout atom in
-          let prefix = atom :: prefix in
-          let raw_joined = Estimate.join cur_raw raw in
-          let joined =
-            match Feedback.lookup_atoms feedback ~tag:"j" prefix with
-            | Some f -> Feedback.scale raw_joined f
-            | None -> Estimate.join cur e
-          in
-          let access = model.c_access *. access_rows layout atom in
-          let join_cost = model.c_join *. (cur.Estimate.rows +. e.Estimate.rows) in
-          let out_cost = model.c_out *. joined.Estimate.rows in
-          prefix, joined, raw_joined, cost +. access +. join_cost +. out_cost)
-        ([ first ], e0, raw0, cost0)
-        rest
-    in
-    total
+type node = {
+  rows : float;
+  raw_rows : float;
+  cost : float;
+}
 
-let cq_rows ?feedback layout atoms =
-  match atoms with
-  | [] -> 0.
-  | [ a ] -> (Feedback.atom_est ?feedback layout a).Estimate.rows
-  | _ -> (
-    match Feedback.lookup_atoms feedback ~tag:"j" atoms with
-    | Some f -> Estimate.cq_rows layout atoms *. f
-    | None -> (
-      match List.map (Feedback.atom_est ?feedback layout) atoms with
-      | [] -> 0.
-      | first :: rest -> (List.fold_left Estimate.join first rest).Estimate.rows))
+(* One atom of an arm, estimated once: [raw] is the static estimate,
+   [est] the corrected one, [access] the rows its access retrieves. *)
+type atom_info = {
+  atom : Atom.t;
+  raw : Estimate.est;
+  est : Estimate.est;
+  access : float;
+}
 
-let rec fol_rows ?feedback layout fol =
-  (* A correction for the node's whole output shape wins (applied to
-     the raw structural estimate it was learned against); otherwise
-     the recursion corrects the pieces independently. *)
+(* A feedback store only matters once some key is trained; dropping an
+   untrained one up front lets every node skip its raw estimate, which
+   then equals the corrected one. *)
+let active feedback = if Feedback.trained feedback then feedback else None
+
+let atom_info feedback layout a =
+  let raw = Estimate.atom layout a in
+  let est =
+    match feedback with
+    | None -> raw
+    | Some _ -> (
+      match Feedback.lookup feedback (Feedback.atom_key a) with
+      | Some f -> Feedback.scale raw f
+      | None -> raw)
+  in
+  { atom = a; raw; est; access = access_rows layout a }
+
+let fold_join ests =
+  match ests with
+  | [] -> 0.
+  | first :: rest -> (List.fold_left Estimate.join first rest).Estimate.rows
+
+(* One arm (a CQ): rows fold the atoms in body order; cost folds them
+   in the planner's {!Estimate.order_atoms} order, so the fold's prefix
+   shapes are exactly the join subtrees EXPLAIN ANALYZE observed. A
+   corrected prefix replaces the textbook intermediate with (raw static
+   estimate of the prefix) x (its learned factor); an uncorrected step
+   composes the containment-assumption join of the corrected inputs. *)
+let arm feedback model layout cq =
+  let atoms = Cq.atoms cq in
+  let infos = List.map (atom_info feedback layout) atoms in
+  let raw_rows, rows =
+    match infos with
+    | [] -> 0., 0.
+    | [ i ] -> i.raw.Estimate.rows, i.est.Estimate.rows
+    | _ ->
+      let raw_rows = fold_join (List.map (fun i -> i.raw) infos) in
+      ( raw_rows,
+        match feedback with
+        | None -> raw_rows
+        | Some _ -> (
+          match Feedback.lookup_atoms feedback ~tag:"j" atoms with
+          | Some f -> raw_rows *. f
+          | None -> fold_join (List.map (fun i -> i.est) infos)) )
+  in
+  let cost =
+    match Estimate.order_by ~atom:(fun i -> i.atom) ~est:(fun i -> i.raw) infos with
+    | [] -> 0.
+    | first :: rest ->
+      let _, _, _, total =
+        List.fold_left
+          (fun (prefix, cur, cur_raw, cost) i ->
+            let prefix = i.atom :: prefix in
+            let joined, cur_raw =
+              match feedback with
+              | None -> Estimate.join cur i.est, cur_raw
+              | Some _ -> (
+                let raw_joined = Estimate.join cur_raw i.raw in
+                match Feedback.lookup_atoms feedback ~tag:"j" prefix with
+                | Some f -> Feedback.scale raw_joined f, raw_joined
+                | None -> Estimate.join cur i.est, raw_joined)
+            in
+            let access = model.c_access *. i.access in
+            let join_cost =
+              model.c_join *. (cur.Estimate.rows +. i.est.Estimate.rows)
+            in
+            let out_cost = model.c_out *. joined.Estimate.rows in
+            prefix, joined, cur_raw, cost +. access +. join_cost +. out_cost)
+          ([ first.atom ], first.est, first.raw, model.c_access *. first.access)
+          rest
+      in
+      total
+  in
+  { rows; raw_rows; cost }
+
+(* A correction for the node's whole output shape wins, applied to the
+   raw structural estimate it was learned against; otherwise the node's
+   rows are composed from its corrected pieces. *)
+let corrected feedback fol ~raw_rows ~rows =
   match Feedback.lookup_fol feedback fol with
-  | Some f -> fol_rows layout fol *. f
-  | None -> (
-    match fol with
-    | Fol.Leaf { ucq; _ } ->
-      List.fold_left
-        (fun acc d -> acc +. cq_rows ?feedback layout (Cq.atoms d))
-        0. (Ucq.disjuncts ucq)
-    | Fol.Union { branches; _ } ->
-      List.fold_left (fun acc b -> acc +. fol_rows ?feedback layout b) 0. branches
-    | Fol.Join { parts; _ } ->
-      (* independence across fragments, bounded by the smallest part *)
-      List.fold_left
-        (fun acc p -> Float.min acc (fol_rows ?feedback layout p))
-        infinity parts)
+  | Some f -> raw_rows *. f
+  | None -> rows
 
-let rec fol_cost ?feedback model layout fol =
-  match fol with
-  | Fol.Leaf { ucq; _ } ->
-    let rows = fol_rows ?feedback layout fol in
-    let arms =
-      List.fold_left
-        (fun acc d -> acc +. cq_cost ?feedback model layout d)
-        0. (Ucq.disjuncts ucq)
-    in
-    arms +. (model.c_distinct *. rows)
-  | Fol.Union { branches; _ } ->
-    let rows = fol_rows ?feedback layout fol in
+let leaf_node feedback model layout fol ucq =
+  let raw_rows, rows, arms =
     List.fold_left
-      (fun acc b -> acc +. fol_cost ?feedback model layout b)
-      0. branches
-    +. (model.c_distinct *. rows)
+      (fun (raw_rows, rows, cost) d ->
+        let a = arm feedback model layout d in
+        raw_rows +. a.raw_rows, rows +. a.rows, cost +. a.cost)
+      (0., 0., 0.) (Ucq.disjuncts ucq)
+  in
+  let rows = corrected feedback fol ~raw_rows ~rows in
+  { rows; raw_rows; cost = arms +. (model.c_distinct *. rows) }
+
+let union_node feedback model fol branches =
+  let raw_rows, rows, costs =
+    List.fold_left
+      (fun (raw_rows, rows, cost) b ->
+        raw_rows +. b.raw_rows, rows +. b.rows, cost +. b.cost)
+      (0., 0., 0.) branches
+  in
+  let rows = corrected feedback fol ~raw_rows ~rows in
+  { rows; raw_rows; cost = costs +. (model.c_distinct *. rows) }
+
+let join_node feedback model fol parts nodes =
+  let part_costs =
+    List.fold_left (fun acc n -> acc +. n.cost +. (model.c_mat *. n.rows)) 0. nodes
+  in
+  (* greedy connected ordering mirroring the planner: joining two
+     fragments sharing output variables shrinks the intermediate
+     (containment assumption); a cross product multiplies it *)
+  let vars p =
+    List.filter_map
+      (fun t -> match t with Query.Term.Var v -> Some v | Query.Term.Cst _ -> None)
+      (Fol.out p)
+  in
+  let sized = List.map2 (fun p n -> vars p, n.rows) parts nodes in
+  let join_cost =
+    match List.stable_sort (fun (_, r1) (_, r2) -> Float.compare r1 r2) sized with
+    | [] -> 0.
+    | (v0, r0) :: rest ->
+      let rec grow cur_vars cur_rows cost remaining =
+        match remaining with
+        | [] -> cost
+        | _ ->
+          let connected, isolated =
+            List.partition
+              (fun (vs, _) -> List.exists (fun c -> List.mem c cur_vars) vs)
+              remaining
+          in
+          let pool = if connected = [] then isolated else connected in
+          let (vs, r), rest' =
+            match pool with
+            | first :: _ -> first, List.filter (fun x -> x != first) remaining
+            | [] -> assert false
+          in
+          let out_rows =
+            if connected = [] then cur_rows *. r else Float.min cur_rows r
+          in
+          grow
+            (cur_vars @ vs)
+            out_rows
+            (cost +. (model.c_join *. (cur_rows +. r)) +. (model.c_out *. out_rows))
+            rest'
+      in
+      grow v0 r0 0. rest
+  in
+  (* independence across fragments, bounded by the smallest part *)
+  let raw_rows, rows =
+    List.fold_left
+      (fun (raw_rows, rows) n -> Float.min raw_rows n.raw_rows, Float.min rows n.rows)
+      (infinity, infinity) nodes
+  in
+  let rows = corrected feedback fol ~raw_rows ~rows in
+  { rows; raw_rows; cost = part_costs +. join_cost +. (model.c_distinct *. rows) }
+
+let rec node_in feedback model layout fol =
+  match fol with
+  | Fol.Leaf { ucq; _ } -> leaf_node feedback model layout fol ucq
+  | Fol.Union { branches; _ } ->
+    union_node feedback model fol (List.map (node_in feedback model layout) branches)
   | Fol.Join { parts; _ } ->
-    let part_costs =
-      List.fold_left
-        (fun acc p ->
-          acc
-          +. fol_cost ?feedback model layout p
-          +. (model.c_mat *. fol_rows ?feedback layout p))
-        0. parts
-    in
-    (* greedy connected ordering mirroring the planner: joining two
-       fragments sharing output variables shrinks the intermediate
-       (containment assumption); a cross product multiplies it *)
-    let vars p =
-      List.filter_map
-        (fun t -> match t with Query.Term.Var v -> Some v | Query.Term.Cst _ -> None)
-        (Fol.out p)
-    in
-    let sized = List.map (fun p -> vars p, fol_rows ?feedback layout p) parts in
-    let join_cost =
-      match List.stable_sort (fun (_, r1) (_, r2) -> Float.compare r1 r2) sized with
-      | [] -> 0.
-      | (v0, r0) :: rest ->
-        let rec grow cur_vars cur_rows cost remaining =
-          match remaining with
-          | [] -> cost
-          | _ ->
-            let connected, isolated =
-              List.partition
-                (fun (vs, _) -> List.exists (fun c -> List.mem c cur_vars) vs)
-                remaining
-            in
-            let pool = if connected = [] then isolated else connected in
-            let (vs, r), rest' =
-              match pool with
-              | first :: _ ->
-                first, List.filter (fun x -> x != first) remaining
-              | [] -> assert false
-            in
-            let out_rows =
-              if connected = [] then cur_rows *. r
-              else Float.min cur_rows r
-            in
-            grow
-              (cur_vars @ vs)
-              out_rows
-              (cost +. (model.c_join *. (cur_rows +. r)) +. (model.c_out *. out_rows))
-              rest'
-        in
-        grow v0 r0 0. rest
-    in
-    let out = fol_rows ?feedback layout fol in
-    part_costs +. join_cost +. (model.c_distinct *. out)
+    join_node feedback model fol parts (List.map (node_in feedback model layout) parts)
+
+let m_leaves_estimated =
+  Obs.Metrics.counter
+    ~help:"distinct cover fragments reformulated and estimated by a search"
+    "cost.leaves.estimated"
+
+let m_leaves_reused =
+  Obs.Metrics.counter
+    ~help:"cover fragments a search served from its memo instead"
+    "cost.leaves.reused"
+
+let note_leaf ~reused =
+  Obs.Metrics.incr (if reused then m_leaves_reused else m_leaves_estimated)
+
+let node ?feedback model layout fol = node_in (active feedback) model layout fol
+
+let join ?feedback model fol nodes =
+  match fol with
+  | Fol.Join { parts; _ } -> join_node (active feedback) model fol parts nodes
+  | Fol.Leaf _ | Fol.Union _ -> invalid_arg "Cost_model.join: not a join node"

@@ -21,15 +21,42 @@ val calibrated : [ `Pglite | `Db2lite ] -> t
 (** Constants empirically calibrated per target engine, as the paper
     calibrates its Java cost model for Postgres and DB2. *)
 
-val cq_cost : ?feedback:Feedback.t -> t -> Rdbms.Layout.t -> Query.Cq.t -> float
+(** {2 Estimates}
 
-val fol_cost : ?feedback:Feedback.t -> t -> Rdbms.Layout.t -> Query.Fol.t -> float
-(** Estimated evaluation cost of a FOL reformulation, including
-    fragment materialisation and the top-level join. With [?feedback],
-    every cardinality the formulas consume — atom accesses, join-fold
-    prefixes, fragment unions, whole-node outputs — is corrected by
-    the store's observed factors ({!Feedback}); without it this is the
-    paper's purely static "ext" model. *)
+    One bottom-up pass prices a FOL reformulation: every node is
+    summarised once, from its children's summaries, into its estimated
+    answer rows and its evaluation cost. Each arm (CQ) estimates each
+    of its atoms once and shares the estimates between the join order,
+    the cost fold and the row fold.
 
-val fol_rows : ?feedback:Feedback.t -> Rdbms.Layout.t -> Query.Fol.t -> float
-(** Estimated answer cardinality (corrected under [?feedback]). *)
+    With [?feedback], every cardinality the formulas consume — atom
+    accesses, join-fold prefixes, fragment unions, whole-node outputs —
+    is corrected by the store's observed factors ({!Feedback}); without
+    it (or while the store has no trained key) this is the paper's
+    purely static "ext" model. *)
+
+type node = {
+  rows : float;  (** estimated answer rows (corrected under feedback) *)
+  raw_rows : float;
+      (** the uncorrected static estimate of the same rows: the base a
+          whole-node correction of an ancestor scales *)
+  cost : float;
+      (** estimated evaluation cost, including fragment
+          materialisation, the joins and duplicate elimination *)
+}
+
+val node : ?feedback:Feedback.t -> t -> Rdbms.Layout.t -> Query.Fol.t -> node
+(** The summary of a reformulation's root. *)
+
+val join : ?feedback:Feedback.t -> t -> Query.Fol.t -> node list -> node
+(** [join model fol parts] summarises a [Join] node from the summaries
+    of its parts, in order — the same value {!node} computes, without
+    revisiting the parts. This is how a cover search prices a candidate
+    whose fragments it has already summarised. [Invalid_argument] when
+    [fol] is not a [Join]. *)
+
+val note_leaf : reused:bool -> unit
+(** Bumps [cost.leaves.reused] or [cost.leaves.estimated]: a cover
+    search's scope ([Optimizer.Estimator.open_search]) reports whether
+    a scored fragment came from its memo or was reformulated and
+    summarised afresh. *)

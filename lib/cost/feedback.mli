@@ -10,7 +10,7 @@
     {!Rdbms.Exec.run_analyzed} trees, aggregates them into
     multiplicative correction factors keyed by {e (predicate,
     fragment shape)}, and the estimation stack
-    ({!Cost_model.fol_rows} / {!Cost_model.fol_cost},
+    ({!Cost_model.node},
     {!Sip_pass.annotate}, [Optimizer.Estimator.ext]) consults the
     factors on its next estimate — so the next EDL/GDL cover search
     ranks candidates with observed cardinalities.

@@ -20,7 +20,9 @@ let reformulate_fragment language tbox fq =
     Fol.leaf ~out:fq.Cq.head (Reform.Perfectref.reformulate_cached tbox fq)
   | Uscq_fragments -> Reform.Uscq_reform.reformulate tbox fq
 
-let join_parts q parts =
+let fragment tbox fq = reformulate_fragment Ucq_fragments tbox fq
+
+let join q parts =
   match parts with
   | [ single ] when List.equal Term.equal (Fol.out single) q.Cq.head -> single
   | parts -> Fol.join ~out:q.Cq.head parts
@@ -35,12 +37,11 @@ let of_cover ?(language = Ucq_fragments) ?jobs tbox cover =
     Parallel.map ?jobs (reformulate_fragment language tbox)
       (Cover.fragment_queries cover)
   in
-  join_parts q parts
+  join q parts
 
 let of_generalized ?jobs tbox gcover =
   let q = gcover.Generalized.query in
   let parts =
-    Parallel.map ?jobs (reformulate_fragment Ucq_fragments tbox)
-      (Generalized.fragment_queries gcover)
+    Parallel.map ?jobs (fragment tbox) (Generalized.fragment_queries gcover)
   in
-  join_parts q parts
+  join q parts

@@ -25,3 +25,14 @@ val of_generalized : ?jobs:int -> Dllite.Tbox.t -> Generalized.t -> Query.Fol.t
     bounds the per-fragment reformulation fan-out on the {!Parallel}
     pool (default {!Parallel.default_jobs}; order-preserving, so the
     result never depends on it). *)
+
+val fragment : Dllite.Tbox.t -> Query.Cq.t -> Query.Fol.t
+(** One fragment query reformulated into a UCQ leaf (PerfectRef,
+    through its shared cache): the per-fragment step of
+    {!of_generalized}. *)
+
+val join : Query.Cq.t -> Query.Fol.t list -> Query.Fol.t
+(** [join q parts] combines reformulated fragments of [q] exactly as
+    {!of_generalized} does: a single part already projected on [q]'s
+    head is returned as is (physically), otherwise the parts are joined
+    on [q]'s head. *)

@@ -24,16 +24,17 @@ let search ?(max_covers = 20_000) ?jobs tbox estimator q =
   let covers = Generalized.enumerate ~max_count:max_covers tbox q in
   let examined = List.length covers in
   Obs.Metrics.add m_examined examined;
-  (* Reformulating and cost-estimating a cover touches no search
-     state, so every candidate scores on the domain pool; the winner
-     is then picked by the same first-minimum fold as the sequential
-     search (ties keep the earliest cover), making the result
-     independent of the job count. *)
+  (* Reformulating and cost-estimating a cover touches only the
+     scope's domain-safe memo, so every candidate scores on the domain
+     pool; the winner is then picked by the same first-minimum fold as
+     the sequential search (ties keep the earliest cover), making the
+     result independent of the job count. *)
+  let scope = Estimator.open_search estimator tbox q in
   let scored =
     Parallel.map ?jobs
       (fun cover ->
-        let fol = Reformulate.of_generalized tbox cover in
-        cover, fol, estimator.Estimator.estimate fol)
+        let s = Estimator.score scope cover in
+        cover, s.Estimator.reformulation, s.Estimator.cost)
       covers
   in
   (* Trace emission happens after the parallel scoring pass, in

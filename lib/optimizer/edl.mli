@@ -18,4 +18,5 @@ val search :
 (** Default [max_covers] is 20,000. Candidate covers cost-estimate in
     parallel on the {!Parallel} pool ([jobs], default
     {!Parallel.default_jobs}); the returned cover is independent of the
-    job count (ties resolve to the earliest enumerated cover). *)
+    job count (ties resolve to the earliest enumerated cover). All
+    candidates score through one {!Estimator.open_search} scope. *)

@@ -1,6 +1,17 @@
+open Covers
+
+type pricing =
+  | Whole
+  | Nodes of {
+      model : Cost.Cost_model.t;
+      layout : Rdbms.Layout.t;
+      feedback : Cost.Feedback.t option;
+    }
+
 type t = {
   name : string;
   estimate : Query.Fol.t -> float;
+  pricing : pricing;
 }
 
 let rdbms profile layout =
@@ -12,7 +23,125 @@ let rdbms profile layout =
       (fun fol ->
         let plan = Rdbms.Planner.of_fol layout fol in
         (Rdbms.Explain.cost profile layout plan).Rdbms.Explain.total_cost);
+    pricing = Whole;
   }
 
 let ext ?feedback model layout =
-  { name = "ext"; estimate = Cost.Cost_model.fol_cost ?feedback model layout }
+  {
+    name = "ext";
+    estimate = (fun fol -> (Cost.Cost_model.node ?feedback model layout fol).cost);
+    pricing = Nodes { model; layout; feedback };
+  }
+
+(* {1 Search-scoped scoring} *)
+
+type leaf = {
+  fol : Query.Fol.t;
+  node : Cost.Cost_model.node option;  (** [None] under [Whole] pricing *)
+}
+
+type search = {
+  estimator : t;
+  tbox : Dllite.Tbox.t;
+  query : Query.Cq.t;
+  feedback : Cost.Feedback.t option;
+  memo : (string, leaf) Hashtbl.t;
+  lock : Mutex.t;
+}
+
+type scored = {
+  cost : float;
+  reformulation : Query.Fol.t;
+  reform_time : float;
+  cost_time : float;
+}
+
+let open_search estimator tbox query =
+  {
+    estimator;
+    tbox;
+    query;
+    (* one view of the store per search: an untrained store is dropped
+       here, so corrections learned mid-search wait for the next one *)
+    feedback =
+      (match estimator.pricing with
+      | Nodes { feedback; _ } when Cost.Feedback.trained feedback -> feedback
+      | Nodes _ | Whole -> None);
+    memo = Hashtbl.create 64;
+    lock = Mutex.create ();
+  }
+
+let seconds ~since until = Int64.to_float (Int64.sub until since) /. 1e9
+
+(* Within one query a fragment query is determined by its body's atom
+   indexes and its head. *)
+let fragment_key gf fq =
+  String.concat "," (List.map string_of_int (Generalized.Iset.elements gf.Generalized.f))
+  ^ "|"
+  ^ String.concat "," (List.map Query.Term.to_string fq.Query.Cq.head)
+
+(* A memo miss computes outside the lock; when two domains race on one
+   fragment, both compute the same value and the first insert wins. The
+   counters count inserts, so they do not depend on the race. *)
+let leaf s (key, fq) =
+  match Mutex.protect s.lock (fun () -> Hashtbl.find_opt s.memo key) with
+  | Some l ->
+    Cost.Cost_model.note_leaf ~reused:true;
+    l, 0., 0.
+  | None ->
+    let t0 = Obs.Mclock.now_ns () in
+    let fol = Reformulate.fragment s.tbox fq in
+    let t1 = Obs.Mclock.now_ns () in
+    let node =
+      match s.estimator.pricing with
+      | Whole -> None
+      | Nodes { model; layout; _ } ->
+        Some (Cost.Cost_model.node ?feedback:s.feedback model layout fol)
+    in
+    let t2 = Obs.Mclock.now_ns () in
+    let l =
+      Mutex.protect s.lock (fun () ->
+          match Hashtbl.find_opt s.memo key with
+          | Some l ->
+            Cost.Cost_model.note_leaf ~reused:true;
+            l
+          | None ->
+            Hashtbl.add s.memo key { fol; node };
+            Cost.Cost_model.note_leaf ~reused:false;
+            { fol; node })
+    in
+    l, seconds ~since:t0 t1, seconds ~since:t1 t2
+
+let score s cover =
+  let q = cover.Generalized.query in
+  if q != s.query then invalid_arg "Estimator.score: cover of another query";
+  let frags =
+    List.map2
+      (fun gf fq -> fragment_key gf fq, fq)
+      (Generalized.fragments cover)
+      (Generalized.fragment_queries cover)
+  in
+  (* fragments fan out like {!Reformulate.of_generalized}'s; inside a
+     parallel scoring batch this runs sequentially *)
+  let leaves = Parallel.map (leaf s) frags in
+  let t0 = Obs.Mclock.now_ns () in
+  let reformulation = Reformulate.join q (List.map (fun (l, _, _) -> l.fol) leaves) in
+  let t1 = Obs.Mclock.now_ns () in
+  let cost =
+    match s.estimator.pricing, leaves with
+    | Whole, _ -> s.estimator.estimate reformulation
+    | Nodes _, [ ({ node = Some n; fol }, _, _) ] when fol == reformulation -> n.cost
+    | Nodes { model; _ }, _ ->
+      let nodes = List.map (fun (l, _, _) -> Option.get l.node) leaves in
+      (Cost.Cost_model.join ?feedback:s.feedback model reformulation nodes).cost
+  in
+  let t2 = Obs.Mclock.now_ns () in
+  let reform, estim =
+    List.fold_left (fun (r, e) (_, r', e') -> r +. r', e +. e') (0., 0.) leaves
+  in
+  {
+    cost;
+    reformulation;
+    reform_time = reform +. seconds ~since:t0 t1;
+    cost_time = estim +. seconds ~since:t1 t2;
+  }

@@ -9,16 +9,17 @@ type result = {
   moves : int;
   search_time : float;
   cost_time : float;
+  reform_time : float;
   timed_out : bool;
 }
 
 type search_state = {
-  estimator : Estimator.t;
-  tbox : Dllite.Tbox.t;
+  scope : Estimator.search;
   cost_cache : (string, float * Query.Fol.t) Hashtbl.t;
   mutable simple_seen : int;
   mutable total_seen : int;
   mutable cost_seconds : float;
+  mutable reform_seconds : float;
   mutable step : int;  (** current move number, for trace events *)
   deadline : int64 option;  (** absolute monotonic ns ({!Obs.Mclock}) *)
 }
@@ -53,19 +54,12 @@ let out_of_time st =
   | None -> false
   | Some d -> Int64.compare (Obs.Mclock.now_ns ()) d > 0
 
-(* Reformulate and estimate one cover: touches no search state, so a
-   batch of these can fan out on the domain pool. The elapsed time is
-   returned for the sequential merge to accumulate. *)
-let score st cover =
-  let t0 = Obs.Mclock.now_ns () in
-  let fol = Reformulate.of_generalized st.tbox cover in
-  let c = st.estimator.Estimator.estimate fol in
-  c, fol, seconds_since t0
-
 (* Always called sequentially (in candidate order after a parallel
    scoring batch), so the Candidate trace stream is deterministic. *)
-let record st cover (c, fol, elapsed) =
-  st.cost_seconds <- st.cost_seconds +. elapsed;
+let record st cover (s : Estimator.scored) =
+  let c = s.cost and fol = s.reformulation in
+  st.cost_seconds <- st.cost_seconds +. s.cost_time;
+  st.reform_seconds <- st.reform_seconds +. s.reform_time;
   st.total_seen <- st.total_seen + 1;
   if Generalized.is_simple cover then st.simple_seen <- st.simple_seen + 1;
   Obs.Metrics.incr m_scored;
@@ -81,13 +75,14 @@ let cover_cost st cover =
   match Hashtbl.find_opt st.cost_cache key with
   | Some (c, fol) -> c, fol
   | None ->
-    let (c, fol, _) as scored = score st cover in
+    let scored = Estimator.score st.scope cover in
     record st cover scored;
-    c, fol
+    scored.cost, scored.reformulation
 
 (* Cost-estimate one search step's candidates: the not-yet-memoised
-   covers (deduplicated, first occurrence wins) score in parallel,
-   then the cache and counters update sequentially in candidate
+   covers (deduplicated, first occurrence wins) score in parallel —
+   the search scope's memo is the only shared state, and it is
+   domain-safe — then the cache and counters update sequentially in candidate
    order — so exploration statistics match the sequential search
    exactly. Arms observe the deadline on entry; a cover skipped for
    time is simply absent from the cache, as it would be sequentially. *)
@@ -109,7 +104,8 @@ let batch_costs ?jobs st candidates =
   in
   let scored =
     Parallel.map ?jobs
-      (fun cover -> if out_of_time st then None else Some (score st cover))
+      (fun cover ->
+        if out_of_time st then None else Some (Estimator.score st.scope cover))
       fresh
   in
   List.iter2
@@ -156,12 +152,12 @@ let search ?time_budget ?(space = `Gq) ?jobs tbox estimator q =
   Obs.Metrics.incr m_searches;
   let st =
     {
-      estimator;
-      tbox;
+      scope = Estimator.open_search estimator tbox q;
       cost_cache = Hashtbl.create 64;
       simple_seen = 0;
       total_seen = 0;
       cost_seconds = 0.;
+      reform_seconds = 0.;
       step = 0;
       deadline =
         Option.map
@@ -225,5 +221,6 @@ let search ?time_budget ?(space = `Gq) ?jobs tbox estimator q =
     moves;
     search_time = seconds_since t0;
     cost_time = st.cost_seconds;
+    reform_time = st.reform_seconds;
     timed_out;
   }

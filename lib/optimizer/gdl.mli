@@ -18,7 +18,9 @@ type result = {
   explored_total : int;  (** distinct covers estimated, incl. generalized *)
   moves : int;  (** moves applied *)
   search_time : float;  (** seconds, including cost estimation *)
-  cost_time : float;  (** seconds spent in cost estimation *)
+  cost_time : float;  (** seconds spent in the estimator alone *)
+  reform_time : float;
+      (** seconds spent reformulating fragments and joining them *)
   timed_out : bool;
 }
 
@@ -37,4 +39,6 @@ val search :
     covers (the generalized-cover ablation). Each step's candidate
     moves cost-estimate in parallel on the {!Parallel} pool ([jobs], default {!Parallel.default_jobs});
     without a time budget the chosen cover and the exploration counts
-    are independent of the job count. *)
+    are independent of the job count. The search scores through one
+    {!Estimator.open_search} scope, so each distinct fragment is
+    reformulated and estimated once per search. *)

@@ -5,7 +5,15 @@ type est = {
   ndv : (string * float) list;
 }
 
-let ndv_of e c = Option.value ~default:e.rows (List.assoc_opt c e.ndv)
+(* Column lists are short; a monomorphic string scan beats the
+   polymorphic [List.assoc] on the estimator's hot paths. *)
+let rec find_col c = function
+  | [] -> None
+  | (c', n) :: rest -> if String.equal c c' then Some n else find_col c rest
+
+let has_col c cols = List.exists (fun (c', _) -> String.equal c c') cols
+
+let ndv_of e c = Option.value ~default:e.rows (find_col c e.ndv)
 
 (* equality selectivity from the column histogram, when the constant
    is a known individual *)
@@ -52,41 +60,50 @@ let atom layout a =
       clamp_ndv { rows; ndv = [ v, rows ] }
     | Term.Cst _, Term.Cst _ -> { rows = Float.min 1. card; ndv = [] })
 
-let join l r =
-  let shared = List.filter (fun (c, _) -> List.mem_assoc c r.ndv) l.ndv in
+(* The join's row estimate alone: no merged column list is built, so
+   ranking candidate join orders allocates nothing. *)
+let join_rows l r =
   let sel =
     List.fold_left
-      (fun acc (c, nl) -> acc /. Float.max 1. (Float.max nl (ndv_of r c)))
-      1. shared
+      (fun acc (c, nl) ->
+        match find_col c r.ndv with
+        | Some nr -> acc /. Float.max 1. (Float.max nl nr)
+        | None -> acc)
+      1. l.ndv
   in
-  let rows = l.rows *. r.rows *. sel in
+  l.rows *. r.rows *. sel
+
+let join l r =
+  let rows = join_rows l r in
   let merged =
     List.map
       (fun (c, nl) ->
-        if List.mem_assoc c r.ndv then c, Float.min nl (ndv_of r c) else c, nl)
+        match find_col c r.ndv with Some nr -> c, Float.min nl nr | None -> c, nl)
       l.ndv
-    @ List.filter (fun (c, _) -> not (List.mem_assoc c l.ndv)) r.ndv
+    @ List.filter (fun (c, _) -> not (has_col c l.ndv)) r.ndv
   in
   clamp_ndv { rows; ndv = merged }
 
-let shares_col e a =
-  List.exists (fun v -> List.mem_assoc (Term.to_string v) e.ndv)
-    (Term.Set.elements (Atom.vars a))
-
-let order_atoms layout atoms =
-  match atoms with
-  | [] | [ _ ] -> atoms
+(* Items are removed by physical identity of their atom, so a body
+   listing one atom value twice keeps the historical behaviour. Each
+   item's column names are computed once, not at every step. *)
+let order_by ~atom:atom_of ~est items =
+  match items with
+  | [] | [ _ ] -> items
   | _ ->
-    let with_est = List.map (fun a -> a, atom layout a) atoms in
+    let columns i =
+      List.map Term.to_string (Term.Set.elements (Atom.vars (atom_of i)))
+    in
+    let tagged = List.map (fun i -> i, columns i) items in
     let smallest =
       List.fold_left
-        (fun best (a, e) ->
+        (fun best ((i, _) as t) ->
           match best with
-          | None -> Some (a, e)
-          | Some (_, e') -> if e.rows < e'.rows then Some (a, e) else best)
-        None with_est
+          | None -> Some t
+          | Some (b, _) -> if (est i).rows < (est b).rows then Some t else best)
+        None tagged
     in
-    let first, e0 = Option.get smallest in
+    let first, _ = Option.get smallest in
     let rec go acc cur remaining =
       match remaining with
       | [] -> List.rev acc
@@ -94,24 +111,34 @@ let order_atoms layout atoms =
         (* prefer connected atoms; among them the one minimising the
            estimated intermediate result *)
         let candidates =
-          let conn = List.filter (fun (a, _) -> shares_col cur a) remaining in
+          let conn =
+            List.filter
+              (fun (_, cols) -> List.exists (fun c -> has_col c cur.ndv) cols)
+              remaining
+          in
           if conn = [] then remaining else conn
         in
         let best =
           List.fold_left
-            (fun best (a, e) ->
-              let j = join cur e in
+            (fun best (i, _) ->
+              let rows = join_rows cur (est i) in
               match best with
-              | None -> Some (a, e, j)
-              | Some (_, _, j') -> if j.rows < j'.rows then Some (a, e, j) else best)
+              | None -> Some (i, rows)
+              | Some (_, rows') -> if rows < rows' then Some (i, rows) else best)
             None candidates
         in
-        let a, _, j = Option.get best in
-        let remaining = List.filter (fun (a', _) -> a' != a) remaining in
-        go (a :: acc) j remaining
+        let i, _ = Option.get best in
+        let a = atom_of i in
+        let remaining = List.filter (fun (i', _) -> atom_of i' != a) remaining in
+        go (i :: acc) (join cur (est i)) remaining
     in
-    let remaining = List.filter (fun (a, _) -> a != first) with_est in
-    go [ first ] e0 remaining
+    let a0 = atom_of first in
+    let remaining = List.filter (fun (i, _) -> atom_of i != a0) tagged in
+    go [ first ] (est first) remaining
+
+let order_atoms layout atoms =
+  List.map fst
+    (order_by ~atom:fst ~est:snd (List.map (fun a -> a, atom layout a) atoms))
 
 let cq_rows layout atoms =
   match List.map (atom layout) atoms with

@@ -23,3 +23,8 @@ val cq_rows : Layout.t -> Query.Atom.t list -> float
 val order_atoms : Layout.t -> Query.Atom.t list -> Query.Atom.t list
 (** Greedy join order: start from the smallest atom, repeatedly add the
     connected atom minimising the estimated intermediate size. *)
+
+val order_by : atom:('a -> Query.Atom.t) -> est:('a -> est) -> 'a list -> 'a list
+(** {!order_atoms} over items that carry an atom and its
+    already-computed {!atom} estimate, so a caller that needs the
+    estimates anyway computes each one once. *)

@@ -12,6 +12,7 @@ let () =
       "sip", Test_sip.suite;
       "storage", Test_storage.suite;
       "optimizer", Test_optimizer.suite;
+      "estimator", Test_estimator.suite;
       "obda", Test_obda.suite;
       "feedback", Test_feedback.suite;
       "lubm", Test_lubm.suite;
