@@ -1,34 +1,17 @@
 (* Benchmark harness: regenerates every table and figure of the
-   paper's evaluation (Section 6), on the OCaml substrate.
+   paper's evaluation (Section 6), on the OCaml substrate, plus three
+   extensions of it (E10-E12) and a cost-model calibration (E13). The
+   experiments and their --exp ids are the [experiments] list at the
+   end of this file; --help prints them.
 
-     E1 table6       Table 6   — |Lq|, |Gq|, covers explored by GDL (A3–A6)
-     E2 edl-vs-gdl   §6.2      — EDL vs GDL best covers (A3–A6)
-     E3 fig2-small   Figure 2  — Postgres-like engine, small dataset
-     E4 fig2-large   Figure 2  — Postgres-like engine, large dataset
-     E5 fig3-small   Figure 3  — DB2-like engine (simple + RDF), small
-     E6 fig3-large   Figure 3  — DB2-like engine (simple + RDF), large
-     E7 gdl-time     §6.4      — GDL running time / time-limited GDL
-     E8 anatomy      §2.3      — reformulation & SQL statement sizes
-     E9 ablation-gq  §6.3      — generalized covers on/off
-     E13 calibration §6.3      — cardinality q-errors via EXPLAIN ANALYZE
-     E14 replay      —         — plan cache under Zipf-skewed repeated queries
-     E15 engine      —         — materialised-row vs columnar-batch execution
-     E16 sip         —         — sideways information passing on/off
-     E17 storage     —         — compressed segments, zone maps, mmap persistence
-     E18 server      —         — concurrent server: sustained QPS, admission control
-     E19 updates     —         — incremental updates: delta buffers, scoped invalidation
-     E20 reform      —         — reformulation fast path: indexed fixpoint vs naive PerfectRef
-     E21 feedback    —         — feedback-driven cost model: corrections from EXPLAIN ANALYZE
-
-   Usage: main.exe [--exp ID]… [--small N] [--large N] [--seed S]
-                   [--jobs N] [--json FILE] [--metrics FILE] [--bechamel]
+   Usage: main.exe [--exp ID]... [--small N] [--large N] [--seed S]
+                   [--jobs N] [--json FILE] [--metrics FILE]
    With no --exp, every experiment runs. --jobs N evaluates with N
    domains (default 1 = the sequential engine; 0 = all cores) and the
    figure experiments then additionally evaluate at jobs=1 to report
    the parallel speedup. --json FILE dumps per-experiment and per-cell
    timings. --metrics FILE dumps the process-wide Obs metrics registry
-   as JSON after the run. --bechamel additionally runs one Bechamel
-   micro-benchmark group per figure. *)
+   as JSON after the run. *)
 
 let small_facts = ref 30_000
 
@@ -37,8 +20,6 @@ let large_facts = ref 120_000
 let seed = ref 42
 
 let selected : string list ref = ref []
-
-let with_bechamel = ref false
 
 let jobs = ref 1
 
@@ -574,1265 +555,44 @@ let exp_calibration () =
         (max_q 1.0 stats) root_est.Rdbms.Explain.total_cost eval_ms)
     Lubm.Workload.queries
 
-(* {1 E14 — workload replay: the plan cache under repeated-query traffic} *)
-
-(* A Zipf-skewed request stream (weight 1/rank, s = 1) over the
-   workload queries, replayed twice against the same engine: the cold
-   pass populates the plan and reformulation caches, the warm pass
-   should answer every repeated query without searching. *)
-let exp_replay () =
-  Fmt.pr "@.== E14: workload replay — plan cache under repeated queries ==@.";
-  Fmt.pr "   (Zipf-skewed stream over Q1-Q13, identical cold and warm passes;@.";
-  Fmt.pr "    a warm hit skips PerfectRef and the GDL cover search)@.@.";
-  let plan_capacity = 64 in
-  let entries = Array.of_list Lubm.Workload.queries in
-  let n = Array.length entries in
-  let weights = Array.init n (fun i -> 1. /. float_of_int (i + 1)) in
-  let total_weight = Array.fold_left ( +. ) 0. weights in
-  let rng = Random.State.make [| 0xE14; !seed |] in
-  let pick () =
-    let r = Random.State.float rng total_weight in
-    let rec go i acc =
-      let acc = acc +. weights.(i) in
-      if r < acc || i = n - 1 then i else go (i + 1) acc
-    in
-    go 0 0.
-  in
-  let requests = Array.init 150 (fun _ -> pick ()) in
-  let engine = engine_for `Pglite `Simple !small_facts in
-  let strategy = Obda.Gdl Obda.Ext_cost in
-  Obda.clear_plan_cache ();
-  Reform.Perfectref.clear_cache ();
-  Obda.set_plan_cache_capacity plan_capacity;
-  let run_pass () =
-    Array.map
-      (fun i ->
-        let t0 = Unix.gettimeofday () in
-        let o = Obda.answer engine tbox strategy entries.(i).Lubm.Workload.query in
-        let ms = (Unix.gettimeofday () -. t0) *. 1000. in
-        ms, o.Obda.plan_cached, o.Obda.answers)
-      requests
-  in
-  let cold = run_pass () in
-  let warm = run_pass () in
-  let stats = Obda.plan_cache_stats () in
-  Obda.set_plan_cache_capacity Obda.default_plan_cache_capacity;
-  let identical =
-    Array.for_all2 (fun (_, _, a) (_, _, b) -> a = b) cold warm
-  in
-  let sum pass = Array.fold_left (fun acc (ms, _, _) -> acc +. ms) 0. pass in
-  let hits pass =
-    Array.fold_left (fun acc (_, h, _) -> if h then acc + 1 else acc) 0 pass
-  in
-  Fmt.pr "%-6s %8s %12s %12s %12s@." "qry" "requests" "cold(ms)" "warm(ms)"
-    "speedup";
-  Array.iteri
-    (fun qi e ->
-      let sel p = p |> Array.to_list
-        |> List.filteri (fun ri _ -> requests.(ri) = qi)
-        |> List.map (fun (ms, _, _) -> ms)
-      in
-      let avg = function [] -> nan | l -> List.fold_left ( +. ) 0. l /. float_of_int (List.length l) in
-      let c = sel cold and w = sel warm in
-      if c <> [] then begin
-        let mc = avg c and mw = avg w in
-        record_json
-          [ "exp", "\"replay\"";
-            "query", Printf.sprintf "%S" e.Lubm.Workload.name;
-            "requests", string_of_int (List.length c);
-            "cold_ms", Printf.sprintf "%.3f" mc;
-            "warm_ms", Printf.sprintf "%.3f" mw ];
-        Fmt.pr "%-6s %8d %12.2f %12.2f %11.1fx@." e.Lubm.Workload.name
-          (List.length c) mc mw (mc /. Float.max 0.001 mw)
-      end)
-    entries;
-  let cold_total = sum cold and warm_total = sum warm in
-  let warm_hits = hits warm in
-  record_json
-    [ "exp", "\"replay\"";
-      "query", "\"TOTAL\"";
-      "requests", string_of_int (Array.length requests);
-      "plan_capacity", string_of_int plan_capacity;
-      "cold_ms", Printf.sprintf "%.3f" cold_total;
-      "warm_ms", Printf.sprintf "%.3f" warm_total;
-      "cold_plan_hits", string_of_int (hits cold);
-      "warm_plan_hits", string_of_int warm_hits;
-      "plan_cache_hit_total", string_of_int stats.Cache.Lru.hits;
-      "plan_cache_evictions", string_of_int stats.Cache.Lru.evictions;
-      "answers_identical", string_of_bool identical ];
-  Fmt.pr "@.cold pass  : %8.1f ms (%d/%d plan-cache hits)@." cold_total
-    (hits cold) (Array.length requests);
-  Fmt.pr "warm pass  : %8.1f ms (%d/%d plan-cache hits, %.1fx)@." warm_total
-    warm_hits (Array.length requests)
-    (cold_total /. Float.max 0.1 warm_total);
-  Fmt.pr "plan cache : %a@." Cache.Lru.pp_stats stats;
-  Fmt.pr "reform     : %a@." Cache.Lru.pp_stats (Reform.Perfectref.cache_stats ());
-  Fmt.pr "answers identical cold vs warm: %b@." identical;
-  if not identical then failwith "E14: warm answers diverged from cold"
-
-(* {1 E15 — execution engine: materialised rows vs columnar batches} *)
-
-(* The legacy row-at-a-time engine (Rowexec) against the columnar
-   batch engine on identical physical plans: join-heavy workload
-   queries (two atoms or more), one reformulation per strategy,
-   sequential and uncached on both sides so the comparison isolates
-   the execution substrate. Minor-word deltas measure the boxed
-   per-row tuples the columnar representation removes. *)
-let exp_engine () =
-  Fmt.pr "@.== E15: execution engine — materialised rows vs columnar batches ==@.";
-  Fmt.pr "   (same plans, sequential, caches off: row-at-a-time Rowexec vs@.";
-  Fmt.pr "    the pipelined batch engine; minor words count per-row boxing)@.@.";
-  let engine = engine_for `Pglite `Simple !small_facts in
-  let layout = Obda.layout engine in
-  let joiny =
-    List.filter
-      (fun e -> List.length (Query.Cq.atoms e.Lubm.Workload.query) >= 2)
-      Lubm.Workload.queries
-  in
-  (* median-of-3 wall time; allocation delta from the first run *)
-  let timed_alloc f =
-    let once () =
-      let w0 = Gc.minor_words () in
-      let t0 = Unix.gettimeofday () in
-      let r = f () in
-      let dt = Unix.gettimeofday () -. t0 in
-      r, dt *. 1000., Gc.minor_words () -. w0
-    in
-    let r, t1, w = once () in
-    let _, t2, _ = once () in
-    let _, t3, _ = once () in
-    r, List.nth (List.sort Float.compare [ t1; t2; t3 ]) 1, w
-  in
-  let totals = Hashtbl.create 8 in
-  Fmt.pr "%-10s %-4s %10s %10s %9s %10s %10s %8s@." "strategy" "qry" "row(ms)"
-    "batch(ms)" "speedup" "row(Mw)" "batch(Mw)" "alloc/x";
-  List.iter
-    (fun (sname, strategy) ->
-      List.iter
-        (fun e ->
-          let q = e.Lubm.Workload.query in
-          let fol = Obda.reformulate engine tbox strategy q in
-          let plan = Rdbms.Planner.of_fol layout fol in
-          (* time plan execution only: answer decoding and sorting are
-             the same code on both sides and would dilute the ratio *)
-          let _, row_ms, row_w =
-            timed_alloc (fun () -> Rdbms.Rowexec.run layout plan)
-          in
-          let _, batch_ms, batch_w =
-            timed_alloc (fun () ->
-                Rdbms.Exec.run ~config:Rdbms.Exec.postgres_like ~jobs:1 layout
-                  plan)
-          in
-          if
-            Rdbms.Rowexec.answers layout plan
-            <> Rdbms.Exec.answers ~config:Rdbms.Exec.postgres_like ~jobs:1
-                 layout plan
-          then
-            failwith
-              (Printf.sprintf "E15: engines disagree on %s %s" sname
-                 e.Lubm.Workload.name);
-          let tr, tb, wr, wb =
-            Option.value ~default:(0., 0., 0., 0.) (Hashtbl.find_opt totals sname)
-          in
-          Hashtbl.replace totals sname
-            (tr +. row_ms, tb +. batch_ms, wr +. row_w, wb +. batch_w);
-          record_json
-            [ "exp", "\"engine\"";
-              "query", Printf.sprintf "%S" e.Lubm.Workload.name;
-              "strategy", Printf.sprintf "%S" sname;
-              "row_ms", Printf.sprintf "%.3f" row_ms;
-              "batch_ms", Printf.sprintf "%.3f" batch_ms;
-              "row_minor_words", Printf.sprintf "%.0f" row_w;
-              "batch_minor_words", Printf.sprintf "%.0f" batch_w ];
-          Fmt.pr "%-10s %-4s %10.2f %10.2f %8.2fx %10.2f %10.2f %7.1fx@." sname
-            e.Lubm.Workload.name row_ms batch_ms
-            (row_ms /. Float.max 0.001 batch_ms)
-            (row_w /. 1e6) (batch_w /. 1e6)
-            (row_w /. Float.max 1. batch_w))
-        joiny)
-    strategy_columns;
-  Fmt.pr "@.totals per strategy (row engine vs batch engine):@.";
-  List.iter
-    (fun (sname, _) ->
-      match Hashtbl.find_opt totals sname with
-      | Some (tr, tb, wr, wb) ->
-        record_json
-          [ "exp", "\"engine\"";
-            "query", "\"TOTAL\"";
-            "strategy", Printf.sprintf "%S" sname;
-            "row_ms", Printf.sprintf "%.3f" tr;
-            "batch_ms", Printf.sprintf "%.3f" tb;
-            "speedup", Printf.sprintf "%.3f" (tr /. Float.max 0.001 tb);
-            "row_minor_words", Printf.sprintf "%.0f" wr;
-            "batch_minor_words", Printf.sprintf "%.0f" wb;
-            "alloc_ratio", Printf.sprintf "%.2f" (wr /. Float.max 1. wb) ];
-        Fmt.pr "  %-10s %10.1f ms -> %10.1f ms (%.2fx); minor words %.1fM -> %.1fM (%.1fx fewer)@."
-          sname tr tb (tr /. Float.max 0.001 tb) (wr /. 1e6) (wb /. 1e6)
-          (wr /. Float.max 1. wb)
-      | None -> ())
-    strategy_columns
-
-(* {1 E16 — sideways information passing: semijoin reducers on/off} *)
-
-(* The same physical plans with and without the Sip_pass annotation:
-   join-heavy workload queries, reformulations whose union arms make
-   per-arm pruning pay (Croot and GDL/ext), sequential on the
-   Postgres-like profile so the comparison isolates the reducers.
-   Answers must agree exactly; an ANALYZE run of the annotated plan
-   reports how many rows the reducers dropped at the scans and how
-   many union arms were elided without being opened. *)
-let exp_sip () =
-  Fmt.pr "@.== E16: sideways information passing — semijoin reducers on/off ==@.";
-  Fmt.pr "   (identical plans, sequential, pglite/simple: bare execution vs@.";
-  Fmt.pr "    Sip_pass-annotated plans pushing reducers into scans and union@.";
-  Fmt.pr "    arms; pruned/elided counts come from EXPLAIN ANALYZE)@.@.";
-  let engine = engine_for `Pglite `Simple !small_facts in
-  let layout = Obda.layout engine in
-  let config = (Obda.profile engine).Rdbms.Explain.exec_config in
-  let model = Cost.Cost_model.calibrated `Pglite in
-  let joiny =
-    List.filter
-      (fun e -> List.length (Query.Cq.atoms e.Lubm.Workload.query) >= 2)
-      Lubm.Workload.queries
-  in
-  let median3 f =
-    let once () =
-      let t0 = Unix.gettimeofday () in
-      ignore (f ());
-      (Unix.gettimeofday () -. t0) *. 1000.
-    in
-    let t1 = once () in
-    let t2 = once () in
-    let t3 = once () in
-    List.nth (List.sort Float.compare [ t1; t2; t3 ]) 1
-  in
-  let strategies = [ "Croot", Obda.Croot; "GDL/ext", Obda.Gdl Obda.Ext_cost ] in
-  let totals = Hashtbl.create 4 in
-  let winners = ref 0 in
-  Fmt.pr "%-8s %-4s %10s %10s %9s %10s %7s %9s@." "strategy" "qry" "off(ms)"
-    "on(ms)" "speedup" "pruned" "elided" "reducers";
-  List.iter
-    (fun (sname, strategy) ->
-      List.iter
-        (fun e ->
-          let q = e.Lubm.Workload.query in
-          let fol = Obda.reformulate engine tbox strategy q in
-          let plan = Rdbms.Planner.of_fol layout fol in
-          let sipped = Cost.Sip_pass.annotate ~model layout plan in
-          if
-            Rdbms.Exec.answers ~config ~jobs:1 layout sipped
-            <> Rdbms.Exec.answers ~config ~jobs:1 layout plan
-          then
-            failwith
-              (Printf.sprintf "E16: reducers changed answers on %s %s" sname
-                 e.Lubm.Workload.name);
-          let off_ms =
-            median3 (fun () -> Rdbms.Exec.run ~config ~jobs:1 layout plan)
-          in
-          let on_ms =
-            median3 (fun () -> Rdbms.Exec.run ~config ~jobs:1 layout sipped)
-          in
-          let _, stats = Rdbms.Exec.run_analyzed ~config layout sipped in
-          let rec fold f acc (s : Rdbms.Exec.node_stats) =
-            List.fold_left (fold f) (acc + f s) s.Rdbms.Exec.children
-          in
-          let pruned = fold (fun s -> s.Rdbms.Exec.sip_pruned) 0 stats in
-          let elided = fold (fun s -> s.Rdbms.Exec.sip_elided) 0 stats in
-          let reducers =
-            fold
-              (fun s -> if s.Rdbms.Exec.sip_reducer <> None then 1 else 0)
-              0 stats
-          in
-          let speedup = off_ms /. Float.max 0.001 on_ms in
-          if speedup >= 1.3 then incr winners;
-          let toff, ton, tp, te =
-            Option.value ~default:(0., 0., 0, 0) (Hashtbl.find_opt totals sname)
-          in
-          Hashtbl.replace totals sname
-            (toff +. off_ms, ton +. on_ms, tp + pruned, te + elided);
-          record_json
-            [ "exp", "\"sip\"";
-              "query", Printf.sprintf "%S" e.Lubm.Workload.name;
-              "strategy", Printf.sprintf "%S" sname;
-              "off_ms", Printf.sprintf "%.3f" off_ms;
-              "on_ms", Printf.sprintf "%.3f" on_ms;
-              "speedup", Printf.sprintf "%.3f" speedup;
-              "sip_pruned", string_of_int pruned;
-              "sip_elided", string_of_int elided;
-              "sip_reducers", string_of_int reducers ];
-          Fmt.pr "%-8s %-4s %10.2f %10.2f %8.2fx %10d %7d %9d@." sname
-            e.Lubm.Workload.name off_ms on_ms speedup pruned elided reducers)
-        joiny)
-    strategies;
-  Fmt.pr "@.totals per strategy (reducers off vs on):@.";
-  List.iter
-    (fun (sname, _) ->
-      match Hashtbl.find_opt totals sname with
-      | Some (toff, ton, tp, te) ->
-        record_json
-          [ "exp", "\"sip\"";
-            "query", "\"TOTAL\"";
-            "strategy", Printf.sprintf "%S" sname;
-            "off_ms", Printf.sprintf "%.3f" toff;
-            "on_ms", Printf.sprintf "%.3f" ton;
-            "speedup", Printf.sprintf "%.3f" (toff /. Float.max 0.001 ton);
-            "sip_pruned", string_of_int tp;
-            "sip_elided", string_of_int te ];
-        Fmt.pr "  %-8s %10.1f ms -> %10.1f ms (%.2fx); pruned %d rows, elided %d arms@."
-          sname toff ton (toff /. Float.max 0.001 ton) tp te
-      | None -> ())
-    strategies;
-  record_json
-    [ "exp", "\"sip\"";
-      "query", "\"SUMMARY\"";
-      "pairs_at_1_3x", string_of_int !winners ];
-  Fmt.pr "@.%d query/strategy pairs at >= 1.30x with identical answers@." !winners;
-  if !winners < 2 then
-    failwith "E16: fewer than two pairs reached the 1.3x reducer speedup"
-
-(* {1 E17: compressed segmented storage} *)
-
-let exp_storage () =
-  Fmt.pr "@.== E17: compressed segmented storage — zone maps + mmap persistence ==@.";
-  Fmt.pr "   (streaming generator -> column builder -> binary save -> mmap@.";
-  Fmt.pr "    reopen; bytes/fact vs flat arrays; zone-map segment pruning under@.";
-  Fmt.pr "    SIP-annotated plans; answers checked against the default engine)@.@.";
-  let model = Cost.Cost_model.calibrated `Pglite in
-  let config = Rdbms.Exec.postgres_like in
-  let median3 f =
-    let once () =
-      let t0 = Unix.gettimeofday () in
-      ignore (f ());
-      (Unix.gettimeofday () -. t0) *. 1000.
-    in
-    let t1 = once () in
-    let t2 = once () in
-    let t3 = once () in
-    List.nth (List.sort Float.compare [ t1; t2; t3 ]) 1
-  in
-  let best_skip = ref 0. in
-  let run_scale facts =
-    let scale = Lubm.Generator.scale_name facts in
-    (* segments per column grow with the data; at bench scales pick a
-       segment size that exercises multi-segment columns the way the
-       default 64k rows does on a 15M-fact ABox *)
-    let segment_rows =
-      min Rdbms.Colstore.default_segment_rows (max 1024 (facts / 50))
-    in
-    (* streaming build: generator assertions flow straight into the
-       column builder, no intermediate row-form ABox *)
-    let t0 = Unix.gettimeofday () in
-    let b = Rdbms.Storage.Builder.create () in
-    ignore
-      (Lubm.Generator.generate_into ~seed:!seed ~target_facts:facts
-         ~add_concept:(fun ~concept ~ind ->
-           Rdbms.Storage.Builder.add_concept b ~concept ~ind)
-         ~add_role:(fun ~role ~subj ~obj ->
-           Rdbms.Storage.Builder.add_role b ~role ~subj ~obj)
-         ());
-    let storage = Rdbms.Storage.Builder.finish ~segment_rows b in
-    let build_ms = (Unix.gettimeofday () -. t0) *. 1000. in
-    let stored = Rdbms.Storage.total_facts storage in
-    let enc = Rdbms.Storage.column_bytes storage in
-    let flat = Rdbms.Storage.flat_bytes storage in
-    let bpf = float_of_int enc /. float_of_int (max 1 stored) in
-    Fmt.pr "%s: streamed %d facts in %.0f ms; %.2f bytes/fact encoded (flat: 16.00, %.0f%%)@."
-      scale stored build_ms bpf
-      (100. *. float_of_int enc /. float_of_int (max 1 flat));
-    if 2 * enc > flat then
-      failwith "E17: encoded columns exceed 50% of flat arrays";
-    let file = Filename.temp_file "obda_bench" ".col" in
-    Fun.protect
-      ~finally:(fun () -> try Sys.remove file with Sys_error _ -> ())
-      (fun () ->
-        let t1 = Unix.gettimeofday () in
-        Rdbms.Storage.save storage file;
-        let save_ms = (Unix.gettimeofday () -. t1) *. 1000. in
-        let file_bytes = (Unix.stat file).Unix.st_size in
-        let t2 = Unix.gettimeofday () in
-        let loaded = Rdbms.Storage.load_exn file in
-        let open_ms = (Unix.gettimeofday () -. t2) *. 1000. in
-        if Rdbms.Storage.total_facts loaded <> stored then
-          failwith "E17: reopened store disagrees on the fact count";
-        Fmt.pr
-          "%s: saved %d bytes in %.0f ms; mmap reopen in %.2f ms (%.1f bytes/fact on disk)@."
-          scale file_bytes save_ms open_ms
-          (float_of_int file_bytes /. float_of_int (max 1 stored));
-        record_json
-          [ "exp", "\"storage\"";
-            "scale", Printf.sprintf "%S" scale;
-            "query", "\"LOAD\"";
-            "facts", string_of_int stored;
-            "segment_rows", string_of_int segment_rows;
-            "build_ms", Printf.sprintf "%.3f" build_ms;
-            "save_ms", Printf.sprintf "%.3f" save_ms;
-            "open_ms", Printf.sprintf "%.3f" open_ms;
-            "encoded_bytes", string_of_int enc;
-            "flat_bytes", string_of_int flat;
-            "file_bytes", string_of_int file_bytes;
-            "bytes_per_fact", Printf.sprintf "%.3f" bpf ];
-        (* selective scan: a reducer carrying one department's worth of
-           contiguous dictionary codes — the shape a selective join
-           binding takes — pushed into a segmented scan of the largest
-           role column. Subject columns are sorted, so the narrow key
-           range should let the zone maps skip most segments without
-           decoding them. *)
-        (match Rdbms.Storage.role_colstores storage "takesCourse" with
-        | None -> ()
-        | Some (scol, _) when Rdbms.Colstore.length scol > 0 ->
-          let len = Rdbms.Colstore.length scol in
-          let window = max 1 (len / 20) in
-          let start = min (len - window) (len * 2 / 5) in
-          let keys =
-            Array.init window (fun i -> Rdbms.Colstore.get scol (start + i))
-          in
-          let reducer =
-            Rdbms.Sip.of_array
-              ~domain:(Rdbms.Storage.individual_count storage)
-              keys
-          in
-          let zone_miss si =
-            let lo, hi = Rdbms.Colstore.zone scol si in
-            not (Rdbms.Sip.overlaps_range reducer ~lo ~hi)
-          in
-          let count_rows skip =
-            let op =
-              Rdbms.Physical.segments_scan ~cols:[| "s" |] ~skip [| scol |]
-            in
-            let n = ref 0 in
-            let rec drain () =
-              match op.Rdbms.Physical.next () with
-              | None -> ()
-              | Some b ->
-                let col = b.Rdbms.Batch.data.(0) in
-                for i = 0 to b.Rdbms.Batch.len - 1 do
-                  if Rdbms.Sip.mem reducer col.(b.Rdbms.Batch.off + i) then
-                    incr n
-                done;
-                drain ()
-            in
-            drain ();
-            !n
-          in
-          let full_rows = count_rows (fun _ -> false) in
-          let pruned_rows = count_rows zone_miss in
-          if pruned_rows <> full_rows then
-            failwith "E17: zone-pruned scan changed the surviving rows";
-          let full_ms = median3 (fun () -> count_rows (fun _ -> false)) in
-          Rdbms.Colstore.reset_scan_counters ();
-          let pruned_ms = median3 (fun () -> count_rows zone_miss) in
-          let scanned, skipped = Rdbms.Colstore.scan_counters () in
-          (* counters accumulate over the three timed runs; the
-             fraction is unaffected *)
-          let frac =
-            if scanned + skipped = 0 then 0.
-            else float_of_int skipped /. float_of_int (scanned + skipped)
-          in
-          if frac > !best_skip then best_skip := frac;
-          record_json
-            [ "exp", "\"storage\"";
-              "scale", Printf.sprintf "%S" scale;
-              "query", "\"SCAN\"";
-              "rows", string_of_int len;
-              "surviving_rows", string_of_int full_rows;
-              "full_ms", Printf.sprintf "%.3f" full_ms;
-              "pruned_ms", Printf.sprintf "%.3f" pruned_ms;
-              "segments_scanned", string_of_int (scanned / 3);
-              "segments_skipped", string_of_int (skipped / 3);
-              "skip_frac", Printf.sprintf "%.3f" frac ];
-          Fmt.pr
-            "%s: selective scan of takesCourse (%d rows, %d survive): \
-             %.3f ms full, %.3f ms zone-pruned (%.0f%% of segments skipped)@."
-            scale len full_rows full_ms pruned_ms (100. *. frac)
-        | Some _ -> ());
-        let mem = Obda.make_engine_of_layout `Pglite (Rdbms.Layout.of_storage storage) in
-        let mmapped =
-          Obda.make_engine_of_layout `Pglite (Rdbms.Layout.of_storage loaded)
-        in
-        let reference = engine_for `Pglite `Simple facts in
-        let lay_mem = Obda.layout mem
-        and lay_map = Obda.layout mmapped
-        and lay_ref = Obda.layout reference in
-        Fmt.pr "@.%-6s %-4s %10s %10s %9s %9s %7s@." "scale" "qry" "mem(ms)"
-          "mmap(ms)" "scanned" "skipped" "skip%";
-        List.iter
-          (fun e ->
-            let qname = e.Lubm.Workload.name in
-            let fol =
-              Obda.reformulate reference tbox (Obda.Gdl Obda.Ext_cost)
-                e.Lubm.Workload.query
-            in
-            let plan = Rdbms.Planner.of_fol lay_mem fol in
-            let sipped = Cost.Sip_pass.annotate ~model lay_mem plan in
-            let expected = Rdbms.Exec.answers ~config ~jobs:1 lay_ref plan in
-            if
-              Rdbms.Exec.answers ~config ~jobs:1 lay_mem sipped <> expected
-              || Rdbms.Exec.answers ~config ~jobs:1 lay_map sipped <> expected
-            then
-              failwith
-                (Printf.sprintf "E17: segmented answers diverge on %s %s" scale
-                   qname);
-            let mem_ms =
-              median3 (fun () -> Rdbms.Exec.run ~config ~jobs:1 lay_mem sipped)
-            in
-            let map_ms =
-              median3 (fun () -> Rdbms.Exec.run ~config ~jobs:1 lay_map sipped)
-            in
-            Rdbms.Colstore.reset_scan_counters ();
-            ignore (Rdbms.Exec.run ~config ~jobs:1 lay_mem sipped);
-            let scanned, skipped = Rdbms.Colstore.scan_counters () in
-            let frac =
-              if scanned + skipped = 0 then 0.
-              else float_of_int skipped /. float_of_int (scanned + skipped)
-            in
-            if frac > !best_skip then best_skip := frac;
-            record_json
-              [ "exp", "\"storage\"";
-                "scale", Printf.sprintf "%S" scale;
-                "query", Printf.sprintf "%S" qname;
-                "mem_ms", Printf.sprintf "%.3f" mem_ms;
-                "mmap_ms", Printf.sprintf "%.3f" map_ms;
-                "segments_scanned", string_of_int scanned;
-                "segments_skipped", string_of_int skipped;
-                "skip_frac", Printf.sprintf "%.3f" frac ];
-            Fmt.pr "%-6s %-4s %10.2f %10.2f %9d %9d %6.0f%%@." scale qname mem_ms
-              map_ms scanned skipped (100. *. frac))
-          Lubm.Workload.queries)
-  in
-  List.iter run_scale [ !small_facts; !large_facts ];
-  record_json
-    [ "exp", "\"storage\"";
-      "query", "\"SUMMARY\"";
-      "best_skip_frac", Printf.sprintf "%.3f" !best_skip ];
-  Fmt.pr "@.best zone-map skip rate on a single query: %.0f%%@."
-    (100. *. !best_skip);
-  if !best_skip < 0.30 then
-    failwith "E17: zone maps never skipped 30% of segments on any query"
-
-(* {1 Bechamel micro-benchmarks (one group per table/figure)} *)
-
-let bechamel_suite () =
-  let open Bechamel in
-  let engine_pg = engine_for `Pglite `Simple !small_facts in
-  let engine_db2 = engine_for `Db2lite `Simple !small_facts in
-  let eval engine strategy q () =
-    let fol = Obda.reformulate engine tbox strategy q in
-    let plan = Rdbms.Planner.of_fol (Obda.layout engine) fol in
-    ignore
-      (Rdbms.Exec.answers
-         ~config:(Obda.profile engine).Rdbms.Explain.exec_config
-         (Obda.layout engine) plan)
-  in
-  let q9 = Lubm.Workload.q 9 in
-  let test_of name engine strategy q =
-    Test.make ~name (Staged.stage (eval engine strategy q))
-  in
-  let groups =
-    [
-      Test.make_grouped ~name:"table6-gdl"
-        [
-          Test.make ~name:"gdl-A4"
-            (Staged.stage (fun () ->
-                 ignore
-                   (Optimizer.Gdl.search tbox
-                      (Obda.estimator engine_pg Obda.Ext_cost)
-                      (Lubm.Workload.find "A4").Lubm.Workload.query)));
-        ];
-      Test.make_grouped ~name:"fig2-q9-pglite"
-        [
-          test_of "ucq" engine_pg Obda.Ucq q9;
-          test_of "croot" engine_pg Obda.Croot q9;
-          test_of "gdl-ext" engine_pg (Obda.Gdl Obda.Ext_cost) q9;
-        ];
-      Test.make_grouped ~name:"fig3-q9-db2lite"
-        [
-          test_of "ucq" engine_db2 Obda.Ucq q9;
-          test_of "gdl-ext" engine_db2 (Obda.Gdl Obda.Ext_cost) q9;
-        ];
-    ]
-  in
-  let cfg = Benchmark.cfg ~limit:30 ~quota:(Time.second 2.0) ~kde:None () in
-  let ols =
-    Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  Fmt.pr "@.== Bechamel micro-benchmarks (ns/run) ==@.";
-  List.iter
-    (fun group ->
-      let raw = Benchmark.all cfg Toolkit.Instance.[ monotonic_clock ] group in
-      let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-      Hashtbl.iter
-        (fun name result ->
-          match Analyze.OLS.estimates result with
-          | Some [ ns ] -> Fmt.pr "%-28s %12.0f ns/run (%.2f ms)@." name ns (ns /. 1e6)
-          | _ -> Fmt.pr "%-28s (no estimate)@." name)
-        results)
-    groups
-
-(* {1 E18: sustained QPS against the concurrent server} *)
-
-(* Drives an in-process {!Server.Core} instance over real TCP sockets
-   with {!Server.Loadgen}: one closed-loop pass calibrates capacity on
-   this machine, then open-loop passes at 0.5x / 0.9x / 2.0x of that
-   capacity measure the latency distribution under controlled offered
-   load, and a final 0.5x pass runs with a concurrent writer bumping
-   the KB generation under the readers.  The run aborts (failwith)
-   when a pass completes zero requests, sees a protocol error, misses
-   the 90% warm-plan-hit floor on a writer-free pass, fails to shed at
-   2.0x capacity, or the writer pass does not advance the generation. *)
-let exp_server () =
-  Fmt.pr "@.== E18: concurrent server — sustained QPS and admission control ==@.";
-  Fmt.pr "   (Zipf replay over TCP; closed-loop calibration, then open loop@.";
-  Fmt.pr "    at fractions of measured capacity; queue depth 8, 2 workers)@.@.";
-  let engine = engine_for `Pglite `Simple !small_facts in
-  Obda.clear_plan_cache ();
-  Reform.Perfectref.clear_cache ();
-  (* prime the plan cache: a cold GDL search costs hundreds of ms per
-     query, so letting the cold compiles land inside a short measured
-     window makes the capacity estimate meaningless.  E18 measures
-     sustained serving of a warmed server; cold-compile cost is E14's
-     subject. *)
-  List.iter
-    (fun e ->
-      ignore (Obda.answer engine tbox (Obda.Gdl Obda.Ext_cost) e.Lubm.Workload.query))
-    Lubm.Workload.queries;
-  let server_cfg =
-    { Server.Core.default_config with
-      port = 0;
-      workers = 2;
-      queue_depth = 8;
-      max_answer_rows = 1000 }
-  in
-  let t = Server.Core.start ~config:server_cfg ~engine ~tbox () in
-  Fun.protect ~finally:(fun () -> Server.Core.stop t) @@ fun () ->
-  let base =
-    { Server.Loadgen.default_config with
-      port = Server.Core.port t;
-      sessions = 16;
-      duration_s = 1.2;
-      warmup_s = 0.3;
-      seed = !seed;
-      strategy = Some "gdl-ext";
-      answer_limit = 0 }
-  in
-  let point ~name cfg =
-    let r = Server.Loadgen.run cfg in
-    if r.Server.Loadgen.requests = 0 then
-      failwith (Printf.sprintf "E18 %s: zero requests completed" name);
-    if r.Server.Loadgen.r_errors > 0 then
-      failwith (Printf.sprintf "E18 %s: %d protocol errors" name r.Server.Loadgen.r_errors);
-    record_json
-      [ "exp", "\"server\"";
-        "point", Printf.sprintf "%S" name;
-        "mode", Printf.sprintf "%S" r.Server.Loadgen.r_mode;
-        "sessions", string_of_int r.Server.Loadgen.r_sessions;
-        "offered_qps", Printf.sprintf "%.1f" r.Server.Loadgen.offered_qps;
-        "achieved_qps", Printf.sprintf "%.1f" r.Server.Loadgen.achieved_qps;
-        "requests", string_of_int r.Server.Loadgen.requests;
-        "ok", string_of_int r.Server.Loadgen.r_ok;
-        "shed", string_of_int r.Server.Loadgen.r_shed;
-        "timeouts", string_of_int r.Server.Loadgen.r_timeouts;
-        "p50_ms", Printf.sprintf "%.3f" r.Server.Loadgen.p50_ms;
-        "p95_ms", Printf.sprintf "%.3f" r.Server.Loadgen.p95_ms;
-        "p99_ms", Printf.sprintf "%.3f" r.Server.Loadgen.p99_ms;
-        "hit_rate", Printf.sprintf "%.3f" r.Server.Loadgen.hit_rate;
-        "writer_updates", string_of_int r.Server.Loadgen.writer_updates;
-        "generation_end", string_of_int r.Server.Loadgen.generation_end ];
-    Fmt.pr "%-10s %9.0f %9.0f %7d %6d %8.2f %8.2f %8.2f %8.3f@." name
-      r.Server.Loadgen.offered_qps r.Server.Loadgen.achieved_qps
-      r.Server.Loadgen.r_ok r.Server.Loadgen.r_shed r.Server.Loadgen.p50_ms
-      r.Server.Loadgen.p95_ms r.Server.Loadgen.p99_ms r.Server.Loadgen.hit_rate;
-    r
-  in
-  Fmt.pr "%-10s %9s %9s %7s %6s %8s %8s %8s %8s@." "point" "offered"
-    "achieved" "ok" "shed" "p50(ms)" "p95(ms)" "p99(ms)" "hitrate";
-  (* calibrate with fewer sessions than queue slots so the closed pass
-     itself never sheds: a shed reply costs server time, so a thrashing
-     calibration would underestimate capacity *)
-  let closed =
-    point ~name:"closed" { base with sessions = 6; mode = Server.Loadgen.Closed }
-  in
-  let capacity = closed.Server.Loadgen.achieved_qps in
-  let open_point ~name ?writer frac =
-    point ~name
-      { base with
-        mode = Server.Loadgen.Open_loop (frac *. capacity);
-        writer_period_s = writer }
-  in
-  let half = open_point ~name:"0.5x" 0.5 in
-  let near = open_point ~name:"0.9x" 0.9 in
-  let double = open_point ~name:"2.0x" 2.0 in
-  (* overload by construction: a closed pass with more sessions than
-     queue slots keeps [sessions] requests permanently outstanding, so
-     admission control must shed regardless of where true capacity
-     lies on this machine *)
-  let over =
-    point ~name:"overload"
-      { base with sessions = 32; mode = Server.Loadgen.Closed }
-  in
-  let gen_before_writer = Obda.generation engine in
-  let writer = open_point ~name:"0.5x+wr" ~writer:0.2 0.5 in
-  List.iter
-    (fun (name, (r : Server.Loadgen.report)) ->
-      if r.Server.Loadgen.hit_rate < 0.90 then
-        failwith
-          (Printf.sprintf "E18 %s: plan hit rate %.3f below the 0.90 floor" name
-             r.Server.Loadgen.hit_rate))
-    [ "0.5x", half; "0.9x", near; "2.0x", double ];
-  if over.Server.Loadgen.r_shed = 0 then
-    failwith "E18 overload: no OVERLOADED sheds past capacity";
-  if writer.Server.Loadgen.writer_updates = 0 then
-    failwith "E18 writer: no UPDATE acknowledged";
-  if writer.Server.Loadgen.generation_end <= gen_before_writer then
-    failwith "E18 writer: KB generation did not advance";
-  Fmt.pr "@.capacity %.0f QPS (closed loop, 6 sessions); overload sheds %d; \
-          writer advanced generation %d -> %d@."
-    capacity over.Server.Loadgen.r_shed gen_before_writer
-    writer.Server.Loadgen.generation_end
-
-(* {1 E19 — incremental updates: delta buffers + predicate-scoped invalidation} *)
-
-(* Two halves. (a) Single-fact insert latency at the large scale: the
-   delta-buffer path (hash-probe + tail push, periodic merge) against
-   the pre-delta behaviour of re-encoding the table on every insert —
-   emulated exactly by a compaction threshold of 1. This is the work
-   the server holds its exclusive write lock for, so the ratio is the
-   write-lock-hold improvement. (b) A Zipf replay over the workload
-   with writers interleaved between reads: updates on a hot predicate
-   (read by most fragments) and on a cold brand-new one alternate, and
-   predicate-scoped invalidation must keep the warm plan-cache hit
-   rate high while every answer stays identical to an engine built
-   fresh from the final fact set. *)
-let exp_updates () =
-  Fmt.pr "@.== E19: incremental updates — delta buffers, scoped invalidation ==@.";
-  Fmt.pr "   (per-fact insert latency: delta tail vs per-insert re-encode;@.";
-  Fmt.pr "    then Zipf replay with interleaved writers: warm plan hits,@.";
-  Fmt.pr "    read p95 and answers vs a cold fresh engine)@.@.";
-  (* -- (a) single-fact insert latency ------------------------------- *)
-  let build_storage facts =
-    let b = Rdbms.Storage.Builder.create () in
-    ignore
-      (Lubm.Generator.generate_into ~seed:!seed ~target_facts:facts
-         ~add_concept:(fun ~concept ~ind ->
-           Rdbms.Storage.Builder.add_concept b ~concept ~ind)
-         ~add_role:(fun ~role ~subj ~obj ->
-           Rdbms.Storage.Builder.add_role b ~role ~subj ~obj)
-         ());
-    Rdbms.Storage.Builder.finish b
-  in
-  let time_inserts storage ~tag n =
-    let lat = Array.make n 0. in
-    for i = 0 to n - 1 do
-      let subj = Printf.sprintf "upd-%s-%d" tag i in
-      let obj = Printf.sprintf "updc-%d" (i mod 50) in
-      let t0 = Unix.gettimeofday () in
-      if not (Rdbms.Storage.insert_role storage ~role:"takesCourse" ~subj ~obj)
-      then failwith "E19: fresh fact rejected as duplicate";
-      lat.(i) <- (Unix.gettimeofday () -. t0) *. 1000.
-    done;
-    lat
-  in
-  let mean a = Array.fold_left ( +. ) 0. a /. float_of_int (Array.length a) in
-  let p95 a =
-    let s = Array.copy a in
-    Array.sort Float.compare s;
-    s.(int_of_float (0.95 *. float_of_int (Array.length s - 1)))
-  in
-  let facts = !large_facts in
-  let delta_store = build_storage facts in
-  (* a small threshold so the measured window includes several merges *)
-  Rdbms.Storage.set_delta_rows delta_store 128;
-  let delta_lat = time_inserts delta_store ~tag:"delta" 500 in
-  let rebuild_store = build_storage facts in
-  (* threshold 1 = compact on every insert = the pre-delta O(table)
-     per-fact re-encode this path replaced *)
-  Rdbms.Storage.set_delta_rows rebuild_store 1;
-  let rebuild_lat = time_inserts rebuild_store ~tag:"rebuild" 25 in
-  let speedup = mean rebuild_lat /. Float.max 1e-6 (mean delta_lat) in
-  Fmt.pr "insert at %d facts: delta %.4f ms/fact (p95 %.4f, %d inserts, merges \
-          included); re-encode %.3f ms/fact; %.0fx@."
-    facts (mean delta_lat) (p95 delta_lat) (Array.length delta_lat)
-    (mean rebuild_lat) speedup;
-  record_json
-    [ "exp", "\"updates\"";
-      "part", "\"insert_latency\"";
-      "facts", string_of_int facts;
-      "delta_inserts", string_of_int (Array.length delta_lat);
-      "delta_mean_ms", Printf.sprintf "%.5f" (mean delta_lat);
-      "delta_p95_ms", Printf.sprintf "%.5f" (p95 delta_lat);
-      "rebuild_inserts", string_of_int (Array.length rebuild_lat);
-      "rebuild_mean_ms", Printf.sprintf "%.5f" (mean rebuild_lat);
-      "speedup", Printf.sprintf "%.1f" speedup ];
-  if facts >= 100_000 && speedup < 10. then
-    failwith
-      (Printf.sprintf "E19: delta insert speedup %.1fx below the 10x floor"
-         speedup);
-  (* -- (b) Zipf replay with interleaved writers --------------------- *)
-  (* private engines: both are mutated or compared against, so the
-     shared engine/abox caches must not see them *)
-  let engine =
-    Obda.make_engine `Pglite `Simple
-      (Lubm.Generator.generate ~seed:!seed ~target_facts:!small_facts ())
-  in
-  let strategy = Obda.Croot in
-  Obda.clear_plan_cache ();
-  Reform.Perfectref.clear_cache ();
-  Obda.enable_fragment_views engine;
-  let entries = Array.of_list Lubm.Workload.queries in
-  let n = Array.length entries in
-  let weights = Array.init n (fun i -> 1. /. float_of_int (i + 1)) in
-  let total_weight = Array.fold_left ( +. ) 0. weights in
-  let rng = Random.State.make [| 0xE19; !seed |] in
-  let pick () =
-    let r = Random.State.float rng total_weight in
-    let rec go i acc =
-      let acc = acc +. weights.(i) in
-      if r < acc || i = n - 1 then i else go (i + 1) acc
-    in
-    go 0 0.
-  in
-  let requests = Array.init 150 (fun _ -> pick ()) in
-  let writer_facts = ref [] in
-  let insert_nth k =
-    (* alternate a hot predicate (read by most fragments) with a cold
-       brand-new one (read by none): the scoped invalidation keeps the
-       cold writes free and localises the hot ones *)
-    let role, subj, obj =
-      if k mod 2 = 0 then
-        "takesCourse", Printf.sprintf "wr-%d" k, Printf.sprintf "updc-%d" (k mod 7)
-      else "benchAuxRole", Printf.sprintf "wra-%d" k, Printf.sprintf "wrb-%d" k
-    in
-    if not (Obda.insert_role engine ~role ~subj ~obj) then
-      failwith "E19: writer fact rejected as duplicate";
-    writer_facts := (role, subj, obj) :: !writer_facts
-  in
-  let run_pass ~writers =
-    Array.mapi
-      (fun ri qi ->
-        if writers && ri mod 5 = 4 then insert_nth ri;
-        let t0 = Unix.gettimeofday () in
-        let o = Obda.answer engine tbox strategy entries.(qi).Lubm.Workload.query in
-        (match o.Obda.answers with
-        | Ok _ -> ()
-        | Error e -> failwith ("E19: " ^ e));
-        (Unix.gettimeofday () -. t0) *. 1000., o.Obda.plan_cached)
-      requests
-  in
-  let cold = run_pass ~writers:false in
-  let views_before = Obda.fragment_view_count engine in
-  let warm = run_pass ~writers:true in
-  let views_after = Obda.fragment_view_count engine in
-  let lat pass = Array.map fst pass in
-  let hit_rate pass =
-    float_of_int
-      (Array.fold_left (fun acc (_, h) -> if h then acc + 1 else acc) 0 pass)
-    /. float_of_int (Array.length pass)
-  in
-  let writes = List.length !writer_facts in
-  Fmt.pr
-    "replay at %d facts: cold p95 %.2f ms; warm+writers p95 %.2f ms, plan hits \
-     %.0f%%, %d writes, views %d -> %d@."
-    !small_facts (p95 (lat cold)) (p95 (lat warm))
-    (100. *. hit_rate warm) writes views_before views_after;
-  (* every answer after the interleaved writes must match an engine
-     built cold from the final fact set *)
-  let final_abox = Lubm.Generator.generate ~seed:!seed ~target_facts:!small_facts () in
-  List.iter
-    (fun (role, subj, obj) -> Dllite.Abox.add_role final_abox ~role ~subj ~obj)
-    (List.rev !writer_facts);
-  let fresh = Obda.make_engine `Pglite `Simple final_abox in
-  Array.iter
-    (fun e ->
-      if
-        Obda.answers_exn engine tbox strategy e.Lubm.Workload.query
-        <> Obda.answers_exn fresh tbox strategy e.Lubm.Workload.query
-      then
-        failwith
-          (Printf.sprintf "E19: %s diverged from the fresh engine"
-             e.Lubm.Workload.name))
-    entries;
-  record_json
-    [ "exp", "\"updates\"";
-      "part", "\"writer_replay\"";
-      "facts", string_of_int !small_facts;
-      "requests", string_of_int (Array.length requests);
-      "writes", string_of_int writes;
-      "strategy", Printf.sprintf "%S" (Obda.strategy_name strategy);
-      "cold_p95_ms", Printf.sprintf "%.3f" (p95 (lat cold));
-      "warm_p95_ms", Printf.sprintf "%.3f" (p95 (lat warm));
-      "warm_plan_hit_rate", Printf.sprintf "%.3f" (hit_rate warm);
-      "views_before_writes", string_of_int views_before;
-      "views_after_writes", string_of_int views_after;
-      "answers_identical", "true" ];
-  if hit_rate warm < 0.80 then
-    failwith
-      (Printf.sprintf "E19: warm plan hit rate %.3f below the 0.80 floor"
-         (hit_rate warm));
-  Fmt.pr "answers identical to the cold fresh engine: true@."
-
-(* {1 E20: the reformulation fast path} *)
-
-(* Per query: the reformulation + cover-search stage, cold through the
-   naive PerfectRef oracle (raw string-keyed fixpoint + full pairwise
-   minimisation) vs cold through the specialisation index and the fast
-   minimisation, vs fully warm (reformulation cache). Both sides share
-   the one safe-cover enumeration, timed once and counted on each.
-   Both reformulations must agree disjunct-by-disjunct and produce
-   identical engine answers. *)
-let exp_reform () =
-  Fmt.pr "@.== E20: reformulation fast path — indexed fixpoint ==@.";
-  Fmt.pr "   (cold naive: reformulate_raw + full pairwise minimisation;@.";
-  Fmt.pr "    cold fast: specialisation index + pruned minimisation;@.";
-  Fmt.pr "    warm: reformulation cache; safe covers timed once, on both sides)@.@.";
-  let engine = engine_for `Pglite `Simple !small_facts in
-  let clear_all () =
-    Reform.Perfectref.clear_cache ();
-    Reform.Containment.clear_cache ()
-  in
-  let time_ms f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (Unix.gettimeofday () -. t0) *. 1000., r
-  in
-  (* min over [reps] runs, and the value of the last run *)
-  let best reps f =
-    let r = ref None and t = ref infinity in
-    for _ = 1 to reps do
-      let ms, v = f () in
-      if ms < !t then t := ms;
-      r := Some v
-    done;
-    !t, Option.get !r
-  in
-  let answers_of u =
-    let fol = Query.Fol.of_ucq u in
-    let plan = Rdbms.Planner.of_fol (Obda.layout engine) fol in
-    List.sort compare
-      (Rdbms.Exec.answers
-         ~config:(Obda.profile engine).Rdbms.Explain.exec_config
-         (Obda.layout engine) plan)
-  in
-  let max_covers = 200 in
-  Fmt.pr "%-4s %5s %10s %10s %10s %9s %9s %6s@." "qry" "cqs" "n.ref(ms)"
-    "f.ref(ms)" "cover(ms)" "warm(ms)" "speedup" "same";
-  let speedups =
-    List.map
-      (fun e ->
-        let q = e.Lubm.Workload.query in
-        let atoms = Query.Cq.atom_count q in
-        let reps = if atoms >= 8 then 2 else if atoms >= 5 then 5 else 15 in
-        (* cold, naive oracle *)
-        let naive_reform_ms, naive_u =
-          best reps (fun () ->
-              clear_all ();
-              time_ms (fun () -> Reform.Perfectref.reformulate_naive tbox q))
-        in
-        (* cold, fast path *)
-        let fast_reform_ms, fast_u =
-          best reps (fun () ->
-              clear_all ();
-              time_ms (fun () -> Reform.Perfectref.reformulate tbox q))
-        in
-        (* the safe-cover enumeration is the same call on both sides *)
-        let cover_ms, _ =
-          best reps (fun () ->
-              time_ms (fun () ->
-                  Covers.Safety.safe_covers ~max_count:max_covers tbox q))
-        in
-        (* warm: every cache populated by the runs above *)
-        ignore (Reform.Perfectref.reformulate_cached tbox q);
-        let warm_ms, _ =
-          best reps (fun () ->
-              time_ms (fun () ->
-                  ignore (Reform.Perfectref.reformulate_cached tbox q);
-                  ignore (Covers.Safety.safe_covers ~max_count:max_covers tbox q)))
-        in
-        let identical =
-          Query.Ucq.size naive_u = Query.Ucq.size fast_u
-          && List.for_all2 Query.Cq.equal (Query.Ucq.disjuncts naive_u)
-               (Query.Ucq.disjuncts fast_u)
-          && answers_of naive_u = answers_of fast_u
-        in
-        let naive_ms = naive_reform_ms +. cover_ms in
-        let fast_ms = fast_reform_ms +. cover_ms in
-        let speedup = naive_ms /. Float.max 1e-6 fast_ms in
-        Fmt.pr "%-4s %5d %10.3f %10.3f %10.3f %9.3f %8.1fx %6b@."
-          e.Lubm.Workload.name (Query.Ucq.size fast_u) naive_reform_ms
-          fast_reform_ms cover_ms warm_ms speedup identical;
-        record_json
-          [ "exp", "\"reform\"";
-            "query", Printf.sprintf "%S" e.Lubm.Workload.name;
-            "cqs", string_of_int (Query.Ucq.size fast_u);
-            "naive_reform_ms", Printf.sprintf "%.4f" naive_reform_ms;
-            "fast_reform_ms", Printf.sprintf "%.4f" fast_reform_ms;
-            "cover_ms", Printf.sprintf "%.4f" cover_ms;
-            "warm_ms", Printf.sprintf "%.4f" warm_ms;
-            "speedup", Printf.sprintf "%.2f" speedup;
-            "identical", string_of_bool identical ];
-        if not identical then
-          failwith
-            (Printf.sprintf "E20: %s fast path diverged from the naive oracle"
-               e.Lubm.Workload.name);
-        e.Lubm.Workload.name, speedup)
-      Lubm.Workload.queries
-  in
-  let speedup_of n = List.assoc n speedups in
-  if speedup_of "Q6" < 2. then
-    failwith
-      (Printf.sprintf "E20: Q6 speedup %.2fx below the 2x floor" (speedup_of "Q6"));
-  let big = List.filter (fun n -> speedup_of n >= 2.) [ "Q9"; "Q10"; "Q11" ] in
-  if List.length big < 2 then
-    failwith
-      (Printf.sprintf
-         "E20: only %d of Q9-Q11 reached the 2x floor (Q9 %.1fx, Q10 %.1fx, \
-          Q11 %.1fx)"
-         (List.length big) (speedup_of "Q9") (speedup_of "Q10")
-         (speedup_of "Q11"))
-
-(* {1 E21 — feedback: closing the EXPLAIN ANALYZE loop} *)
-
-(* The E14 Zipf workload replayed twice over the same engine: once
-   with the correction store detached (every estimate is the static
-   textbook one E13 measured the q-errors of) and once after training
-   the store from EXPLAIN ANALYZE runs. Three gates: the per-request
-   root q-error geometric mean must shrink, at least one query must
-   flip to a cover whose measured evaluation is cheaper, and answers
-   must be identical everywhere. *)
-let exp_feedback () =
-  Fmt.pr "@.== E21: feedback-driven cost model — EXPLAIN ANALYZE corrections ==@.";
-  Fmt.pr "   (Zipf stream over Q1-Q13; static estimates vs corrected estimates;@.";
-  Fmt.pr "    the trained pass re-ranks covers with observed cardinalities)@.@.";
-  let entries = Array.of_list Lubm.Workload.queries in
-  let n = Array.length entries in
-  let weights = Array.init n (fun i -> 1. /. float_of_int (i + 1)) in
-  let total_weight = Array.fold_left ( +. ) 0. weights in
-  let rng = Random.State.make [| 0xE21; !seed |] in
-  let pick () =
-    let r = Random.State.float rng total_weight in
-    let rec go i acc =
-      let acc = acc +. weights.(i) in
-      if r < acc || i = n - 1 then i else go (i + 1) acc
-    in
-    go 0 0.
-  in
-  let requests = Array.init 150 (fun _ -> pick ()) in
-  let engine = engine_for `Pglite `Simple !small_facts in
-  let strategy = Obda.Gdl Obda.Ext_cost in
-  let reset () =
-    Obda.clear_plan_cache ();
-    Reform.Perfectref.clear_cache ()
-  in
-  Obda.set_plan_cache_capacity 64;
-  let counter name =
-    match Obs.Metrics.find_counter name with
-    | Some c -> Obs.Metrics.counter_value c
-    | None -> 0
-  in
-  let stream () =
-    Array.map
-      (fun i ->
-        let a = Obda.analyze engine tbox strategy entries.(i).Lubm.Workload.query in
-        a.Obda.a_q_error)
-      requests
-  in
-  (* Per-query snapshot under the current engine state: the chosen
-     cover (as its SQL text and reformulation), its measured
-     evaluation time and its answers. *)
-  let snapshot () =
-    Array.map
-      (fun e ->
-        let fol = Obda.reformulate engine tbox strategy e.Lubm.Workload.query in
-        let sql = Sql.Sql_ast.to_string (Sql.Sql_gen.of_fol (Obda.layout engine) fol) in
-        match timed_eval engine fol with
-        | Ok (ms, answers) -> fol, sql, ms, answers
-        | Error msg -> failwith ("E21: evaluation failed: " ^ msg))
-      entries
-  in
-  (* Flipped covers run sub-millisecond at this scale; the cheaper-
-     cover gate compares a min-of-N per cover (interleaved, so drift
-     hits both sides alike) instead of the snapshot's median-of-3. *)
-  let duel fol_a fol_b =
-    let layout = Obda.layout engine and profile = Obda.profile engine in
-    let pa = Rdbms.Planner.of_fol layout fol_a
-    and pb = Rdbms.Planner.of_fol layout fol_b in
-    (* each timed sample amortises 10 evaluations, so a sub-100us
-       cover still yields millisecond-scale samples the timer
-       resolves; min-of-7 samples per side discards GC interference *)
-    let sample p =
-      let t0 = Unix.gettimeofday () in
-      for _ = 1 to 10 do
-        ignore
-          (Rdbms.Exec.answers ~config:profile.Rdbms.Explain.exec_config layout p)
-      done;
-      (Unix.gettimeofday () -. t0) *. 100.
-    in
-    let best_a = ref infinity and best_b = ref infinity in
-    for _ = 1 to 7 do
-      best_a := Float.min !best_a (sample pa);
-      best_b := Float.min !best_b (sample pb)
-    done;
-    !best_a, !best_b
-  in
-  (* Pass 1 — corrections detached: static estimates only. *)
-  Obda.set_feedback engine false;
-  reset ();
-  let q_off = stream () in
-  let base = snapshot () in
-  (* Pass 2 — train a fresh store from analyzed runs. The stream
-     itself trains the GDL fragments; one analyzed run of UCQ and the
-     root cover per query adds observations for the fragment shapes
-     the competing covers are built from, so the re-ranked search
-     prices every candidate from evidence, not just the incumbent. *)
-  Obda.set_feedback engine true;
-  reset ();
-  let reranks0 = counter "feedback.plan.reranks" in
-  for _pass = 1 to 2 do
-    Array.iter
-      (fun e ->
-        List.iter
-          (fun s -> ignore (Obda.analyze engine tbox s e.Lubm.Workload.query))
-          [ Obda.Ucq; Obda.Croot; strategy ])
-      entries;
-    Array.iter
-      (fun i ->
-        ignore (Obda.analyze engine tbox strategy entries.(i).Lubm.Workload.query))
-      requests
-  done;
-  let reranks = counter "feedback.plan.reranks" - reranks0 in
-  (* Pass 3 — measured pass under the trained store. A cleared plan
-     cache makes every query re-optimise under the corrections (drift
-     re-ranking already invalidated the worst offenders; this levels
-     the rest). *)
-  reset ();
-  let q_on = stream () in
-  let trained = snapshot () in
-  let fb_stats =
-    match Obda.feedback_store engine with
-    | Some fb -> Cost.Feedback.stats fb
-    | None -> failwith "E21: feedback store vanished"
-  in
-  let geomean a =
-    exp (Array.fold_left (fun acc q -> acc +. log q) 0. a /. float_of_int (Array.length a))
-  in
-  let g_off = geomean q_off and g_on = geomean q_on in
-  let per_query_q qs =
-    Array.init n (fun qi ->
-      let sel = ref [] in
-      Array.iteri (fun ri q -> if requests.(ri) = qi then sel := q :: !sel) qs;
-      match !sel with [] -> nan | l -> geomean (Array.of_list l))
-  in
-  let pq_off = per_query_q q_off and pq_on = per_query_q q_on in
-  Fmt.pr "%-6s %8s %12s %12s %8s %12s %12s@." "qry" "requests" "qerr-off"
-    "qerr-on" "cover" "off(ms)" "on(ms)";
-  Fmt.pr "%-6s (flipped rows re-measured as interleaved amortised duels)@." "";
-  let flips_cheaper = ref 0 and flips = ref 0 and divergent = ref 0 in
-  Array.iteri
-    (fun qi e ->
-      let fol0, sql0, ms0, ans0 = base.(qi) in
-      let fol1, sql1, ms1, ans1 = trained.(qi) in
-      let flipped = sql0 <> sql1 in
-      let ms0, ms1 =
-        if flipped then begin
-          incr flips;
-          let m0, m1 = duel fol0 fol1 in
-          if m1 < m0 then incr flips_cheaper;
-          m0, m1
-        end
-        else ms0, ms1
-      in
-      if ans0 <> ans1 then incr divergent;
-      let nreq = Array.fold_left (fun a i -> if i = qi then a + 1 else a) 0 requests in
-      record_json
-        [ "exp", "\"feedback\"";
-          "query", Printf.sprintf "%S" e.Lubm.Workload.name;
-          "requests", string_of_int nreq;
-          "qerr_off", Printf.sprintf "%.3f" pq_off.(qi);
-          "qerr_on", Printf.sprintf "%.3f" pq_on.(qi);
-          "cover_changed", string_of_bool flipped;
-          "off_ms", Printf.sprintf "%.3f" ms0;
-          "on_ms", Printf.sprintf "%.3f" ms1;
-          "answers_identical", string_of_bool (ans0 = ans1) ];
-      Fmt.pr "%-6s %8d %12.2f %12.2f %8s %12.2f %12.2f@." e.Lubm.Workload.name
-        nreq pq_off.(qi) pq_on.(qi)
-        (if flipped then "flip" else "same")
-        ms0 ms1)
-    entries;
-  record_json
-    [ "exp", "\"feedback\"";
-      "query", "\"TOTAL\"";
-      "requests", string_of_int (Array.length requests);
-      "qerr_geomean_off", Printf.sprintf "%.3f" g_off;
-      "qerr_geomean_on", Printf.sprintf "%.3f" g_on;
-      "cover_flips", string_of_int !flips;
-      "cover_flips_cheaper", string_of_int !flips_cheaper;
-      "plan_reranks", string_of_int reranks;
-      "fb_keys", string_of_int fb_stats.Cost.Feedback.keys;
-      "fb_ready", string_of_int fb_stats.Cost.Feedback.ready;
-      "fb_observations", string_of_int fb_stats.Cost.Feedback.observations;
-      "answers_identical", string_of_bool (!divergent = 0) ];
-  Fmt.pr "@.q-error geomean : %.2f (static) -> %.2f (corrected)@." g_off g_on;
-  Fmt.pr "cover flips     : %d (%d measurably cheaper)@." !flips !flips_cheaper;
-  Fmt.pr "drift re-ranks  : %d@." reranks;
-  Fmt.pr "store           : %a@." Cost.Feedback.pp_stats fb_stats;
-  Fmt.pr "answers identical off vs on: %b@." (!divergent = 0);
-  (* Leave the cached engine with a fresh, untrained store so a
-     combined run's later experiments see the default state. *)
-  Obda.set_feedback engine false;
-  Obda.set_feedback engine true;
-  Obda.set_plan_cache_capacity Obda.default_plan_cache_capacity;
-  reset ();
-  if !divergent > 0 then
-    failwith
-      (Printf.sprintf "E21: %d queries changed answers under feedback" !divergent);
-  if g_on >= g_off then
-    failwith
-      (Printf.sprintf
-         "E21: q-error geomean did not shrink (%.3f static vs %.3f corrected)"
-         g_off g_on);
-  if !flips_cheaper < 1 then
-    failwith
-      (Printf.sprintf
-         "E21: no query flipped to a measurably cheaper cover (%d flips)"
-         !flips)
-
 (* {1 Driver} *)
 
 let experiments =
   [
-    "table6", exp_table6;
-    "edl-vs-gdl", exp_edl_vs_gdl;
-    "fig2-small", (fun () -> figure2 ~exp:"fig2-small" !small_facts);
-    "fig2-large", (fun () -> figure2 ~exp:"fig2-large" !large_facts);
-    "fig3-small", (fun () -> figure3 ~exp:"fig3-small" !small_facts ~with_rdf_gdl:true);
-    "fig3-large", (fun () -> figure3 ~exp:"fig3-large" !large_facts ~with_rdf_gdl:false);
-    "gdl-time", exp_gdl_time;
-    "anatomy", exp_anatomy;
-    "ablation-gq", exp_ablation;
-    "uscq", exp_uscq;
-    "views", exp_views;
-    "saturation", exp_saturation;
-    "calibration", exp_calibration;
-    "replay", exp_replay;
-    "engine", exp_engine;
-    "sip", exp_sip;
-    "storage", exp_storage;
-    "server", exp_server;
-    "updates", exp_updates;
-    "reform", exp_reform;
-    "feedback", exp_feedback;
+    "table6", "E1 Table 6: |Lq|, |Gq|, covers explored by GDL (A3-A6)", exp_table6;
+    "edl-vs-gdl", "E2 §6.2: EDL vs GDL best covers (A3-A6)", exp_edl_vs_gdl;
+    "fig2-small", "E3 Figure 2: Postgres-like engine, small dataset",
+      (fun () -> figure2 ~exp:"fig2-small" !small_facts);
+    "fig2-large", "E4 Figure 2: Postgres-like engine, large dataset",
+      (fun () -> figure2 ~exp:"fig2-large" !large_facts);
+    "fig3-small", "E5 Figure 3: DB2-like engine (simple + RDF), small dataset",
+      (fun () -> figure3 ~exp:"fig3-small" !small_facts ~with_rdf_gdl:true);
+    "fig3-large", "E6 Figure 3: DB2-like engine (simple + RDF), large dataset",
+      (fun () -> figure3 ~exp:"fig3-large" !large_facts ~with_rdf_gdl:false);
+    "gdl-time", "E7 §6.4: GDL running time, time-limited GDL", exp_gdl_time;
+    "anatomy", "E8 §2.3: reformulation and SQL statement sizes", exp_anatomy;
+    "ablation-gq", "E9 §6.3: generalized covers on/off", exp_ablation;
+    "uscq", "E10 §7: USCQ vs UCQ reformulations", exp_uscq;
+    "views", "E11 §7: materialised fragment views", exp_views;
+    "saturation", "E12: reformulation vs ABox saturation", exp_saturation;
+    "calibration", "E13 §6.3: cardinality q-errors via EXPLAIN ANALYZE",
+      exp_calibration;
   ]
 
 let () =
   let usage =
     "main.exe [--exp ID]... [--small N] [--large N] [--seed S] [--jobs N] \
-     [--json FILE] [--metrics FILE] [--bechamel]"
+     [--json FILE] [--metrics FILE]"
+  in
+  let exp_help =
+    String.concat ""
+      (List.map (fun (id, what, _) -> Printf.sprintf "\n      %-12s %s" id what)
+         experiments)
   in
   let spec =
     [
       "--exp", Arg.String (fun s -> selected := s :: !selected),
-        " run one experiment (table6, edl-vs-gdl, fig2-small, fig2-large, \
-         fig3-small, fig3-large, gdl-time, anatomy, ablation-gq, uscq, views, \
-         saturation, calibration, replay, engine, sip, storage, server, updates, \
-         reform, feedback)";
+        " run one experiment (repeatable; default: all):" ^ exp_help;
       "--small", Arg.Set_int small_facts, " facts in the small dataset (default 30000)";
       "--large", Arg.Set_int large_facts, " facts in the large dataset (default 120000)";
       "--seed", Arg.Set_int seed, " generator seed (default 42)";
@@ -1842,7 +602,6 @@ let () =
         " dump per-cell and per-experiment timings to FILE";
       "--metrics", Arg.String (fun f -> metrics_file := Some f),
         " dump the process-wide metrics registry to FILE as JSON";
-      "--bechamel", Arg.Set with_bechamel, " also run the Bechamel micro-benchmarks";
     ]
   in
   Arg.parse spec (fun s -> raise (Arg.Bad ("unexpected argument " ^ s))) usage;
@@ -1859,12 +618,12 @@ let () =
   | None -> ());
   let to_run =
     match !selected with
-    | [] -> experiments
+    | [] -> List.map (fun (id, _, f) -> id, f) experiments
     | names ->
-      List.filter_map
+      List.map
         (fun n ->
-          match List.assoc_opt n experiments with
-          | Some f -> Some (n, f)
+          match List.find_opt (fun (id, _, _) -> id = n) experiments with
+          | Some (_, _, f) -> n, f
           | None ->
             Fmt.epr "unknown experiment %s@." n;
             exit 2)
@@ -1882,7 +641,6 @@ let () =
         [ "exp", Printf.sprintf "%S" name;
           "total_ms", Printf.sprintf "%.3f" ((Unix.gettimeofday () -. te) *. 1000.) ])
     to_run;
-  if !with_bechamel then bechamel_suite ();
   write_json ();
   write_metrics ();
   Fmt.pr "@.total bench time: %.1fs@." (Unix.gettimeofday () -. t0)

@@ -1,6 +1,6 @@
 (* obda-loadgen: drive a running obda-server.
 
-   Default mode replays the E14 Zipf-skewed workload stream over N
+   Default mode replays a Zipf-skewed workload stream over N
    concurrent sessions — closed loop (--qps 0) or open loop at a
    target offered rate — and prints the latency/throughput report.
    --watch polls the server's METRICS verb instead, for the third

@@ -10,8 +10,8 @@ type t = {
 }
 
 (* Per-row output/distinct/materialisation constants recalibrated for
-   the columnar batch engine (bench E15): outputs are column writes,
-   not boxed row allocations. *)
+   the columnar batch engine (BENCH_PR4.json): outputs are column
+   writes, not boxed row allocations. *)
 let default =
   { c_access = 1.0; c_join = 1.0; c_out = 0.3; c_distinct = 0.8; c_mat = 1.1 }
 

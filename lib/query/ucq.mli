@@ -25,11 +25,6 @@ val total_atoms : t -> int
 val dedup : t -> t
 (** Removes syntactic duplicates (after canonicalisation of each CQ). *)
 
-val minimize : t -> t
-(** Containment-based minimisation: drops every disjunct contained in
-    another one, keeping a single representative per equivalence
-    class. The result is equivalent to the input. *)
-
 val union : t -> t -> t
 
 val pp : Format.formatter -> t -> unit

@@ -4,8 +4,8 @@
     hash joins build once from columns and probe batch-at-a-time, and
     [Distinct] dedupes incrementally. The pipeline breakers are hash
     builds, merge-join sorts, [Materialize] fragments and parallel
-    union arms. (The pre-columnar row-at-a-time engine survives as
-    {!Rowexec} for benchmarking and differential testing.)
+    union arms. (The pre-columnar row-at-a-time engine survives in the
+    test suite as the reference for differential tests.)
 
     The configuration models the engine-level runtime
     differences §6 of the paper observes between Postgres and DB2:
@@ -160,7 +160,7 @@ val answers :
 val decode_rows : Layout.t -> Relation.t -> string list list
 (** Decodes a result relation through the layout's dictionary; sorted,
     duplicate-free (the answer-shaping step of {!answers}, shared with
-    {!Rowexec.answers}). One pass over the columns through a lock-free
+    the test suite's row-engine reference). One pass over the columns through a lock-free
     {!Dllite.Dict.decoder} snapshot, then one sort that also
     deduplicates, so the relation needs no {!Relation.distinct}
     first. *)

@@ -13,9 +13,9 @@ type profile = {
   max_sql_bytes : int option;
 }
 
-(* Per-row constants recalibrated for the columnar batch engine (bench
-   E15): emitting an output row is a column write instead of a boxed
-   array allocation (c_out), Distinct dedupes incrementally over
+(* Per-row constants recalibrated for the columnar batch engine
+   (BENCH_PR4.json): emitting an output row is a column write instead
+   of a boxed array allocation (c_out), Distinct dedupes incrementally over
    selection vectors (c_distinct), and Materialize stores columns with
    one blit per column (c_mat). Scan/build/probe stay put — the
    per-row hash work is representation-independent. *)

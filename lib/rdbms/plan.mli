@@ -39,8 +39,8 @@ type t =
           must be a [Hash_join], [Merge_join] or [Index_join]): the
           executor builds a {!Sip.t} reducer from the [dir] source
           side and pushes it into the other side's subtree. Purely
-          advisory — evaluation without the annotation (or on
-          {!Rowexec}, which ignores it) returns the same answers. *)
+          advisory — evaluation without the annotation returns the
+          same answers. *)
 
 val scan_cols : Query.Atom.t -> string list
 (** Output column names of an atom scan: the distinct variables of the

@@ -1,9 +1,10 @@
 open Query
 
-(* Fast UCQ minimisation. Same contract as {!Query.Ucq.minimize} —
-   the survivor set, survivor order and tie-breaking are replicated
-   exactly, so the two paths return byte-identical UCQs — but the
-   quadratic containment phase runs behind three layers of pruning:
+(* Fast UCQ minimisation. Same contract as the naive pairwise loop
+   (drop every disjunct contained in a surviving one) — the survivor
+   set, survivor order and tie-breaking are replicated exactly, so the
+   two paths return byte-identical UCQs — but the quadratic
+   containment phase runs behind three layers of pruning:
 
    - per-disjunct minimisation skips atoms whose predicate occurs only
      once in the body (a homomorphism from the original CQ needs a
@@ -247,7 +248,7 @@ let minimize (u : Ucq.t) =
         b
   in
   let dead = Array.make n false in
-  (* Same loop and tie-break as {!Query.Ucq.minimize}: d.(i) dies when
+  (* Same loop and tie-break as the naive minimisation: d.(i) dies when
      contained in a surviving d.(j); among mutual equivalents the
      smallest index survives. *)
   for i = 0 to n - 1 do

@@ -1,6 +1,7 @@
-(** Fast UCQ minimisation — same result as {!Query.Ucq.minimize}
-    (byte-identical survivor list; the naive path stays available as a
-    differential oracle), with the quadratic containment phase pruned
+(** Fast UCQ minimisation — same result as naive pairwise containment
+    minimisation (byte-identical survivor list; the test suite keeps
+    the naive loop as its differential oracle), with the quadratic
+    containment phase pruned
     by hash-consed canonical-form dedup, predicate/constant/head
     prefilters and a containment memo keyed by union-find
     equivalence-class roots ({!Query.Unionfind}).

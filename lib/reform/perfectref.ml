@@ -274,8 +274,6 @@ let reformulate_fixpoint tbox q =
 
 let reformulate tbox q = Minimize.minimize (reformulate_fixpoint tbox q)
 
-let reformulate_naive tbox q = Ucq.minimize (reformulate_raw tbox q)
-
 (* One bounded LRU for every TBox, keyed on the TBox uid stamp plus
    the rendering of the query — uids make entries from dead TBoxes
    unreachable, and the LRU bound reclaims them under pressure. The

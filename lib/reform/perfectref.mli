@@ -24,14 +24,9 @@ val reformulate_raw : Dllite.Tbox.t -> Query.Cq.t -> Query.Ucq.t
 val reformulate : Dllite.Tbox.t -> Query.Cq.t -> Query.Ucq.t
 (** The production path: the fast fixpoint (per-TBox axiom index,
     hash-consed canonical-form dedup) followed by
-    {!Minimize.minimize}. Returns the same UCQ as
-    {!reformulate_naive}, measurably faster. *)
-
-val reformulate_naive : Dllite.Tbox.t -> Query.Cq.t -> Query.Ucq.t
-(** [reformulate_raw] followed by {!Query.Ucq.minimize} — the original
-    unoptimised pipeline, kept as the differential oracle for
-    {!reformulate} (the same pattern as the row-at-a-time executor
-    kept against the batch engine). *)
+    {!Minimize.minimize}. Returns the same UCQ as [reformulate_raw]
+    followed by pairwise containment minimisation, measurably faster;
+    the test suite keeps that unoptimised pipeline as its oracle. *)
 
 val reformulate_cached : Dllite.Tbox.t -> Query.Cq.t -> Query.Ucq.t
 (** Same as {!reformulate}, with memoisation keyed on

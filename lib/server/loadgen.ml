@@ -103,7 +103,7 @@ let classify line =
     | Some "TIMEOUT" -> `Timeout
     | _ -> `Error)
 
-(* The E14 stream: Zipf weight 1/rank over Q1..Q13; each session
+(* The request stream: Zipf weight 1/rank over Q1..Q13; each session
    derives its own RNG so the draw is deterministic per (seed, k). *)
 let make_pick cfg k =
   let entries = Array.of_list Lubm.Workload.queries in

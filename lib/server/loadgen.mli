@@ -1,15 +1,14 @@
 (** A closed- and open-loop load generator for the OBDA server.
 
-    Extends the E14 replay: the request stream is the same
-    Zipf-skewed draw over the LUBM workload (weight [1/rank] over
-    Q1–Q13), but issued over TCP by [sessions] concurrent client
-    connections against a running {!Core} server.
+    The request stream is a Zipf-skewed draw over the LUBM workload
+    (weight [1/rank] over Q1–Q13), issued over TCP by [sessions]
+    concurrent client connections against a running {!Core} server.
 
     {b Closed loop} ([Closed]): every session keeps exactly one
     request outstanding and sends the next the moment a reply lands.
     Throughput self-adjusts to server capacity; the achieved QPS of a
-    closed run is how E18 calibrates capacity before picking
-    open-loop offered rates.
+    closed run calibrates capacity before picking open-loop offered
+    rates.
 
     {b Open loop} ([Open_loop qps]): arrivals are scheduled on a
     uniform grid at the offered rate (session [k] owns every

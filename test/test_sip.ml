@@ -1,9 +1,10 @@
 (* Sideways information passing: the Sip reducer representations
    (bitset exactness, Bloom one-sidedness), the executor's empty-build
    early exit, reducer filters and union-arm elision end-to-end with
-   their EXPLAIN ANALYZE counters, and the qcheck property that the
-   Sip_pass annotation never changes answers on randomised
-   plans/ABoxes/layouts/configs/jobs. *)
+   their EXPLAIN ANALYZE counters, the pass reducing rows on the LUBM
+   workload, and the qcheck property that the Sip_pass annotation
+   never changes answers on randomised plans/ABoxes/layouts/configs/
+   jobs. *)
 
 open Query
 open Rdbms
@@ -210,6 +211,50 @@ let qcheck_sip_pass_preserves_answers =
             [ Exec.postgres_like, 1; Exec.db2_like, 1; Exec.db2_like, 2 ])
         [ Layout.simple_of_abox abox; Layout.rdf_of_abox abox ])
 
+(* {1 The pass fires on the LUBM workload}
+
+   The property above holds for a pass that annotates nothing. On
+   fixed-seed LUBM data the reducers must also prune rows or elide
+   arms on the join-heavy queries, through the same {!Obda.analyze}
+   path EXPLAIN ANALYZE takes, with the answers of the bare plans. *)
+
+let test_sip_reduces_lubm () =
+  let engine =
+    Obda.make_engine `Pglite `Simple
+      (Lubm.Generator.generate ~seed:7 ~target_facts:4_000 ())
+  in
+  (* no harvest: both runs of a query search under the same costs *)
+  Obda.set_feedback engine false;
+  let tbox = Lubm.Ontology.tbox in
+  let join_heavy =
+    List.filter
+      (fun e -> Cq.atom_count e.Lubm.Workload.query >= 2)
+      Lubm.Workload.queries
+  in
+  let reduced = ref 0 in
+  List.iter
+    (fun strategy ->
+      List.iter
+        (fun e ->
+          let q = e.Lubm.Workload.query in
+          Obda.set_sip engine true;
+          let a = Obda.analyze engine tbox strategy q in
+          (match a.Obda.a_stats with
+          | Some stats
+            when sum_stats (fun s -> s.Exec.sip_pruned + s.Exec.sip_elided) stats > 0 ->
+            incr reduced
+          | _ -> ());
+          Obda.set_sip engine false;
+          Alcotest.(check (result (list (list string)) string))
+            (e.Lubm.Workload.name ^ ": sip on = sip off")
+            (Obda.answer engine tbox strategy q).Obda.answers
+            a.Obda.a_outcome.Obda.answers)
+        join_heavy)
+    [ Obda.Croot; Obda.Gdl Obda.Ext_cost ];
+  check_bool
+    (Printf.sprintf "reducers fired on %d query/strategy pairs (need 2)" !reduced)
+    true (!reduced >= 2)
+
 let suite =
   [
     Alcotest.test_case "sip: reducer kinds and membership" `Quick
@@ -222,5 +267,7 @@ let suite =
       test_filter_and_elision;
     Alcotest.test_case "sip: probe->build direction" `Quick
       test_probe_to_build_direction;
+    Alcotest.test_case "sip: reducers fire on the LUBM workload" `Quick
+      test_sip_reduces_lubm;
     QCheck_alcotest.to_alcotest qcheck_sip_pass_preserves_answers;
   ]

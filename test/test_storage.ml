@@ -104,6 +104,42 @@ let qcheck_zone_pruning_preserves_answers =
             [ Exec.postgres_like, 1; Exec.postgres_like, 2; Exec.db2_like, 1 ])
         [ plan; annotated ])
 
+(* Tiny segments over fixed-seed LUBM data: the reducers Sip_pass
+   pushes into segmented scans must let the zone maps skip a real
+   share of the segments on some workload query, with the answers of
+   the default-segmented engine. Subject columns are sorted, so a
+   selective join binding covers few segments' code ranges. *)
+let test_zone_maps_skip_on_lubm () =
+  let abox = Lubm.Generator.generate ~seed:7 ~target_facts:4_000 () in
+  let tbox = Lubm.Ontology.tbox in
+  let segmented =
+    Obda.make_engine_of_layout `Pglite
+      (Layout.of_storage (Storage.of_abox ~segment_rows:8 abox))
+  in
+  let reference = Obda.make_engine `Pglite `Simple abox in
+  let best = ref 0. in
+  List.iter
+    (fun strategy ->
+      List.iter
+        (fun e ->
+          let q = e.Lubm.Workload.query in
+          Colstore.reset_scan_counters ();
+          let got = Obda.answers_exn segmented tbox strategy q in
+          let scanned, skipped = Colstore.scan_counters () in
+          Alcotest.(check (list (list string)))
+            (e.Lubm.Workload.name ^ ": tiny segments = default")
+            (Obda.answers_exn reference tbox strategy q)
+            got;
+          if skipped > 0 then
+            best :=
+              Float.max !best
+                (float_of_int skipped /. float_of_int (scanned + skipped)))
+        Lubm.Workload.queries)
+    [ Obda.Ucq; Obda.Croot; Obda.Gdl Obda.Ext_cost ];
+  check_bool
+    (Printf.sprintf "best segment-skip share %.2f (need 0.30)" !best)
+    true (!best >= 0.30)
+
 (* {1 Binary persistence} *)
 
 let with_temp_store f =
@@ -403,6 +439,8 @@ let suite =
     Alcotest.test_case "scan: zone maps skip segments" `Quick
       test_zone_pruned_scan_skips;
     QCheck_alcotest.to_alcotest qcheck_zone_pruning_preserves_answers;
+    Alcotest.test_case "scan: zone maps skip segments on the LUBM workload" `Quick
+      test_zone_maps_skip_on_lubm;
     Alcotest.test_case "delta: tail facts visible everywhere" `Quick
       test_delta_tail_visibility;
     Alcotest.test_case "delta: merge boundary equals fresh build" `Quick
