@@ -446,6 +446,14 @@ let explain_cmd =
             "reform.fixpoint.iterations"; "reform.cq.generated";
             "reform.cache.requests"; "reform.cache.hits";
           ];
+        List.iter
+          (fun name ->
+            Option.iter
+              (fun h ->
+                Fmt.pr "%-32s %d runs, %.2f ms@." name (Obs.Metrics.histogram_count h)
+                  (Obs.Metrics.histogram_sum h))
+              (Obs.Metrics.find_histogram name))
+          [ "reform.fixpoint_ms"; "reform.minimize_ms" ];
         (* each distinct fragment is estimated once per search; the
            rest of the scored fragments come from the search's memo *)
         Fmt.pr "@.== cover-search estimation (cost.leaves.*) ==@.";

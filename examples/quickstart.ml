@@ -62,7 +62,7 @@ let () =
   Fmt.pr "== Query (Example 3) ==@.%a@.@." Query.Cq.pp q;
 
   (* Its UCQ reformulation (Example 4 / Table 5). *)
-  let raw = Reform.Perfectref.reformulate_raw tbox q in
+  let raw = Reform.Perfectref.fixpoint tbox q in
   Fmt.pr "== CQ-to-UCQ reformulation (Example 4): %d union terms ==@.%a@.@."
     (Query.Ucq.size raw) Query.Ucq.pp raw;
   let minimal = Reform.Perfectref.reformulate tbox q in

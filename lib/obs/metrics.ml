@@ -149,6 +149,12 @@ let find_counter name =
       | Some (Counter c) -> Some c
       | _ -> None)
 
+let find_histogram name =
+  locked (fun () ->
+      match Hashtbl.find_opt registry name with
+      | Some (Histogram h) -> Some h
+      | _ -> None)
+
 (* {2 Export} *)
 
 let sorted_instruments () =

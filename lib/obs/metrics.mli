@@ -79,6 +79,9 @@ val histogram_buckets : histogram -> (float * int) list
 val find_counter : string -> counter option
 (** Look a counter up by name without registering it. *)
 
+val find_histogram : string -> histogram option
+(** Look a histogram up by name without registering it. *)
+
 (** {2 Export} *)
 
 val to_json : unit -> string

@@ -78,6 +78,31 @@ let dedup_atoms body =
   in
   go [] body
 
+let in_head head v =
+  List.exists (function Term.Var h -> String.equal h v | Term.Cst _ -> false) head
+
+(* No head variable is lost when every head variable of the replaced
+   atom also occurs in its replacement — true of every PerfectRef
+   specialisation, so [make]'s scan of the whole body is skipped. *)
+let replace_atom q i a =
+  let old = List.nth q.body i in
+  let body = List.mapi (fun j b -> if j = i then a else b) q.body in
+  let kept = function
+    | Term.Cst _ -> true
+    | Term.Var v as t ->
+      (not (in_head q.head v))
+      ||
+      match a with
+      | Atom.Ca (_, t1) -> Term.equal t t1
+      | Atom.Ra (_, t1, t2) -> Term.equal t t1 || Term.equal t t2
+  in
+  let safe =
+    match old with
+    | Atom.Ca (_, t) -> kept t
+    | Atom.Ra (_, t1, t2) -> kept t1 && kept t2
+  in
+  if safe then { q with body } else make ~name:q.name ~head:q.head ~body ()
+
 let substitute s q =
   {
     q with
@@ -106,43 +131,141 @@ let rename_apart ~avoid q =
     in
     substitute s q
 
-(* One canonical-renaming pass: assign names _c0, _c1 … in order of
-   first occurrence while scanning atoms sorted by a renaming-
-   independent key, then sort the body syntactically. *)
-let canonicalize_pass q =
-  let hv = head_vars q in
-  let atom_key a =
-    let term_key t =
-      if Term.is_cst t then "c:" ^ Term.to_string t
-      else if Term.Set.mem t hv then "h:" ^ Term.to_string t
-      else "e"
-    in
-    Atom.pred_name a :: List.map term_key (Atom.terms a)
-  in
-  let sorted = List.stable_sort (fun a b -> compare (atom_key a) (atom_key b)) q.body in
-  let mapping = Hashtbl.create 8 in
-  let next = ref 0 in
-  let map_term t =
+(* {2 Canonical form}
+
+   One pass sorts the atoms by a renaming-independent key, names the
+   existential variables [_c0], [_c1] … in order of first occurrence
+   along that order, then sorts the renamed body with [Atom.compare]
+   and drops duplicates. The key of an atom is its predicate, then
+   each term ranked constant < existential < head variable,
+   constants and head variables further ordered by name; a concept
+   key is a prefix of a role key with the same predicate and first
+   term, so it sorts first. The sort is stable, so atoms with equal
+   keys keep their input order. A role atom names its object before
+   its subject. Key order and naming order are those of the
+   string-keyed form frozen in [test/canon_reference.ml] (keys
+   ["c:<name>"] < ["e"] < ["h:<name>"]; [Ra (p, map t1, map t2)],
+   which OCaml evaluates right to left), which every canonical form
+   the plan cache, the reform cache and the seen-sets key on must
+   keep matching. DESIGN.md §15.3 has the argument. *)
+
+(* [_c0 .. _c255], built once and read-only afterwards (so shared
+   safely across domains): a pass allocates no name. *)
+let canonical_names = Array.init 256 (fun i -> Term.Var (Printf.sprintf "_c%d" i))
+
+let canonical_name i =
+  if i < Array.length canonical_names then canonical_names.(i)
+  else Term.Var (Printf.sprintf "_c%d" i)
+
+(* 0 constant, 1 existential variable, 2 head variable *)
+let term_rank head = function
+  | Term.Cst _ -> 0
+  | Term.Var v -> if in_head head v then 2 else 1
+
+let compare_ranked r1 t1 r2 t2 =
+  let c = Int.compare r1 r2 in
+  if c <> 0 || r1 = 1 then c
+  else String.compare (Term.to_string t1) (Term.to_string t2)
+
+let first_term = function Atom.Ca (_, t) | Atom.Ra (_, t, _) -> t
+
+(* Ranks of an atom's terms, packed: [rank t1 * 4 + rank t2 + 1], with
+   the missing second term of a concept atom as rank [-1]. *)
+let atom_ranks head = function
+  | Atom.Ca (_, t) -> term_rank head t * 4
+  | Atom.Ra (_, t1, t2) -> (term_rank head t1 * 4) + term_rank head t2 + 1
+
+let compare_keys a ra b rb =
+  let c = String.compare (Atom.pred_name a) (Atom.pred_name b) in
+  if c <> 0 then c
+  else
+    let c = compare_ranked (ra / 4) (first_term a) (rb / 4) (first_term b) in
+    if c <> 0 then c
+    else
+      match a, b with
+      | Atom.Ca _, Atom.Ca _ -> 0
+      | Atom.Ca _, Atom.Ra _ -> -1
+      | Atom.Ra _, Atom.Ca _ -> 1
+      | Atom.Ra (_, _, o1), Atom.Ra (_, _, o2) ->
+        compare_ranked ((ra land 3) - 1) o1 ((rb land 3) - 1) o2
+
+(* Stable insertion sort of [atoms] (with [ranks] moved alongside):
+   bodies are short, and it allocates nothing. *)
+let sort_by_key atoms ranks =
+  for i = 1 to Array.length atoms - 1 do
+    let a = atoms.(i) and r = ranks.(i) in
+    let j = ref (i - 1) in
+    while !j >= 0 && compare_keys atoms.(!j) ranks.(!j) a r > 0 do
+      atoms.(!j + 1) <- atoms.(!j);
+      ranks.(!j + 1) <- ranks.(!j);
+      decr j
+    done;
+    atoms.(!j + 1) <- a;
+    ranks.(!j + 1) <- r
+  done
+
+let sort_atoms atoms =
+  for i = 1 to Array.length atoms - 1 do
+    let a = atoms.(i) in
+    let j = ref (i - 1) in
+    while !j >= 0 && Atom.compare atoms.(!j) a > 0 do
+      atoms.(!j + 1) <- atoms.(!j);
+      decr j
+    done;
+    atoms.(!j + 1) <- a
+  done
+
+(* One pass; the flag tells whether the sorted keys were pairwise
+   distinct and no head variable is spelled like a canonical name. *)
+let canonical_pass q =
+  let atoms = Array.of_list q.body in
+  let n = Array.length atoms in
+  let ranks = Array.map (atom_ranks q.head) atoms in
+  sort_by_key atoms ranks;
+  let distinct = ref true in
+  for i = 1 to n - 1 do
+    if compare_keys atoms.(i - 1) ranks.(i - 1) atoms.(i) ranks.(i) = 0 then
+      distinct := false
+  done;
+  let mapping = ref [] and next = ref 0 in
+  let map_term rank t =
     match t with
-    | Term.Cst _ -> t
-    | Term.Var v ->
-      if Term.Set.mem t hv then t
-      else begin
-        match Hashtbl.find_opt mapping v with
-        | Some t' -> t'
-        | None ->
-          let t' = Term.Var (Printf.sprintf "_c%d" !next) in
-          incr next;
-          Hashtbl.add mapping v t';
-          t'
-      end
+    | Term.Var v when rank = 1 -> (
+      match List.assoc_opt v !mapping with
+      | Some t' -> t'
+      | None ->
+        let t' = canonical_name !next in
+        incr next;
+        mapping := (v, t') :: !mapping;
+        t')
+    | _ -> t
   in
-  let map_atom = function
-    | Atom.Ca (p, t) -> Atom.Ca (p, map_term t)
-    | Atom.Ra (p, t1, t2) -> Atom.Ra (p, map_term t1, map_term t2)
+  for i = 0 to n - 1 do
+    let r = ranks.(i) in
+    atoms.(i) <-
+      (match atoms.(i) with
+      | Atom.Ca (p, t) as a ->
+        let t' = map_term (r / 4) t in
+        if t' == t then a else Atom.Ca (p, t')
+      | Atom.Ra (p, t1, t2) as a ->
+        let t2' = map_term ((r land 3) - 1) t2 in
+        let t1' = map_term (r / 4) t1 in
+        if t1' == t1 && t2' == t2 then a else Atom.Ra (p, t1', t2'))
+  done;
+  sort_atoms atoms;
+  let body = ref [] in
+  for i = n - 1 downto 0 do
+    if i = n - 1 || not (Atom.equal atoms.(i) atoms.(i + 1)) then
+      body := atoms.(i) :: !body
+  done;
+  let clash =
+    List.exists
+      (function
+        | Term.Var h -> String.length h > 2 && h.[0] = '_' && h.[1] = 'c'
+        | Term.Cst _ -> false)
+      q.head
   in
-  let body = List.map map_atom sorted in
-  { q with body = List.sort Atom.compare (dedup_atoms body) }
+  { q with body = !body }, !distinct && not clash
 
 let compare q1 q2 =
   let c = List.compare Term.compare q1.head q2.head in
@@ -154,19 +277,26 @@ let equal q1 q2 = compare q1 q2 = 0
    idempotent: the name assignment can flip on every application. The
    canonical form is therefore the least body (w.r.t. [compare])
    along the pass trajectory, which every element of the trajectory
-   also maps into — making the result a true fixpoint. *)
+   also maps into — making the result a true fixpoint.
+
+   The walk is skipped when the first pass reports distinct keys. The
+   pass only renamed existential variables, injectively (no head
+   variable shares a canonical name), so every atom keeps its key; with
+   distinct keys the sorted order no longer depends on the input, the
+   second pass meets the variables in the same order, renames each to
+   itself and returns its input, which ends the walk at [first]. *)
 let canonicalize q =
   let rec walk current best seen fuel =
     if fuel = 0 then best
     else
-      let next = canonicalize_pass current in
+      let next = fst (canonical_pass current) in
       if List.exists (equal next) seen then best
       else
         let best = if compare next best < 0 then next else best in
         walk next best (next :: seen) (fuel - 1)
   in
-  let first = canonicalize_pass q in
-  walk first first [ first ] 8
+  let first, settled = canonical_pass q in
+  if settled then first else walk first first [ first ] 8
 
 (* Extends [s] so that term [t1] of the source maps to term [t2] of the
    target; unlike unification, the target side is never bound. *)
@@ -229,31 +359,6 @@ let exists_hom ~from_q ~to_q =
 let contained_in q1 q2 = exists_hom ~from_q:q2 ~to_q:q1
 
 let equivalent q1 q2 = contained_in q1 q2 && contained_in q2 q1
-
-let minimize q =
-  let drop_nth l n = List.filteri (fun i _ -> i <> n) l in
-  let rec shrink q =
-    let n = List.length q.body in
-    if n <= 1 then q
-    else
-      let rec try_drop i =
-        if i >= n then q
-        else
-          let body' = drop_nth q.body i in
-          (* Dropping an atom relaxes the query: q ⊑ q' always holds.
-             The drop preserves equivalence iff q' ⊑ q, i.e. there is a
-             homomorphism from q into q'. *)
-          let bv = body_vars body' in
-          let head_safe = List.for_all (fun t -> Term.is_cst t || Term.Set.mem t bv) q.head in
-          if head_safe then begin
-            let q' = { q with body = body' } in
-            if exists_hom ~from_q:q ~to_q:q' then shrink q' else try_drop (i + 1)
-          end
-          else try_drop (i + 1)
-      in
-      try_drop 0
-  in
-  shrink { q with body = dedup_atoms q.body }
 
 let reduce q i j =
   let arr = Array.of_list q.body in

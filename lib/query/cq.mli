@@ -44,6 +44,13 @@ val substitute : Subst.t -> t -> t
 (** Applies a substitution to head and body, removing duplicate atoms
     that the substitution may create. *)
 
+val replace_atom : t -> int -> Atom.t -> t
+(** [replace_atom q i a] replaces the [i]-th body atom by [a]. When [a]
+    keeps every head variable of the atom it replaces (as every
+    PerfectRef specialisation does) the result is built without
+    {!make}'s safety scan; otherwise it goes through {!make} and raises
+    like it. *)
+
 val rename_apart : avoid:Term.Set.t -> t -> t
 (** Renames existential variables so that they avoid the given set. *)
 
@@ -71,10 +78,6 @@ val contained_in : t -> t -> bool
     [q1] exists. The two queries must have the same arity. *)
 
 val equivalent : t -> t -> bool
-
-val minimize : t -> t
-(** Computes a core-like minimal equivalent CQ by greedily dropping
-    redundant atoms. *)
 
 val reduce : t -> int -> int -> t option
 (** [reduce q i j] unifies the [i]-th and [j]-th body atoms with their

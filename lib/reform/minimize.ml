@@ -9,9 +9,11 @@ open Query
    - per-disjunct minimisation skips atoms whose predicate occurs only
      once in the body (a homomorphism from the original CQ needs a
      same-predicate target among the remaining atoms);
-   - a pair is only containment-checked when the candidate container's
-     predicates, body constants and head constants are compatible
-     (each a necessary condition for a homomorphism);
+   - disjuncts are indexed by predicate mask, so disjunct [i] only
+     visits the candidate containers whose predicates are a subset of
+     its own, and of those only the ones whose body constants and head
+     constants are compatible (each a necessary condition for a
+     homomorphism) are containment-checked;
    - results are memoised per pair of union-find equivalence-class
      roots: once two disjuncts are discovered mutually contained their
      classes merge, and any containment already decided for the class
@@ -55,10 +57,19 @@ let body_vars body =
 let remake q body =
   Cq.make ~name:q.Cq.name ~head:q.Cq.head ~body ()
 
-(* {!Query.Cq.minimize} with one extra (exact) skip: dropping atom [i]
-   keeps the query equivalent only if a homomorphism maps the dropped
-   atom onto a remaining atom of the same predicate, so predicates
-   occurring once in the body are never droppable. *)
+let rec distinct_predicates = function
+  | [] -> true
+  | a :: rest ->
+    let p = Atom.pred_name a in
+    (not (List.exists (fun b -> String.equal p (Atom.pred_name b)) rest))
+    && distinct_predicates rest
+
+(* Greedy core computation with one extra (exact) skip: dropping atom
+   [i] keeps the query equivalent only if a homomorphism maps the
+   dropped atom onto a remaining atom of the same predicate, so
+   predicates occurring once in the body are never droppable. When
+   every predicate occurs once nothing is droppable and the body has no
+   duplicate, so [q] itself is the result. *)
 let minimize_cq q =
   let drop_nth l n = List.filteri (fun i _ -> i <> n) l in
   let rec shrink q =
@@ -96,7 +107,8 @@ let minimize_cq q =
       try_drop 0
     end
   in
-  shrink (remake q (dedup_atoms (Cq.atoms q)))
+  if distinct_predicates (Cq.atoms q) then q
+  else shrink (remake q (dedup_atoms (Cq.atoms q)))
 
 (* Kind-aware rendering for hash keys: variables and constants carry
    distinct sigils, so a [Var "x"] never collides with a [Cst "x"], and
@@ -104,56 +116,36 @@ let minimize_cq q =
    which samples only a few nodes) stays uniform over thousands of
    structurally similar disjuncts. *)
 let add_term_key buf t =
-  match t with
+  (match t with
   | Term.Var v ->
     Buffer.add_char buf '?';
     Buffer.add_string buf v
   | Term.Cst c ->
     Buffer.add_char buf '!';
-    Buffer.add_string buf c
+    Buffer.add_string buf c);
+  Buffer.add_char buf ','
 
-let rendered_key (cq : Cq.t) =
-  let buf = Buffer.create 64 in
-  List.iter
-    (fun t ->
-      add_term_key buf t;
-      Buffer.add_char buf ',')
-    cq.Cq.head;
+let add_key buf (cq : Cq.t) =
+  List.iter (add_term_key buf) cq.Cq.head;
   Buffer.add_char buf '|';
   List.iter
     (fun a ->
       Buffer.add_string buf (Atom.pred_name a);
       Buffer.add_char buf '(';
-      List.iter
-        (fun t ->
-          add_term_key buf t;
-          Buffer.add_char buf ',')
-        (Atom.terms a);
+      (match a with
+      | Atom.Ca (_, t) -> add_term_key buf t
+      | Atom.Ra (_, t1, t2) ->
+        add_term_key buf t1;
+        add_term_key buf t2);
       Buffer.add_char buf ')')
-    (Cq.atoms cq);
-  Buffer.contents buf
+    (Cq.atoms cq)
 
-let canonical_key cq = rendered_key (Cq.canonicalize cq)
-
-module SS = Set.Make (String)
-
-let pred_set cq =
-  List.fold_left (fun acc a -> SS.add (Atom.pred_name a) acc) SS.empty (Cq.atoms cq)
-
-let cst_set cq =
-  List.fold_left
-    (fun acc a ->
-      List.fold_left
-        (fun acc t -> match t with Term.Cst c -> SS.add c acc | Term.Var _ -> acc)
-        acc (Atom.terms a))
-    SS.empty (Cq.atoms cq)
-
-(* Intern the string sets as bitmasks over the names actually occurring
-   in this union: one reformulation touches few distinct predicates (and
-   usually no constants), so the subset test of the O(n^2) pair loop
-   collapses to word ANDs instead of balanced-tree traversals. Masks are
-   arrays of 63-bit words to stay total in the (rare) >63-name case. *)
-let masks_of (sets : SS.t array) =
+(* Intern the names [iter_names] yields per disjunct as bitmasks over
+   the names actually occurring in this union: one reformulation
+   touches few distinct predicates (and usually no constants), so
+   subset tests collapse to word ANDs. Masks are arrays of 63-bit
+   words to stay total in the (rare) >63-name case. *)
+let masks_of ds iter_names =
   let ids = Hashtbl.create 32 in
   let bit_of name =
     match Hashtbl.find_opt ids name with
@@ -163,18 +155,30 @@ let masks_of (sets : SS.t array) =
       Hashtbl.add ids name b;
       b
   in
-  Array.iter (fun s -> SS.iter (fun n -> ignore (bit_of n)) s) sets;
-  let words = (Hashtbl.length ids + 62) / 63 in
+  Array.iter (fun d -> iter_names (fun n -> ignore (bit_of n)) d) ds;
+  let words = max 1 ((Hashtbl.length ids + 62) / 63) in
   Array.map
-    (fun s ->
-      let m = Array.make (max words 1) 0 in
-      SS.iter
+    (fun d ->
+      let m = Array.make words 0 in
+      iter_names
         (fun n ->
           let b = bit_of n in
           m.(b / 63) <- m.(b / 63) lor (1 lsl (b mod 63)))
-        s;
+        d;
       m)
-    sets
+    ds
+
+let iter_preds f cq = List.iter (fun a -> f (Atom.pred_name a)) (Cq.atoms cq)
+
+let iter_csts f cq =
+  let term = function Term.Cst c -> f c | Term.Var _ -> () in
+  List.iter
+    (function
+      | Atom.Ca (_, t) -> term t
+      | Atom.Ra (_, t1, t2) ->
+        term t1;
+        term t2)
+    (Cq.atoms cq)
 
 (* mask_sub a b = the set of [a] is included in the set of [b] *)
 let mask_sub a b =
@@ -184,13 +188,57 @@ let mask_sub a b =
   done;
   !ok
 
-(* Necessary conditions for a homomorphism d_j -> d_i (i.e. for
-   [contained_in ds.(i) ds.(j)] to possibly hold): predicates and body
-   constants of d_j within d_i's, head constants positionally equal.
-   [head_free.(j)] short-circuits the common all-variable head. *)
-let hom_possible ~pmask ~cmask ~heads ~head_free i j =
-  mask_sub pmask.(j) pmask.(i)
-  && mask_sub cmask.(j) cmask.(i)
+(* For each disjunct, the ascending indexes of the disjuncts whose
+   predicates are a subset of its own, as a bitset over [0, n):
+   disjuncts sharing a predicate mask share one bitset, built from
+   subset tests between the distinct masks only. *)
+let containers_by_mask pmask =
+  let n = Array.length pmask in
+  let words = (n + 62) / 63 in
+  let group_of = Hashtbl.create 64 and masks = ref [] in
+  let group =
+    Array.map
+      (fun m ->
+        match Hashtbl.find_opt group_of m with
+        | Some g -> g
+        | None ->
+          let g = Hashtbl.length group_of in
+          Hashtbl.add group_of m g;
+          masks := m :: !masks;
+          g)
+      pmask
+  in
+  let masks = Array.of_list (List.rev !masks) in
+  let g = Array.length masks in
+  let members = Array.make g [] in
+  for j = n - 1 downto 0 do
+    members.(group.(j)) <- j :: members.(group.(j))
+  done;
+  let candidates =
+    Array.init g (fun a ->
+        let bits = Array.make words 0 in
+        for b = 0 to g - 1 do
+          if mask_sub masks.(b) masks.(a) then
+            List.iter
+              (fun j -> bits.(j / 63) <- bits.(j / 63) lor (1 lsl (j mod 63)))
+              members.(b)
+        done;
+        bits)
+  in
+  Array.map (fun gi -> candidates.(gi)) group
+
+(* Index of the lowest set bit of [x] (a non-zero power of two). *)
+let bit_index x =
+  let rec go x i = if x = 1 then i else go (x lsr 1) (i + 1) in
+  go x 0
+
+(* Necessary conditions, besides the predicate subset the index already
+   guarantees, for a homomorphism d_j -> d_i (i.e. for
+   [contained_in ds.(i) ds.(j)] to possibly hold): body constants of
+   d_j within d_i's, head constants positionally equal. [head_free.(j)]
+   short-circuits the common all-variable head. *)
+let hom_possible ~cmask ~heads ~head_free i j =
+  mask_sub cmask.(j) cmask.(i)
   && (head_free.(j)
      || List.for_all2
           (fun tj ti -> Term.is_var tj || Term.equal tj ti)
@@ -204,12 +252,16 @@ let minimize (u : Ucq.t) =
      variables and constants). First occurrence wins, as in
      {!Query.Ucq.dedup}. *)
   let seen = Hashtbl.create 64 in
+  let buf = Buffer.create 128 in
+  let dedup_hits = ref 0 in
   let deduped =
     List.filter
       (fun cq ->
-        let key = canonical_key cq in
+        Buffer.clear buf;
+        add_key buf (Cq.canonicalize cq);
+        let key = Buffer.contents buf in
         if Hashtbl.mem seen key then begin
-          Obs.Metrics.incr m_dedup_hits;
+          incr dedup_hits;
           false
         end
         else begin
@@ -218,10 +270,11 @@ let minimize (u : Ucq.t) =
         end)
       minimized
   in
+  Obs.Metrics.add m_dedup_hits !dedup_hits;
   let ds = Array.of_list deduped in
   let n = Array.length ds in
-  let pmask = masks_of (Array.map pred_set ds) in
-  let cmask = masks_of (Array.map cst_set ds) in
+  let containers = containers_by_mask (masks_of ds iter_preds) in
+  let cmask = masks_of ds iter_csts in
   let heads = Array.map (fun cq -> cq.Cq.head) ds in
   let head_free = Array.map (List.for_all Term.is_var) heads in
   let classes = Unionfind.create ~capacity:(max n 1) () in
@@ -229,6 +282,7 @@ let minimize (u : Ucq.t) =
     ignore (Unionfind.make classes)
   done;
   let memo : (int * int, bool) Hashtbl.t = Hashtbl.create 256 in
+  let checks = ref 0 and memo_hits = ref 0 and tested = ref 0 in
   (* [contained i j] = [Cq.contained_in ds.(i) ds.(j)], memoised per
      (class root, class root): containment is invariant under mutual
      containment, so once i and j are discovered equivalent any verdict
@@ -239,34 +293,59 @@ let minimize (u : Ucq.t) =
     else
       match Hashtbl.find_opt memo (ri, rj) with
       | Some b ->
-        Obs.Metrics.incr m_memo_hits;
+        incr memo_hits;
         b
       | None ->
-        Obs.Metrics.incr m_checks;
+        incr checks;
         let b = Cq.contained_in ds.(i) ds.(j) in
         Hashtbl.replace memo (ri, rj) b;
         b
   in
   let dead = Array.make n false in
-  (* Same loop and tie-break as the naive minimisation: d.(i) dies when
+  (* [alive_before.(k)] = survivors among [0, k); final for k <= i at
+     step i, since only [dead.(i)] changes during step i *)
+  let alive_before = Array.make (n + 1) 0 in
+  let visited = ref 0 in
+  (* Same tie-break as the naive minimisation: d.(i) dies when
      contained in a surviving d.(j); among mutual equivalents the
-     smallest index survives. *)
+     smallest index survives. The candidates are visited in ascending
+     order, as the naive loop visits every j, so the same pairs are
+     checked in the same order; the pairs the index skips are counted
+     as the naive loop's prefilter would have counted them. *)
   for i = 0 to n - 1 do
-    let j = ref 0 in
-    while (not dead.(i)) && !j < n do
-      if !j <> i && not dead.(!j) then
-        if hom_possible ~pmask ~cmask ~heads ~head_free i !j then begin
-          if contained i !j then
-            if contained !j i then begin
-              ignore (Unionfind.union classes i !j);
-              if !j > i then () else dead.(i) <- true
+    let bits = containers.(i) in
+    let last = ref (n - 1) and w = ref 0 in
+    while (not dead.(i)) && !w < Array.length bits do
+      let word = ref bits.(!w) in
+      while (not dead.(i)) && !word <> 0 do
+        let low = !word land - !word in
+        word := !word lxor low;
+        let j = (!w * 63) + bit_index low in
+        if j <> i && not dead.(j) then
+          if hom_possible ~cmask ~heads ~head_free i j then begin
+            incr tested;
+            if contained i j then begin
+              if contained j i then begin
+                ignore (Unionfind.union classes i j);
+                if j < i then dead.(i) <- true
+              end
+              else dead.(i) <- true;
+              if dead.(i) then last := j
             end
-            else dead.(i) <- true
-        end
-        else Obs.Metrics.incr m_skipped;
-      incr j
-    done
+          end
+      done;
+      incr w
+    done;
+    (* the naive loop visits every surviving j <> i up to [last] *)
+    visited :=
+      !visited
+      + (if !last < i then alive_before.(!last + 1)
+         else alive_before.(i) + (!last - i));
+    alive_before.(i + 1) <- (alive_before.(i) + if dead.(i) then 0 else 1)
   done;
+  Obs.Metrics.add m_checks !checks;
+  Obs.Metrics.add m_memo_hits !memo_hits;
+  Obs.Metrics.add m_skipped (!visited - !tested);
   let survivors = ref [] in
   for i = n - 1 downto 0 do
     if not dead.(i) then survivors := ds.(i) :: !survivors

@@ -1,8 +1,8 @@
 (** Fast UCQ minimisation — same result as naive pairwise containment
     minimisation (byte-identical survivor list; the test suite keeps
     the naive loop as its differential oracle), with the quadratic
-    containment phase pruned
-    by hash-consed canonical-form dedup, predicate/constant/head
+    containment phase pruned by hash-consed canonical-form dedup, an
+    index of candidate containers by predicate mask, constant/head
     prefilters and a containment memo keyed by union-find
     equivalence-class roots ({!Query.Unionfind}).
 
@@ -10,19 +10,18 @@
     [reform.containment.skipped], [reform.containment.memo_hits] and
     the [reform.minimize_ms] histogram. *)
 
-val rendered_key : Query.Cq.t -> string
-(** Kind-aware hash key of a CQ as-is: variables and constants carry
-    distinct sigils, so same-named variables and constants never
-    collide. Callers hashing modulo renaming canonicalize first (or
-    use {!canonical_key}). *)
-
-val canonical_key : Query.Cq.t -> string
-(** [rendered_key] of {!Query.Cq.canonicalize}. *)
+val add_key : Buffer.t -> Query.Cq.t -> unit
+(** Appends the kind-aware hash key of a CQ as-is: variables and
+    constants carry distinct sigils, so same-named variables and
+    constants never collide. Callers hashing modulo renaming
+    canonicalize first. *)
 
 val minimize_cq : Query.Cq.t -> Query.Cq.t
-(** {!Query.Cq.minimize} with an exact skip of atoms whose predicate
-    occurs only once in the body (no homomorphism target exists for
-    the drop). *)
+(** A core-like minimal equivalent CQ, by greedily dropping atoms a
+    homomorphism folds onto the rest. Atoms whose predicate occurs
+    only once in the body are never tried (no homomorphism target
+    exists for the drop), and a CQ whose predicates are pairwise
+    distinct is returned as is. *)
 
 val minimize : Query.Ucq.t -> Query.Ucq.t
 

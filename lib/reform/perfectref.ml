@@ -77,59 +77,24 @@ let m_cache_requests =
 let m_cache_hits =
   Obs.Metrics.counter ~help:"reformulation-cache hits" "reform.cache.hits"
 
-let reformulate_raw tbox q =
-  let seen = Hashtbl.create 256 in
-  let canonical_key cq = Cq.to_string (Cq.canonicalize cq) in
-  Hashtbl.add seen (canonical_key q) ();
-  let results = ref [ q ] in
-  let frontier = Queue.create () in
-  Queue.add q frontier;
-  let push cq =
-    let key = canonical_key cq in
-    if not (Hashtbl.mem seen key) then begin
-      Hashtbl.add seen key ();
-      let cq = Cq.canonicalize cq in
-      results := cq :: !results;
-      Queue.add cq frontier
-    end
-  in
-  while not (Queue.is_empty frontier) do
-    Obs.Metrics.incr m_fixpoint_iterations;
-    let cur = Queue.pop frontier in
-    let n = Cq.atom_count cur in
-    (* atom specialisation steps *)
-    for i = 0 to n - 1 do
-      List.iter push (specializations tbox cur i)
-    done;
-    (* reduce steps: unify two atoms by their mgu *)
-    for i = 0 to n - 1 do
-      for j = i + 1 to n - 1 do
-        match Cq.reduce cur i j with
-        | Some cq -> push cq
-        | None -> ()
-      done
-    done
-  done;
-  Obs.Metrics.add m_cqs_generated (List.length !results);
-  Ucq.make (List.rev !results)
+(* {2 The production fixpoint}
 
-(* {2 The fast fixpoint}
+   A breadth-first search: pop a CQ, generate every specialisation of
+   each of its atoms and every reduce of two of its atoms, and queue
+   those new modulo canonical renaming. Constant factors removed from
+   the textbook loop:
 
-   Same BFS as {!reformulate_raw}, three constant factors removed:
-
-   - the per-atom scan of the whole positive-axiom list is replaced by
-     a per-TBox index bucketing axioms by the predicate they rewrite
-     (bucket order preserves axiom order, so the generated CQ order is
-     unchanged);
-   - the seen-set is keyed by the canonical CQ {e value} instead of
-     its rendering — no string building per candidate, and no
-     conflation of equally-named variables and constants;
-   - canonical forms are memoised by raw CQ value, so a candidate
-     regenerated identically (reduce steps and specialisations that
-     introduce no fresh variable) canonicalises once.
-
-   Every accepted CQ and its order is identical to the raw fixpoint
-   (up to the variable/constant conflation the string key had). *)
+   - a per-TBox index buckets the positive axioms by the predicate
+     they rewrite (bucket order preserves axiom order, so the CQs are
+     generated in the same order);
+   - each popped CQ's head variables and single-occurrence variables
+     are found once, not once per atom;
+   - a specialisation keeps every head variable, so its CQ is built
+     without re-validating the body ({!Query.Cq.replace_atom});
+   - reduce steps are tried only on same-predicate atom pairs (the
+     only ones that unify);
+   - the seen-set is keyed by the kind-aware rendering of the
+     canonical form, written into one reused buffer. *)
 
 type spec_index = {
   by_concept : (string, Dllite.Axiom.t list) Hashtbl.t;
@@ -185,94 +150,141 @@ let spec_index_of tbox =
 
 let bucket tbl k = Option.value ~default:[] (Hashtbl.find_opt tbl k)
 
-(* Identical output (list order included) to [atom_specializations]:
-   each filter below runs over the bucket holding exactly the axioms
-   the original [List.filter_map] would have accepted, in axiom
-   order. *)
-let atom_specializations_fast idx q atom =
+(* Calls [f] on exactly the atoms [atom_specializations] lists, in the
+   same order: each loop below runs over the bucket holding exactly the
+   axioms the original [List.filter_map] would have accepted, in axiom
+   order. [unbound] is [Cq.is_unbound_var] of the CQ holding [atom]. *)
+let iter_specializations idx ~unbound atom f =
   match atom with
   | Atom.Ca (a, t) ->
-    List.filter_map
+    List.iter
       (function
         | Dllite.Axiom.Concept_sub (lhs, Dllite.Concept.Atomic _) ->
-          Some (concept_as_atom lhs t)
-        | _ -> None)
+          f (concept_as_atom lhs t)
+        | _ -> ())
       (bucket idx.by_concept a)
   | Atom.Ra (p, t1, t2) ->
-    let from_roles =
-      List.filter_map
-        (function
-          | Dllite.Axiom.Role_sub (r1, r2) ->
-            let swap = Dllite.Role.is_inverse r2 in
-            let s, o = if swap then t2, t1 else t1, t2 in
-            Some
-              (match r1 with
-              | Dllite.Role.Named p' -> Atom.Ra (p', s, o)
-              | Dllite.Role.Inverse p' -> Atom.Ra (p', o, s))
-          | _ -> None)
-        (bucket idx.by_role p)
-    in
-    let from_exists =
-      let unbound2 = Cq.is_unbound_var q t2 and unbound1 = Cq.is_unbound_var q t1 in
-      List.filter_map
+    List.iter
+      (function
+        | Dllite.Axiom.Role_sub (r1, r2) ->
+          let swap = Dllite.Role.is_inverse r2 in
+          let s, o = if swap then t2, t1 else t1, t2 in
+          f
+            (match r1 with
+            | Dllite.Role.Named p' -> Atom.Ra (p', s, o)
+            | Dllite.Role.Inverse p' -> Atom.Ra (p', o, s))
+        | _ -> ())
+      (bucket idx.by_role p);
+    (match bucket idx.by_exists p with
+    | [] -> ()
+    | axioms ->
+      let unbound2 = unbound t2 and unbound1 = unbound t1 in
+      List.iter
         (function
           | Dllite.Axiom.Concept_sub (lhs, Dllite.Concept.Exists r) ->
             if (not (Dllite.Role.is_inverse r)) && unbound2 then
-              Some (concept_as_atom lhs t1)
+              f (concept_as_atom lhs t1)
             else if Dllite.Role.is_inverse r && unbound1 then
-              Some (concept_as_atom lhs t2)
-            else None
-          | _ -> None)
-        (bucket idx.by_exists p)
-    in
-    from_roles @ from_exists
+              f (concept_as_atom lhs t2)
+          | _ -> ())
+        axioms)
 
-let reformulate_fixpoint tbox q =
+(* The variables of [atoms] that occur exactly once and not in [head]:
+   the unbound variables of every atom of one CQ, found in one scan. *)
+let single_occurrences head atoms =
+  let once = ref [] and more = ref [] in
+  let see = function
+    | Term.Var v
+      when not
+             (List.exists
+                (function Term.Var h -> String.equal h v | Term.Cst _ -> false)
+                head) ->
+      if List.exists (String.equal v) !more then ()
+      else if List.exists (String.equal v) !once then begin
+        once := List.filter (fun w -> not (String.equal v w)) !once;
+        more := v :: !more
+      end
+      else once := v :: !once
+    | Term.Var _ | Term.Cst _ -> ()
+  in
+  Array.iter
+    (function
+      | Atom.Ca (_, t) -> see t
+      | Atom.Ra (_, t1, t2) ->
+        see t1;
+        see t2)
+    atoms;
+  !once
+
+let same_predicate a b =
+  match a, b with
+  | Atom.Ca (p, _), Atom.Ca (p', _) | Atom.Ra (p, _, _), Atom.Ra (p', _, _) ->
+    String.equal p p'
+  | _ -> false
+
+let m_fixpoint_ms =
+  Obs.Metrics.histogram ~help:"PerfectRef fixpoint latency, before minimisation (ms)"
+    "reform.fixpoint_ms"
+
+let fixpoint tbox q =
+  Obs.Metrics.time m_fixpoint_ms @@ fun () ->
   let idx = spec_index_of tbox in
   (* The seen-set is keyed by the kind-aware rendering of the canonical
      form: string hashing stays uniform over thousands of structurally
      similar CQs, where the generic [Hashtbl.hash] on the CQ value
      itself samples too few nodes and degenerates to bucket scans. *)
   let seen : (string, unit) Hashtbl.t = Hashtbl.create 256 in
-  Hashtbl.add seen (Minimize.canonical_key q) ();
-  let results = ref [ q ] in
+  let buf = Buffer.create 128 in
+  let key c =
+    Buffer.clear buf;
+    Minimize.add_key buf c;
+    Buffer.contents buf
+  in
+  Hashtbl.add seen (key (Cq.canonicalize q)) ();
+  let results = ref [ q ] and generated = ref 1 in
+  let iterations = ref 0 and dedup_hits = ref 0 in
   let frontier = Queue.create () in
   Queue.add q frontier;
   let push cq =
     let c = Cq.canonicalize cq in
-    let key = Minimize.rendered_key c in
-    if Hashtbl.mem seen key then Obs.Metrics.incr Minimize.m_dedup_hits
+    let k = key c in
+    if Hashtbl.mem seen k then incr dedup_hits
     else begin
-      Hashtbl.add seen key ();
+      Hashtbl.add seen k ();
       results := c :: !results;
+      incr generated;
       Queue.add c frontier
     end
   in
-  let spec_push cur i atom =
-    List.iter
-      (fun atom' -> push (replace_atom cur i atom'))
-      (atom_specializations_fast idx cur atom)
-  in
   while not (Queue.is_empty frontier) do
-    Obs.Metrics.incr m_fixpoint_iterations;
+    incr iterations;
     let cur = Queue.pop frontier in
     let atoms = Array.of_list (Cq.atoms cur) in
     let n = Array.length atoms in
+    let singles = single_occurrences cur.Cq.head atoms in
+    let unbound = function
+      | Term.Var v -> List.exists (String.equal v) singles
+      | Term.Cst _ -> false
+    in
     for i = 0 to n - 1 do
-      spec_push cur i atoms.(i)
+      iter_specializations idx ~unbound atoms.(i) (fun atom' ->
+          push (Cq.replace_atom cur i atom'))
     done;
     for i = 0 to n - 1 do
       for j = i + 1 to n - 1 do
-        match Cq.reduce cur i j with
-        | Some cq -> push cq
-        | None -> ()
+        if same_predicate atoms.(i) atoms.(j) then
+          match Cq.reduce cur i j with
+          | Some cq -> push cq
+          | None -> ()
       done
     done
   done;
-  Obs.Metrics.add m_cqs_generated (List.length !results);
+  Obs.Metrics.add m_fixpoint_iterations !iterations;
+  Obs.Metrics.add Minimize.m_dedup_hits !dedup_hits;
+  Obs.Metrics.add m_cqs_generated !generated;
   Ucq.make (List.rev !results)
 
-let reformulate tbox q = Minimize.minimize (reformulate_fixpoint tbox q)
+let reformulate tbox q = Minimize.minimize (fixpoint tbox q)
 
 (* One bounded LRU for every TBox, keyed on the TBox uid stamp plus
    the rendering of the query — uids make entries from dead TBoxes

@@ -16,17 +16,20 @@ val specializations : Dllite.Tbox.t -> Query.Cq.t -> int -> Query.Cq.t list
     applying some applicable TBox constraint backward to the [i]-th
     body atom. Exposed for unit testing. *)
 
-val reformulate_raw : Dllite.Tbox.t -> Query.Cq.t -> Query.Ucq.t
+val fixpoint : Dllite.Tbox.t -> Query.Cq.t -> Query.Ucq.t
 (** The exhaustive fixpoint, without containment-based minimisation
-    (duplicates modulo canonical renaming are removed). The input CQ is
-    always the first disjunct. *)
+    (duplicates modulo canonical renaming are removed; every disjunct
+    but the first is in canonical form). The input CQ is always the
+    first disjunct. Runs on a per-TBox axiom index with a
+    hash-consed canonical-form seen-set; observes
+    [reform.fixpoint_ms]. *)
 
 val reformulate : Dllite.Tbox.t -> Query.Cq.t -> Query.Ucq.t
-(** The production path: the fast fixpoint (per-TBox axiom index,
-    hash-consed canonical-form dedup) followed by
-    {!Minimize.minimize}. Returns the same UCQ as [reformulate_raw]
-    followed by pairwise containment minimisation, measurably faster;
-    the test suite keeps that unoptimised pipeline as its oracle. *)
+(** The production path: {!fixpoint} followed by {!Minimize.minimize}.
+    Returns the same UCQ as the textbook fixpoint followed by pairwise
+    containment minimisation, measurably faster; the test suite keeps
+    that unoptimised pipeline, on a frozen canonical form, as its
+    oracle. *)
 
 val reformulate_cached : Dllite.Tbox.t -> Query.Cq.t -> Query.Ucq.t
 (** Same as {!reformulate}, with memoisation keyed on

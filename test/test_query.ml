@@ -104,12 +104,12 @@ let test_cq_minimize () =
   let q =
     Cq.make ~head:[ v "x" ] ~body:[ ra "R" (v "x") (v "y"); ra "R" (v "x") (v "z") ] ()
   in
-  let m = Cq.minimize q in
+  let m = Reform_reference.minimize_cq q in
   check_int "one atom left" 1 (Cq.atom_count m);
   check_bool "equivalent" true (Cq.equivalent q m);
   (* A core that cannot shrink. *)
   let q2 = Cq.make ~head:[ v "x" ] ~body:[ ra "R" (v "x") (v "y"); ca "A" (v "y") ] () in
-  check_int "core stays" 2 (Cq.atom_count (Cq.minimize q2))
+  check_int "core stays" 2 (Cq.atom_count (Reform_reference.minimize_cq q2))
 
 let test_cq_reduce () =
   let q =
@@ -214,7 +214,7 @@ let prop_containment_reflexive =
 
 let prop_minimize_equivalent =
   QCheck2.Test.make ~name:"minimize preserves equivalence" ~count:200 gen_cq (fun q ->
-      Cq.equivalent q (Cq.minimize q))
+      Cq.equivalent q (Reform_reference.minimize_cq q))
 
 let prop_dropping_atom_relaxes =
   QCheck2.Test.make ~name:"subquery contains superquery" ~count:200 gen_cq (fun q ->
@@ -262,7 +262,58 @@ let prop_canonicalize_preserves_equivalence =
 
 let prop_minimize_canonicalize_commute_on_answers =
   QCheck2.Test.make ~name:"minimize of canonical still equivalent" ~count:200 gen_cq
-    (fun q -> Cq.equivalent q (Cq.minimize (Cq.canonicalize q)))
+    (fun q -> Cq.equivalent q (Reform_reference.minimize_cq (Cq.canonicalize q)))
+
+(* The one-pass canonical form against the frozen original
+   ({!Canon_reference}), on random CQs decorated with what makes the
+   original walk non-trivial: a shuffled body, a duplicated atom, a
+   symmetric pair [R(u,w) ∧ R(w,u)] (over two existential variables or
+   over the head variable), a head variable spelled like a canonical
+   name, and a chain of more than 64 (or 256) existential variables. *)
+let gen_canon_cq =
+  QCheck2.Gen.(
+    let* q = gen_cq in
+    let* seed = int in
+    let* dup = bool in
+    let* sym = oneofl [ `None; `Existential; `Head ] in
+    let* head_name = oneofl [ None; Some "_c0"; Some "_c1" ] in
+    let* chain = frequency [ 18, return 0; 1, return 70; 1, return 260 ] in
+    let rng = Random.State.make [| seed |] in
+    let hv = match q.Cq.head with [ Term.Var h ] -> Some h | _ -> None in
+    let body = Cq.atoms q in
+    let body = if dup then List.hd body :: body else body in
+    let body =
+      match sym, hv with
+      | `Existential, _ | `Head, None ->
+        ra "R0" (v "u") (v "w") :: ra "R0" (v "w") (v "u") :: body
+      | `Head, Some h -> ra "R0" (v h) (v "w") :: ra "R0" (v "w") (v h) :: body
+      | `None, _ -> body
+    in
+    let body =
+      List.init chain (fun k ->
+          ra "R1" (v (Printf.sprintf "y%d" k)) (v (Printf.sprintf "y%d" (k + 1))))
+      @ body
+    in
+    let arr = Array.of_list body in
+    for i = Array.length arr - 1 downto 1 do
+      let j = Random.State.int rng (i + 1) in
+      let t = arr.(i) in
+      arr.(i) <- arr.(j);
+      arr.(j) <- t
+    done;
+    let body = Array.to_list arr in
+    let head, body =
+      match head_name, hv with
+      | Some n, Some h ->
+        let s = Subst.singleton h (v n) in
+        [ v n ], List.map (Atom.substitute s) body
+      | _ -> q.Cq.head, body
+    in
+    return (Cq.make ~head ~body ()))
+
+let prop_canonicalize_matches_reference =
+  QCheck2.Test.make ~name:"canonicalize = frozen reference" ~count:1000 gen_canon_cq
+    (fun q -> Cq.equal (Cq.canonicalize q) (Canon_reference.canonicalize q))
 
 let prop_ucq_minimize_keeps_maximal =
   QCheck2.Test.make ~name:"ucq minimize keeps a containing disjunct" ~count:100
@@ -402,6 +453,7 @@ let props =
       prop_canonicalize_preserves_equivalence;
       prop_minimize_canonicalize_commute_on_answers;
       prop_ucq_minimize_keeps_maximal;
+      prop_canonicalize_matches_reference;
     ]
 
 let suite =

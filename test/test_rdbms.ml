@@ -363,7 +363,7 @@ let test_exec_constants_and_selfloops () =
 let test_exec_cache_counters () =
   let abox = example1_abox () in
   let layout = Layout.simple_of_abox abox in
-  let ucq = Reform.Perfectref.reformulate_raw example1_tbox example3_query in
+  let ucq = Reform.Perfectref.fixpoint example1_tbox example3_query in
   let fol = Query.Fol.leaf ~out:example3_query.Cq.head ucq in
   let plan = Planner.of_fol layout fol in
   let pg = Exec.fresh_counters () in
@@ -381,7 +381,7 @@ let test_exec_cache_counters () =
 let test_exec_bounded_run_cache () =
   let abox = example1_abox () in
   let layout = Layout.simple_of_abox abox in
-  let ucq = Reform.Perfectref.reformulate_raw example1_tbox example3_query in
+  let ucq = Reform.Perfectref.fixpoint example1_tbox example3_query in
   let fol = Query.Fol.leaf ~out:example3_query.Cq.head ucq in
   let reference = eval_engine ~config:Exec.db2_like layout fol in
   Exec.set_run_cache_capacity 1;
@@ -412,7 +412,7 @@ let test_explain_monotone () =
   let big =
     Planner.of_fol layout
       (Query.Fol.leaf ~out:example3_query.Cq.head
-         (Reform.Perfectref.reformulate_raw example1_tbox example3_query))
+         (Reform.Perfectref.fixpoint example1_tbox example3_query))
   in
   let cost p = (Explain.cost Explain.pglite layout p).Explain.total_cost in
   check_bool "bigger query costs more" true (cost big > cost small);

@@ -9,11 +9,11 @@ let check_bool = Alcotest.(check bool)
 (* {1 Example 4 of the paper: the ten-disjunct UCQ of Table 5} *)
 
 let test_example4_raw_size () =
-  let raw = Reform.Perfectref.reformulate_raw example1_tbox example3_query in
+  let raw = Reform.Perfectref.fixpoint example1_tbox example3_query in
   check_int "Table 5 lists ten union terms" 10 (Ucq.size raw)
 
 let test_example4_contains_expected () =
-  let raw = Reform.Perfectref.reformulate_raw example1_tbox example3_query in
+  let raw = Reform.Perfectref.fixpoint example1_tbox example3_query in
   let has body =
     let q = Cq.canonicalize (Cq.make ~head:[ v "x" ] ~body ()) in
     List.exists (fun d -> Cq.equal (Cq.canonicalize d) q) (Ucq.disjuncts raw)
@@ -44,11 +44,11 @@ let test_example4_minimized () =
 let test_example7_ucq () =
   (* The paper displays the raw reformulation q1 ∨ q2 ∨ q3 ∨ q4; under
      minimisation q2 collapses onto its minimal form q3. *)
-  let raw = Reform.Perfectref.reformulate_raw example7_tbox example7_query in
+  let raw = Reform.Perfectref.fixpoint example7_tbox example7_query in
   check_int "four union terms" 4 (Ucq.size raw);
   let has u body =
     let q = Cq.canonicalize (Cq.make ~head:[ v "x" ] ~body ()) in
-    List.exists (fun d -> Cq.equal (Cq.canonicalize (Cq.minimize d)) q) (Ucq.disjuncts u)
+    List.exists (fun d -> Cq.equal (Cq.canonicalize (Reform_reference.minimize_cq d)) q) (Ucq.disjuncts u)
   in
   check_bool "q3: supervisedBy(x,y)" true
     (has raw [ ca "PhDStudent" (v "x"); ra "supervisedBy" (v "x") (v "y") ]);
@@ -186,7 +186,7 @@ let test_raw_equals_minimized_answers () =
     let tbox = random_tbox rng in
     let abox = random_abox rng in
     let q = random_query rng in
-    let raw = evaluate_ucq abox (Reform.Perfectref.reformulate_raw tbox q) in
+    let raw = evaluate_ucq abox (Reform.Perfectref.fixpoint tbox q) in
     let min = evaluate_ucq abox (Reform.Perfectref.reformulate tbox q) in
     check_bool "minimization preserves answers" true (raw = min)
   done
@@ -358,6 +358,43 @@ let test_fast_equals_naive_lubm () =
         (same_ucq fast naive))
     Lubm.Workload.queries
 
+(* The fragment queries GDL reformulates: those of the root cover of
+   each LUBM query and of every cover one or two GDL moves (merge,
+   enlarge) away from it, against the frozen pipeline. *)
+let test_fast_equals_naive_fragments () =
+  let module G = Covers.Generalized in
+  let tbox = Lubm.Ontology.tbox in
+  let moves c =
+    let fs = G.fragments c in
+    List.concat_map
+      (fun f1 ->
+        List.filter_map
+          (fun f2 -> if f1 != f2 && G.mergeable c f1 f2 then Some (G.merge c f1 f2) else None)
+          fs
+        @ List.map (G.enlarge c f1) (G.enlargeable_atoms c f1))
+      fs
+  in
+  let frags = Hashtbl.create 256 in
+  List.iter
+    (fun e ->
+      let root = G.of_cover (Covers.Safety.root_cover tbox e.Lubm.Workload.query) in
+      let near = root :: moves root in
+      List.iter
+        (fun cover ->
+          List.iter
+            (fun fq -> Hashtbl.replace frags (Cq.to_string fq) fq)
+            (G.fragment_queries cover))
+        (near @ List.concat_map moves near))
+    Lubm.Workload.queries;
+  check_bool "fragments collected" true (Hashtbl.length frags > 100);
+  Hashtbl.iter
+    (fun key fq ->
+      check_bool (key ^ ": fast = naive") true
+        (same_ucq
+           (Reform.Perfectref.reformulate tbox fq)
+           (Reform_reference.reformulate_naive tbox fq)))
+    frags
+
 let test_fast_equals_naive_random () =
   let rng = Random.State.make [| 48151623 |] in
   for _ = 1 to 150 do
@@ -369,12 +406,89 @@ let test_fast_equals_naive_random () =
          (Reform_reference.reformulate_naive tbox q))
   done
 
+let lubm_entries = Lubm.Workload.queries @ Lubm.Workload.star_queries
+
+(* The production fixpoint must reproduce the textbook one, keyed on
+   the frozen canonical form, disjunct for disjunct. *)
+let test_fixpoint_equals_raw_lubm () =
+  let tbox = Lubm.Ontology.tbox in
+  List.iter
+    (fun e ->
+      let q = e.Lubm.Workload.query in
+      check_bool (e.Lubm.Workload.name ^ ": fixpoint = raw reference") true
+        (same_ucq (Reform.Perfectref.fixpoint tbox q)
+           (Reform_reference.reformulate_raw tbox q)))
+    lubm_entries
+
+(* E8's reformulation sizes (raw fixpoint, minimised UCQ) per query. *)
+let test_anatomy_sizes () =
+  let expected =
+    [
+      "Q1", 220, 20; "Q2", 4, 1; "Q3", 38, 2; "Q4", 11, 1; "Q5", 72, 2;
+      "Q6", 354, 352; "Q7", 30, 5; "Q8", 127, 9; "Q9", 108, 108;
+      "Q10", 360, 360; "Q11", 208, 8; "Q12", 3, 2; "Q13", 2304, 384;
+    ]
+  in
+  let tbox = Lubm.Ontology.tbox in
+  List.iter
+    (fun (name, raw, min) ->
+      let q = Lubm.Workload.q (int_of_string (String.sub name 1 (String.length name - 1))) in
+      check_int (name ^ " raw UCQ") raw (Ucq.size (Reform.Perfectref.fixpoint tbox q));
+      check_int (name ^ " minimal UCQ") min (Ucq.size (Reform.Perfectref.reformulate tbox q)))
+    expected
+
+(* The minimiser's predicate-mask index visits fewer pairs than the
+   plain pair loop; the containment counters must keep the totals that
+   loop produced (checks run, memo hits, prefilter skips). *)
+let test_containment_counter_totals () =
+  let tbox = Lubm.Ontology.tbox in
+  let value c = Obs.Metrics.counter_value (Option.get (Obs.Metrics.find_counter c)) in
+  List.iter
+    (fun (i, checks, memo, skipped) ->
+      let raw = Reform.Perfectref.fixpoint tbox (Lubm.Workload.q i) in
+      let c0 = value "reform.containment.checks"
+      and m0 = value "reform.containment.memo_hits"
+      and s0 = value "reform.containment.skipped" in
+      ignore (Reform.Minimize.minimize raw);
+      let name = Printf.sprintf "Q%d " i in
+      check_int (name ^ "checks") checks (value "reform.containment.checks" - c0);
+      check_int (name ^ "memo hits") memo (value "reform.containment.memo_hits" - m0);
+      check_int (name ^ "skipped") skipped (value "reform.containment.skipped" - s0))
+    [ 1, 360, 0, 9392; 6, 551, 2, 124035; 10, 0, 0, 129240; 13, 3936, 0, 978516 ]
+
+(* Every raw fixpoint CQ of the LUBM workload, its body shuffled five
+   ways: the one-pass canonical form = the frozen original. *)
+let test_canonical_form_lubm () =
+  let tbox = Lubm.Ontology.tbox in
+  let rng = Random.State.make [| 1813 |] in
+  let checked = ref 0 in
+  List.iter
+    (fun e ->
+      List.iter
+        (fun d ->
+          for _ = 1 to 5 do
+            let arr = Array.of_list (Cq.atoms d) in
+            for i = Array.length arr - 1 downto 1 do
+              let j = Random.State.int rng (i + 1) in
+              let t = arr.(i) in
+              arr.(i) <- arr.(j);
+              arr.(j) <- t
+            done;
+            let q = Cq.make ~head:d.Cq.head ~body:(Array.to_list arr) () in
+            incr checked;
+            if not (Cq.equal (Cq.canonicalize q) (Canon_reference.canonicalize q)) then
+              Alcotest.failf "%s: canonical forms differ on %a" e.Lubm.Workload.name Cq.pp q
+          done)
+        (Ucq.disjuncts (Reform.Perfectref.fixpoint tbox e.Lubm.Workload.query)))
+    lubm_entries;
+  check_bool "every raw CQ checked" true (!checked > 5 * 2304)
+
 let test_minimize_matches_ucq_minimize () =
   let rng = Random.State.make [| 271828 |] in
   for _ = 1 to 120 do
     let tbox = random_tbox rng in
     let q = random_query rng in
-    let raw = Reform.Perfectref.reformulate_raw tbox q in
+    let raw = Reform.Perfectref.fixpoint tbox q in
     check_bool "Minimize.minimize = naive minimisation" true
       (same_ucq (Reform.Minimize.minimize raw) (Reform_reference.minimize_ucq raw))
   done
@@ -466,7 +580,7 @@ let prop_minimized_answers_equal =
       let tbox = random_tbox rng in
       let abox = random_abox rng in
       let q = random_query rng in
-      let raw = Reform.Perfectref.reformulate_raw tbox q in
+      let raw = Reform.Perfectref.fixpoint tbox q in
       let expected = evaluate_ucq abox raw in
       evaluate_ucq abox (Reform_reference.minimize_ucq raw) = expected
       && evaluate_ucq abox (Reform.Minimize.minimize raw) = expected)
@@ -509,6 +623,13 @@ let suite =
       test_consistency_agreement_random;
     Alcotest.test_case "fast = naive (lubm)" `Slow test_fast_equals_naive_lubm;
     Alcotest.test_case "fast = naive (random)" `Slow test_fast_equals_naive_random;
+    Alcotest.test_case "fast = naive (lubm fragments)" `Slow test_fast_equals_naive_fragments;
+    Alcotest.test_case "fixpoint = raw reference (lubm)" `Slow test_fixpoint_equals_raw_lubm;
+    Alcotest.test_case "anatomy: E8 reformulation sizes" `Quick test_anatomy_sizes;
+    Alcotest.test_case "containment counters keep their totals" `Quick
+      test_containment_counter_totals;
+    Alcotest.test_case "canonical form = frozen reference (lubm)" `Slow
+      test_canonical_form_lubm;
     Alcotest.test_case "minimize = ucq minimize" `Slow test_minimize_matches_ucq_minimize;
     Alcotest.test_case "dedup metric" `Quick test_dedup_metric;
     Alcotest.test_case "containment repeated vars" `Quick test_containment_repeated_vars;
