@@ -11,7 +11,8 @@
    figure experiments then additionally evaluate at jobs=1 to report
    the parallel speedup. --json FILE dumps per-experiment and per-cell
    timings. --metrics FILE dumps the process-wide Obs metrics registry
-   as JSON after the run. *)
+   as JSON after the run. The run exits 1 when, in E3-E6, a strategy
+   returns other answers than the UCQ column on the same engine. *)
 
 let small_facts = ref 30_000
 
@@ -202,6 +203,25 @@ let report_speedups ~columns speedups =
       columns
   end
 
+(* {1 The answer gate of E3-E6}
+
+   Every strategy of a figure must return the UCQ column's answers for
+   the same query on the same engine: the cost-based strategies prune
+   arms over empty predicates, and this makes the figures a soundness
+   check of that pruning. Cells the engine rejected as too long are
+   skipped. A mismatch is recorded here and fails the run at exit. *)
+
+let answer_mismatches : string list ref = ref []
+
+let check_answers ~exp ~query ~column ~reference shown =
+  match reference, shown with
+  | Ok (_, expected), Ok (_, got) when got <> expected ->
+    answer_mismatches :=
+      Printf.sprintf "%s %s: %s returned %d answers, UCQ %d" exp query column
+        (List.length got) (List.length expected)
+      :: !answer_mismatches
+  | _ -> ()
+
 (* {1 E1 — Table 6: search-space sizes} *)
 
 let exp_table6 () =
@@ -263,15 +283,19 @@ let figure2 ~exp facts =
   let speedups = Hashtbl.create 8 in
   List.iter
     (fun e ->
-      Fmt.pr "%-4s" e.Lubm.Workload.name;
+      let query = e.Lubm.Workload.name in
+      Fmt.pr "%-4s" query;
+      let ucq = ref (Error "") in
       List.iter
-        (fun col ->
-          match
-            run_cell_tracked ~exp ~speedups ~query:e.Lubm.Workload.name engine col
-              e.Lubm.Workload.query
-          with
-          | _, cqs, Ok (ms, _) -> Fmt.pr " %8.1f (%3d)" ms cqs
-          | _, _, Error _ -> Fmt.pr " %14s" "FAILED")
+        (fun ((column, strategy) as col) ->
+          let _, cqs, shown =
+            run_cell_tracked ~exp ~speedups ~query engine col e.Lubm.Workload.query
+          in
+          if strategy = Obda.Ucq then ucq := shown
+          else check_answers ~exp ~query ~column ~reference:!ucq shown;
+          match shown with
+          | Ok (ms, _) -> Fmt.pr " %8.1f (%3d)" ms cqs
+          | Error _ -> Fmt.pr " %14s" "FAILED")
         strategy_columns;
       Fmt.pr "@.")
     Lubm.Workload.queries;
@@ -299,15 +323,23 @@ let figure3 ~exp facts ~with_rdf_gdl =
   let speedups = Hashtbl.create 8 in
   List.iter
     (fun e ->
-      Fmt.pr "%-4s" e.Lubm.Workload.name;
+      let query = e.Lubm.Workload.name in
+      Fmt.pr "%-4s" query;
+      (* the UCQ cell of each engine, keyed by the engine itself *)
+      let ucq = ref [] in
       List.iter
         (fun (name, engine, strategy) ->
-          match
-            run_cell_tracked ~exp ~speedups ~query:e.Lubm.Workload.name engine
-              (name, strategy) e.Lubm.Workload.query
-          with
-          | _, _, Ok (ms, _) -> Fmt.pr " %13.1f" ms
-          | _, _, Error _ -> Fmt.pr " %13s" "TOO-LONG")
+          let _, _, shown =
+            run_cell_tracked ~exp ~speedups ~query engine (name, strategy)
+              e.Lubm.Workload.query
+          in
+          if strategy = Obda.Ucq then ucq := (engine, shown) :: !ucq
+          else
+            check_answers ~exp ~query ~column:name
+              ~reference:(List.assq engine !ucq) shown;
+          match shown with
+          | Ok (ms, _) -> Fmt.pr " %13.1f" ms
+          | Error _ -> Fmt.pr " %13s" "TOO-LONG")
         columns;
       Fmt.pr "@.")
     Lubm.Workload.queries;
@@ -387,19 +419,25 @@ let exp_anatomy () =
   Fmt.pr "    on the RDF layout is rejected by DB2)@.@.";
   let simple = Obda.layout (engine_for `Db2lite `Simple !small_facts) in
   let rdf = Obda.layout (engine_for `Db2lite `Rdf !small_facts) in
-  Fmt.pr "%-4s %6s %9s %9s %14s %14s %9s@." "qry" "atoms" "raw-UCQ" "min-UCQ"
-    "SQL simple" "SQL rdf" "over-2M?";
+  (* pruned: the minimal UCQ without the arms over predicates empty in
+     this dataset, as the cost-based searches reformulate it *)
+  let data = Optimizer.Estimator.emptiness tbox simple in
+  Fmt.pr "   (pruned: %d of the TBox's names are empty in this dataset, %d hopeless)@.@."
+    (Reform.Emptiness.empty_count data) (Reform.Emptiness.hopeless_count data);
+  Fmt.pr "%-4s %6s %9s %9s %9s %14s %14s %9s@." "qry" "atoms" "raw-UCQ" "min-UCQ"
+    "pruned" "SQL simple" "SQL rdf" "over-2M?";
   List.iter
     (fun e ->
       let q = e.Lubm.Workload.query in
       let raw = Reform.Perfectref.fixpoint tbox q in
       let min_u = Reform.Perfectref.reformulate_cached tbox q in
+      let pruned = Reform.Perfectref.reformulate_cached ~data tbox q in
       let fol = Query.Fol.leaf ~out:q.Query.Cq.head min_u in
       let s1 = sql_length simple fol in
       let s2 = sql_length rdf fol in
-      Fmt.pr "%-4s %6d %9d %9d %14d %14d %9b@." e.Lubm.Workload.name
-        (Query.Cq.atom_count q) (Query.Ucq.size raw) (Query.Ucq.size min_u) s1 s2
-        (s2 > 2_000_000))
+      Fmt.pr "%-4s %6d %9d %9d %9d %14d %14d %9b@." e.Lubm.Workload.name
+        (Query.Cq.atom_count q) (Query.Ucq.size raw) (Query.Ucq.size min_u)
+        (Query.Ucq.size pruned) s1 s2 (s2 > 2_000_000))
     Lubm.Workload.queries
 
 (* {1 E9 — ablation: generalized covers on/off} *)
@@ -655,4 +693,9 @@ let () =
     to_run;
   write_json ();
   write_metrics ();
-  Fmt.pr "@.total bench time: %.1fs@." (Unix.gettimeofday () -. t0)
+  Fmt.pr "@.total bench time: %.1fs@." (Unix.gettimeofday () -. t0);
+  if !answer_mismatches <> [] then begin
+    Fmt.epr "@.answer gate: strategies disagree with the UCQ column:@.";
+    List.iter (Fmt.epr "  %s@.") (List.rev !answer_mismatches);
+    exit 1
+  end

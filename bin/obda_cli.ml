@@ -444,8 +444,13 @@ let explain_cmd =
             "reform.dedup_hits"; "reform.containment.checks";
             "reform.containment.skipped"; "reform.containment.memo_hits";
             "reform.fixpoint.iterations"; "reform.cq.generated";
-            "reform.cache.requests"; "reform.cache.hits";
+            "reform.cq.pruned"; "reform.cache.requests"; "reform.cache.hits";
           ];
+        (* the emptiness snapshot the cost-based searches prune with *)
+        let data = Optimizer.Estimator.emptiness tbox lay in
+        Fmt.pr "%-32s %d@.%-32s %d@." "empty predicates"
+          (Reform.Emptiness.empty_count data) "hopeless predicates"
+          (Reform.Emptiness.hopeless_count data);
         List.iter
           (fun name ->
             Option.iter

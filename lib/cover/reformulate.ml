@@ -13,14 +13,14 @@ let ucq tbox q =
   let u = Reform.Perfectref.reformulate_cached tbox q in
   Fol.leaf ~out:q.Cq.head u
 
-let reformulate_fragment language tbox fq =
+let reformulate_fragment ?data language tbox fq =
   Obs.Metrics.incr m_fragments;
   match language with
   | Ucq_fragments ->
-    Fol.leaf ~out:fq.Cq.head (Reform.Perfectref.reformulate_cached tbox fq)
+    Fol.leaf ~out:fq.Cq.head (Reform.Perfectref.reformulate_cached ?data tbox fq)
   | Uscq_fragments -> Reform.Uscq_reform.reformulate tbox fq
 
-let fragment tbox fq = reformulate_fragment Ucq_fragments tbox fq
+let fragment ?data tbox fq = reformulate_fragment ?data Ucq_fragments tbox fq
 
 let join q parts =
   match parts with

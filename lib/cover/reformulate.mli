@@ -26,10 +26,12 @@ val of_generalized : ?jobs:int -> Dllite.Tbox.t -> Generalized.t -> Query.Fol.t
     pool (default {!Parallel.default_jobs}; order-preserving, so the
     result never depends on it). *)
 
-val fragment : Dllite.Tbox.t -> Query.Cq.t -> Query.Fol.t
+val fragment : ?data:Reform.Emptiness.t -> Dllite.Tbox.t -> Query.Cq.t -> Query.Fol.t
 (** One fragment query reformulated into a UCQ leaf (PerfectRef,
     through its shared cache): the per-fragment step of
-    {!of_generalized}. *)
+    {!of_generalized}. With [data], PerfectRef prunes the arms over
+    empty predicates ({!Reform.Perfectref.reformulate}); the cost-based
+    cover searches pass their snapshot here. *)
 
 val join : Query.Cq.t -> Query.Fol.t list -> Query.Fol.t
 (** [join q parts] combines reformulated fragments of [q] exactly as

@@ -45,7 +45,10 @@ type strategy =
   | Ucq  (** plain (minimal) CQ-to-UCQ reformulation *)
   | Uscq  (** factorised CQ-to-USCQ reformulation ({e [33]}-style) *)
   | Croot  (** fixed JUCQ over the root cover *)
-  | Gdl of cost_source  (** greedy cover search *)
+  | Gdl of cost_source
+      (** greedy cover search; like every cost-based strategy it
+          reformulates fragments without the arms over predicates that
+          have no stored fact ({!Optimizer.Estimator.emptiness}) *)
   | Gdl_limited of cost_source * float  (** time-limited GDL (seconds) *)
   | Edl of cost_source  (** exhaustive cover search (small queries!) *)
 
@@ -155,8 +158,11 @@ val generation : engine -> int
     engine's generation, and their cache is version-flushed on every
     update (superseded entries would otherwise squat in the LRU until
     evicted). Repeated-query traffic skips PerfectRef and the EDL/GDL
-    cover search entirely; reformulations are data-independent, so a
-    replayed plan returns the same answers as a fresh search. *)
+    cover search entirely. A replayed plan returns the same answers as
+    a fresh search: the data-independent reformulations hold for any
+    data, and the cost-based ones, which drop the arms over predicates
+    empty at search time (DESIGN §15.4), are replayed only within the
+    generation they were searched in. *)
 
 val default_plan_cache_capacity : int
 (** Capacity of {e each} of the two caches. *)

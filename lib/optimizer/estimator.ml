@@ -4,7 +4,6 @@ type pricing =
   | Whole
   | Nodes of {
       model : Cost.Cost_model.t;
-      layout : Rdbms.Layout.t;
       feedback : Cost.Feedback.t option;
     }
 
@@ -12,11 +11,13 @@ type t = {
   name : string;
   estimate : Query.Fol.t -> float;
   pricing : pricing;
+  layout : Rdbms.Layout.t;
 }
 
 let rdbms profile layout =
   {
     name = "rdbms";
+    layout;
     estimate =
       (* the engine's own estimator: its quirks are the point, so
          feedback corrections (ours, not the engine's) don't apply *)
@@ -30,8 +31,34 @@ let ext ?feedback model layout =
   {
     name = "ext";
     estimate = (fun fol -> (Cost.Cost_model.node ?feedback model layout fol).cost);
-    pricing = Nodes { model; layout; feedback };
+    pricing = Nodes { model; feedback };
+    layout;
   }
+
+(* {1 Emptiness snapshots}
+
+   One per (TBox, store, emptiness epoch): the epoch advances only when
+   an insert fills an empty table, so most inserts keep the snapshot.
+   Entries are tiny; the table is reset rather than evicted. *)
+
+let snapshots : (int * int, int * Reform.Emptiness.t) Hashtbl.t = Hashtbl.create 8
+
+let snapshots_lock = Mutex.create ()
+
+let emptiness tbox layout =
+  let key = Dllite.Tbox.uid tbox, Rdbms.Layout.uid layout in
+  let epoch = Rdbms.Layout.empty_epoch layout in
+  match Mutex.protect snapshots_lock (fun () -> Hashtbl.find_opt snapshots key) with
+  | Some (e, snap) when e = epoch -> snap
+  | _ ->
+    let snap =
+      Reform.Emptiness.make tbox ~empty:(fun n ->
+          Rdbms.Layout.concept_card layout n = 0 && Rdbms.Layout.role_card layout n = 0)
+    in
+    Mutex.protect snapshots_lock (fun () ->
+        if Hashtbl.length snapshots >= 64 then Hashtbl.reset snapshots;
+        Hashtbl.replace snapshots key (epoch, snap));
+    snap
 
 (* {1 Search-scoped scoring} *)
 
@@ -45,6 +72,7 @@ type search = {
   tbox : Dllite.Tbox.t;
   query : Query.Cq.t;
   feedback : Cost.Feedback.t option;
+  data : Reform.Emptiness.t;
   memo : (string, leaf) Hashtbl.t;
   lock : Mutex.t;
 }
@@ -67,6 +95,8 @@ let open_search estimator tbox query =
       (match estimator.pricing with
       | Nodes { feedback; _ } when Cost.Feedback.trained feedback -> feedback
       | Nodes _ | Whole -> None);
+    (* likewise one emptiness snapshot per search *)
+    data = emptiness tbox estimator.layout;
     memo = Hashtbl.create 64;
     lock = Mutex.create ();
   }
@@ -90,13 +120,13 @@ let leaf s (key, fq) =
     l, 0., 0.
   | None ->
     let t0 = Obs.Mclock.now_ns () in
-    let fol = Reformulate.fragment s.tbox fq in
+    let fol = Reformulate.fragment ~data:s.data s.tbox fq in
     let t1 = Obs.Mclock.now_ns () in
     let node =
       match s.estimator.pricing with
       | Whole -> None
-      | Nodes { model; layout; _ } ->
-        Some (Cost.Cost_model.node ?feedback:s.feedback model layout fol)
+      | Nodes { model; _ } ->
+        Some (Cost.Cost_model.node ?feedback:s.feedback model s.estimator.layout fol)
     in
     let t2 = Obs.Mclock.now_ns () in
     let l =

@@ -11,6 +11,7 @@ type t = private {
   estimate : Query.Fol.t -> float;
       (** estimated evaluation cost of a reformulation *)
   pricing : pricing;
+  layout : Rdbms.Layout.t;  (** the store whose statistics it reads *)
 }
 
 val rdbms : Rdbms.Explain.profile -> Rdbms.Layout.t -> t
@@ -31,18 +32,33 @@ val ext : ?feedback:Cost.Feedback.t -> Cost.Cost_model.t -> Rdbms.Layout.t -> t
     A search scope memoises, per distinct fragment query, its
     reformulation and (under "ext") its {!Cost.Cost_model.node}
     summary, so a candidate pays only for its new fragments plus the
-    join of its parts. Every score equals [estimate] of the cover's
-    {!Covers.Reformulate.of_generalized} reformulation, bit for bit.
+    join of its parts.
 
-    A scope lives for one search and no longer: the statistics and the
-    feedback store it reads may change between searches (inserts,
-    EXPLAIN ANALYZE harvests), and a new scope sees the change. The
-    feedback store is read as of {!open_search}: an untrained store
-    counts as none for the whole search.
+    Fragments are reformulated data-aware: the scope reads the layout's
+    {!emptiness} snapshot once, and PerfectRef never generates,
+    minimises or prices an arm with an atom over an empty predicate.
+    Every score equals, bit for bit, [estimate] of the join (as
+    {!Covers.Reformulate.join}) of the cover's unpruned fragment UCQs
+    ({!Covers.Reformulate.of_generalized}'s leaves) with those arms
+    filtered out, each leaf falling back to its minimised fragment query
+    alone when no arm is left. Such a reformulation returns the same
+    answers as the unpruned one on the data the snapshot describes.
+
+    A scope lives for one search and no longer: the statistics, the
+    emptiness snapshot and the feedback store it reads may change
+    between searches (inserts, EXPLAIN ANALYZE harvests), and a new
+    scope sees the change. The feedback store is read as of
+    {!open_search}: an untrained store counts as none for the whole
+    search.
 
     {b Instruments} (registry {!Obs.Metrics}): [cost.leaves.estimated]
     (distinct fragments reformulated and summarised) and
     [cost.leaves.reused] (fragments served from the memo instead). *)
+
+val emptiness : Dllite.Tbox.t -> Rdbms.Layout.t -> Reform.Emptiness.t
+(** The TBox names with no stored fact in the layout (a name is empty
+    when it holds neither a concept nor a role fact). Computed once per
+    (TBox, store, {!Rdbms.Layout.empty_epoch}) and shared. *)
 
 type search
 

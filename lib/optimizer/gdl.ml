@@ -124,7 +124,11 @@ let candidate_moves ?(space = `Gq) cover =
         List.filter_map
           (fun f' ->
             if Generalized.mergeable cover f f' then
-              Some (Generalized.merge cover f f')
+              (* a union that would swallow a third (enlarged) fragment
+                 is no generalized cover: skipped, like an enlargement *)
+              match Generalized.merge cover f f' with
+              | c -> Some c
+              | exception Invalid_argument _ -> None
             else None)
           rest
         @ pairs rest

@@ -69,6 +69,16 @@ let total_facts = function
   | Simple s -> Storage.total_facts s
   | Rdf r -> Rdf_layout.total_facts r
 
+(* Storage and RDF-layout stamps come from separate counters: the
+   parity keeps them apart. *)
+let uid = function
+  | Simple s -> 2 * Storage.uid s
+  | Rdf r -> (2 * Rdf_layout.uid r) + 1
+
+let empty_epoch = function
+  | Simple s -> Storage.empty_epoch s
+  | Rdf r -> Rdf_layout.empty_epoch r
+
 let individual_count = function
   | Simple s -> Storage.individual_count s
   | Rdf r -> Rdf_layout.individual_count r

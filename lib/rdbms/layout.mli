@@ -66,6 +66,15 @@ val scan_work : t -> [ `Concept of string | `Role of string ] -> int
 val total_facts : t -> int
 (** Total number of stored facts across all predicates. *)
 
+val uid : t -> int
+(** A process-unique stamp of the store behind the layout. *)
+
+val empty_epoch : t -> int
+(** Advances exactly when an insert puts the first fact into an empty
+    predicate ({!Storage.empty_epoch}), so (uid, epoch) names the set
+    of empty predicates: caches of data-aware reformulations key on
+    it. *)
+
 val individual_count : t -> int
 (** Number of distinct individuals in the dictionary. *)
 

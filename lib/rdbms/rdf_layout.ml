@@ -25,7 +25,11 @@ type t = {
   stats_role : (string, int * int * int) Hashtbl.t;  (* card, ndv_s, ndv_o *)
   stats_concept : (string, int) Hashtbl.t;
   mutable total_facts : int;
+  uid : int;
+  mutable empty_epoch : int;  (* as {!Storage.empty_epoch} *)
 }
+
+let next_uid = Atomic.make 0
 
 let new_wide () =
   {
@@ -121,6 +125,8 @@ let of_abox ?(width = default_width) abox =
       stats_role;
       stats_concept;
       total_facts = 0;
+      uid = Atomic.fetch_and_add next_uid 1;
+      empty_epoch = 0;
     }
   in
   let types = ref [] in
@@ -262,6 +268,10 @@ let role_ndv t name =
 
 let total_facts t = t.total_facts
 
+let uid t = t.uid
+
+let empty_epoch t = t.empty_epoch
+
 let individual_count t = Dllite.Dict.size t.dict
 
 (* {1 Incremental maintenance} *)
@@ -279,8 +289,9 @@ let insert_concept t ~concept ~ind =
   if Array.exists (fun x -> x = (e, code)) t.types then false
   else begin
     t.types <- Array.append t.types [| (e, code) |];
-    Hashtbl.replace t.stats_concept concept
-      (1 + Option.value ~default:0 (Hashtbl.find_opt t.stats_concept concept));
+    let card = Option.value ~default:0 (Hashtbl.find_opt t.stats_concept concept) in
+    if card = 0 then t.empty_epoch <- t.empty_epoch + 1;
+    Hashtbl.replace t.stats_concept concept (card + 1);
     t.total_facts <- t.total_facts + 1;
     true
   end
@@ -304,6 +315,7 @@ let insert_role t ~role ~subj ~obj =
     let card, nds, ndo =
       Option.value ~default:(0, 0, 0) (Hashtbl.find_opt t.stats_role role)
     in
+    if card = 0 then t.empty_epoch <- t.empty_epoch + 1;
     (* distinct counts maintained approximately: recount lazily would
        rescan; we bump them when the value is new to this role's index *)
     let new_s = role_lookup_subject t role s = [ (s, o) ] in

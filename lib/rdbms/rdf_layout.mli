@@ -74,6 +74,13 @@ val role_ndv : t -> string -> int * int
 val total_facts : t -> int
 (** Total stored facts (type triples + role pairs). *)
 
+val uid : t -> int
+(** A process-unique stamp among RDF-layout stores. *)
+
+val empty_epoch : t -> int
+(** As {!Storage.empty_epoch}: advances only when an insert puts the
+    first fact into an empty predicate. *)
+
 val individual_count : t -> int
 (** Number of distinct individuals in the dictionary. *)
 

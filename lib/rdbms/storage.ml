@@ -58,9 +58,17 @@ type t = {
   mutable total_facts : int;
   segment_rows : int;
   mutable delta_rows : int;  (* tail length that triggers a merge *)
+  uid : int;  (* process-unique, like [Dllite.Tbox.uid] *)
+  mutable empty_epoch : int;
+      (* advanced by every insert that puts the first row into an empty
+         table: the set of empty predicates changed *)
 }
 
 let default_delta_rows = 4096
+
+let next_uid = Atomic.make 0
+
+let fresh_uid () = Atomic.fetch_and_add next_uid 1
 
 let m_load_ns =
   Obs.Metrics.counter ~help:"cumulative storage load/open time (ns)" "storage.load_ns"
@@ -260,6 +268,8 @@ let of_abox ?(segment_rows = Colstore.default_segment_rows) abox =
         total_facts = !total;
         segment_rows;
         delta_rows = default_delta_rows;
+        uid = fresh_uid ();
+        empty_epoch = 0;
       })
 
 let dict t = t.dict
@@ -386,6 +396,10 @@ let concept_mem t name ind =
   | Some ct -> Keytab.find1 (member_set ct) ind >= 0
 
 let total_facts t = t.total_facts
+
+let uid t = t.uid
+
+let empty_epoch t = t.empty_epoch
 
 let individual_count t = Dllite.Dict.size t.dict
 
@@ -565,6 +579,7 @@ let insert_concept t ~concept ~ind =
   let fresh = Keytab.length set in
   if Keytab.intern1 set code < fresh then false
   else begin
+    if fresh = 0 then t.empty_epoch <- t.empty_epoch + 1;
     Ibuf.push ct.c_tail code;
     Atomic.set ct.members_c None;
     t.total_facts <- t.total_facts + 1;
@@ -627,6 +642,7 @@ let insert_role t ~role ~subj ~obj =
   match index_insert (role_index rt `Subject) s o with
   | None -> false
   | Some new_subject ->
+    if rt.r_stats.card = 0 then t.empty_epoch <- t.empty_epoch + 1;
     let new_object =
       match index_insert (role_index rt `Object) o s with
       | Some fresh -> fresh
@@ -734,6 +750,8 @@ module Builder = struct
           total_facts = !total;
           segment_rows;
           delta_rows = default_delta_rows;
+          uid = fresh_uid ();
+          empty_epoch = 0;
         })
 end
 
@@ -1011,6 +1029,8 @@ let load file =
                   total_facts = total;
                   segment_rows;
                   delta_rows = default_delta_rows;
+                  uid = fresh_uid ();
+                  empty_epoch = 0;
                 }
             with
             | Corrupt msg -> Error (Printf.sprintf "%s: corrupt store (%s)" file msg)

@@ -68,6 +68,16 @@ val concept_mem : t -> string -> int -> bool
 val total_facts : t -> int
 (** Total stored facts across all tables. *)
 
+val uid : t -> int
+(** A process-unique stamp assigned when the store is built or
+    loaded. *)
+
+val empty_epoch : t -> int
+(** Starts at [0] and advances on every insert that puts the first row
+    into an empty (or absent) table — exactly when the set of empty
+    predicates shrinks. Inserts into non-empty tables leave it
+    unchanged. *)
+
 val warm : t -> int
 (** Forces every lazily-decoded column array and lazily-built hash
     index (concept member sets, role subject/object indexes) so that

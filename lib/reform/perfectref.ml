@@ -69,6 +69,11 @@ let m_cqs_generated =
     ~help:"distinct CQs produced by PerfectRef (before minimisation)"
     "reform.cq.generated"
 
+let m_cqs_pruned =
+  Obs.Metrics.counter
+    ~help:"CQs PerfectRef dropped before minimisation for an atom over an empty predicate"
+    "reform.cq.pruned"
+
 let m_cache_requests =
   Obs.Metrics.counter
     ~help:"reformulation-cache lookups (hits + misses)"
@@ -94,7 +99,16 @@ let m_cache_hits =
    - reduce steps are tried only on same-predicate atom pairs (the
      only ones that unify);
    - the seen-set is keyed by the kind-aware rendering of the
-     canonical form, written into one reused buffer. *)
+     canonical form, written into one reused buffer.
+
+   Under an emptiness snapshot ({!Emptiness}) the same loop never
+   queues a CQ with an atom over a hopeless predicate (the input CQ
+   included); a specialisation is the only step that introduces a new
+   predicate, so it is the only one checked, before any CQ is built.
+   The CQs left with an atom over an empty predicate are dropped at the
+   end; when none is left, the input CQ stands alone (its answer is
+   empty). DESIGN §15.4 shows this equals filtering the unpruned
+   fixpoint, in the same order. *)
 
 type spec_index = {
   by_concept : (string, Dllite.Axiom.t list) Hashtbl.t;
@@ -226,9 +240,14 @@ let m_fixpoint_ms =
   Obs.Metrics.histogram ~help:"PerfectRef fixpoint latency, before minimisation (ms)"
     "reform.fixpoint_ms"
 
-let fixpoint tbox q =
+let has_atom_over p cq = List.exists (fun a -> p (Atom.pred_name a)) (Cq.atoms cq)
+
+let fixpoint ?(data = Emptiness.none) tbox q =
   Obs.Metrics.time m_fixpoint_ms @@ fun () ->
+  Emptiness.check data tbox;
   let idx = spec_index_of tbox in
+  let prunes = Emptiness.prunes data in
+  let hopeless = Emptiness.is_hopeless data in
   (* The seen-set is keyed by the kind-aware rendering of the canonical
      form: string hashing stays uniform over thousands of structurally
      similar CQs, where the generic [Hashtbl.hash] on the CQ value
@@ -244,7 +263,7 @@ let fixpoint tbox q =
   let results = ref [ q ] and generated = ref 1 in
   let iterations = ref 0 and dedup_hits = ref 0 in
   let frontier = Queue.create () in
-  Queue.add q frontier;
+  if not (prunes && has_atom_over hopeless q) then Queue.add q frontier;
   let push cq =
     let c = Cq.canonicalize cq in
     let k = key c in
@@ -268,7 +287,8 @@ let fixpoint tbox q =
     in
     for i = 0 to n - 1 do
       iter_specializations idx ~unbound atoms.(i) (fun atom' ->
-          push (Cq.replace_atom cur i atom'))
+          if not (prunes && hopeless (Atom.pred_name atom')) then
+            push (Cq.replace_atom cur i atom'))
     done;
     for i = 0 to n - 1 do
       for j = i + 1 to n - 1 do
@@ -282,9 +302,16 @@ let fixpoint tbox q =
   Obs.Metrics.add m_fixpoint_iterations !iterations;
   Obs.Metrics.add Minimize.m_dedup_hits !dedup_hits;
   Obs.Metrics.add m_cqs_generated !generated;
-  Ucq.make (List.rev !results)
+  let results = List.rev !results in
+  if not prunes then Ucq.make results
+  else begin
+    let empty = Emptiness.is_empty data in
+    let live = List.filter (fun c -> not (has_atom_over empty c)) results in
+    Obs.Metrics.add m_cqs_pruned (!generated - List.length live);
+    Ucq.make (if live = [] then [ q ] else live)
+  end
 
-let reformulate tbox q = Minimize.minimize (fixpoint tbox q)
+let reformulate ?data tbox q = Minimize.minimize (fixpoint ?data tbox q)
 
 (* One bounded LRU for every TBox, keyed on the TBox uid stamp plus
    the rendering of the query — uids make entries from dead TBoxes
@@ -307,14 +334,16 @@ let cache_stats () = Cache.Lru.stats cache
 
 let clear_cache () = Cache.Lru.clear cache
 
-let cache_key tbox q =
-  string_of_int (Dllite.Tbox.uid tbox) ^ "/" ^ Cq.to_string q
+(* The snapshot's digest is [""] when nothing is empty, so unpruned
+   and nothing-to-prune reformulations share one entry. *)
+let cache_key ~data tbox q =
+  string_of_int (Dllite.Tbox.uid tbox) ^ "/" ^ Emptiness.digest data ^ "/" ^ Cq.to_string q
 
-let reformulate_cached tbox q =
+let reformulate_cached ?(data = Emptiness.none) tbox q =
   Obs.Metrics.incr m_cache_requests;
-  let key = cache_key tbox q in
+  let key = cache_key ~data tbox q in
   match Cache.Lru.find cache key with
   | Some u ->
     Obs.Metrics.incr m_cache_hits;
     u
-  | None -> Cache.Lru.add_if_absent cache key (reformulate tbox q)
+  | None -> Cache.Lru.add_if_absent cache key (reformulate ~data tbox q)

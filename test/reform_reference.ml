@@ -130,3 +130,23 @@ let minimize_ucq u =
 (* [reformulate_raw] followed by {!minimize_ucq}: the original
    PerfectRef pipeline. *)
 let reformulate_naive tbox q = minimize_ucq (reformulate_raw tbox q)
+
+(* The disjuncts of [u] with no atom over an empty predicate, in
+   order. *)
+let live_disjuncts data u =
+  List.filter
+    (fun cq ->
+      not
+        (List.exists
+           (fun a -> Reform.Emptiness.is_empty data (Atom.pred_name a))
+           (Cq.atoms cq)))
+    (Ucq.disjuncts u)
+
+(* The data-aware reformulation's specification (DESIGN §15.4): the
+   unpruned UCQ [u] of [q] with every disjunct that has an atom over an
+   empty predicate removed; the minimised input CQ alone when none is
+   left. *)
+let prune data q u =
+  match live_disjuncts data u with
+  | [] -> minimize_ucq (Ucq.of_cq q)
+  | live -> Ucq.make live

@@ -26,6 +26,22 @@ let cover_of_label q label =
   in
   Covers.Generalized.make q (List.map fragment (String.split_on_char ';' inner))
 
+(* The reformulation a search scores for a cover: each fragment's
+   unpruned UCQ with the arms over the layout's empty predicates
+   filtered out ({!Reform_reference.prune}), joined as
+   {!Covers.Reformulate.of_generalized} joins. *)
+let reference_reformulation tbox layout cover =
+  let data =
+    Reform.Emptiness.make tbox ~empty:(fun n ->
+        Rdbms.Layout.concept_card layout n = 0 && Rdbms.Layout.role_card layout n = 0)
+  in
+  Covers.Reformulate.join cover.Covers.Generalized.query
+    (List.map
+       (fun fq ->
+         Fol.leaf ~out:fq.Cq.head
+           (Reform_reference.prune data fq (Reform.Perfectref.reformulate tbox fq)))
+       (Covers.Generalized.fragment_queries cover))
+
 (* Runs GDL (and EDL unless [~edl:false]) under a trace and checks every cost they emitted
    (each candidate, move and final choice) against the reference cost
    of the cover's reformulation; the one-pass [node] of each scored
@@ -38,7 +54,7 @@ let scores_match ?feedback ?(edl = true) ~what model layout tbox est q =
   in
   List.for_all
     (fun (ev : Obs.Trace.event) ->
-      let fol = Covers.Reformulate.of_generalized tbox (cover_of_label q ev.label) in
+      let fol = reference_reformulation tbox layout (cover_of_label q ev.label) in
       let ref_cost = Cost_reference.fol_cost ?feedback model layout fol in
       let ref_rows = Cost_reference.fol_rows ?feedback layout fol in
       let n = Cost.Cost_model.node ?feedback model layout fol in

@@ -251,11 +251,16 @@ let test_plan_cache_update_scoping () =
 (* The qcheck property behind the incremental-update path: an engine
    grown by a random interleaved insert script answers every query
    identically (row order included) to an engine built fresh from the
-   final fact set — across layouts, strategies, SIP on/off, live
-   fragment views and random delta-merge boundaries. Interleaved
-   queries keep the view store warm mid-script, so a stale fragment or
-   a tail fact missed by a segmented scan would surface as a
-   divergence. *)
+   final fact set — across profiles, layouts, strategies, SIP on/off,
+   live fragment views and random delta-merge boundaries. Interleaved
+   queries keep the view store, the plan caches and the data-aware
+   reformulation cache warm mid-script, so a stale fragment, a pruned
+   UCQ kept past the insert that filled its empty predicate or a tail
+   fact missed by a segmented scan would surface as a divergence. The
+   base facts use a random subset of the predicates and the script
+   fills most of the others, so inserts put the first fact into
+   previously empty and previously hopeless predicates. Both engines
+   must also return the chase's certain answers. *)
 let qcheck_grown_equals_fresh =
   QCheck2.Test.make ~name:"obda: engine grown by inserts = engine built fresh"
     ~count:20
@@ -266,12 +271,31 @@ let qcheck_grown_equals_fresh =
       let roles = [| "supervisedBy"; "worksWith" |] in
       let inds = Array.init 10 (Printf.sprintf "i%d") in
       let pick a = a.(Random.State.int st (Array.length a)) in
-      let random_fact () =
-        if Random.State.bool st then `C (pick concepts, pick inds)
+      let sub a = List.filter (fun _ -> Random.State.bool st) (Array.to_list a) in
+      let base_concepts = Array.of_list (sub concepts)
+      and base_roles = Array.of_list (sub roles) in
+      let random_fact concepts roles =
+        if Array.length roles = 0 || (Array.length concepts > 0 && Random.State.bool st)
+        then `C (pick concepts, pick inds)
         else `R (pick roles, pick inds, pick inds)
       in
-      let base = List.init (Random.State.int st 15) (fun _ -> random_fact ()) in
-      let script = List.init (1 + Random.State.int st 25) (fun _ -> random_fact ()) in
+      let base =
+        if Array.length base_concepts + Array.length base_roles = 0 then []
+        else
+          List.init (Random.State.int st 15) (fun _ -> random_fact base_concepts base_roles)
+      in
+      let fill =
+        List.map (fun c -> `C (c, pick inds)) (sub concepts @ sub concepts)
+        @ List.map (fun r -> `R (r, pick inds, pick inds)) (sub roles @ sub roles)
+      in
+      let script =
+        List.map snd
+          (List.sort compare
+             (List.map
+                (fun f -> Random.State.bits st, f)
+                (fill
+                @ List.init (Random.State.int st 25) (fun _ -> random_fact concepts roles))))
+      in
       let abox_of facts =
         let a = Dllite.Abox.create () in
         List.iter
@@ -290,9 +314,13 @@ let qcheck_grown_equals_fresh =
             ~body:[ ca "Researcher" (v "x"); ra "supervisedBy" (v "x") (v "y") ] ();
         ]
       in
+      let strategies =
+        [ Obda.Ucq; Obda.Croot; Obda.Gdl Obda.Ext_cost; Obda.Gdl Obda.Rdbms_cost;
+          Obda.Edl Obda.Ext_cost ]
+      in
       List.for_all
-        (fun lk ->
-          let grown = Obda.make_engine `Pglite lk (abox_of base) in
+        (fun (ek, lk) ->
+          let grown = Obda.make_engine ek lk (abox_of base) in
           (match Obda.layout grown with
           | Rdbms.Layout.Simple s ->
             (* tiny threshold: the script crosses merge boundaries *)
@@ -307,24 +335,105 @@ let qcheck_grown_equals_fresh =
                 ignore (Obda.insert_role grown ~role ~subj ~obj));
               if Random.State.int st 3 = 0 then
                 ignore
-                  (Obda.answers_exn grown example1_tbox Obda.Croot
+                  (Obda.answers_exn grown example1_tbox
+                     (List.nth strategies (Random.State.int st (List.length strategies)))
                      (List.nth queries (Random.State.int st 3))))
             script;
-          let fresh = Obda.make_engine `Pglite lk (abox_of (base @ script)) in
+          let final = abox_of (base @ script) in
+          let fresh = Obda.make_engine ek lk final in
+          (* the chase, outside every cache, catches a stale entry that
+             both engines would share *)
+          let certain =
+            List.map
+              (fun q ->
+                List.sort_uniq compare (Dllite.Chase.certain_answers example1_tbox final q))
+              queries
+          in
           List.for_all
             (fun strategy ->
               List.for_all
                 (fun sip ->
                   Obda.set_sip grown sip;
                   Obda.set_sip fresh sip;
-                  List.for_all
-                    (fun q ->
-                      Obda.answers_exn grown example1_tbox strategy q
-                      = Obda.answers_exn fresh example1_tbox strategy q)
-                    queries)
+                  List.for_all2
+                    (fun q expected ->
+                      let got = Obda.answers_exn grown example1_tbox strategy q in
+                      got = Obda.answers_exn fresh example1_tbox strategy q
+                      && List.sort_uniq compare got = expected)
+                    queries certain)
                 [ true; false ])
-            [ Obda.Ucq; Obda.Croot; Obda.Gdl Obda.Ext_cost ])
-        [ `Simple; `Rdf ])
+            strategies)
+        [ `Pglite, `Simple; `Pglite, `Rdf; `Db2lite, `Simple; `Db2lite, `Rdf ])
+
+(* The emptiness epoch advances exactly when an insert fills an empty
+   predicate, on both layouts; engines whose empty sets differ prune
+   differently and never share a data-aware reformulation-cache
+   entry. *)
+let test_emptiness_epoch_and_cache () =
+  let epoch e = Rdbms.Layout.empty_epoch (Obda.layout e) in
+  List.iter
+    (fun lk ->
+      let e = Obda.make_engine `Pglite lk (example1_abox ()) in
+      let e0 = epoch e in
+      ignore (Obda.insert_role e ~role:"worksWith" ~subj:"Zed" ~obj:"Ioana");
+      check_bool "insert into a non-empty role keeps the epoch" true (epoch e = e0);
+      ignore (Obda.insert_concept e ~concept:"PhDStudent" ~ind:"Zed");
+      check_bool "first fact of a concept advances it" true (epoch e = e0 + 1);
+      ignore (Obda.insert_concept e ~concept:"PhDStudent" ~ind:"Ann");
+      check_bool "insert into a non-empty concept keeps it" true (epoch e = e0 + 1);
+      ignore (Obda.insert_role e ~role:"hasFriend" ~subj:"Zed" ~obj:"Ann");
+      check_bool "first fact of a role advances it" true (epoch e = e0 + 2))
+    [ `Simple; `Rdf ];
+  let q = Query.Cq.make ~head:[ v "x" ] ~body:[ ca "Researcher" (v "x") ] () in
+  let no_supervision = Dllite.Abox.of_assertions ~concepts:[]
+      ~roles:[ "worksWith", "Ioana", "Francois" ]
+  in
+  let a = Obda.make_engine `Pglite `Simple (example1_abox ())
+  and b = Obda.make_engine `Pglite `Simple no_supervision in
+  let data e = Optimizer.Estimator.emptiness example1_tbox (Obda.layout e) in
+  check_bool "empty sets differ" true
+    (Reform.Emptiness.digest (data a) <> Reform.Emptiness.digest (data b));
+  Reform.Perfectref.clear_cache ();
+  let misses () = (Reform.Perfectref.cache_stats ()).Cache.Lru.misses in
+  let hits () = (Reform.Perfectref.cache_stats ()).Cache.Lru.hits in
+  let m0 = misses () in
+  let ua = Reform.Perfectref.reformulate_cached ~data:(data a) example1_tbox q in
+  let ub = Reform.Perfectref.reformulate_cached ~data:(data b) example1_tbox q in
+  check_bool "no shared entry" true (misses () = m0 + 2);
+  check_bool "each engine gets its own pruning" true
+    (Query.Ucq.size ua <> Query.Ucq.size ub
+    && Query.Ucq.size ua
+       = Query.Ucq.size (Reform.Perfectref.reformulate ~data:(data a) example1_tbox q)
+    && Query.Ucq.size ub
+       = Query.Ucq.size (Reform.Perfectref.reformulate ~data:(data b) example1_tbox q));
+  (* filling b's empty role makes its snapshot a's: the same entry *)
+  ignore (Obda.insert_role b ~role:"supervisedBy" ~subj:"Damian" ~obj:"Ioana");
+  check_bool "filled predicate: new snapshot" true
+    (Reform.Emptiness.digest (data a) = Reform.Emptiness.digest (data b));
+  let h0 = hits () in
+  ignore (Reform.Perfectref.reformulate_cached ~data:(data b) example1_tbox q);
+  check_bool "same empty set, same entry" true (hits () = h0 + 1)
+
+(* Pruned cover searches return the certain answers: GDL and EDL,
+   under both cost sources, on random knowledge bases whose ABoxes
+   leave random predicates empty. *)
+let qcheck_pruned_searches_equal_chase =
+  QCheck2.Test.make ~name:"obda: pruned GDL/EDL answers = chase" ~count:40
+    QCheck2.Gen.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Random.State.make [| seed; 0xC4A5E |] in
+      let tbox = Test_reform.random_tbox rng in
+      let abox = Test_reform.random_abox rng in
+      let q = Test_reform.random_query rng in
+      let expected = List.sort_uniq compare (Dllite.Chase.certain_answers tbox abox q) in
+      List.for_all
+        (fun (ek, lk) ->
+          let engine = Obda.make_engine ek lk abox in
+          List.for_all
+            (fun strategy ->
+              List.sort_uniq compare (Obda.answers_exn engine tbox strategy q) = expected)
+            [ Obda.Gdl Obda.Ext_cost; Obda.Gdl Obda.Rdbms_cost; Obda.Edl Obda.Ext_cost ])
+        [ `Pglite, `Simple; `Db2lite, `Rdf ])
 
 (* Under eviction pressure (capacity 1, two queries round-robin) the
    plan cache must stay answer-equivalent to uncached evaluation. *)
@@ -381,6 +490,9 @@ let suite =
     Alcotest.test_case "plan cache update scoping" `Quick
       test_plan_cache_update_scoping;
     QCheck_alcotest.to_alcotest qcheck_grown_equals_fresh;
+    Alcotest.test_case "emptiness epoch and reformulation cache" `Quick
+      test_emptiness_epoch_and_cache;
+    QCheck_alcotest.to_alcotest qcheck_pruned_searches_equal_chase;
     Alcotest.test_case "plan cache eviction equivalence" `Quick
       test_plan_cache_eviction_equivalence;
     Alcotest.test_case "inconsistent kb detected" `Quick test_inconsistent_kb_detected;

@@ -360,8 +360,8 @@ let test_fast_equals_naive_lubm () =
 
 (* The fragment queries GDL reformulates: those of the root cover of
    each LUBM query and of every cover one or two GDL moves (merge,
-   enlarge) away from it, against the frozen pipeline. *)
-let test_fast_equals_naive_fragments () =
+   enlarge) away from it, keyed by their rendering. *)
+let lubm_fragment_queries () =
   let module G = Covers.Generalized in
   let tbox = Lubm.Ontology.tbox in
   let moves c =
@@ -386,6 +386,12 @@ let test_fast_equals_naive_fragments () =
             (G.fragment_queries cover))
         (near @ List.concat_map moves near))
     Lubm.Workload.queries;
+  frags
+
+(* Every such fragment query against the frozen pipeline. *)
+let test_fast_equals_naive_fragments () =
+  let tbox = Lubm.Ontology.tbox in
+  let frags = lubm_fragment_queries () in
   check_bool "fragments collected" true (Hashtbl.length frags > 100);
   Hashtbl.iter
     (fun key fq ->
@@ -597,6 +603,94 @@ let prop_store_reformulation_equals_naive =
         (Reform.Perfectref.reformulate tbox q)
         (Reform_reference.reformulate_naive tbox q))
 
+(* {1 Data-aware PerfectRef (DESIGN §15.4)}
+
+   Under an emptiness snapshot, the fixpoint must equal the unpruned
+   fixpoint with every disjunct over an empty predicate filtered out,
+   in the same order (the input CQ alone when none is left), and the
+   minimised UCQ must equal the unpruned minimal UCQ filtered the same
+   way ({!Reform_reference.prune}). *)
+
+let filtered_fixpoint data tbox q =
+  match Reform_reference.live_disjuncts data (Reform.Perfectref.fixpoint tbox q) with
+  | [] -> Ucq.make [ q ]
+  | live -> Ucq.make live
+
+let pruned_matches_filtered data tbox q =
+  same_ucq (Reform.Perfectref.fixpoint ~data tbox q) (filtered_fixpoint data tbox q)
+  && same_ucq
+       (Reform.Perfectref.reformulate ~data tbox q)
+       (Reform_reference.prune data q (Reform.Perfectref.reformulate tbox q))
+
+let random_empty_set rng tbox =
+  let p = Random.State.float rng 1. in
+  Reform.Emptiness.make tbox ~empty:(fun _ -> Random.State.float rng 1. < p)
+
+(* LUBM Q1–Q13, the star queries and every enumerated fragment query,
+   under the empty set of generated LUBM data and under random ones. *)
+let test_pruned_equals_filtered_lubm () =
+  let tbox = Lubm.Ontology.tbox in
+  let engine =
+    Obda.make_engine `Pglite `Simple (Lubm.Generator.generate ~target_facts:5_000 ())
+  in
+  let lubm_data = Optimizer.Estimator.emptiness tbox (Obda.layout engine) in
+  check_bool "LUBM data leaves hopeless names" true
+    (Reform.Emptiness.hopeless_count lubm_data > 0);
+  let rng = Random.State.make [| 0xE3707 |] in
+  let snapshots = lubm_data :: List.init 3 (fun _ -> random_empty_set rng tbox) in
+  let queries =
+    List.map (fun e -> e.Lubm.Workload.name, e.Lubm.Workload.query) lubm_entries
+    @ Hashtbl.fold (fun k q acc -> (k, q) :: acc) (lubm_fragment_queries ()) []
+  in
+  List.iter
+    (fun data ->
+      List.iter
+        (fun (name, q) ->
+          check_bool (name ^ ": pruned = filtered") true (pruned_matches_filtered data tbox q))
+        queries)
+    snapshots
+
+(* On 5k LUBM facts pruning cuts Q13's minimal UCQ to a fraction of
+   its 384 arms and generates fewer CQs; a snapshot with no empty name
+   changes nothing; a snapshot of another TBox is refused. *)
+let test_pruned_lubm_sizes () =
+  let tbox = Lubm.Ontology.tbox in
+  let engine =
+    Obda.make_engine `Pglite `Simple (Lubm.Generator.generate ~target_facts:5_000 ())
+  in
+  let data = Optimizer.Estimator.emptiness tbox (Obda.layout engine) in
+  let q = (Lubm.Workload.find "Q13").query in
+  let generated f =
+    let c = Option.get (Obs.Metrics.find_counter "reform.cq.generated") in
+    let before = Obs.Metrics.counter_value c in
+    ignore (f ());
+    Obs.Metrics.counter_value c - before
+  in
+  let arms = Ucq.size (Reform.Perfectref.reformulate ~data tbox q) in
+  check_bool "Q13 keeps under a third of its arms" true (arms > 0 && 3 * arms < 384);
+  check_bool "fewer CQs generated" true
+    (generated (fun () -> Reform.Perfectref.fixpoint ~data tbox q)
+    < generated (fun () -> Reform.Perfectref.fixpoint tbox q));
+  check_bool "no empty name: unpruned UCQ" true
+    (same_ucq
+       (Reform.Perfectref.reformulate
+          ~data:(Reform.Emptiness.make tbox ~empty:(fun _ -> false))
+          tbox q)
+       (Reform.Perfectref.reformulate tbox q));
+  check_bool "snapshot of another TBox rejected" true
+    (match Reform.Perfectref.fixpoint ~data example1_tbox example3_query with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
+let prop_pruned_equals_filtered_random =
+  QCheck2.Test.make ~name:"pruned reformulation = filtered unpruned (random)"
+    ~count:200
+    QCheck2.Gen.(pair (int_bound 1_000_000) Test_query.gen_cq)
+    (fun (seed, q) ->
+      let rng = Random.State.make [| seed; 0xE3 |] in
+      let tbox = random_tbox rng in
+      pruned_matches_filtered (random_empty_set rng tbox) tbox q)
+
 let suite =
   [
     Alcotest.test_case "example 4 raw size" `Quick test_example4_raw_size;
@@ -636,6 +730,10 @@ let suite =
     Alcotest.test_case "containment constants" `Quick test_containment_constants_vs_vars;
     Alcotest.test_case "containment cache = raw" `Slow test_containment_cached_equals_raw_random;
     Alcotest.test_case "empty union rejected" `Quick test_empty_union_rejected;
+    Alcotest.test_case "pruned = filtered (lubm + fragments)" `Slow
+      test_pruned_equals_filtered_lubm;
+    Alcotest.test_case "pruned LUBM sizes" `Quick test_pruned_lubm_sizes;
   ]
   @ List.map QCheck_alcotest.to_alcotest
-      [ prop_minimized_answers_equal; prop_store_reformulation_equals_naive ]
+      [ prop_minimized_answers_equal; prop_store_reformulation_equals_naive;
+        prop_pruned_equals_filtered_random ]
