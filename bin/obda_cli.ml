@@ -423,13 +423,20 @@ let explain_cmd =
     | `Text ->
       Fmt.pr "query        : %a@." Query.Cq.pp q;
       Fmt.pr "strategy     : %s@." (Obda.strategy_name strategy);
+      (* the cost-based strategies cover the query without its
+         TBox-redundant atoms *)
+      if p.Obda.dropped <> [] then begin
+        Fmt.pr "reduced query: %a@." Query.Cq.pp p.Obda.covered;
+        Fmt.pr "dropped atoms: %s@."
+          (String.concat " " (List.map Query.Atom.to_string p.Obda.dropped))
+      end;
       Fmt.pr "dialect      : %s@." dialect;
       Fmt.pr "cq disjuncts : %d@." (Query.Fol.cq_count fol);
       Fmt.pr "join width   : %d@." (Query.Fol.join_width fol);
       Fmt.pr "rdbms cost   : %.0f@." (est.Optimizer.Estimator.estimate fol);
       Fmt.pr "ext cost     : %.0f@." (ext.Optimizer.Estimator.estimate fol);
       Fmt.pr "sql bytes    : %d@." sql_bytes;
-      let root = Covers.Safety.root_cover tbox q in
+      let root = Covers.Safety.root_cover tbox p.Obda.covered in
       Fmt.pr "root cover   : %a@." Covers.Cover.pp root;
       if trace then begin
         Fmt.pr "@.== cover-search trace (%d events) ==@." (List.length events);
@@ -445,6 +452,7 @@ let explain_cmd =
             "reform.containment.skipped"; "reform.containment.memo_hits";
             "reform.fixpoint.iterations"; "reform.cq.generated";
             "reform.cq.pruned"; "reform.cache.requests"; "reform.cache.hits";
+            "reform.atoms.dropped";
           ];
         (* the emptiness snapshot the cost-based searches prune with *)
         let data = Optimizer.Estimator.emptiness tbox lay in
@@ -458,7 +466,7 @@ let explain_cmd =
                 Fmt.pr "%-32s %d runs, %.2f ms@." name (Obs.Metrics.histogram_count h)
                   (Obs.Metrics.histogram_sum h))
               (Obs.Metrics.find_histogram name))
-          [ "reform.fixpoint_ms"; "reform.minimize_ms" ];
+          [ "reform.reduce_ms"; "reform.fixpoint_ms"; "reform.minimize_ms" ];
         (* each distinct fragment is estimated once per search; the
            rest of the scored fragments come from the search's memo *)
         Fmt.pr "@.== cover-search estimation (cost.leaves.*) ==@.";

@@ -161,8 +161,8 @@ let estimator e = function
   | Rdbms_cost -> Optimizer.Estimator.rdbms e.profile e.layout
   | Ext_cost -> Optimizer.Estimator.ext ?feedback:e.feedback e.model e.layout
 
-(* One optimisation pass: the chosen reformulation. *)
-let reformulate e tbox strategy q =
+(* One optimisation pass: the chosen reformulation of the covered query. *)
+let search e tbox strategy q =
   match strategy with
   | Ucq -> Covers.Reformulate.ucq tbox q
   | Uscq -> Reform.Uscq_reform.reformulate tbox q
@@ -183,6 +183,8 @@ type plan = {
          whose q-error drifts is only re-ranked once the epoch has
          advanced — re-searching under unchanged corrections would
          reproduce the same cover. *)
+  p_covered : Query.Cq.t;  (* the query the search covered *)
+  p_dropped : Query.Atom.t list;  (* the atoms reduced away from it *)
 }
 
 (* A strategy is data-independent when its output is a function of the
@@ -194,6 +196,16 @@ type plan = {
 let data_independent = function
   | Ucq | Uscq | Croot -> true
   | Gdl _ | Gdl_limited _ | Edl _ -> false
+
+(* The query the cover search runs on. The cost-based strategies drop
+   TBox-redundant atoms first (DESIGN §15.5): it has the original's
+   certain answers, and fewer atoms means fewer fragments to
+   reformulate and price. UCQ, USCQ and Croot reformulate the query as
+   given, so the paper's UCQ and Croot columns stay the textbook ones. *)
+let covered_query tbox strategy q =
+  if data_independent strategy then q, [] else Reform.Reduce.reduce tbox q
+
+let reformulate e tbox strategy q = search e tbox strategy (fst (covered_query tbox strategy q))
 
 (* The plan caches: repeated queries skip PerfectRef and the EDL/GDL
    cover search entirely. Keyed by engine id, TBox uid, strategy and
@@ -256,9 +268,10 @@ let plan_for e tbox strategy q =
   | Some p -> p, true
   | None ->
     let epoch = feedback_epoch e in
-    let fol = reformulate e tbox strategy q in
+    let covered, dropped = covered_query tbox strategy q in
+    let fol = search e tbox strategy covered in
     ( Cache.Lru.add_if_absent cache key
-        { p_reformulation = fol; p_epoch = epoch },
+        { p_reformulation = fol; p_epoch = epoch; p_covered = covered; p_dropped = dropped },
       false )
 
 (* {1 The query pipeline}
@@ -270,6 +283,8 @@ let plan_for e tbox strategy q =
 
 type prepared = {
   strategy : strategy;
+  covered : Query.Cq.t;
+  dropped : Query.Atom.t list;
   reformulation : Query.Fol.t;
   plan_cached : bool;
   epoch : int;
@@ -305,7 +320,17 @@ let prepare e tbox strategy q =
            Cost.Sip_pass.annotate ~model:e.model ?feedback:e.feedback e.layout plan
          else plan)
   in
-  { strategy; reformulation; plan_cached; epoch = plan.p_epoch; search_time; sql; physical }
+  {
+    strategy;
+    covered = plan.p_covered;
+    dropped = plan.p_dropped;
+    reformulation;
+    plan_cached;
+    epoch = plan.p_epoch;
+    search_time;
+    sql;
+    physical;
+  }
 
 type outcome = {
   strategy : strategy;

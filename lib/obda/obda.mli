@@ -47,8 +47,10 @@ type strategy =
   | Croot  (** fixed JUCQ over the root cover *)
   | Gdl of cost_source
       (** greedy cover search; like every cost-based strategy it
-          reformulates fragments without the arms over predicates that
-          have no stored fact ({!Optimizer.Estimator.emptiness}) *)
+          first drops the query's TBox-redundant atoms
+          ({!Reform.Reduce}), and reformulates fragments without the
+          arms over predicates that have no stored fact
+          ({!Optimizer.Estimator.emptiness}) *)
   | Gdl_limited of cost_source * float  (** time-limited GDL (seconds) *)
   | Edl of cost_source  (** exhaustive cover search (small queries!) *)
 
@@ -62,6 +64,12 @@ val strategy_name : strategy -> string
 
 type prepared = {
   strategy : strategy;
+  covered : Query.Cq.t;
+      (** the query the strategy reformulated: for the cost-based
+          strategies the caller's query without its TBox-redundant
+          atoms ({!Reform.Reduce.reduce}), otherwise the caller's
+          query itself *)
+  dropped : Query.Atom.t list;  (** the atoms reduced away from [covered] *)
   reformulation : Query.Fol.t;
   plan_cached : bool;
       (** the reformulation came from the plan cache — no PerfectRef
@@ -104,8 +112,9 @@ type outcome = {
 }
 
 val reformulate : engine -> Dllite.Tbox.t -> strategy -> Query.Cq.t -> Query.Fol.t
-(** Only the reformulation step, searched afresh: it bypasses the plan
-    cache, which {!prepare} goes through. *)
+(** Only the reformulation step, searched afresh (the cost-based
+    strategies reduce the query first, as {!prepare} does): it
+    bypasses the plan cache, which {!prepare} goes through. *)
 
 val answer : engine -> Dllite.Tbox.t -> strategy -> Query.Cq.t -> outcome
 (** {!prepare}, then the plain executor and decoding. The optimisation
@@ -158,7 +167,9 @@ val generation : engine -> int
     engine's generation, and their cache is version-flushed on every
     update (superseded entries would otherwise squat in the LRU until
     evicted). Repeated-query traffic skips PerfectRef and the EDL/GDL
-    cover search entirely. A replayed plan returns the same answers as
+    cover search entirely, and the atom reduction of the cost-based
+    strategies with them: the key is the caller's query, not the
+    reduced one. A replayed plan returns the same answers as
     a fresh search: the data-independent reformulations hold for any
     data, and the cost-based ones, which drop the arms over predicates
     empty at search time (DESIGN §15.4), are replayed only within the

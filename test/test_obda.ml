@@ -210,6 +210,32 @@ let test_plan_cache_hit () =
   let s = Obda.plan_cache_stats () in
   check_bool "hit visible in stats" true (s.Cache.Lru.hits > 0)
 
+(* The cost-based strategies reduce the query on a plan-cache miss
+   only: the warm call drops nothing, and both return the UCQ's
+   answers. Example 1's [supervisedBy(x,y)] entails [PhDStudent(x)],
+   which entails [Researcher(x)]. *)
+let test_plan_cache_hit_skips_reduction () =
+  Obda.clear_plan_cache ();
+  let engine = Obda.make_engine `Pglite `Simple (example1_abox ()) in
+  let q =
+    Query.Cq.make ~head:[ v "x" ]
+      ~body:[ ca "PhDStudent" (v "x"); ca "Researcher" (v "x"); ra "supervisedBy" (v "x") (v "y") ]
+      ()
+  in
+  let dropped = Option.get (Obs.Metrics.find_counter "reform.atoms.dropped") in
+  let strategy = Obda.Gdl Obda.Ext_cost in
+  let d0 = Obs.Metrics.counter_value dropped in
+  let cold = Obda.prepare engine example1_tbox strategy q in
+  Alcotest.(check int) "cold call drops two atoms" 2 (Obs.Metrics.counter_value dropped - d0);
+  Alcotest.(check (list string)) "dropped atoms" [ "PhDStudent(x)"; "Researcher(x)" ]
+    (List.map Query.Atom.to_string cold.Obda.dropped);
+  let d1 = Obs.Metrics.counter_value dropped in
+  let warm = Obda.answer engine example1_tbox strategy q in
+  check_bool "warm call served from plan cache" true warm.Obda.plan_cached;
+  Alcotest.(check int) "warm call drops nothing" d1 (Obs.Metrics.counter_value dropped);
+  Alcotest.(check (list (list string)))
+    "answers = UCQ" (Obda.answers_exn engine example1_tbox Obda.Ucq q) (answers_of warm)
+
 (* Updating the data bumps the engine generation: cached plans keyed
    on the old generation become unreachable and the next call
    recomputes, seeing the new fact. *)
@@ -416,7 +442,8 @@ let test_emptiness_epoch_and_cache () =
 
 (* Pruned cover searches return the certain answers: GDL and EDL,
    under both cost sources, on random knowledge bases whose ABoxes
-   leave random predicates empty. *)
+   leave random predicates empty. The queries carry planted entailed
+   atoms, so the searches also run on reduced queries. *)
 let qcheck_pruned_searches_equal_chase =
   QCheck2.Test.make ~name:"obda: pruned GDL/EDL answers = chase" ~count:40
     QCheck2.Gen.(int_bound 1_000_000)
@@ -424,7 +451,7 @@ let qcheck_pruned_searches_equal_chase =
       let rng = Random.State.make [| seed; 0xC4A5E |] in
       let tbox = Test_reform.random_tbox rng in
       let abox = Test_reform.random_abox rng in
-      let q = Test_reform.random_query rng in
+      let q = Test_reform.plant_entailed rng tbox (Test_reform.random_query rng) in
       let expected = List.sort_uniq compare (Dllite.Chase.certain_answers tbox abox q) in
       List.for_all
         (fun (ek, lk) ->
@@ -486,6 +513,8 @@ let suite =
     Alcotest.test_case "incremental updates" `Quick test_incremental_updates;
     Alcotest.test_case "updates invalidate views" `Quick test_updates_invalidate_views;
     Alcotest.test_case "plan cache hit" `Quick test_plan_cache_hit;
+    Alcotest.test_case "plan cache hit skips the reduction" `Quick
+      test_plan_cache_hit_skips_reduction;
     Alcotest.test_case "plan cache invalidation" `Quick test_plan_cache_invalidation;
     Alcotest.test_case "plan cache update scoping" `Quick
       test_plan_cache_update_scoping;

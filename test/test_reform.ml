@@ -164,6 +164,49 @@ let random_query rng =
   in
   Cq.make ~head:[ var 0 ] ~body ()
 
+(* [q] with one or two atoms planted at random positions, each entailed
+   under [tbox] by one atom of [q] alone: a subsumer of the concept an
+   atom asserts of one of its terms ([B(x)] beside [A(x)] when
+   [A ⊑ B], [R(x,_)] beside [A(x)] when [A ⊑ ∃R]) or a super-role of a
+   role atom. The planted query has [q]'s certain answers, and gives
+   {!Reform.Reduce} something to drop. *)
+let plant_entailed rng tbox q =
+  let fresh = ref 0 in
+  let fresh_var () =
+    incr fresh;
+    v (Printf.sprintf "z%d" !fresh)
+  in
+  let of_concept t = function
+    | Concept.Atomic a -> ca a t
+    | Concept.Exists (Role.Named p) -> ra p t (fresh_var ())
+    | Concept.Exists (Role.Inverse p) -> ra p (fresh_var ()) t
+  in
+  let subsumers t c =
+    List.map (of_concept t) (Concept.Set.elements (Tbox.subsumers_of_concept tbox c))
+  in
+  let entailed = function
+    | Atom.Ca (a, t) -> subsumers t (atomic a)
+    | Atom.Ra (p, t1, t2) ->
+      subsumers t1 (ex p) @ subsumers t2 (ex_inv p)
+      @ List.map
+          (function Role.Named p' -> ra p' t1 t2 | Role.Inverse p' -> ra p' t2 t1)
+          (Role.Set.elements (Tbox.subsumers_of_role tbox (named p)))
+  in
+  let plant body =
+    let source = List.nth body (Random.State.int rng (List.length body)) in
+    match List.filter (fun a -> not (List.mem a body)) (entailed source) with
+    | [] -> body
+    | candidates ->
+      let a = List.nth candidates (Random.State.int rng (List.length candidates)) in
+      let at = Random.State.int rng (List.length body + 1) in
+      List.filteri (fun i _ -> i < at) body @ (a :: List.filteri (fun i _ -> i >= at) body)
+  in
+  let body = ref (Cq.atoms q) in
+  for _ = 0 to Random.State.int rng 2 do
+    body := plant !body
+  done;
+  Cq.make ~name:q.Cq.name ~head:q.Cq.head ~body:!body ()
+
 let test_reformulation_matches_chase () =
   let rng = Random.State.make [| 20160905 |] in
   for case = 1 to 120 do
@@ -682,6 +725,94 @@ let test_pruned_lubm_sizes () =
     | _ -> false
     | exception Invalid_argument _ -> true)
 
+(* {1 TBox-redundant atom elimination} *)
+
+(* The atoms the reduction drops from Q1-Q13, in body order. *)
+let test_lubm_reductions () =
+  let tbox = Lubm.Ontology.tbox in
+  let expected =
+    [
+      "Q1", [ "teacherOf(x,c)" ];
+      "Q2", [ "subOrganizationOf(d,u)" ];
+      "Q3", [ "worksFor(x,d)" ];
+      "Q4", [ "teacherOf(y,c)" ];
+      "Q5", [ "ResearchGroup(g)"; "advisor(x,y)"; "teacherOf(y,c)" ];
+      "Q6", [];
+      "Q7", [ "Department(d)"; "scheduledIn(c,sem)" ];
+      "Q8", [ "worksFor(p,d)" ];
+      "Q9", [];
+      "Q10", [];
+      "Q11", [ "Organization(o)" ];
+      "Q12", [];
+      "Q13", [ "University(u)" ];
+    ]
+  in
+  List.iter
+    (fun (name, dropped) ->
+      let q = (Lubm.Workload.find name).Lubm.Workload.query in
+      let r, d = Reform.Reduce.reduce tbox q in
+      Alcotest.(check (list string)) (name ^ ": dropped atoms") dropped
+        (List.map Atom.to_string d);
+      check_int (name ^ ": reduced size") (Cq.atom_count q - List.length dropped)
+        (Cq.atom_count r);
+      check_bool (name ^ ": head kept") true (r.Cq.head = q.Cq.head))
+    expected
+
+(* The same greedy passes, deciding each drop with the chase-based
+   containment test [q \ a ⊑_T q] instead of PerfectRef: the oracle the
+   reduction must agree with. *)
+let reduce_by_chase tbox q =
+  let head_vars = Cq.head_vars q in
+  let vars atoms =
+    List.fold_left (fun s a -> Term.Set.union s (Atom.vars a)) Term.Set.empty atoms
+  in
+  let query body = Cq.make ~head:q.Cq.head ~body () in
+  let rec pass kept dropped_any = function
+    | [] -> List.rev kept, dropped_any
+    | ((_, a) as ia) :: todo ->
+      let before = List.rev_map snd kept and after = List.map snd todo in
+      let rest = before @ after in
+      if
+        rest <> []
+        && Term.Set.subset head_vars (vars rest)
+        && Reform.Containment.contained_in_raw tbox (query rest)
+             (query (before @ (a :: after)))
+      then pass kept true todo
+      else pass (ia :: kept) dropped_any todo
+  in
+  let rec fix body =
+    match pass [] false body with
+    | body', true -> fix body'
+    | body', false -> body'
+  in
+  let indexed = List.mapi (fun i a -> i, a) (Cq.atoms q) in
+  let kept = fix indexed in
+  List.filter_map (fun (i, a) -> if List.mem_assoc i kept then None else Some a) indexed
+
+let test_reductions_match_chase () =
+  let tbox = Lubm.Ontology.tbox in
+  List.iter
+    (fun e ->
+      let q = e.Lubm.Workload.query in
+      Alcotest.(check (list string))
+        (e.Lubm.Workload.name ^ ": dropped = chase oracle")
+        (List.map Atom.to_string (reduce_by_chase tbox q))
+        (List.map Atom.to_string (snd (Reform.Reduce.reduce tbox q))))
+    lubm_entries
+
+let prop_reduced_answers_equal =
+  QCheck2.Test.make ~name:"reduced query answers = original (chase, random)" ~count:200
+    QCheck2.Gen.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Random.State.make [| seed; 0x5ED |] in
+      let tbox = random_tbox rng in
+      let abox = random_abox rng in
+      let q = plant_entailed rng tbox (random_query rng) in
+      let r, dropped = Reform.Reduce.reduce tbox q in
+      Cq.atom_count r + List.length dropped = Cq.atom_count q
+      && List.sort_uniq compare (Chase.certain_answers tbox abox r)
+         = List.sort_uniq compare (Chase.certain_answers tbox abox q))
+
 let prop_pruned_equals_filtered_random =
   QCheck2.Test.make ~name:"pruned reformulation = filtered unpruned (random)"
     ~count:200
@@ -733,7 +864,9 @@ let suite =
     Alcotest.test_case "pruned = filtered (lubm + fragments)" `Slow
       test_pruned_equals_filtered_lubm;
     Alcotest.test_case "pruned LUBM sizes" `Quick test_pruned_lubm_sizes;
+    Alcotest.test_case "lubm reductions" `Quick test_lubm_reductions;
+    Alcotest.test_case "reductions = chase oracle (lubm)" `Slow test_reductions_match_chase;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_minimized_answers_equal; prop_store_reformulation_equals_naive;
-        prop_pruned_equals_filtered_random ]
+        prop_pruned_equals_filtered_random; prop_reduced_answers_equal ]
