@@ -13,6 +13,7 @@ let () =
       "storage", Test_storage.suite;
       "optimizer", Test_optimizer.suite;
       "estimator", Test_estimator.suite;
+      "golden", Test_golden.suite;
       "obda", Test_obda.suite;
       "feedback", Test_feedback.suite;
       "lubm", Test_lubm.suite;
