@@ -594,14 +594,14 @@ let exp_calibration () =
       in
       let eval_ms = (Unix.gettimeofday () -. t0) *. 1000. in
       let node_q (s : Rdbms.Exec.node_stats) =
-        let est = Rdbms.Explain.node_estimate profile layout s.Rdbms.Exec.plan in
+        let est = Rdbms.Explain.cost profile layout s.Rdbms.Exec.plan in
         Rdbms.Explain.q_error ~est:est.Rdbms.Explain.est_rows
           ~actual:s.Rdbms.Exec.actual_rows
       in
       let rec max_q acc (s : Rdbms.Exec.node_stats) =
         List.fold_left max_q (Float.max acc (node_q s)) s.Rdbms.Exec.children
       in
-      let root_est = Rdbms.Explain.node_estimate profile layout stats.Rdbms.Exec.plan in
+      let root_est = Rdbms.Explain.cost profile layout stats.Rdbms.Exec.plan in
       record_json
         [ "exp", "\"calibration\"";
           "query", Printf.sprintf "%S" e.Lubm.Workload.name;

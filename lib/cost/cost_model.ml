@@ -69,13 +69,8 @@ let atom_info feedback layout a =
   in
   { atom = a; raw; est; access = access_rows layout a }
 
-let fold_join ests =
-  match ests with
-  | [] -> 0.
-  | first :: rest -> (List.fold_left Estimate.join first rest).Estimate.rows
-
 (* One arm (a CQ): rows fold the atoms in body order; cost folds them
-   in the planner's {!Estimate.order_atoms} order, so the fold's prefix
+   in the planner's {!Estimate.order_by} order, so the fold's prefix
    shapes are exactly the join subtrees EXPLAIN ANALYZE observed. A
    corrected prefix replaces the textbook intermediate with (raw static
    estimate of the prefix) x (its learned factor); an uncorrected step
@@ -88,14 +83,14 @@ let arm feedback model layout cq =
     | [] -> 0., 0.
     | [ i ] -> i.raw.Estimate.rows, i.est.Estimate.rows
     | _ ->
-      let raw_rows = fold_join (List.map (fun i -> i.raw) infos) in
+      let raw_rows = Estimate.body_rows (fun i -> i.raw) infos in
       ( raw_rows,
         match feedback with
         | None -> raw_rows
         | Some _ -> (
           match Feedback.lookup_atoms feedback ~tag:"j" atoms with
           | Some f -> raw_rows *. f
-          | None -> fold_join (List.map (fun i -> i.est) infos)) )
+          | None -> Estimate.body_rows (fun i -> i.est) infos) )
   in
   let cost =
     match Estimate.order_by ~atom:(fun i -> i.atom) ~est:(fun i -> i.raw) infos with
@@ -135,82 +130,44 @@ let corrected feedback fol ~raw_rows ~rows =
   | Some f -> raw_rows *. f
   | None -> rows
 
-let leaf_node feedback model layout fol ucq =
-  let raw_rows, rows, arms =
-    List.fold_left
-      (fun (raw_rows, rows, cost) d ->
-        let a = arm feedback model layout d in
-        raw_rows +. a.raw_rows, rows +. a.rows, cost +. a.cost)
-      (0., 0., 0.) (Ucq.disjuncts ucq)
-  in
+let union_node feedback model fol arms =
+  let raw_rows = Estimate.union_rows (fun a -> a.raw_rows) arms
+  and rows = Estimate.union_rows (fun a -> a.rows) arms
+  and cost = List.fold_left (fun acc a -> acc +. a.cost) 0. arms in
   let rows = corrected feedback fol ~raw_rows ~rows in
-  { rows; raw_rows; cost = arms +. (model.c_distinct *. rows) }
-
-let union_node feedback model fol branches =
-  let raw_rows, rows, costs =
-    List.fold_left
-      (fun (raw_rows, rows, cost) b ->
-        raw_rows +. b.raw_rows, rows +. b.rows, cost +. b.cost)
-      (0., 0., 0.) branches
-  in
-  let rows = corrected feedback fol ~raw_rows ~rows in
-  { rows; raw_rows; cost = costs +. (model.c_distinct *. rows) }
+  { rows; raw_rows; cost = cost +. (model.c_distinct *. rows) }
 
 let join_node feedback model fol parts nodes =
   let part_costs =
     List.fold_left (fun acc n -> acc +. n.cost +. (model.c_mat *. n.rows)) 0. nodes
   in
-  (* greedy connected ordering mirroring the planner: joining two
-     fragments sharing output variables shrinks the intermediate
-     (containment assumption); a cross product multiplies it *)
+  (* the planner's fragment order over the parts' output variables:
+     joining two fragments sharing output variables shrinks the
+     intermediate (containment assumption); a cross product multiplies
+     it *)
   let vars p =
     List.filter_map
-      (fun t -> match t with Query.Term.Var v -> Some v | Query.Term.Cst _ -> None)
+      (function Term.Var v -> Some v | Term.Cst _ -> None)
       (Fol.out p)
   in
-  let sized = List.map2 (fun p n -> vars p, n.rows) parts nodes in
-  let join_cost =
-    match List.stable_sort (fun (_, r1) (_, r2) -> Float.compare r1 r2) sized with
-    | [] -> 0.
-    | (v0, r0) :: rest ->
-      let rec grow cur_vars cur_rows cost remaining =
-        match remaining with
-        | [] -> cost
-        | _ ->
-          let connected, isolated =
-            List.partition
-              (fun (vs, _) -> List.exists (fun c -> List.mem c cur_vars) vs)
-              remaining
-          in
-          let pool = if connected = [] then isolated else connected in
-          let (vs, r), rest' =
-            match pool with
-            | first :: _ -> first, List.filter (fun x -> x != first) remaining
-            | [] -> assert false
-          in
-          let out_rows =
-            if connected = [] then cur_rows *. r else Float.min cur_rows r
-          in
-          grow
-            (cur_vars @ vs)
-            out_rows
-            (cost +. (model.c_join *. (cur_rows +. r)) +. (model.c_out *. out_rows))
-            rest'
-      in
-      grow v0 r0 0. rest
+  let _, join_cost =
+    Estimate.fold_fragments ~cols:fst ~rows:snd
+      ~first:(fun (_, r) -> r, 0.)
+      ~next:(fun (cur_rows, cost) (_, r) ~connected ->
+        let out_rows = if connected then Float.min cur_rows r else cur_rows *. r in
+        out_rows, cost +. (model.c_join *. (cur_rows +. r)) +. (model.c_out *. out_rows))
+      (List.map2 (fun p n -> vars p, n.rows) parts nodes)
   in
-  (* independence across fragments, bounded by the smallest part *)
-  let raw_rows, rows =
-    List.fold_left
-      (fun (raw_rows, rows) n -> Float.min raw_rows n.raw_rows, Float.min rows n.rows)
-      (infinity, infinity) nodes
-  in
+  let raw_rows = Estimate.fragments_rows (fun n -> n.raw_rows) nodes
+  and rows = Estimate.fragments_rows (fun n -> n.rows) nodes in
   let rows = corrected feedback fol ~raw_rows ~rows in
   { rows; raw_rows; cost = part_costs +. join_cost +. (model.c_distinct *. rows) }
 
 let rec node_in feedback model layout fol =
   match fol with
-  | Fol.Leaf { ucq; _ } -> leaf_node feedback model layout fol ucq
+  | Fol.Leaf { ucq; _ } ->
+    (* a leaf is the union of its arms *)
+    union_node feedback model fol (List.map (arm feedback model layout) (Ucq.disjuncts ucq))
   | Fol.Union { branches; _ } ->
     union_node feedback model fol (List.map (node_in feedback model layout) branches)
   | Fol.Join { parts; _ } ->

@@ -27,7 +27,11 @@ val calibrated : [ `Pglite | `Db2lite ] -> t
     summarised once, from its children's summaries, into its estimated
     answer rows and its evaluation cost. Each arm (CQ) estimates each
     of its atoms once and shares the estimates between the join order,
-    the cost fold and the row fold.
+    the cost fold and the row fold. How rows combine — the body fold,
+    the union sum, the fragment-join minimum and the fragment order —
+    is {!Rdbms.Estimate}'s; this module adds the access and per-row
+    cost constants and the cross-product rows of a disconnected
+    fragment join.
 
     With [?feedback], every cardinality the formulas consume — atom
     accesses, join-fold prefixes, fragment unions, whole-node outputs —

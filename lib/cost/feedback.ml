@@ -247,14 +247,11 @@ let atom_est ?feedback layout a =
   else
     match lookup feedback (atom_key a) with Some f -> scale e f | None -> e
 
-(* Cardinality estimate of a physical plan, reusing the atom/join
-   estimator. A union estimates as the sum of its arms with no
-   per-column distinct counts, so [Estimate.ndv_of] falls back to the
-   row count — which deliberately biases {!Sip_pass} toward
-   [Probe_to_build] into unions. A correction applies at the
-   {e outermost} node whose key has one (against the node's raw
-   estimate — the base the factor was learned from); below a miss the
-   children are corrected independently. *)
+(* Cardinality estimate of a physical plan from {!Estimate}'s atom,
+   join and union rules. A correction applies at the {e outermost}
+   node whose key has one (against the node's raw estimate — the base
+   the factor was learned from); below a miss the children are
+   corrected independently. *)
 let rec plan_est ?feedback layout p =
   let corrected =
     match feedback with
@@ -281,13 +278,8 @@ let rec plan_est ?feedback layout p =
     | Plan.Project { input; _ } -> plan_est ?feedback layout input
     | Plan.Distinct p | Plan.Materialize p -> plan_est ?feedback layout p
     | Plan.Union { inputs; _ } ->
-      {
-        Estimate.rows =
-          List.fold_left
-            (fun r p -> r +. (plan_est ?feedback layout p).Estimate.rows)
-            0. inputs;
-        ndv = [];
-      }
+      Estimate.union
+        (Estimate.union_rows (fun p -> (plan_est ?feedback layout p).Estimate.rows) inputs)
     | Plan.Sip { join; _ } -> plan_est ?feedback layout join)
 
 let plan_rows ?feedback layout p = (plan_est ?feedback layout p).Estimate.rows

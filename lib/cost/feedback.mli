@@ -23,7 +23,7 @@
     - ["a:…"] one atom access (per predicate and constant positions);
     - ["j:…"] a join over a sorted atom-shape multiset (prefixes of a
       CQ's join fold get their own keys, and the planner and the cost
-      model fold in the same {!Rdbms.Estimate.order_atoms} order);
+      model fold in the same {!Rdbms.Estimate.order_by} order);
     - ["u:…"] a union (one reformulated fragment) over the atom
       shapes of all its arms;
     - ["d:" ^ k] the duplicate-eliminated output of the operator keyed
@@ -130,16 +130,12 @@ val atom_est : ?feedback:t -> Rdbms.Layout.t -> Query.Atom.t -> Rdbms.Estimate.e
 (** {!Rdbms.Estimate.atom} with the atom-key correction applied. *)
 
 val plan_est : ?feedback:t -> Rdbms.Layout.t -> Rdbms.Plan.t -> Rdbms.Estimate.est
-(** Cardinality estimate of a physical plan: the atom/join estimator
-    folded over the tree (a union estimates as the sum of its arms
-    with no per-column distinct counts), with the correction for the
+(** Cardinality estimate of a physical plan: {!Rdbms.Estimate}'s
+    atom, join and union rules folded over the tree, with the correction for the
     {e outermost} matching key applied to each subtree. With no
     [?feedback] this is the uncorrected static estimate — the base the
     factors were learned against (and the estimate {!Sip_pass} always
     used). *)
-
-val plan_rows : ?feedback:t -> Rdbms.Layout.t -> Rdbms.Plan.t -> float
-(** [(plan_est … ).rows]. *)
 
 val root_q_error :
   ?feedback:t -> Rdbms.Layout.t -> Rdbms.Exec.node_stats -> float

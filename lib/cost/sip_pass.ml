@@ -2,16 +2,6 @@ module P = Rdbms.Plan
 module E = Rdbms.Estimate
 module L = Rdbms.Layout
 
-(* Cardinality estimate of a physical plan: {!Feedback.plan_est},
-   which reuses the atom/join estimator (a union estimates as the sum
-   of its arms with no per-column distinct counts, so [E.ndv_of] falls
-   back to the row count — deliberately biasing the pass toward
-   [Probe_to_build] into unions) and, when a correction store is
-   threaded in, replaces subtree estimates with EXPLAIN ANALYZE's
-   observed cardinalities — so the gain threshold below compares
-   reducer build cost against *real* row counts. *)
-let plan_est ?feedback layout p = Feedback.plan_est ?feedback layout p
-
 (* Minimum estimated gain (in cost-model work units) before a join is
    annotated: reducers on tiny joins cost more to build than they
    save. *)
@@ -34,10 +24,14 @@ let hash_gains (model : Cost_model.t) ~le ~re ~ndv_l ~ndv_r =
   in
   gain_bp, gain_pb
 
+(* Row and distinct counts come from {!Feedback.plan_est}: with a
+   correction store threaded in, subtree estimates are EXPLAIN
+   ANALYZE's observed cardinalities, so the gain threshold compares
+   reducer build cost against real row counts. *)
 let annotate ?(model = Cost_model.default) ?feedback layout plan =
-  let plan_est layout p = plan_est ?feedback layout p in
+  let est p = Feedback.plan_est ?feedback layout p in
   let decide_join join left right c =
-    let le = plan_est layout left and re = plan_est layout right in
+    let le = est left and re = est right in
     let ndv_l = E.ndv_of le c and ndv_r = E.ndv_of re c in
     let gain_bp, gain_pb = hash_gains model ~le ~re ~ndv_l ~ndv_r in
     if gain_pb > threshold && gain_pb >= gain_bp then
@@ -68,7 +62,7 @@ let annotate ?(model = Cost_model.default) ?feedback layout plan =
            extracting the wide table it is trying to avoid *)
         join
       | L.Simple _ ->
-        let le = plan_est layout left
+        let le = est left
         and ae = Feedback.atom_est ?feedback layout atom in
         let frac =
           Float.min 1.

@@ -136,11 +136,58 @@ let order_by ~atom:atom_of ~est items =
     let remaining = List.filter (fun (i, _) -> atom_of i != a0) tagged in
     go [ first ] (est first) remaining
 
-let order_atoms layout atoms =
-  List.map fst
-    (order_by ~atom:fst ~est:snd (List.map (fun a -> a, atom layout a) atoms))
-
-let cq_rows layout atoms =
-  match List.map (atom layout) atoms with
+let body_rows est = function
   | [] -> 0.
-  | first :: rest -> (List.fold_left join first rest).rows
+  | first :: rest -> (List.fold_left (fun acc a -> join acc (est a)) (est first) rest).rows
+
+let cq_rows layout atoms = body_rows (atom layout) atoms
+
+let union_rows rows arms = List.fold_left (fun acc a -> acc +. rows a) 0. arms
+
+let union rows = { rows; ndv = [] }
+
+let fragments_rows rows parts = List.fold_left (fun acc p -> Float.min acc (rows p)) infinity parts
+
+(* [linked.(j)]: part [j] shares a column with a part already taken.
+   Scanning in list order with a strict [<] gives ties to the earliest
+   part. *)
+let fold_fragments ~cols ~rows ~first ~next parts =
+  let parts = Array.of_list parts in
+  let n = Array.length parts in
+  if n = 0 then invalid_arg "Estimate.fold_fragments: no parts";
+  let cols = Array.map cols parts and rows = Array.map rows parts in
+  let taken = Array.make n false and linked = Array.make n false in
+  let smallest ~linked_only =
+    let best = ref (-1) in
+    for i = 0 to n - 1 do
+      if (not taken.(i)) && ((not linked_only) || linked.(i))
+         && (!best < 0 || rows.(i) < rows.(!best))
+      then best := i
+    done;
+    !best
+  in
+  let take i =
+    taken.(i) <- true;
+    for j = 0 to n - 1 do
+      if (not taken.(j)) && (not linked.(j))
+         && List.exists (fun c -> List.mem c cols.(i)) cols.(j)
+      then linked.(j) <- true
+    done
+  in
+  let rec grow acc k =
+    if k = n then acc
+    else
+      let i = smallest ~linked_only:true in
+      let connected = i >= 0 in
+      let i = if connected then i else smallest ~linked_only:false in
+      take i;
+      grow (next acc parts.(i) ~connected) (k + 1)
+  in
+  let i0 = smallest ~linked_only:false in
+  take i0;
+  grow (first parts.(i0)) 1
+
+let rec reformulation_rows layout = function
+  | Fol.Leaf { ucq; _ } -> union_rows (fun d -> cq_rows layout (Cq.atoms d)) (Ucq.disjuncts ucq)
+  | Fol.Union { branches; _ } -> union_rows (reformulation_rows layout) branches
+  | Fol.Join { parts; _ } -> fragments_rows (reformulation_rows layout) parts

@@ -147,34 +147,26 @@ and cost_plan_raw profile state layout plan =
   | Plan.Materialize p ->
     let e, c = cost_plan profile state layout p in
     e, c +. (profile.c_mat *. e.Estimate.rows)
-  | Plan.Union { inputs; _ } -> (
+  | Plan.Union { inputs; _ } ->
+    (* the PgLite shortcut: above [union_sample] arms only the first
+       [sample] arms are estimated; the rest are assumed to have a
+       fixed default cardinality and cost, regardless of the tables
+       they touch *)
     let n = List.length inputs in
-    match profile.union_sample with
-    | Some sample when n > sample ->
-      (* the PgLite shortcut: only the first [sample] arms are
-         estimated; the rest are assumed to have a fixed default
-         cardinality and cost, regardless of the tables they touch *)
-      let sampled = List.filteri (fun i _ -> i < sample) inputs in
-      let rows, cost =
-        List.fold_left
-          (fun (r, c) arm ->
-            let e, ac = cost_plan profile state layout arm in
-            r +. e.Estimate.rows, c +. ac)
-          (0., 0.) sampled
-      in
+    let sample =
+      match profile.union_sample with Some sample when n > sample -> sample | _ -> n
+    in
+    let arms =
+      List.map (cost_plan profile state layout)
+        (if sample = n then inputs else List.filteri (fun i _ -> i < sample) inputs)
+    in
+    let rows = Estimate.union_rows (fun (e, _) -> e.Estimate.rows) arms
+    and cost = List.fold_left (fun acc (_, c) -> acc +. c) 0. arms in
+    if sample = n then Estimate.union rows, cost
+    else
       let extra = float_of_int (n - sample) in
-      let rows = rows +. (extra *. profile.default_arm_rows) in
-      let cost = cost +. (extra *. profile.default_arm_rows *. profile.c_scan) in
-      { Estimate.rows; ndv = [] }, cost
-    | _ ->
-      let rows, cost =
-        List.fold_left
-          (fun (r, c) arm ->
-            let e, ac = cost_plan profile state layout arm in
-            r +. e.Estimate.rows, c +. ac)
-          (0., 0.) inputs
-      in
-      { Estimate.rows; ndv = [] }, cost)
+      ( Estimate.union (rows +. (extra *. profile.default_arm_rows)),
+        cost +. (extra *. profile.default_arm_rows *. profile.c_scan) )
   | Plan.Sip { join; _ } ->
     (* the annotation is costed transparently: the reducer's benefit is
        the optimizer pass's ({!Cost.Sip_pass}) concern, not the base
@@ -186,14 +178,6 @@ let cost profile layout plan =
   let state = { seen_scans = Hashtbl.create 64; seen_builds = Hashtbl.create 64 } in
   let est, total = cost_plan profile state layout plan in
   { total_cost = total; est_rows = est.Estimate.rows }
-
-(* Per-node estimate in isolation of sibling discount state — how
-   engines display per-operator numbers, and the estimate EXPLAIN
-   ANALYZE confronts with the actual cardinality. *)
-let node_estimate profile layout plan =
-  let state = { seen_scans = Hashtbl.create 16; seen_builds = Hashtbl.create 16 } in
-  let est, c = cost_plan profile state layout plan in
-  { total_cost = c; est_rows = est.Estimate.rows }
 
 (* The q-error of a cardinality estimate: the multiplicative distance
    max(est/act, act/est), both sides clamped below at one row so empty
@@ -244,6 +228,18 @@ let rec node_op = function
   | Plan.Materialize _ -> "materialize"
   | Plan.Sip { join; _ } -> node_op join
 
+(* The operators a rendering descends into below a node. An annotated
+   join renders as the join itself (label + [sip] marker), so its
+   operands come next. *)
+let rec children = function
+  | Plan.Scan _ -> []
+  | Plan.Hash_join { left; right; _ } | Plan.Merge_join { left; right; _ } -> [ left; right ]
+  | Plan.Index_join { left; _ } -> [ left ]
+  | Plan.Project { input; _ } -> [ input ]
+  | Plan.Distinct inner | Plan.Materialize inner -> [ inner ]
+  | Plan.Union { inputs; _ } -> inputs
+  | Plan.Sip { join; _ } -> children join
+
 let shown_union_arms = 4
 
 let render profile layout plan =
@@ -254,7 +250,7 @@ let render profile layout plan =
     Buffer.add_char buf '\n'
   in
   let node_cost p =
-    let e = node_estimate profile layout p in
+    let e = cost profile layout p in
     Printf.sprintf "(cost=%.0f rows=%.0f)" e.total_cost e.est_rows
   in
   let with_cost p =
@@ -265,54 +261,26 @@ let render profile layout plan =
   let rec go depth p =
     line depth (with_cost p);
     match p with
-    | Plan.Scan _ -> ()
-    | Plan.Hash_join { left; right; _ } | Plan.Merge_join { left; right; _ } ->
-      go (depth + 1) left;
-      go (depth + 1) right
-    | Plan.Index_join { left; _ } -> go (depth + 1) left
-    | Plan.Project { input; _ } -> go (depth + 1) input
-    | Plan.Distinct inner | Plan.Materialize inner -> go (depth + 1) inner
     | Plan.Union { inputs; _ } ->
       List.iteri (fun i arm -> if i < shown_union_arms then go (depth + 1) arm) inputs;
       if List.length inputs > shown_union_arms then
         line (depth + 1)
           (Printf.sprintf "... (%d more arms)" (List.length inputs - shown_union_arms))
-    | Plan.Sip { join; _ } ->
-      (* the annotated join already rendered (label + [sip] marker);
-         recurse into its operands only *)
-      (match join with
-      | Plan.Hash_join { left; right; _ } | Plan.Merge_join { left; right; _ } ->
-        go (depth + 1) left;
-        go (depth + 1) right
-      | Plan.Index_join { left; _ } -> go (depth + 1) left
-      | other -> go (depth + 1) other)
+    | _ -> List.iter (go (depth + 1)) (children p)
   in
   go 0 plan;
   Buffer.contents buf
 
 let json_escape = Printf.sprintf "%S"
 
-let rec render_json_node profile layout p =
-  let e = node_estimate profile layout p in
-  let rec children_of = function
-    | Plan.Scan _ -> []
-    | Plan.Hash_join { left; right; _ } | Plan.Merge_join { left; right; _ } ->
-      [ left; right ]
-    | Plan.Index_join { left; _ } -> [ left ]
-    | Plan.Project { input; _ } -> [ input ]
-    | Plan.Distinct inner | Plan.Materialize inner -> [ inner ]
-    | Plan.Union { inputs; _ } -> inputs
-    | Plan.Sip { join; _ } -> children_of join
-  in
-  let children = children_of p in
+let rec render_json profile layout p =
+  let e = cost profile layout p in
   Printf.sprintf
     "{\"op\":%s,\"label\":%s,\"est_cost\":%.1f,\"est_rows\":%.1f,\"children\":[%s]}"
     (json_escape (node_op p))
     (json_escape (node_label p))
     e.total_cost e.est_rows
-    (String.concat "," (List.map (render_json_node profile layout) children))
-
-let render_json profile layout plan = render_json_node profile layout plan
+    (String.concat "," (List.map (render_json profile layout) (children p)))
 
 (* {2 EXPLAIN ANALYZE rendering: estimates vs actuals} *)
 
@@ -364,7 +332,7 @@ let render_analyze profile layout stats =
     Buffer.add_char buf '\n'
   in
   let rec go depth (s : Exec.node_stats) =
-    let e = node_estimate profile layout s.Exec.plan in
+    let e = cost profile layout s.Exec.plan in
     line depth
       (Printf.sprintf "%s  est(cost=%.0f rows=%.0f)  act(rows=%d time=%.3fms%s%s)  q-err=%.2f"
          (node_label s.Exec.plan) e.total_cost e.est_rows s.Exec.actual_rows
@@ -402,7 +370,7 @@ let sip_json (s : Exec.node_stats) =
   else ""
 
 let rec render_analyze_json profile layout (s : Exec.node_stats) =
-  let e = node_estimate profile layout s.Exec.plan in
+  let e = cost profile layout s.Exec.plan in
   Printf.sprintf
     "{\"op\":%s,\"label\":%s,\"est_cost\":%.1f,\"est_rows\":%.1f,\"actual_rows\":%d,\
      \"time_ms\":%.6f,\"q_error\":%.3f,\"cache\":%s%s,\"children\":[%s]}"

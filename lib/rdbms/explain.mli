@@ -45,13 +45,11 @@ type estimate = {
 val cost : profile -> Layout.t -> Plan.t -> estimate
 (** Estimates the evaluation cost of a plan under the profile, in
     abstract work units (calibrated so that one unit ≈ one row
-    operation). *)
-
-val node_estimate : profile -> Layout.t -> Plan.t -> estimate
-(** Like {!cost} but with fresh repeated-scan discount state, i.e. the
-    estimate of the node {e in isolation} of its siblings — the number
-    EXPLAIN displays per operator and confronts with the actual
-    cardinality under ANALYZE. *)
+    operation). Each call starts with fresh repeated-scan discount
+    state, so costing a subtree gives that operator's estimate in
+    isolation of its siblings — the number EXPLAIN displays per
+    operator and confronts with the actual cardinality under
+    ANALYZE. *)
 
 val q_error : est:float -> actual:int -> float
 (** The q-error of a cardinality estimate:

@@ -69,27 +69,6 @@ let rec out_cols = function
   | Union { cols; _ } -> cols
   | Sip { join; _ } -> out_cols join
 
-let rec scan_count = function
-  | Scan _ -> 1
-  | Hash_join { left; right; _ } | Merge_join { left; right; _ } ->
-    scan_count left + scan_count right
-  | Index_join { left; _ } -> scan_count left + 1
-  | Project { input; _ } -> scan_count input
-  | Distinct p | Materialize p -> scan_count p
-  | Union { inputs; _ } -> List.fold_left (fun n p -> n + scan_count p) 0 inputs
-  | Sip { join; _ } -> scan_count join
-
-let rec union_arms = function
-  | Scan _ -> 1
-  | Hash_join { left; right; _ } | Merge_join { left; right; _ } ->
-    max (union_arms left) (union_arms right)
-  | Index_join { left; _ } -> union_arms left
-  | Project { input; _ } -> union_arms input
-  | Distinct p | Materialize p -> union_arms p
-  | Union { inputs; _ } ->
-    List.fold_left (fun n p -> max n (union_arms p)) (List.length inputs) inputs
-  | Sip { join; _ } -> union_arms join
-
 (* The base predicates (concept and role names) a plan reads — the
    data a cached result of this plan depends on. Sorted, duplicate
    free; drives predicate-scoped view invalidation after updates. *)

@@ -63,9 +63,4 @@ val structural_key : t -> string
     the executor's materialised-view store; unlike {!pp}, it never
     conflates a variable with an equally-named constant. *)
 
-val scan_count : t -> int
-
-val union_arms : t -> int
-(** Maximum number of inputs of a union in the plan. *)
-
 val pp : Format.formatter -> t -> unit

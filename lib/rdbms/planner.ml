@@ -24,17 +24,17 @@ let index_probe_col acc_cols atom =
   | Atom.Ra _ | Atom.Ca _ -> None
 
 let body_plan layout atoms =
-  match Estimate.order_atoms layout atoms with
+  let estimated = List.map (fun a -> a, Estimate.atom layout a) atoms in
+  match Estimate.order_by ~atom:fst ~est:snd estimated with
   | [] -> invalid_arg "Planner: empty body"
-  | first :: rest ->
+  | (first, first_est) :: rest ->
     (* fold joins, choosing the operator per step: an index nested loop
        when the prefix is much smaller than the role table it joins
        into (the layouts index both role attributes), a hash join
        otherwise *)
     List.fold_left
-      (fun (acc, acc_est) atom ->
+      (fun (acc, acc_est) (atom, atom_est) ->
         let acc_cols = Plan.out_cols acc in
-        let atom_est = Estimate.atom layout atom in
         let joined = Estimate.join acc_est atom_est in
         let plan =
           match index_probe_col acc_cols atom with
@@ -48,20 +48,19 @@ let body_plan layout atoms =
             Plan.Hash_join { left = acc; right = Plan.Scan atom; on }
         in
         plan, joined)
-      (Plan.Scan first, Estimate.atom layout first)
+      (Plan.Scan first, first_est)
       rest
     |> fst
-
-let of_cq layout (cq : Cq.t) =
-  Plan.Distinct (project_head cq.Cq.head (body_plan layout (Cq.atoms cq)))
 
 (* A CQ plan *without* the outer Distinct, for use under a union that
    deduplicates globally. *)
 let cq_arm layout (cq : Cq.t) = project_head cq.Cq.head (body_plan layout (Cq.atoms cq))
 
+let of_cq layout cq = Plan.Distinct (cq_arm layout cq)
+
 let union_cols out = List.map Term.to_string out
 
-let rec of_fol_inner layout fol =
+let rec of_fol layout fol =
   match fol with
   | Fol.Leaf { out; ucq } -> (
     let cols = union_cols out in
@@ -72,77 +71,30 @@ let rec of_fol_inner layout fol =
         (Plan.Union { cols; inputs = List.map (cq_arm layout) disjuncts }))
   | Fol.Union { out; branches } ->
     let cols = union_cols out in
-    Plan.Distinct (Plan.Union { cols; inputs = List.map (of_fol_inner layout) branches })
+    Plan.Distinct (Plan.Union { cols; inputs = List.map (of_fol layout) branches })
   | Fol.Join { out; parts } ->
-    let plans = List.map (fun p -> Plan.Materialize (of_fol_inner layout p)) parts in
-    (* greedy part order: start from the smallest estimated fragment,
-       then repeatedly add the smallest fragment connected (by shared
-       output columns) to the accumulated prefix — never introduce a
-       cross product while a connected fragment remains *)
+    (* materialised fragments in the shared greedy order; the prefix
+       keeps the rows of its smallest fragment *)
     let sized =
-      List.map2 (fun plan part -> plan, fol_rows layout part) plans parts
+      List.map
+        (fun part -> Plan.Materialize (of_fol layout part), Estimate.reformulation_rows layout part)
+        parts
     in
-    let joined =
-      match sized with
-      | [] -> invalid_arg "Planner: empty join"
-      | _ ->
-        let smallest =
-          List.fold_left
-            (fun best (p, r) ->
-              match best with
-              | Some (_, r') when r' <= r -> best
-              | _ -> Some (p, r))
-            None sized
-        in
-        let first, first_rows = Option.get smallest in
-        let rec grow acc acc_rows remaining =
-          match remaining with
-          | [] -> acc
-          | _ ->
-            let acc_cols = Plan.out_cols acc in
-            let connected =
-              List.filter
-                (fun (p, _) -> List.exists (fun c -> List.mem c acc_cols) (Plan.out_cols p))
-                remaining
-            in
-            let pool = if connected = [] then remaining else connected in
-            let next =
-              Option.get
-                (List.fold_left
-                   (fun best (p, r) ->
-                     match best with
-                     | Some (_, r') when r' <= r -> best
-                     | _ -> Some (p, r))
-                   None pool)
-            in
-            let next_plan, next_rows = next in
-            let on =
-              List.filter (fun c -> List.mem c acc_cols) (Plan.out_cols next_plan)
-            in
-            (* two big materialised fragments on a single key: a
-               sort-merge join avoids one oversized hash table *)
-            let join =
-              if List.length on = 1 && acc_rows > 10_000. && next_rows > 10_000. then
-                Plan.Merge_join { left = acc; right = next_plan; on }
-              else Plan.Hash_join { left = acc; right = next_plan; on }
-            in
-            grow join
-              (Float.min acc_rows next_rows)
-              (List.filter (fun (p, _) -> p != next_plan) remaining)
-        in
-        grow first first_rows (List.filter (fun (p, _) -> p != first) sized)
+    let joined, _ =
+      Estimate.fold_fragments
+        ~cols:(fun (plan, _) -> Plan.out_cols plan)
+        ~rows:snd ~first:Fun.id
+        ~next:(fun (acc, acc_rows) (next_plan, next_rows) ~connected:_ ->
+          let acc_cols = Plan.out_cols acc in
+          let on = List.filter (fun c -> List.mem c acc_cols) (Plan.out_cols next_plan) in
+          (* two big materialised fragments on a single key: a
+             sort-merge join avoids one oversized hash table *)
+          let join =
+            if List.length on = 1 && acc_rows > 10_000. && next_rows > 10_000. then
+              Plan.Merge_join { left = acc; right = next_plan; on }
+            else Plan.Hash_join { left = acc; right = next_plan; on }
+          in
+          join, Float.min acc_rows next_rows)
+        sized
     in
     Plan.Distinct (project_head out joined)
-
-and fol_rows layout = function
-  | Fol.Leaf { ucq; _ } ->
-    List.fold_left
-      (fun acc d -> acc +. Estimate.cq_rows layout (Cq.atoms d))
-      0. (Ucq.disjuncts ucq)
-  | Fol.Union { branches; _ } ->
-    List.fold_left (fun acc b -> acc +. fol_rows layout b) 0. branches
-  | Fol.Join { parts; _ } ->
-    (* crude: product of part sizes scaled down by shared columns *)
-    List.fold_left (fun acc p -> Float.min acc (fol_rows layout p)) infinity parts
-
-let of_fol layout fol = of_fol_inner layout fol

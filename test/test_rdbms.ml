@@ -406,6 +406,41 @@ let test_estimate_atom () =
   let e3 = Estimate.atom layout (ca "Missing" (v "x")) in
   check_bool "missing table empty" true (e3.Estimate.rows = 0.)
 
+(* The greedy fragment order the planner and the ext cost model share:
+   the order it folds parts in, each with its [~connected] flag. *)
+let fragment_order parts =
+  let name (n, _, _) = n in
+  List.rev
+    (Estimate.fold_fragments
+       ~cols:(fun (_, cols, _) -> cols)
+       ~rows:(fun (_, _, rows) -> rows)
+       ~first:(fun p -> [ name p, true ])
+       ~next:(fun acc p ~connected -> (name p, connected) :: acc)
+       parts)
+
+let test_fragment_order () =
+  let order = Alcotest.(check (list (pair string bool))) in
+  order "ties go to the earliest part"
+    [ "a", true; "c", true; "d", true; "b", false ]
+    (fragment_order
+       [ "a", [ "x" ], 1.; "b", [ "y" ], 3.; "c", [ "x" ], 3.; "d", [ "x" ], 3. ]);
+  order "equal parts keep list order"
+    [ "a", true; "b", true; "c", true ]
+    (fragment_order [ "a", [ "x" ], 5.; "b", [ "x" ], 5.; "c", [ "x" ], 5. ]);
+  order "connected parts before smaller isolated ones"
+    [ "small", true; "big", true; "iso", false ]
+    (fragment_order [ "big", [ "x"; "y" ], 100.; "small", [ "x" ], 1.; "iso", [ "z" ], 2. ]);
+  order "a part connects through any part already added"
+    [ "a", true; "b", true; "c", true ]
+    (fragment_order [ "c", [ "z" ], 3.; "b", [ "y"; "z" ], 2.; "a", [ "y" ], 1. ]);
+  order "a disconnected join still gets a full order"
+    [ "b", true; "c", false; "a", false ]
+    (fragment_order [ "a", [ "x" ], 3.; "b", [ "y" ], 1.; "c", [ "z" ], 2. ]);
+  check_bool "no parts" true
+    (match fragment_order [] with
+     | _ -> false
+     | exception Invalid_argument _ -> true)
+
 let test_explain_monotone () =
   let layout = Layout.simple_of_abox (example1_abox ()) in
   let small = Planner.of_fol layout (Query.Fol.of_cq example3_query) in
@@ -511,6 +546,7 @@ let suite =
     Alcotest.test_case "exec cache counters" `Quick test_exec_cache_counters;
     Alcotest.test_case "exec bounded run cache" `Quick test_exec_bounded_run_cache;
     Alcotest.test_case "estimate atom" `Quick test_estimate_atom;
+    Alcotest.test_case "shared fragment order" `Quick test_fragment_order;
     Alcotest.test_case "explain monotone" `Quick test_explain_monotone;
     Alcotest.test_case "explain sampling quirk" `Quick test_explain_union_sampling_quirk;
   ]
