@@ -11,69 +11,39 @@
      feedback   train/save/load/clear EXPLAIN ANALYZE cost corrections *)
 
 open Cmdliner
+open Common
 
 (* {1 Common arguments} *)
 
-let facts_arg =
-  Arg.(value & opt int 20_000 & info [ "facts"; "n" ] ~docv:"N" ~doc:"Number of facts to generate.")
+let store_arg =
+  store_arg
+    ~doc:"Open the ABox from a binary column store written by \
+          $(b,store save) (mmap, O(segments) open; implies the simple \
+          layout). Overrides --data/--facts/--rdf."
 
-let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Generator seed.")
+let tbox_arg =
+  tbox_arg
+    ~doc:"Load the TBox from $(docv) (DL-LiteR text syntax) instead of the \
+          built-in LUBMe ontology."
 
-let data_arg =
-  Arg.(value & opt (some string) None & info [ "data" ] ~docv:"FILE" ~doc:"Load the ABox from $(docv) instead of generating it.")
+let jobs_arg =
+  jobs_arg
+    ~doc:"Evaluate plans with $(docv) domains ($(b,1) = sequential, \
+          $(b,0) = all cores). Any job count returns the same answers."
 
 let query_arg =
   Arg.(value & opt string "Q1" & info [ "query"; "q" ] ~docv:"NAME" ~doc:"Workload query name (Q1..Q13, A3..A6).")
 
-let engine_arg =
-  let kinds = [ "pglite", `Pglite; "db2lite", `Db2lite ] in
-  Arg.(value & opt (enum kinds) `Pglite & info [ "engine" ] ~docv:"ENGINE" ~doc:"Engine profile: $(b,pglite) or $(b,db2lite).")
-
-let layout_arg =
-  let layouts = [ "simple", `Simple; "rdf", `Rdf ] in
-  Arg.(value & opt (enum layouts) `Simple & info [ "layout" ] ~docv:"LAYOUT" ~doc:"Storage layout: $(b,simple) or $(b,rdf).")
-
 let strategy_arg =
   let strategies =
-    [
-      "ucq", Obda.Ucq;
-      "uscq", Obda.Uscq;
-      "croot", Obda.Croot;
-      "gdl-rdbms", Obda.Gdl Obda.Rdbms_cost;
-      "gdl-ext", Obda.Gdl Obda.Ext_cost;
-      "gdl20ms-ext", Obda.Gdl_limited (Obda.Ext_cost, 0.02);
-      "edl-ext", Obda.Edl Obda.Ext_cost;
-    ]
+    List.map (fun n -> n, Option.get (Obda.strategy_of_name n)) Obda.strategy_names
   in
   Arg.(value & opt (enum strategies) (Obda.Gdl Obda.Ext_cost)
        & info [ "strategy"; "s" ] ~docv:"STRATEGY"
-           ~doc:"Reformulation strategy: ucq, uscq, croot, gdl-rdbms, gdl-ext, gdl20ms-ext or edl-ext.")
+           ~doc:("Reformulation strategy: " ^ strategy_list ^ "."))
 
 let limit_arg =
   Arg.(value & opt int 20 & info [ "limit" ] ~docv:"K" ~doc:"Print at most $(docv) answers.")
-
-let jobs_arg =
-  Arg.(value & opt int 1
-       & info [ "jobs"; "j" ] ~docv:"N"
-           ~doc:"Evaluate plans with $(docv) domains ($(b,1) = sequential, \
-                 $(b,0) = all cores). Any job count returns the same answers.")
-
-let apply_jobs jobs =
-  Parallel.set_default_jobs (if jobs <= 0 then Parallel.recommended_jobs () else jobs)
-
-let plan_cache_arg =
-  Arg.(value & opt int Obda.default_plan_cache_capacity
-       & info [ "plan-cache" ] ~docv:"N"
-           ~doc:"Plan-cache capacity in entries ($(b,0) disables it).")
-
-let reform_cache_arg =
-  Arg.(value & opt int Reform.Perfectref.default_cache_capacity
-       & info [ "reform-cache" ] ~docv:"N"
-           ~doc:"Reformulation-cache capacity in entries ($(b,0) disables it).")
-
-let apply_caches plan_cap reform_cap =
-  Obda.set_plan_cache_capacity plan_cap;
-  Reform.Perfectref.set_cache_capacity reform_cap
 
 let cache_stats_arg =
   Arg.(value & flag
@@ -84,30 +54,11 @@ let print_cache_stats () =
   Fmt.pr "%a@." Cache.Lru.pp_stats (Obda.plan_cache_stats ());
   Fmt.pr "%a@." Cache.Lru.pp_stats (Reform.Perfectref.cache_stats ())
 
-let tbox_arg =
-  Arg.(value & opt (some string) None
-       & info [ "tbox" ] ~docv:"FILE"
-           ~doc:"Load the TBox from $(docv) (DL-LiteR text syntax) instead of the \
-                 built-in LUBMe ontology.")
-
-let rdf_arg =
-  Arg.(value & opt (some string) None
-       & info [ "rdf" ] ~docv:"FILE"
-           ~doc:"Load both TBox and ABox from an RDF (Turtle subset) graph; \
-                 overrides --tbox/--data.")
-
 let query_string_arg =
   Arg.(value & opt (some string) None
        & info [ "query-string" ] ~docv:"CQ"
            ~doc:"An inline conjunctive query, e.g. \
                  'q(?x) <- PhDStudent(?x), worksWith(?y, ?x)'. Overrides --query.")
-
-let store_arg =
-  Arg.(value & opt (some string) None
-       & info [ "store" ] ~docv:"FILE"
-           ~doc:"Open the ABox from a binary column store written by \
-                 $(b,store save) (mmap, O(segments) open; implies the simple \
-                 layout). Overrides --data/--facts/--rdf.")
 
 let feedback_arg =
   Arg.(value & opt (some string) None
@@ -121,42 +72,7 @@ let apply_feedback engine = function
   | Some file -> (
     match Cost.Feedback.load file with
     | Ok fb -> Obda.set_feedback_store engine (Some fb)
-    | Error msg ->
-      Fmt.epr "obda-cli: %s@." msg;
-      exit 1)
-
-let load_storage file =
-  match Rdbms.Storage.load file with
-  | Ok s -> s
-  | Error msg ->
-    Fmt.epr "obda-cli: %s@." msg;
-    exit 1
-
-let tbox_of tbox_file =
-  match tbox_file with
-  | Some file -> Syntax.Tbox_text.load file
-  | None -> Lubm.Ontology.tbox
-
-(* The knowledge base a command operates on: an RDF graph, a custom
-   TBox with generated/loaded data, or the built-in LUBMe setup. *)
-let load_kb rdf tbox_file data facts seed =
-  match rdf with
-  | Some file ->
-    let kb = Rdf.Rdfs.load_kb file in
-    Dllite.Kb.tbox kb, Dllite.Kb.abox kb
-  | None ->
-    let tbox = tbox_of tbox_file in
-    let abox =
-      match data with
-      | Some file -> (
-        match Dllite.Abox.load file with
-        | Ok abox -> abox
-        | Error e ->
-          Fmt.epr "obda-cli: %s: %a@." file Dllite.Abox.pp_parse_error e;
-          exit 1)
-      | None -> Lubm.Generator.generate ~seed ~target_facts:facts ()
-    in
-    tbox, abox
+    | Error msg -> fail "%s" msg)
 
 let find_query ~inline name =
   match inline with
@@ -207,9 +123,7 @@ let store_save_cmd =
       | Some file -> (
         match Dllite.Abox.load file with
         | Ok abox -> Rdbms.Storage.of_abox abox
-        | Error e ->
-          Fmt.epr "obda-cli: %s: %a@." file Dllite.Abox.pp_parse_error e;
-          exit 1)
+        | Error e -> fail "%s: %a" file Dllite.Abox.pp_parse_error e)
       | None ->
         (* stream the generator straight into the column builder: no
            intermediate row-form ABox, so --facts can go to tens of
@@ -307,8 +221,8 @@ let answer_cmd =
           Obda.make_engine_of_layout engine_kind (Rdbms.Layout.of_storage storage) )
       | None ->
         if warm then
-          Fmt.epr "obda-cli: --warm only affects --store runs (generated/loaded \
-                   ABoxes are already decoded)@.";
+          Fmt.epr "%s: --warm only affects --store runs (generated/loaded \
+                   ABoxes are already decoded)@." prog;
         let tbox, abox = load_kb rdf tbox_file data facts seed in
         tbox, Obda.make_engine engine_kind layout abox
     in
@@ -376,16 +290,7 @@ let explain_cmd =
   let run facts seed data rdf store tbox_file inline qname engine_kind layout strategy
       show_plan show_datalog show_sql analyze format trace jobs feedback =
     apply_jobs jobs;
-    let tbox, engine =
-      match store with
-      | Some file ->
-        ( tbox_of tbox_file,
-          Obda.make_engine_of_layout engine_kind
-            (Rdbms.Layout.of_storage (load_storage file)) )
-      | None ->
-        let tbox, abox = load_kb rdf tbox_file data facts seed in
-        tbox, Obda.make_engine engine_kind layout abox
-    in
+    let tbox, engine = load_engine store rdf tbox_file data facts seed engine_kind layout in
     apply_feedback engine feedback;
     let fb = Obda.feedback_store engine in
     let q = find_query ~inline qname in
@@ -634,9 +539,7 @@ let feedback_load_cmd =
   in
   let run file show_entries =
     match Cost.Feedback.load file with
-    | Error msg ->
-      Fmt.epr "obda-cli: %s@." msg;
-      exit 1
+    | Error msg -> fail "%s" msg
     | Ok fb ->
       Fmt.pr "%s: %a@." file Cost.Feedback.pp_stats (Cost.Feedback.stats fb);
       if show_entries then

@@ -33,7 +33,7 @@ let initial () =
   }
 
 let help () =
-  print_string
+  Printf.printf
     {|commands:
   help                          this message
   generate N [SEED]             generate a LUBMe ABox of N facts
@@ -41,7 +41,7 @@ let help () =
   load data FILE                load an ABox file
   load rdf FILE                 load TBox+ABox from an RDF graph
   engine (pglite|db2lite) (simple|rdf)
-  strategy (ucq|uscq|croot|gdl-rdbms|gdl-ext|edl-ext)
+  strategy (%s)
   limit N                       print at most N answer rows
   stats                         knowledge-base summary
   consistent                    check T-consistency
@@ -69,6 +69,7 @@ let help () =
   metrics                       process-wide metrics registry (also :metrics)
   quit                          exit
 |}
+    (String.concat "|" Obda.strategy_names)
 
 let parse_query st text =
   let text = String.trim text in
@@ -185,14 +186,9 @@ let handle st line =
     Printf.printf "engine is now %s\n" (Obda.engine_name st.engine)
   | [ "strategy"; s ] ->
     st.strategy <-
-      (match s with
-      | "ucq" -> Obda.Ucq
-      | "uscq" -> Obda.Uscq
-      | "croot" -> Obda.Croot
-      | "gdl-rdbms" -> Obda.Gdl Obda.Rdbms_cost
-      | "gdl-ext" -> Obda.Gdl Obda.Ext_cost
-      | "edl-ext" -> Obda.Edl Obda.Ext_cost
-      | other -> failwith ("unknown strategy " ^ other));
+      (match Obda.strategy_of_name s with
+      | Some strategy -> strategy
+      | None -> failwith ("unknown strategy " ^ s));
     Printf.printf "strategy is now %s\n" (Obda.strategy_name st.strategy)
   | [ "limit"; n ] -> st.limit <- int_of_string n
   | [ "stats" ] ->

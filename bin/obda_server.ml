@@ -7,41 +7,14 @@
    for a walkthrough. *)
 
 open Cmdliner
-
-let facts_arg =
-  Arg.(value & opt int 20_000 & info [ "facts"; "n" ] ~docv:"N" ~doc:"Number of facts to generate.")
-
-let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Generator seed.")
-
-let data_arg =
-  Arg.(value & opt (some string) None
-       & info [ "data" ] ~docv:"FILE" ~doc:"Load the ABox from $(docv) instead of generating it.")
-
-let rdf_arg =
-  Arg.(value & opt (some string) None
-       & info [ "rdf" ] ~docv:"FILE"
-           ~doc:"Load both TBox and ABox from an RDF (Turtle subset) graph; overrides --tbox/--data.")
+open Common
 
 let store_arg =
-  Arg.(value & opt (some string) None
-       & info [ "store" ] ~docv:"FILE"
-           ~doc:"Open the ABox from a binary column store (mmap; implies the simple layout). \
-                 Overrides --data/--facts/--rdf.")
+  store_arg
+    ~doc:"Open the ABox from a binary column store (mmap; implies the simple layout). \
+          Overrides --data/--facts/--rdf."
 
-let tbox_arg =
-  Arg.(value & opt (some string) None
-       & info [ "tbox" ] ~docv:"FILE"
-           ~doc:"Load the TBox from $(docv) instead of the built-in LUBMe ontology.")
-
-let engine_arg =
-  let kinds = [ "pglite", `Pglite; "db2lite", `Db2lite ] in
-  Arg.(value & opt (enum kinds) `Pglite
-       & info [ "engine" ] ~docv:"ENGINE" ~doc:"Engine profile: $(b,pglite) or $(b,db2lite).")
-
-let layout_arg =
-  let layouts = [ "simple", `Simple; "rdf", `Rdf ] in
-  Arg.(value & opt (enum layouts) `Simple
-       & info [ "layout" ] ~docv:"LAYOUT" ~doc:"Storage layout: $(b,simple) or $(b,rdf).")
+let tbox_arg = tbox_arg ~doc:"Load the TBox from $(docv) instead of the built-in LUBMe ontology."
 
 let host_arg =
   Arg.(value & opt string "127.0.0.1" & info [ "host" ] ~docv:"ADDR" ~doc:"Bind address.")
@@ -70,75 +43,24 @@ let max_rows_arg =
 let strategy_arg =
   Arg.(value & opt string "gdl-ext"
        & info [ "strategy"; "s" ] ~docv:"STRATEGY"
-           ~doc:"Default reformulation strategy for requests that name none: ucq, uscq, \
-                 croot, gdl-rdbms, gdl-ext, gdl20ms-ext or edl-ext.")
+           ~doc:("Default reformulation strategy for requests that name none: "
+                 ^ strategy_list ^ "."))
 
 let jobs_arg =
-  Arg.(value & opt int 1
-       & info [ "jobs"; "j" ] ~docv:"N"
-           ~doc:"Evaluate plans with $(docv) domains ($(b,1) = sequential, $(b,0) = all cores).")
-
-let plan_cache_arg =
-  Arg.(value & opt int Obda.default_plan_cache_capacity
-       & info [ "plan-cache" ] ~docv:"N" ~doc:"Plan-cache capacity in entries ($(b,0) disables it).")
-
-let reform_cache_arg =
-  Arg.(value & opt int Reform.Perfectref.default_cache_capacity
-       & info [ "reform-cache" ] ~docv:"N"
-           ~doc:"Reformulation-cache capacity in entries ($(b,0) disables it).")
-
-let tbox_of tbox_file =
-  match tbox_file with
-  | Some file -> Syntax.Tbox_text.load file
-  | None -> Lubm.Ontology.tbox
-
-let load_kb rdf tbox_file data facts seed =
-  match rdf with
-  | Some file ->
-    let kb = Rdf.Rdfs.load_kb file in
-    Dllite.Kb.tbox kb, Dllite.Kb.abox kb
-  | None ->
-    let tbox = tbox_of tbox_file in
-    let abox =
-      match data with
-      | Some file -> (
-        match Dllite.Abox.load file with
-        | Ok abox -> abox
-        | Error e ->
-          Fmt.epr "obda-server: %s: %a@." file Dllite.Abox.pp_parse_error e;
-          exit 1)
-      | None -> Lubm.Generator.generate ~seed ~target_facts:facts ()
-    in
-    tbox, abox
+  jobs_arg ~doc:"Evaluate plans with $(docv) domains ($(b,1) = sequential, $(b,0) = all cores)."
 
 let serve_cmd =
   let run facts seed data rdf store tbox_file engine_kind layout host port workers
       queue_depth deadline_ms max_rows strategy jobs plan_cap reform_cap =
-    Parallel.set_default_jobs (if jobs <= 0 then Parallel.recommended_jobs () else jobs);
-    Obda.set_plan_cache_capacity plan_cap;
-    Reform.Perfectref.set_cache_capacity reform_cap;
+    apply_jobs jobs;
+    apply_caches plan_cap reform_cap;
     let default_strategy =
-      match Server.Protocol.strategy_of_name strategy with
+      match Obda.strategy_of_name strategy with
       | Some s -> s
       | None ->
-        Fmt.epr "obda-server: unknown strategy %s (one of %s)@." strategy
-          (String.concat ", " Server.Protocol.strategy_names);
-        exit 1
+        fail "unknown strategy %s (one of %s)" strategy (String.concat ", " Obda.strategy_names)
     in
-    let tbox, engine =
-      match store with
-      | Some file -> (
-        match Rdbms.Storage.load file with
-        | Ok s ->
-          ( tbox_of tbox_file,
-            Obda.make_engine_of_layout engine_kind (Rdbms.Layout.of_storage s) )
-        | Error msg ->
-          Fmt.epr "obda-server: %s@." msg;
-          exit 1)
-      | None ->
-        let tbox, abox = load_kb rdf tbox_file data facts seed in
-        tbox, Obda.make_engine engine_kind layout abox
-    in
+    let tbox, engine = load_engine store rdf tbox_file data facts seed engine_kind layout in
     let config =
       { Server.Core.host;
         port;

@@ -17,8 +17,6 @@ type engine = {
   mutable sip : bool;  (* sideways-information-passing annotations *)
   mutable feedback : Cost.Feedback.t option;
       (* cardinality-correction store fed by analyze runs *)
-  mutable drift_threshold : float;
-      (* root q-error past which a cached cost-based plan re-ranks *)
 }
 
 let next_engine_id = Atomic.make 0
@@ -46,7 +44,6 @@ let make_engine_of_layout kind layout =
     views = None;
     sip = true;
     feedback = Some (Cost.Feedback.create ());
-    drift_threshold = default_drift_threshold;
   }
 
 let make_engine kind layout_kind abox =
@@ -113,12 +110,6 @@ let set_feedback e enabled =
 
 let feedback_enabled e = e.feedback <> None
 
-let drift_threshold e = e.drift_threshold
-
-let set_drift_threshold e th =
-  if not (th >= 1.) then invalid_arg "Obda.set_drift_threshold: must be >= 1";
-  e.drift_threshold <- th
-
 let fragment_view_count e =
   match e.views with None -> 0 | Some store -> Cache.Lru.length store
 
@@ -153,6 +144,22 @@ let strategy_name = function
   | Gdl_limited (src, budget) ->
     Printf.sprintf "gdl%.0fms/%s" (budget *. 1000.) (cost_source_name src)
   | Edl src -> "edl/" ^ cost_source_name src
+
+(* The one name -> strategy table of the CLI, the REPL and the server. *)
+let strategies =
+  [
+    "ucq", Ucq;
+    "uscq", Uscq;
+    "croot", Croot;
+    "gdl-rdbms", Gdl Rdbms_cost;
+    "gdl-ext", Gdl Ext_cost;
+    "gdl20ms-ext", Gdl_limited (Ext_cost, 0.02);
+    "edl-ext", Edl Ext_cost;
+  ]
+
+let strategy_of_name n = List.assoc_opt (String.lowercase_ascii n) strategies
+
+let strategy_names = List.map fst strategies
 
 (* The ext estimator reads the engine's feedback store as it stands
    now, so a trained engine ranks candidate covers with observed
@@ -438,7 +445,7 @@ let analyze e tbox strategy q =
     match e.feedback with
     | Some fb
       when (not (data_independent strategy))
-           && q_error > e.drift_threshold
+           && q_error > default_drift_threshold
            && Cost.Feedback.epoch fb > p.epoch ->
       let key = plan_key e tbox strategy q in
       let dropped = Cache.Lru.invalidate_if gen_plan_cache (fun k -> k = key) in

@@ -56,6 +56,14 @@ type strategy =
 
 val strategy_name : strategy -> string
 
+val strategy_of_name : string -> strategy option
+(** The strategy vocabulary of the CLI, the REPL and the server
+    (case-insensitive): [ucq], [uscq], [croot], [gdl-rdbms],
+    [gdl-ext], [gdl20ms-ext] (GDL with a 20 ms budget), [edl-ext]. *)
+
+val strategy_names : string list
+(** Every name {!strategy_of_name} accepts, in that order. *)
+
 (** {2 The query pipeline}
 
     Every way of running a query goes through {!prepare}: {!answer},
@@ -238,8 +246,8 @@ val sip_enabled : engine -> bool
 
     Cached cost-based plans carry the correction {e epoch} they were
     costed under. When an {!analyze} run finds a plan whose corrected
-    root estimate still drifts past the engine's q-error threshold
-    {e and} the epoch has advanced, the plan-cache entry is dropped
+    root estimate still drifts past the q-error
+    {!default_drift_threshold} {e and} the epoch has advanced, the plan-cache entry is dropped
     ([feedback.plan.reranks]) so the next call re-optimises — the
     paper's ε calibration as a feedback loop. Corrections never change
     answers: any cover's reformulation is answer-equivalent, so
@@ -262,11 +270,6 @@ val set_feedback_store : engine -> Cost.Feedback.t option -> unit
 val default_drift_threshold : float
 (** [4.0]: the root q-error past which an analyzed cost-based plan is
     considered drifted. *)
-
-val drift_threshold : engine -> float
-
-val set_drift_threshold : engine -> float -> unit
-(** [Invalid_argument] below [1.0] (a q-error is never below one). *)
 
 type analysis = {
   a_outcome : outcome;  (** exactly what {!answer} would return *)

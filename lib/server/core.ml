@@ -206,12 +206,12 @@ let resolve_query = function
 let resolve_strategy t = function
   | None -> Ok t.cfg.default_strategy
   | Some name -> (
-    match Protocol.strategy_of_name name with
+    match Obda.strategy_of_name name with
     | Some s -> Ok s
     | None ->
       Error
         (Printf.sprintf "unknown strategy %S (one of %s)" name
-           (String.concat ", " Protocol.strategy_names)))
+           (String.concat ", " Obda.strategy_names)))
 
 let enqueue t s ~id work =
   let job = { j_session = s; j_work = work; enq_ns = Obs.Mclock.now_ns () } in
@@ -241,7 +241,7 @@ let hello_reply t ~client =
       "protocol", Wire.Int 1;
       "engine", Wire.String (Obda.engine_name t.engine);
       "generation", Wire.Int (Obda.generation t.engine);
-      "strategies", Wire.List (List.map (fun n -> Wire.String n) Protocol.strategy_names);
+      "strategies", Wire.List (List.map (fun n -> Wire.String n) Obda.strategy_names);
       "queries",
       Wire.List
         (List.map (fun e -> Wire.String e.Lubm.Workload.name) Lubm.Workload.queries) ]

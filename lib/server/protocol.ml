@@ -25,19 +25,6 @@ type request =
   | Metrics of { m_id : int option; scope : scope }
   | Quit
 
-let strategies =
-  [ "ucq", Obda.Ucq;
-    "uscq", Obda.Uscq;
-    "croot", Obda.Croot;
-    "gdl-rdbms", Obda.Gdl Obda.Rdbms_cost;
-    "gdl-ext", Obda.Gdl Obda.Ext_cost;
-    "gdl20ms-ext", Obda.Gdl_limited (Obda.Ext_cost, 0.020);
-    "edl-ext", Obda.Edl Obda.Ext_cost ]
-
-let strategy_of_name n = List.assoc_opt (String.lowercase_ascii n) strategies
-
-let strategy_names = List.map fst strategies
-
 (* {1 Request parsing} *)
 
 let ( let* ) = Result.bind

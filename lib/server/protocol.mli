@@ -45,13 +45,6 @@ val parse_request : string -> (request, string) result
 (** Parses one frame. Errors describe the defect (unknown op, missing
     field, bad JSON) and leave the connection usable. *)
 
-val strategy_of_name : string -> Obda.strategy option
-(** The CLI strategy vocabulary: [ucq], [uscq], [croot], [gdl-rdbms],
-    [gdl-ext], [gdl20ms-ext], [edl-ext]. *)
-
-val strategy_names : string list
-(** All names {!strategy_of_name} accepts, for error messages. *)
-
 (** {2 Reply rendering}
 
     Helpers shared by the server and tests so golden tests compare

@@ -92,7 +92,37 @@ let test_strategy_names () =
   Alcotest.(check string) "gdl" "gdl/rdbms" (Obda.strategy_name (Obda.Gdl Obda.Rdbms_cost));
   Alcotest.(check string) "gdl limited" "gdl20ms/ext"
     (Obda.strategy_name (Obda.Gdl_limited (Obda.Ext_cost, 0.02)));
-  Alcotest.(check string) "edl" "edl/ext" (Obda.strategy_name (Obda.Edl Obda.Ext_cost))
+  Alcotest.(check string) "edl" "edl/ext" (Obda.strategy_name (Obda.Edl Obda.Ext_cost));
+  (* one vocabulary: every listed name parses, case-insensitively, and
+     the names cover every strategy the suite runs *)
+  let parsed = List.map Obda.strategy_of_name Obda.strategy_names in
+  check_bool "every listed name parses to a distinct strategy" true
+    (parsed = List.map Option.some all_strategies);
+  check_bool "case-insensitive" true
+    (List.for_all
+       (fun n -> Obda.strategy_of_name (String.uppercase_ascii n) = Obda.strategy_of_name n)
+       Obda.strategy_names);
+  check_bool "unknown name" true (Obda.strategy_of_name "gdl-psychic" = None);
+  (* the server's protocol lists and accepts exactly those names *)
+  Test_server.with_example_server (fun t ->
+      let c = Test_server.connect (Server.Core.port t) in
+      Fun.protect
+        ~finally:(fun () -> Test_server.close c)
+        (fun () ->
+          let hello = Test_server.request c "{\"op\":\"HELLO\",\"client\":\"test\"}" in
+          check_bool "HELLO lists the vocabulary" true
+            (Test_server.field hello "strategies"
+            = Server.Wire.List (List.map (fun n -> Server.Wire.String n) Obda.strategy_names));
+          let explain name =
+            Test_server.status
+              (Test_server.request c
+                 (Printf.sprintf "{\"op\":\"EXPLAIN\",\"cq\":\"%s\",\"strategy\":\"%s\"}"
+                    Test_server.example_cq name))
+          in
+          List.iter
+            (fun n -> Alcotest.(check string) ("protocol accepts " ^ n) "OK" (explain n))
+            Obda.strategy_names;
+          Alcotest.(check string) "protocol rejects others" "ERROR" (explain "gdl-psychic")))
 
 let test_uscq_strategy () =
   let engine = Obda.make_engine `Pglite `Simple (example1_abox ()) in
