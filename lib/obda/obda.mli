@@ -247,11 +247,12 @@ val sip_enabled : engine -> bool
     Cached cost-based plans carry the correction {e epoch} they were
     costed under. When an {!analyze} run finds a plan whose corrected
     root estimate still drifts past the q-error
-    {!default_drift_threshold} {e and} the epoch has advanced, the plan-cache entry is dropped
-    ([feedback.plan.reranks]) so the next call re-optimises — the
-    paper's ε calibration as a feedback loop. Corrections never change
-    answers: any cover's reformulation is answer-equivalent, so
-    feedback only moves {e which} equivalent plan runs. *)
+    {!default_drift_threshold} {e and} the epoch has advanced, the
+    plan-cache entry is dropped ([feedback.plan.reranks]) so the next
+    call re-optimises — the paper's ε calibration as a feedback loop.
+    Corrections never change answers: any cover's reformulation is
+    answer-equivalent, so feedback only moves {e which} equivalent
+    plan runs. *)
 
 val feedback_store : engine -> Cost.Feedback.t option
 (** The engine's correction store; [None] when feedback is disabled. *)
