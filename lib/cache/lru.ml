@@ -14,13 +14,11 @@ type ('k, 'v) node = {
 type ('k, 'v) t = {
   name : string;
   cost_of : 'v -> int;
-  max_cost : int option;
   mutable capacity : int;
   table : ('k, ('k, 'v) node) Hashtbl.t;
   mutable head : ('k, 'v) node option;  (* most recently used *)
   mutable tail : ('k, 'v) node option;  (* least recently used *)
   mutable total_cost : int;
-  mutable version : int;
   lock : Mutex.t;
   (* private per-instance totals; the registry counters below may be
      shared between instances created with the same name *)
@@ -39,22 +37,19 @@ type stats = {
   entries : int;
   cost : int;
   capacity : int;
-  max_cost : int option;
   hits : int;
   misses : int;
   evictions : int;
   invalidations : int;
-  version : int;
 }
 
-let create ?max_cost ?(cost_of = fun _ -> 0) ~name ~capacity () =
+let create ?(cost_of = fun _ -> 0) ~name ~capacity () =
   let metric aspect help =
     Obs.Metrics.counter ~help (Printf.sprintf "cache.%s.%s" name aspect)
   in
   {
     name;
     cost_of;
-    max_cost;
     capacity;
     (* [capacity] is an eviction bound, not a size hint: start small
        and let the table grow — short-lived caches (per-run scan/build
@@ -63,7 +58,6 @@ let create ?max_cost ?(cost_of = fun _ -> 0) ~name ~capacity () =
     head = None;
     tail = None;
     total_cost = 0;
-    version = 0;
     lock = Mutex.create ();
     hits = Atomic.make 0;
     misses = Atomic.make 0;
@@ -73,7 +67,7 @@ let create ?max_cost ?(cost_of = fun _ -> 0) ~name ~capacity () =
     m_misses = metric "misses" ("misses in the " ^ name ^ " cache");
     m_evictions = metric "evictions" ("LRU evictions from the " ^ name ^ " cache");
     m_invalidations =
-      metric "invalidations" ("version-change flushes of the " ^ name ^ " cache");
+      metric "invalidations" ("entries invalidated in the " ^ name ^ " cache");
   }
 
 let locked t f =
@@ -113,13 +107,8 @@ let evict_tail t =
     Atomic.incr t.evictions;
     Obs.Metrics.incr t.m_evictions
 
-let over_bounds t =
-  Hashtbl.length t.table > max 0 t.capacity
-  || (match t.max_cost with
-     | Some b -> t.total_cost > b && Hashtbl.length t.table > 1
-     | None -> false)
-
-let shrink_to_bounds t = while over_bounds t && t.tail <> None do evict_tail t done
+let shrink_to_bounds t =
+  while Hashtbl.length t.table > max 0 t.capacity && t.tail <> None do evict_tail t done
 
 let drop_all t =
   Hashtbl.reset t.table;
@@ -129,10 +118,6 @@ let drop_all t =
 
 (* {2 Public operations} *)
 
-let name (t : (_, _) t) = t.name
-
-let capacity (t : (_, _) t) = t.capacity
-
 let length t = locked t (fun () -> Hashtbl.length t.table)
 
 let set_capacity t c =
@@ -140,34 +125,37 @@ let set_capacity t c =
       t.capacity <- c;
       if c <= 0 then drop_all t else shrink_to_bounds t)
 
-let find t k =
+let count_invalidation (t : (_, _) t) =
+  Atomic.incr t.invalidations;
+  Obs.Metrics.incr t.m_invalidations
+
+let find ?(valid = fun _ -> true) t k =
   locked t (fun () ->
       match Hashtbl.find_opt t.table k with
-      | Some n ->
+      | Some n when valid n.value ->
         unlink t n;
         push_front t n;
         Atomic.incr t.hits;
         Obs.Metrics.incr t.m_hits;
         Some n.value
-      | None ->
+      | stale ->
+        Option.iter
+          (fun n ->
+            drop_node t n;
+            count_invalidation t)
+          stale;
         Atomic.incr t.misses;
         Obs.Metrics.incr t.m_misses;
         None)
 
-(* Insert [k -> v] as most-recent. A value costlier than the whole
-   byte budget is not admitted: caching it would evict everything else
-   for a single entry that can never be kept alongside any other. *)
+(* Insert [k -> v] as most-recent, replacing any binding of [k]. *)
 let insert t k v =
   (match Hashtbl.find_opt t.table k with Some old -> drop_node t old | None -> ());
-  let cost = t.cost_of v in
-  let admissible = match t.max_cost with Some b -> cost <= b | None -> true in
-  if admissible then begin
-    let n = { key = k; value = v; cost; prev = None; next = None } in
-    Hashtbl.replace t.table k n;
-    t.total_cost <- t.total_cost + cost;
-    push_front t n;
-    shrink_to_bounds t
-  end
+  let n = { key = k; value = v; cost = t.cost_of v; prev = None; next = None } in
+  Hashtbl.replace t.table k n;
+  t.total_cost <- t.total_cost + n.cost;
+  push_front t n;
+  shrink_to_bounds t
 
 let add t k v = locked t (fun () -> if t.capacity > 0 then insert t k v)
 
@@ -182,8 +170,6 @@ let add_if_absent t k v =
         if t.capacity > 0 then insert t k v;
         v)
 
-let mem t k = locked t (fun () -> Hashtbl.mem t.table k)
-
 let clear t = locked t (fun () -> drop_all t)
 
 let invalidate_if t pred =
@@ -193,23 +179,9 @@ let invalidate_if t pred =
       in
       if doomed <> [] then begin
         List.iter (drop_node t) doomed;
-        Atomic.incr t.invalidations;
-        Obs.Metrics.incr t.m_invalidations
+        count_invalidation t
       end;
       List.length doomed)
-
-let set_version t v =
-  locked t (fun () ->
-      if v <> t.version then begin
-        t.version <- v;
-        if Hashtbl.length t.table > 0 then begin
-          drop_all t;
-          Atomic.incr t.invalidations;
-          Obs.Metrics.incr t.m_invalidations
-        end
-      end)
-
-let version t = locked t (fun () -> t.version)
 
 let stats t =
   locked t (fun () ->
@@ -218,17 +190,15 @@ let stats t =
         entries = Hashtbl.length t.table;
         cost = t.total_cost;
         capacity = t.capacity;
-        max_cost = t.max_cost;
         hits = Atomic.get t.hits;
         misses = Atomic.get t.misses;
         evictions = Atomic.get t.evictions;
         invalidations = Atomic.get t.invalidations;
-        version = t.version;
       })
 
 let pp_stats ppf s =
   let requests = s.hits + s.misses in
   let rate = if requests = 0 then 0. else 100. *. float s.hits /. float requests in
-  Fmt.pf ppf "%-12s %5d/%-5d entries %8d bytes  %6d hits / %6d reqs (%5.1f%%)  %5d evicted  %3d invalidated  v%d"
+  Fmt.pf ppf "%-12s %5d/%-5d entries %8d bytes  %6d hits / %6d reqs (%5.1f%%)  %5d evicted  %3d invalidated"
     s.name s.entries s.capacity s.cost s.hits requests rate s.evictions
-    s.invalidations s.version
+    s.invalidations

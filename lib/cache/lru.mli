@@ -6,16 +6,17 @@
     that a long-running process serving repeated-query traffic has a
     bounded memory footprint and a uniform invalidation story.
 
-    Bounds: a {e capacity} by entry count, and optionally a {e budget}
-    by approximate byte cost (a per-value [cost_of] estimate). When
-    either bound is exceeded the least-recently-used entries are
-    evicted. A value whose own cost exceeds the byte budget is not
-    cached at all (admission control — it would only thrash the rest).
+    Bound: a {e capacity} by entry count. When it is exceeded the
+    least-recently-used entries are evicted. A per-value [cost_of]
+    estimate of the byte footprint is summed and reported in
+    {!stats}; it does not bound the cache.
 
-    Invalidation: a cache carries an integer {e version} (a KB
-    generation stamp). {!set_version} with a new stamp drops every
-    entry, so a cache revalidated against the current KB generation on
-    each use can never serve an answer computed against older data.
+    Invalidation: the caller decides what is stale. {!invalidate_if}
+    drops every entry whose key matches a predicate (the view store
+    drops the fragments that read an updated predicate), and
+    [find ~valid] drops the one entry it finds when its value no
+    longer holds (the plan cache drops a plan searched under an older
+    KB generation).
 
     Observability: each cache registers four counters in the
     {!Obs.Metrics} registry — [cache.<name>.hits], [.misses],
@@ -34,16 +35,15 @@ type stats = {
   entries : int;
   cost : int;  (** summed [cost_of] of the live entries *)
   capacity : int;
-  max_cost : int option;
   hits : int;
   misses : int;
   evictions : int;
-  invalidations : int;  (** version-change flushes *)
-  version : int;
+  invalidations : int;
+      (** {!invalidate_if} calls that dropped an entry, plus entries
+          [find ~valid] dropped *)
 }
 
 val create :
-  ?max_cost:int ->
   ?cost_of:('v -> int) ->
   name:string ->
   capacity:int ->
@@ -52,13 +52,8 @@ val create :
 (** [create ~name ~capacity ()] makes an empty cache holding at most
     [capacity] entries ([capacity <= 0] disables the cache: every
     lookup misses and insertions are dropped). [cost_of] estimates a
-    value's byte footprint (default [fun _ -> 0]); when [max_cost] is
-    given, entries are also evicted until the summed cost fits.
-    Registers the [cache.<name>.*] metrics. *)
-
-val name : ('k, 'v) t -> string
-
-val capacity : ('k, 'v) t -> int
+    value's byte footprint (default [fun _ -> 0]), summed into
+    [stats.cost]. Registers the [cache.<name>.*] metrics. *)
 
 val set_capacity : ('k, 'v) t -> int -> unit
 (** Changes the entry bound, evicting LRU entries as needed. Setting
@@ -66,21 +61,22 @@ val set_capacity : ('k, 'v) t -> int -> unit
 
 val length : ('k, 'v) t -> int
 
-val find : ('k, 'v) t -> 'k -> 'v option
-(** Looks a key up, refreshing its recency on a hit. *)
+val find : ?valid:('v -> bool) -> ('k, 'v) t -> 'k -> 'v option
+(** Looks a key up, refreshing its recency on a hit. A found value
+    that fails [valid] is dropped and counted as an invalidation and a
+    miss, not a hit. Like {!invalidate_if}'s predicate, [valid] runs
+    with the cache lock held: it must be pure and cheap, and must not
+    reenter the cache. *)
 
 val add : ('k, 'v) t -> 'k -> 'v -> unit
 (** Inserts (or replaces) a binding as most-recently used, then
-    evicts from the LRU end while over either bound. *)
+    evicts from the LRU end while over capacity. *)
 
 val add_if_absent : ('k, 'v) t -> 'k -> 'v -> 'v
 (** Like {!add}, but an existing binding wins: returns the stored
     value (refreshed), or stores and returns [v]. This is the
     first-writer-wins publication step for racing computations of the
     same key on the domain pool. *)
-
-val mem : ('k, 'v) t -> 'k -> bool
-(** Membership without touching recency or the hit/miss counters. *)
 
 val clear : ('k, 'v) t -> unit
 (** Drops every entry (counted neither as eviction nor invalidation). *)
@@ -91,16 +87,8 @@ val invalidate_if : ('k, 'v) t -> ('k -> bool) -> int
     were). The predicate runs with the cache lock held: it must be
     pure and cheap, and must not reenter the cache. *)
 
-val set_version : ('k, 'v) t -> int -> unit
-(** [set_version t v] compares [v] with the cache's current version
-    stamp; when different, every entry is dropped (one {e
-    invalidation}) and the stamp becomes [v]. Idempotent for equal
-    stamps. Fresh caches start at version [0]. *)
-
-val version : ('k, 'v) t -> int
-
 val stats : ('k, 'v) t -> stats
 
 val pp_stats : Format.formatter -> stats -> unit
 (** One line: name, entries/capacity, cost, hit rate, evictions,
-    invalidations, version. *)
+    invalidations. *)

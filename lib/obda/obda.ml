@@ -54,25 +54,14 @@ let make_engine kind layout_kind abox =
 
 let generation e = e.generation
 
-(* Process-wide update sequence: every accepted insert on any engine
-   advances it, and the generation-keyed plan cache is version-flushed
-   against it (its entries embed a superseded generation and would
-   otherwise sit dead in the LRU, evicting live plans). Declared here,
-   applied in [data_changed] below the cache definitions. *)
-let update_seq = Atomic.make 0
-
-let flush_gen_plans = ref (fun (_ : int) -> ())
-
 (* An accepted insert advances the engine's KB generation and reports
    the touched predicate. Invalidation is predicate-scoped: the view
    store drops exactly the fragments that read the touched predicate
-   (the rest stay warm), the generation-keyed plan cache (GDL/EDL —
-   their covers depend on statistics) is version-flushed, and plans of
-   the data-independent strategies are keyed without the generation,
-   so they survive untouched. *)
+   (the rest stay warm). The plan cache is not touched here: a
+   cost-based plan records the generation it was searched under and is
+   dropped on its next lookup ([plan_valid]). *)
 let data_changed e ~predicate =
   e.generation <- e.generation + 1;
-  !flush_gen_plans (Atomic.fetch_and_add update_seq 1 + 1);
   Option.iter
     (fun s -> ignore (Rdbms.Exec.invalidate_views s [ predicate ]))
     e.views
@@ -88,11 +77,7 @@ let insert_role e ~role ~subj ~obj =
   inserted
 
 let enable_fragment_views e =
-  if e.views = None then begin
-    let store = Rdbms.Exec.fresh_view_store () in
-    Cache.Lru.set_version store e.generation;
-    e.views <- Some store
-  end
+  if e.views = None then e.views <- Some (Rdbms.Exec.fresh_view_store ())
 
 let disable_fragment_views e = e.views <- None
 
@@ -192,6 +177,7 @@ type plan = {
          reproduce the same cover. *)
   p_covered : Query.Cq.t;  (* the query the search covered *)
   p_dropped : Query.Atom.t list;  (* the atoms reduced away from it *)
+  p_generation : int;  (* the engine generation it was searched under *)
 }
 
 (* A strategy is data-independent when its output is a function of the
@@ -214,16 +200,17 @@ let covered_query tbox strategy q =
 
 let reformulate e tbox strategy q = search e tbox strategy (fst (covered_query tbox strategy q))
 
-(* The plan caches: repeated queries skip PerfectRef and the EDL/GDL
+(* The plan cache: repeated queries skip PerfectRef and the EDL/GDL
    cover search entirely. Keyed by engine id, TBox uid, strategy and
    the canonical form of the query — a plan is only ever replayed in
-   exactly the context that produced it. Data-independent strategies
-   live in [plan_cache] with no generation component, so their entries
-   survive updates outright. Cost-based strategies live in
-   [gen_plan_cache]: their keys embed the KB generation (an update
-   shifts the statistics their cover search optimised against), and
-   the cache is version-flushed on every update so superseded entries
-   are reclaimed immediately instead of squatting in the LRU. *)
+   exactly the context that produced it. Whether the data still
+   supports a plan is [plan_valid]'s question alone: data-independent
+   plans hold for any data, a cost-based plan only within the
+   generation it was searched under (an update shifts the statistics
+   its cover search optimised against, and may fill a predicate it
+   pruned as empty). A lookup drops an invalid entry and the new
+   search takes its key, so a query holds one entry however many
+   inserts pass; a plan never looked up again ages out of the LRU. *)
 let default_plan_cache_capacity = 256
 
 let plan_cost p = Query.Fol.total_atoms p.p_reformulation * 128
@@ -232,54 +219,44 @@ let plan_cache : (string, plan) Cache.Lru.t =
   Cache.Lru.create ~cost_of:plan_cost ~name:"plan"
     ~capacity:default_plan_cache_capacity ()
 
-let gen_plan_cache : (string, plan) Cache.Lru.t =
-  Cache.Lru.create ~cost_of:plan_cost ~name:"plan_gen"
-    ~capacity:default_plan_cache_capacity ()
+let set_plan_cache_capacity n = Cache.Lru.set_capacity plan_cache n
 
-let () = flush_gen_plans := fun seq -> Cache.Lru.set_version gen_plan_cache seq
+let plan_cache_stats () = Cache.Lru.stats plan_cache
 
-let set_plan_cache_capacity n =
-  Cache.Lru.set_capacity plan_cache n;
-  Cache.Lru.set_capacity gen_plan_cache n
-
-let plan_cache_stats () =
-  let a = Cache.Lru.stats plan_cache and b = Cache.Lru.stats gen_plan_cache in
-  {
-    a with
-    Cache.Lru.hits = a.Cache.Lru.hits + b.Cache.Lru.hits;
-    misses = a.Cache.Lru.misses + b.Cache.Lru.misses;
-    evictions = a.Cache.Lru.evictions + b.Cache.Lru.evictions;
-    invalidations = a.Cache.Lru.invalidations + b.Cache.Lru.invalidations;
-    entries = a.Cache.Lru.entries + b.Cache.Lru.entries;
-    cost = a.Cache.Lru.cost + b.Cache.Lru.cost;
-    capacity = a.Cache.Lru.capacity + b.Cache.Lru.capacity;
-  }
-
-let clear_plan_cache () =
-  Cache.Lru.clear plan_cache;
-  Cache.Lru.clear gen_plan_cache
+let clear_plan_cache () = Cache.Lru.clear plan_cache
 
 let plan_key e tbox strategy q =
-  let generation = if data_independent strategy then "-" else string_of_int e.generation in
-  Printf.sprintf "%d/%s/%d/%s/%s" e.id generation (Dllite.Tbox.uid tbox)
+  Printf.sprintf "%d/%d/%s/%s" e.id (Dllite.Tbox.uid tbox)
     (strategy_name strategy)
     (Query.Cq.to_string (Query.Cq.canonicalize q))
+
+let plan_valid strategy ~generation p = data_independent strategy || p.p_generation = generation
 
 let feedback_epoch e =
   match e.feedback with Some fb -> Cost.Feedback.epoch fb | None -> 0
 
 let plan_for e tbox strategy q =
-  let cache = if data_independent strategy then plan_cache else gen_plan_cache in
   let key = plan_key e tbox strategy q in
-  match Cache.Lru.find cache key with
+  let generation = e.generation in
+  match Cache.Lru.find ~valid:(plan_valid strategy ~generation) plan_cache key with
   | Some p -> p, true
   | None ->
     let epoch = feedback_epoch e in
     let covered, dropped = covered_query tbox strategy q in
     let fol = search e tbox strategy covered in
-    ( Cache.Lru.add_if_absent cache key
-        { p_reformulation = fol; p_epoch = epoch; p_covered = covered; p_dropped = dropped },
-      false )
+    let fresh =
+      {
+        p_reformulation = fol;
+        p_epoch = epoch;
+        p_covered = covered;
+        p_dropped = dropped;
+        p_generation = generation;
+      }
+    in
+    (* The first writer keeps the slot. A racing caller's plan from
+       another generation stays there but is not served to this one. *)
+    let stored = Cache.Lru.add_if_absent plan_cache key fresh in
+    (if plan_valid strategy ~generation stored then stored else fresh), false
 
 (* {1 The query pipeline}
 
@@ -448,7 +425,7 @@ let analyze e tbox strategy q =
            && q_error > default_drift_threshold
            && Cost.Feedback.epoch fb > p.epoch ->
       let key = plan_key e tbox strategy q in
-      let dropped = Cache.Lru.invalidate_if gen_plan_cache (fun k -> k = key) in
+      let dropped = Cache.Lru.invalidate_if plan_cache (fun k -> k = key) in
       if dropped > 0 then Cost.Feedback.note_rerank ();
       dropped > 0
     | _ -> false

@@ -127,9 +127,10 @@ val reformulate : engine -> Dllite.Tbox.t -> strategy -> Query.Cq.t -> Query.Fol
 val answer : engine -> Dllite.Tbox.t -> strategy -> Query.Cq.t -> outcome
 (** {!prepare}, then the plain executor and decoding. The optimisation
     step goes through the {{!section-plan_cache}plan cache}: a repeated
-    query (same engine, KB generation, TBox and strategy, equal
-    canonical form) replays the memoised reformulation instead of
-    searching again. *)
+    query (same engine, TBox and strategy, equal canonical form)
+    replays the memoised reformulation instead of searching again,
+    unless it is a cost-based plan searched under an older KB
+    generation. *)
 
 val answers_exn : engine -> Dllite.Tbox.t -> strategy -> Query.Cq.t -> string list list
 (** Convenience: the answers of {!answer}, raising [Failure] on engine
@@ -147,9 +148,10 @@ val estimator : engine -> cost_source -> Optimizer.Estimator.t
     delta buffers ({!Rdbms.Storage}), indexes and statistics are
     maintained in place, and invalidation is {e predicate-scoped} —
     only the materialised fragment views that read the touched
-    concept/role are dropped, and only the generation-keyed (cost-based)
-    plan-cache entries are flushed; plans of the data-independent
-    strategies survive updates outright. Consistency of the update is
+    concept/role are dropped. Cost-based plans of the updated engine
+    are searched again on their next lookup; plans of the
+    data-independent strategies and of other engines survive updates
+    outright. Consistency of the update is
     the caller's concern ({!Dllite.Kb.check_consistency} /
     {!Reform.Consistency}). *)
 
@@ -160,41 +162,42 @@ val insert_role : engine -> role:string -> subj:string -> obj:string -> bool
 
 val generation : engine -> int
 (** The engine's KB generation: starts at [0], advances on every
-    accepted insert. Cost-based plan-cache keys carry it, so a
-    stale-statistics cover search is never replayed after an update. *)
+    accepted insert. Every cached plan records the generation it was
+    searched under, so a cost-based cover search is never replayed
+    after an update to its engine. *)
 
 (** {2:plan_cache Plan cache}
 
-    Two process-wide bounded LRUs memoising the outcome of the
+    One process-wide bounded LRU memoising the outcome of the
     optimisation step — the chosen cover and compiled reformulation —
-    keyed by (engine, TBox version, strategy, canonical query). Plans
-    of the data-independent strategies ([Ucq]/[Uscq]/[Croot]) carry no
-    KB-generation component: they are functions of the TBox and query
-    alone, so they survive data updates. Plans of the cost-based
-    strategies ([Gdl]/[Gdl_limited]/[Edl]) additionally embed the
-    engine's generation, and their cache is version-flushed on every
-    update (superseded entries would otherwise squat in the LRU until
-    evicted). Repeated-query traffic skips PerfectRef and the EDL/GDL
-    cover search entirely, and the atom reduction of the cost-based
-    strategies with them: the key is the caller's query, not the
-    reduced one. A replayed plan returns the same answers as
-    a fresh search: the data-independent reformulations hold for any
-    data, and the cost-based ones, which drop the arms over predicates
-    empty at search time (DESIGN §15.4), are replayed only within the
-    generation they were searched in. *)
+    keyed by (engine, TBox version, strategy, canonical query). Each
+    plan records the engine generation it was searched under, and one
+    validity rule decides whether a lookup may serve it: plans of the
+    data-independent strategies ([Ucq]/[Uscq]/[Croot]) are functions of
+    the TBox and query alone and always hold; plans of the cost-based
+    strategies ([Gdl]/[Gdl_limited]/[Edl]) hold only while their
+    engine's generation is unchanged. A lookup that finds an invalid
+    plan drops it and counts a miss and an invalidation, and the fresh
+    search is stored under the same key. Repeated-query traffic skips
+    PerfectRef and the EDL/GDL cover search entirely, and the atom
+    reduction of the cost-based strategies with them: the key is the
+    caller's query, not the reduced one. A replayed plan returns the
+    same answers as a fresh search: the data-independent
+    reformulations hold for any data, and the cost-based ones, which
+    drop the arms over predicates empty at search time (DESIGN §15.4),
+    are replayed only within the generation they were searched in. *)
 
 val default_plan_cache_capacity : int
-(** Capacity of {e each} of the two caches. *)
+(** Capacity of the plan cache, in entries. *)
 
 val set_plan_cache_capacity : int -> unit
-(** Resizes both plan caches; [<= 0] disables them. *)
+(** Resizes the plan cache; [<= 0] disables it. *)
 
 val plan_cache_stats : unit -> Cache.Lru.stats
-(** Merged statistics over both plan caches (counters and sizes are
-    summed; the [name]/[version] fields are the stable cache's). *)
+(** The plan cache's entries, cost and counters. *)
 
 val clear_plan_cache : unit -> unit
-(** Clears both plan caches. *)
+(** Drops every cached plan. *)
 
 (** {2 Materialised fragment views}
 

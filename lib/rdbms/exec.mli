@@ -59,19 +59,11 @@ type view_store = (string list * string, Relation.t) Cache.Lru.t
     the next query that materialises the same fragment against the
     same data. After an update, {!invalidate_views} drops exactly the
     fragments whose read set meets the touched predicates and keeps
-    the rest warm ({!Cache.Lru.set_version} / {!Cache.Lru.clear}
-    remain the full-flush hammer). *)
-
-val default_view_capacity : int
+    the rest warm. *)
 
 val fresh_view_store : ?capacity:int -> unit -> view_store
-(** A fresh store, bounded by entry count (default
-    {!default_view_capacity}) and costed by approximate relation
-    bytes. *)
-
-val view_key : Plan.t -> string list * string
-(** The key a [Materialize] of this fragment stores under:
-    ({!Plan.predicates}, {!Plan.structural_key}). *)
+(** A fresh store, bounded by entry count (default 256) and costed by
+    approximate relation bytes. *)
 
 val invalidate_views : view_store -> string list -> int
 (** [invalidate_views store touched] drops every stored fragment that

@@ -26,11 +26,17 @@ let test_basic () =
   check_int "misses counted" 2 s.Cache.Lru.misses
 
 let test_replace () =
-  let c = Cache.Lru.create ~name:"t.replace" ~capacity:4 () in
+  let c = Cache.Lru.create ~cost_of:(fun v -> v) ~name:"t.replace" ~capacity:2 () in
   Cache.Lru.add c "k" 1;
   Cache.Lru.add c "k" 2;
   check_int "no duplicate entry" 1 (Cache.Lru.length c);
-  Alcotest.(check (option int)) "replaced" (Some 2) (find_int c "k")
+  Alcotest.(check (option int)) "replaced" (Some 2) (find_int c "k");
+  check_int "cost of the replacement only" 2 (Cache.Lru.stats c).Cache.Lru.cost;
+  (* k is the LRU entry when m arrives, so it is evicted *)
+  Cache.Lru.add c "j" 30;
+  Cache.Lru.add c "m" 400;
+  check_int "evicted" 1 (Cache.Lru.stats c).Cache.Lru.evictions;
+  check_int "cost sums the live entries" 430 (Cache.Lru.stats c).Cache.Lru.cost
 
 let test_disabled () =
   let c = Cache.Lru.create ~name:"t.disabled" ~capacity:0 () in
@@ -43,45 +49,24 @@ let test_disabled () =
   Cache.Lru.set_capacity c 0;
   check_int "shrink to disabled empties" 0 (Cache.Lru.length c)
 
-let test_cost_bound () =
-  let c =
-    Cache.Lru.create ~max_cost:10 ~cost_of:(fun v -> v) ~name:"t.cost"
-      ~capacity:100 ()
-  in
-  Cache.Lru.add c "a" 4;
-  Cache.Lru.add c "b" 4;
-  check_int "both fit" 2 (Cache.Lru.length c);
-  (* 4 + 4 + 6 > 10: the LRU entries go until the budget fits *)
-  Cache.Lru.add c "c" 6;
-  check_bool "cost bound enforced" true
-    ((Cache.Lru.stats c).Cache.Lru.cost <= 10);
-  Alcotest.(check (option int)) "newest kept" (Some 6) (find_int c "c");
-  (* admission control: a value costlier than the whole budget is not
-     cached and does not evict what is there *)
-  let before = Cache.Lru.length c in
-  Cache.Lru.add c "huge" 11;
-  Alcotest.(check (option int)) "oversized not admitted" None (find_int c "huge");
-  check_int "no collateral eviction" before (Cache.Lru.length c)
-
 let test_add_if_absent () =
   let c = Cache.Lru.create ~name:"t.race" ~capacity:4 () in
   check_int "stores on absent" 1 (Cache.Lru.add_if_absent c "k" 1);
   check_int "first writer wins" 1 (Cache.Lru.add_if_absent c "k" 2);
   Alcotest.(check (option int)) "stored value unchanged" (Some 1) (find_int c "k")
 
-let test_version () =
-  let c = Cache.Lru.create ~name:"t.version" ~capacity:4 () in
+let test_find_valid () =
+  let c = Cache.Lru.create ~name:"t.valid" ~capacity:4 () in
   Cache.Lru.add c "a" 1;
-  Cache.Lru.set_version c 0;
-  check_int "same stamp is a no-op" 1 (Cache.Lru.length c);
-  Cache.Lru.set_version c 1;
-  check_int "new stamp flushes" 0 (Cache.Lru.length c);
-  check_int "version updated" 1 (Cache.Lru.version c);
-  check_int "invalidation counted" 1
-    (Cache.Lru.stats c).Cache.Lru.invalidations;
-  Cache.Lru.set_version c 2;
-  check_int "flushing empty cache is free" 1
-    (Cache.Lru.stats c).Cache.Lru.invalidations
+  Alcotest.(check (option int)) "valid entry served" (Some 1)
+    (Cache.Lru.find ~valid:(fun v -> v = 1) c "a");
+  Alcotest.(check (option int)) "invalid entry not served" None
+    (Cache.Lru.find ~valid:(fun v -> v = 2) c "a");
+  check_int "invalid entry dropped" 0 (Cache.Lru.length c);
+  let s = Cache.Lru.stats c in
+  check_int "one hit" 1 s.Cache.Lru.hits;
+  check_int "one miss" 1 s.Cache.Lru.misses;
+  check_int "one invalidation" 1 s.Cache.Lru.invalidations
 
 let contains ~sub s =
   let n = String.length sub and m = String.length s in
@@ -99,8 +84,8 @@ let test_stats_pp () =
 
    The caching layer must be semantically invisible: a get-or-compute
    through a tiny cache (heavy eviction pressure) always returns what
-   the computation itself returns, and after a version change no entry
-   from an older version is ever served. *)
+   the computation itself returns, and a lookup whose [valid] check
+   rejects an entry stamped with an older version never serves it. *)
 
 let compute ~version k = (k * 97) + (version * 100_000)
 
@@ -122,20 +107,25 @@ let prop_bounded_equals_unbounded =
         keys)
 
 let prop_version_never_stale =
-  (* ops: key to look up, paired with "bump the version first?" *)
+  (* ops: key to look up, paired with "bump the version first?". Each
+     entry is stamped with the version it was computed under, and is
+     valid while that stamp is current. *)
   QCheck2.Test.make ~name:"version change never serves pre-update entries"
     ~count:200
     QCheck2.Gen.(list_size (return 60) (pair (int_bound 9) bool))
     (fun ops ->
       let c = Cache.Lru.create ~name:"t.prop.version" ~capacity:8 () in
       let version = ref 0 in
+      let get k =
+        let valid (stamp, _) = stamp = !version in
+        match Cache.Lru.find ~valid c k with
+        | Some (_, v) -> v
+        | None -> snd (Cache.Lru.add_if_absent c k (!version, compute ~version:!version k))
+      in
       List.for_all
         (fun (k, bump) ->
-          if bump then begin
-            incr version;
-            Cache.Lru.set_version c !version
-          end;
-          cached_get c ~version:!version k = compute ~version:!version k)
+          if bump then incr version;
+          get k = compute ~version:!version k)
         ops)
 
 let suite =
@@ -143,9 +133,8 @@ let suite =
     Alcotest.test_case "lru: add/find/evict" `Quick test_basic;
     Alcotest.test_case "lru: replace" `Quick test_replace;
     Alcotest.test_case "lru: capacity 0 disables" `Quick test_disabled;
-    Alcotest.test_case "lru: byte budget + admission" `Quick test_cost_bound;
     Alcotest.test_case "lru: add_if_absent race protocol" `Quick test_add_if_absent;
-    Alcotest.test_case "lru: versioned invalidation" `Quick test_version;
+    Alcotest.test_case "lru: find ~valid drops a stale entry" `Quick test_find_valid;
     Alcotest.test_case "lru: stats rendering" `Quick test_stats_pp;
   ]
   @ List.map QCheck_alcotest.to_alcotest

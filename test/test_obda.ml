@@ -304,6 +304,52 @@ let test_plan_cache_update_scoping () =
     (List.mem [ "Zed" ] (answers_of ucq));
   check_bool "strategies agree post-update" true (answers_of ucq = answers_of gdl)
 
+(* A cost-based plan goes stale only when its own engine's data
+   changes: an insert into engine [a] leaves engine [b]'s GDL plan,
+   searched under [b]'s unchanged generation, in the cache. *)
+let test_plan_cache_other_engine_insert () =
+  Obda.clear_plan_cache ();
+  let abox = example1_abox () in
+  let a = Obda.make_engine `Pglite `Simple abox in
+  let b = Obda.make_engine `Pglite `Simple abox in
+  let strategy = Obda.Gdl Obda.Ext_cost in
+  let cold = Obda.answer b example1_tbox strategy example3_query in
+  ignore (Obda.answer a example1_tbox strategy example3_query);
+  ignore (Obda.insert_role a ~role:"supervisedBy" ~subj:"Zed" ~obj:"Ioana");
+  let warm = Obda.answer b example1_tbox strategy example3_query in
+  check_bool "b's plan survives an insert into a" true warm.Obda.plan_cached;
+  check_bool "b's answers unchanged" true (answers_of cold = answers_of warm);
+  let a_after = Obda.answer a example1_tbox strategy example3_query in
+  check_bool "a's plan re-searched" false a_after.Obda.plan_cached;
+  check_bool "a sees its new fact" true (List.mem [ "Zed" ] (answers_of a_after))
+
+(* A re-searched plan replaces its stale entry under the same key:
+   five insert -> read cycles leave one GDL entry, and each post-insert
+   lookup counts one miss and one invalidation, never a hit. The UCQ
+   plan of the same query stays cached throughout. *)
+let test_plan_cache_one_entry_across_inserts () =
+  Obda.clear_plan_cache ();
+  let engine = Obda.make_engine `Pglite `Simple (example1_abox ()) in
+  let gdl = Obda.Gdl Obda.Ext_cost in
+  let check_int = Alcotest.(check int) in
+  ignore (Obda.answer engine example1_tbox gdl example3_query);
+  ignore (Obda.answer engine example1_tbox Obda.Ucq example3_query);
+  for i = 1 to 5 do
+    ignore
+      (Obda.insert_role engine ~role:"supervisedBy" ~subj:(Printf.sprintf "s%d" i)
+         ~obj:"Ioana");
+    let s0 = Obda.plan_cache_stats () in
+    let o = Obda.answer engine example1_tbox gdl example3_query in
+    let s1 = Obda.plan_cache_stats () in
+    check_bool "cost-based plan re-searched" false o.Obda.plan_cached;
+    check_int "one miss" 1 (s1.Cache.Lru.misses - s0.Cache.Lru.misses);
+    check_int "one invalidation" 1 (s1.Cache.Lru.invalidations - s0.Cache.Lru.invalidations);
+    check_int "no hit" 0 (s1.Cache.Lru.hits - s0.Cache.Lru.hits);
+    check_bool "UCQ plan stays cached" true
+      (Obda.answer engine example1_tbox Obda.Ucq example3_query).Obda.plan_cached
+  done;
+  check_int "one GDL entry beside the UCQ entry" 2 (Obda.plan_cache_stats ()).Cache.Lru.entries
+
 (* The qcheck property behind the incremental-update path: an engine
    grown by a random interleaved insert script answers every query
    identically (row order included) to an engine built fresh from the
@@ -548,6 +594,10 @@ let suite =
     Alcotest.test_case "plan cache invalidation" `Quick test_plan_cache_invalidation;
     Alcotest.test_case "plan cache update scoping" `Quick
       test_plan_cache_update_scoping;
+    Alcotest.test_case "plan cache survives another engine's insert" `Quick
+      test_plan_cache_other_engine_insert;
+    Alcotest.test_case "plan cache keeps one entry across inserts" `Quick
+      test_plan_cache_one_entry_across_inserts;
     QCheck_alcotest.to_alcotest qcheck_grown_equals_fresh;
     Alcotest.test_case "emptiness epoch and reformulation cache" `Quick
       test_emptiness_epoch_and_cache;
