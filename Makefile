@@ -35,14 +35,14 @@ $(BENCH_OUT):
 bench-suite-smoke:
 	$(DUNE) build @bench/suite/smoke
 
-# Every experiment of bench/main.ml once, at small scale and jobs=2,
-# so an experiment broken at run time fails CI; per-cell timings are
+# Every experiment of bench/main.ml once, at small scale, so an
+# experiment broken at run time fails CI; per-cell timings are
 # recorded to $(BENCH_OUT)/paper.json.
 bench-paper-smoke: build | $(BENCH_OUT)
-	$(DUNE) exec bench/main.exe -- --small 2000 --large 4000 --jobs 2 \
+	$(DUNE) exec bench/main.exe -- --small 2000 --large 4000 \
 	  --json $(BENCH_OUT)/paper.json
 
-# Every experiment at its default scale, sequential.
+# Every experiment at its default scale.
 bench: build
 	$(DUNE) exec bench/main.exe
 

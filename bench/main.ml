@@ -5,14 +5,12 @@
    end of this file; --help prints them.
 
    Usage: main.exe [--exp ID]... [--small N] [--large N] [--seed S]
-                   [--jobs N] [--json FILE] [--metrics FILE]
-   With no --exp, every experiment runs. --jobs N evaluates with N
-   domains (default 1 = the sequential engine; 0 = all cores) and the
-   figure experiments then additionally evaluate at jobs=1 to report
-   the parallel speedup. --json FILE dumps per-experiment and per-cell
-   timings. --metrics FILE dumps the process-wide Obs metrics registry
-   as JSON after the run. The run exits 1 when, in E3-E6, a strategy
-   returns other answers than the UCQ column on the same engine. *)
+                   [--json FILE] [--metrics FILE]
+   With no --exp, every experiment runs. --json FILE dumps
+   per-experiment and per-cell timings. --metrics FILE dumps the
+   process-wide Obs metrics registry as JSON after the run. The run
+   exits 1 when, in E3-E6, a strategy returns other answers than the
+   UCQ column on the same engine. *)
 
 let small_facts = ref 30_000
 
@@ -21,8 +19,6 @@ let large_facts = ref 120_000
 let seed = ref 42
 
 let selected : string list ref = ref []
-
-let jobs = ref 1
 
 let json_file : string option ref = ref None
 
@@ -55,7 +51,7 @@ let record_json fields =
       ^ "}")
       :: !json_records
 
-let json_cell ~exp ~query ~strategy ~cell_jobs ~search_ms ~cqs outcome =
+let json_cell ~exp ~query ~strategy ~search_ms ~cqs outcome =
   let tail =
     match outcome with
     | Ok (ms, _) -> [ "eval_ms", Printf.sprintf "%.3f" ms ]
@@ -65,7 +61,6 @@ let json_cell ~exp ~query ~strategy ~cell_jobs ~search_ms ~cqs outcome =
     ([ "exp", Printf.sprintf "%S" exp;
        "query", Printf.sprintf "%S" query;
        "strategy", Printf.sprintf "%S" strategy;
-       "jobs", string_of_int cell_jobs;
        "search_ms", Printf.sprintf "%.3f" search_ms;
        "cqs", string_of_int cqs ]
     @ tail)
@@ -81,8 +76,6 @@ let write_json () =
       \  \"seed\": %d,\n\
       \  \"small_facts\": %d,\n\
       \  \"large_facts\": %d,\n\
-      \  \"jobs\": %d,\n\
-      \  \"recommended_jobs\": %d,\n\
       \  \"host_cores\": %d,\n\
       \  \"ocaml_version\": %S,\n\
       \  \"word_size\": %d,\n\
@@ -90,8 +83,7 @@ let write_json () =
       \    %s\n\
       \  ]\n\
        }\n"
-      !seed !small_facts !large_facts !jobs
-      (Parallel.recommended_jobs ())
+      !seed !small_facts !large_facts
       (Domain.recommended_domain_count ())
       Sys.ocaml_version Sys.word_size
       (String.concat ",\n    " (List.rev !json_records));
@@ -136,7 +128,7 @@ let sql_length layout fol = String.length (Sql.Sql_ast.to_string (Sql.Sql_gen.of
 
 (* Evaluate a reformulation through an engine: median of three runs for
    fast queries, a single run once evaluation exceeds a second. *)
-let timed_eval ?(eval_jobs = 1) engine fol =
+let timed_eval engine fol =
   let layout = Obda.layout engine in
   let profile = Obda.profile engine in
   let sql_bytes = lazy (sql_length layout fol) in
@@ -148,8 +140,7 @@ let timed_eval ?(eval_jobs = 1) engine fol =
     let once () =
       let t0 = Unix.gettimeofday () in
       let answers =
-        Rdbms.Exec.answers ~config:profile.Rdbms.Explain.exec_config ~jobs:eval_jobs
-          layout plan
+        Rdbms.Exec.answers ~config:profile.Rdbms.Explain.exec_config layout plan
       in
       Unix.gettimeofday () -. t0, answers
     in
@@ -168,40 +159,15 @@ let strategy_columns =
   [ "UCQ", Obda.Ucq; "Croot", Obda.Croot; "GDL/RDBMS", Obda.Gdl Obda.Rdbms_cost;
     "GDL/ext", Obda.Gdl Obda.Ext_cost ]
 
-(* A figure cell at the configured job count, plus — when running
-   parallel — the sequential baseline of the same reformulation, so
-   the figure experiments report the jobs=1 vs jobs=N trajectory. The
-   per-strategy (sequential, parallel) eval-time sums accumulate into
-   [speedups]. *)
-let run_cell_tracked ~exp ~speedups ~query engine (strategy_name, strategy) q =
+(* One figure cell: reformulate, evaluate, record. *)
+let run_cell ~exp ~query engine (strategy_name, strategy) q =
   let t0 = Unix.gettimeofday () in
   let fol = Obda.reformulate engine tbox strategy q in
   let search_ms = (Unix.gettimeofday () -. t0) *. 1000. in
   let cqs = Query.Fol.cq_count fol in
-  let shown = timed_eval ~eval_jobs:!jobs engine fol in
-  json_cell ~exp ~query ~strategy:strategy_name ~cell_jobs:!jobs ~search_ms ~cqs shown;
-  if !jobs > 1 then begin
-    let baseline = timed_eval ~eval_jobs:1 engine fol in
-    json_cell ~exp ~query ~strategy:strategy_name ~cell_jobs:1 ~search_ms ~cqs baseline;
-    match baseline, shown with
-    | Ok (ms1, _), Ok (msn, _) ->
-      let s1, sn = Option.value ~default:(0., 0.) (Hashtbl.find_opt speedups strategy_name) in
-      Hashtbl.replace speedups strategy_name (s1 +. ms1, sn +. msn)
-    | _ -> ()
-  end;
+  let shown = timed_eval engine fol in
+  json_cell ~exp ~query ~strategy:strategy_name ~search_ms ~cqs shown;
   search_ms, cqs, shown
-
-let report_speedups ~columns speedups =
-  if !jobs > 1 then begin
-    Fmt.pr "@.speedup at jobs=%d vs jobs=1 (total eval time):@." !jobs;
-    List.iter
-      (fun name ->
-        match Hashtbl.find_opt speedups name with
-        | Some (s1, sn) when sn > 0. ->
-          Fmt.pr "  %-14s %8.1f ms -> %8.1f ms  (%.2fx)@." name s1 sn (s1 /. sn)
-        | _ -> Fmt.pr "  %-14s (no complete cells)@." name)
-      columns
-  end
 
 (* {1 The answer gate of E3-E6}
 
@@ -273,14 +239,13 @@ let exp_edl_vs_gdl () =
 
 let figure2 ~exp facts =
   let engine = engine_for `Pglite `Simple facts in
-  Fmt.pr "@.== Figure 2: evaluation time (ms) on pglite/simple, %s, jobs=%d ==@."
-    (Lubm.Generator.scale_name facts) !jobs;
+  Fmt.pr "@.== Figure 2: evaluation time (ms) on pglite/simple, %s ==@."
+    (Lubm.Generator.scale_name facts);
   Fmt.pr "   (paper: UCQ poor, Croot sometimes worse, GDL best;@.";
   Fmt.pr "    GDL/RDBMS misled on the largest reformulations, GDL/ext not)@.@.";
   Fmt.pr "%-4s" "qry";
   List.iter (fun (n, _) -> Fmt.pr " %14s" n) strategy_columns;
   Fmt.pr "@.";
-  let speedups = Hashtbl.create 8 in
   List.iter
     (fun e ->
       let query = e.Lubm.Workload.name in
@@ -289,7 +254,7 @@ let figure2 ~exp facts =
       List.iter
         (fun ((column, strategy) as col) ->
           let _, cqs, shown =
-            run_cell_tracked ~exp ~speedups ~query engine col e.Lubm.Workload.query
+            run_cell ~exp ~query engine col e.Lubm.Workload.query
           in
           if strategy = Obda.Ucq then ucq := shown
           else check_answers ~exp ~query ~column ~reference:!ucq shown;
@@ -298,14 +263,13 @@ let figure2 ~exp facts =
           | Error _ -> Fmt.pr " %14s" "FAILED")
         strategy_columns;
       Fmt.pr "@.")
-    Lubm.Workload.queries;
-  report_speedups ~columns:(List.map fst strategy_columns) speedups
+    Lubm.Workload.queries
 
 (* {1 E5/E6 — Figure 3: DB2-like engine, simple and RDF layouts} *)
 
 let figure3 ~exp facts ~with_rdf_gdl =
-  Fmt.pr "@.== Figure 3: evaluation time (ms) on db2lite, %s, jobs=%d ==@."
-    (Lubm.Generator.scale_name facts) !jobs;
+  Fmt.pr "@.== Figure 3: evaluation time (ms) on db2lite, %s ==@."
+    (Lubm.Generator.scale_name facts);
   Fmt.pr "   (paper: RDF-layout reformulations perform very poorly or fail@.";
   Fmt.pr "    with 'statement too long'; simple layout + GDL is best)@.@.";
   let simple = engine_for `Db2lite `Simple facts in
@@ -320,7 +284,6 @@ let figure3 ~exp facts ~with_rdf_gdl =
   Fmt.pr "%-4s" "qry";
   List.iter (fun (n, _, _) -> Fmt.pr " %13s" n) columns;
   Fmt.pr "@.";
-  let speedups = Hashtbl.create 8 in
   List.iter
     (fun e ->
       let query = e.Lubm.Workload.name in
@@ -330,8 +293,7 @@ let figure3 ~exp facts ~with_rdf_gdl =
       List.iter
         (fun (name, engine, strategy) ->
           let _, _, shown =
-            run_cell_tracked ~exp ~speedups ~query engine (name, strategy)
-              e.Lubm.Workload.query
+            run_cell ~exp ~query engine (name, strategy) e.Lubm.Workload.query
           in
           if strategy = Obda.Ucq then ucq := (engine, shown) :: !ucq
           else
@@ -342,8 +304,7 @@ let figure3 ~exp facts ~with_rdf_gdl =
           | Error _ -> Fmt.pr " %13s" "TOO-LONG")
         columns;
       Fmt.pr "@.")
-    Lubm.Workload.queries;
-  report_speedups ~columns:(List.map (fun (n, _, _) -> n) columns) speedups
+    Lubm.Workload.queries
 
 (* {1 E7 — §6.4: GDL running time and time-limited GDL} *)
 
@@ -642,7 +603,7 @@ let experiments =
 
 let () =
   let usage =
-    "main.exe [--exp ID]... [--small N] [--large N] [--seed S] [--jobs N] \
+    "main.exe [--exp ID]... [--small N] [--large N] [--seed S] \
      [--json FILE] [--metrics FILE]"
   in
   let exp_help =
@@ -657,8 +618,6 @@ let () =
       "--small", Arg.Set_int small_facts, " facts in the small dataset (default 30000)";
       "--large", Arg.Set_int large_facts, " facts in the large dataset (default 120000)";
       "--seed", Arg.Set_int seed, " generator seed (default 42)";
-      "--jobs", Arg.Set_int jobs,
-        " evaluation domains (default 1 = sequential; 0 = all cores)";
       "--json", Arg.String (fun f -> json_file := Some f),
         " dump per-cell and per-experiment timings to FILE";
       "--metrics", Arg.String (fun f -> metrics_file := Some f),
@@ -666,8 +625,6 @@ let () =
     ]
   in
   Arg.parse spec (fun s -> raise (Arg.Bad ("unexpected argument " ^ s))) usage;
-  if !jobs <= 0 then jobs := Parallel.recommended_jobs ();
-  Parallel.set_default_jobs !jobs;
   (* fail on an unwritable --json target now, not after the full run *)
   (match !json_file with
   | Some file -> (

@@ -47,8 +47,6 @@ let layout_arg =
   Arg.(value & opt (enum layouts) `Simple
        & info [ "layout" ] ~docv:"LAYOUT" ~doc:"Storage layout: $(b,simple) or $(b,rdf).")
 
-let jobs_arg ~doc = Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
-
 let plan_cache_arg =
   Arg.(value & opt int Obda.default_plan_cache_capacity
        & info [ "plan-cache" ] ~docv:"N" ~doc:"Plan-cache capacity in entries ($(b,0) disables it).")
@@ -63,9 +61,6 @@ let strategy_list =
   match List.rev Obda.strategy_names with
   | last :: rest -> String.concat ", " (List.rev rest) ^ " or " ^ last
   | [] -> ""
-
-let apply_jobs jobs =
-  Parallel.set_default_jobs (if jobs <= 0 then Parallel.recommended_jobs () else jobs)
 
 let apply_caches plan_cap reform_cap =
   Obda.set_plan_cache_capacity plan_cap;

@@ -26,11 +26,6 @@ let tbox_arg =
     ~doc:"Load the TBox from $(docv) (DL-LiteR text syntax) instead of the \
           built-in LUBMe ontology."
 
-let jobs_arg =
-  jobs_arg
-    ~doc:"Evaluate plans with $(docv) domains ($(b,1) = sequential, \
-          $(b,0) = all cores). Any job count returns the same answers."
-
 let query_arg =
   Arg.(value & opt string "Q1" & info [ "query"; "q" ] ~docv:"NAME" ~doc:"Workload query name (Q1..Q13, A3..A6).")
 
@@ -204,8 +199,7 @@ let warm_arg =
 
 let answer_cmd =
   let run facts seed data rdf store tbox_file inline qname engine_kind layout strategy
-      limit jobs metrics plan_cap reform_cap cache_stats warm feedback =
-    apply_jobs jobs;
+      limit metrics plan_cap reform_cap cache_stats warm feedback =
     apply_caches plan_cap reform_cap;
     let tbox, engine =
       match store with
@@ -253,7 +247,7 @@ let answer_cmd =
     (Cmd.info "answer" ~doc:"Answer a workload query end to end.")
     Term.(const run $ facts_arg $ seed_arg $ data_arg $ rdf_arg $ store_arg
           $ tbox_arg $ query_string_arg $ query_arg $ engine_arg $ layout_arg
-          $ strategy_arg $ limit_arg $ jobs_arg $ metrics_arg $ plan_cache_arg
+          $ strategy_arg $ limit_arg $ metrics_arg $ plan_cache_arg
           $ reform_cache_arg $ cache_stats_arg $ warm_arg $ feedback_arg)
 
 (* {1 explain} *)
@@ -288,8 +282,7 @@ let explain_cmd =
                    candidate/accepted/rejected/chosen event per cover considered).")
   in
   let run facts seed data rdf store tbox_file inline qname engine_kind layout strategy
-      show_plan show_datalog show_sql analyze format trace jobs feedback =
-    apply_jobs jobs;
+      show_plan show_datalog show_sql analyze format trace feedback =
     let tbox, engine = load_engine store rdf tbox_file data facts seed engine_kind layout in
     apply_feedback engine feedback;
     let fb = Obda.feedback_store engine in
@@ -422,7 +415,7 @@ let explain_cmd =
     Term.(const run $ facts_arg $ seed_arg $ data_arg $ rdf_arg $ store_arg
           $ tbox_arg $ query_string_arg $ query_arg $ engine_arg $ layout_arg
           $ strategy_arg $ plan_arg $ datalog_arg $ sql_flag_arg $ analyze_arg
-          $ format_arg $ trace_arg $ jobs_arg $ feedback_arg)
+          $ format_arg $ trace_arg $ feedback_arg)
 
 (* {1 covers} *)
 

@@ -46,13 +46,9 @@ let strategy_arg =
            ~doc:("Default reformulation strategy for requests that name none: "
                  ^ strategy_list ^ "."))
 
-let jobs_arg =
-  jobs_arg ~doc:"Evaluate plans with $(docv) domains ($(b,1) = sequential, $(b,0) = all cores)."
-
 let serve_cmd =
   let run facts seed data rdf store tbox_file engine_kind layout host port workers
-      queue_depth deadline_ms max_rows strategy jobs plan_cap reform_cap =
-    apply_jobs jobs;
+      queue_depth deadline_ms max_rows strategy plan_cap reform_cap =
     apply_caches plan_cap reform_cap;
     let default_strategy =
       match Obda.strategy_of_name strategy with
@@ -93,7 +89,7 @@ let serve_cmd =
        ~doc:"Serve OBDA query answering over a line-delimited JSON TCP protocol.")
     Term.(const run $ facts_arg $ seed_arg $ data_arg $ rdf_arg $ store_arg $ tbox_arg
           $ engine_arg $ layout_arg $ host_arg $ port_arg $ workers_arg $ queue_depth_arg
-          $ deadline_arg $ max_rows_arg $ strategy_arg $ jobs_arg $ plan_cache_arg
+          $ deadline_arg $ max_rows_arg $ strategy_arg $ plan_cache_arg
           $ reform_cache_arg)
 
 let () = exit (Cmd.eval serve_cmd)

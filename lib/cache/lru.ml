@@ -1,7 +1,7 @@
 (* Hash table + intrusive doubly-linked recency list; every operation
-   holds the per-cache mutex, so the structure is consistent under the
-   Parallel domain pool. Nodes are unlinked in O(1); the table maps a
-   key to its node. *)
+   holds the per-cache mutex, so the structure is consistent when the
+   server's worker threads share one cache. Nodes are unlinked in
+   O(1); the table maps a key to its node. *)
 
 type ('k, 'v) node = {
   key : 'k;

@@ -25,7 +25,7 @@
     may share a metric [name]; their {!stats} stay distinct).
 
     All operations take the cache's mutex and are safe to call from
-    the {!Parallel} domain pool. Lookups and insertions are O(1)
+    the server's worker threads at once. Lookups and insertions are O(1)
     (hash table + intrusive doubly-linked recency list). *)
 
 type ('k, 'v) t
@@ -76,7 +76,7 @@ val add_if_absent : ('k, 'v) t -> 'k -> 'v -> 'v
 (** Like {!add}, but an existing binding wins: returns the stored
     value (refreshed), or stores and returns [v]. This is the
     first-writer-wins publication step for racing computations of the
-    same key on the domain pool. *)
+    same key on different threads. *)
 
 val clear : ('k, 'v) t -> unit
 (** Drops every entry (counted neither as eviction nor invalidation). *)

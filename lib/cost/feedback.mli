@@ -41,7 +41,7 @@
     ([Obda.analyze]).
 
     All operations are thread-safe (one mutex per store); factor
-    lookups from parallel cover-scoring batches are O(1).
+    lookups are O(1).
 
     {b Instruments} (registry {!Obs.Metrics}): [feedback.observations]
     (pairs harvested), [feedback.corrections.applied] (factor lookups

@@ -27,21 +27,12 @@ let join q parts =
   | [ single ] when List.equal Term.equal (Fol.out single) q.Cq.head -> single
   | parts -> Fol.join ~out:q.Cq.head parts
 
-(* Fragments reformulate independently (PerfectRef per fragment), so
-   they fan out on the domain pool; part order is preserved, keeping
-   the joined FOL identical to the sequential result. Nested inside a
-   parallel cover-cost batch the fan-out degrades to sequential. *)
-let of_cover ?(language = Ucq_fragments) ?jobs tbox cover =
+(* Fragments reformulate independently (PerfectRef per fragment), in
+   fragment order. *)
+let of_cover ?(language = Ucq_fragments) tbox cover =
   let q = cover.Cover.query in
-  let parts =
-    Parallel.map ?jobs (reformulate_fragment language tbox)
-      (Cover.fragment_queries cover)
-  in
-  join q parts
+  join q (List.map (reformulate_fragment language tbox) (Cover.fragment_queries cover))
 
-let of_generalized ?jobs tbox gcover =
+let of_generalized tbox gcover =
   let q = gcover.Generalized.query in
-  let parts =
-    Parallel.map ?jobs (fragment tbox) (Generalized.fragment_queries gcover)
-  in
-  join q parts
+  join q (List.map (fragment tbox) (Generalized.fragment_queries gcover))

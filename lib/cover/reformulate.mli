@@ -11,7 +11,7 @@ val ucq : Dllite.Tbox.t -> Query.Cq.t -> Query.Fol.t
 (** The plain (single-fragment) UCQ reformulation, as a FOL query. *)
 
 val of_cover :
-  ?language:fragment_language -> ?jobs:int -> Dllite.Tbox.t -> Cover.t -> Query.Fol.t
+  ?language:fragment_language -> Dllite.Tbox.t -> Cover.t -> Query.Fol.t
 (** The cover-based reformulation of the cover's query: a join of the
     reformulated fragment queries, projected on the query head. When
     the cover is safe, this is a FOL reformulation (Theorem 1); the
@@ -19,12 +19,9 @@ val of_cover :
     that may miss answers (Example 7), which the test-suite exercises
     deliberately. *)
 
-val of_generalized : ?jobs:int -> Dllite.Tbox.t -> Generalized.t -> Query.Fol.t
+val of_generalized : Dllite.Tbox.t -> Generalized.t -> Query.Fol.t
 (** The generalized cover-based reformulation (Theorem 3), with every
-    fragment reformulated into a UCQ (a JUCQ). [jobs]
-    bounds the per-fragment reformulation fan-out on the {!Parallel}
-    pool (default {!Parallel.default_jobs}; order-preserving, so the
-    result never depends on it). *)
+    fragment reformulated into a UCQ (a JUCQ). *)
 
 val fragment : ?data:Reform.Emptiness.t -> Dllite.Tbox.t -> Query.Cq.t -> Query.Fol.t
 (** One fragment query reformulated into a UCQ leaf (PerfectRef,

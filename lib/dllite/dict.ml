@@ -1,6 +1,6 @@
-(* Domain-safe: [encode] may be called from parallel plan arms (the
+(* Thread-safe: [encode] may be called from concurrent queries (the
    [Project] operator interns head constants), racing with [find] in
-   sibling arms, so every access goes through the dictionary's mutex.
+   another query, so every access goes through the dictionary's mutex.
    The critical sections are a hash lookup or an array slot write —
    short enough that the uncontended fast path dominates. *)
 type t = {

@@ -4,16 +4,15 @@
     {e counters}, last-value {e gauges} and fixed-bucket latency
     {e histograms} — and the registry exports everything as JSON or a
     one-screen text snapshot. All mutation is lock-free ([Atomic]),
-    so instruments are safe to bump from the {!Parallel} domain pool;
+    so instruments are safe to bump from the server's worker threads;
     registration (first lookup of a name) takes a mutex but sites
     obtain their instruments once, at module initialisation.
 
     Naming convention (see DESIGN.md §8): [<layer>.<subject>.<aspect>]
     with lowercase dot-separated segments, e.g.
     [exec.scan.requests] or [obda.answer.latency_ms]. Counters whose
-    totals are deterministic at any [--jobs] count carry no special
-    marker in the name but are listed in DESIGN.md; the invariance is
-    property-tested. *)
+    totals are fixed by plan and data carry no special marker in the
+    name but are listed in DESIGN.md. *)
 
 type counter
 

@@ -14,8 +14,8 @@ type event = {
 }
 
 (* The sink is read on every emission attempt, so it lives in an
-   Atomic; emissions from pool workers may call it concurrently and
-   each sink synchronises internally. *)
+   Atomic; emissions from server worker threads may call it
+   concurrently and each sink synchronises internally. *)
 let sink : (event -> unit) option Atomic.t = Atomic.make None
 
 let seq_counter = Atomic.make 0

@@ -7,7 +7,7 @@
     Tracing is off by default and free when off: emitters must guard
     event construction with {!enabled}, and {!emit} is a no-op without
     an installed sink. Sinks may be invoked concurrently from the
-    {!Parallel} pool (candidate scoring fans out); the {!record}
+    server's worker threads; the {!record}
     collector is mutex-guarded and orders events by their global
     sequence number. *)
 

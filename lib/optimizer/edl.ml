@@ -16,7 +16,7 @@ let m_examined =
     ~help:"covers enumerated and cost-estimated by EDL"
     "edl.covers.examined"
 
-let search ?(max_covers = 20_000) ?jobs tbox estimator q =
+let search ?(max_covers = 20_000) tbox estimator q =
   (* Monotonic clock: wall clock can step backwards under NTP and
      report a negative search_time. *)
   let t0 = Obs.Mclock.now_ns () in
@@ -24,21 +24,18 @@ let search ?(max_covers = 20_000) ?jobs tbox estimator q =
   let covers = Generalized.enumerate ~max_count:max_covers tbox q in
   let examined = List.length covers in
   Obs.Metrics.add m_examined examined;
-  (* Reformulating and cost-estimating a cover touches only the
-     scope's domain-safe memo, so every candidate scores on the domain
-     pool; the winner is then picked by the same first-minimum fold as
-     the sequential search (ties keep the earliest cover), making the
-     result independent of the job count. *)
+  (* Every candidate scores in enumeration order; the winner is the
+     first minimum (ties keep the earliest cover). *)
   let scope = Estimator.open_search estimator tbox q in
   let scored =
-    Parallel.map ?jobs
+    List.map
       (fun cover ->
         let s = Estimator.score scope cover in
         cover, s.Estimator.reformulation, s.Estimator.cost)
       covers
   in
-  (* Trace emission happens after the parallel scoring pass, in
-     enumeration order, so traces are deterministic at any job count. *)
+  (* Trace emission happens after the scoring pass, in enumeration
+     order. *)
   if Obs.Trace.enabled () then
     List.iter
       (fun (cover, _, cost) ->

@@ -14,9 +14,7 @@ type result = {
 }
 
 val search :
-  ?max_covers:int -> ?jobs:int -> Dllite.Tbox.t -> Estimator.t -> Query.Cq.t -> result
+  ?max_covers:int -> Dllite.Tbox.t -> Estimator.t -> Query.Cq.t -> result
 (** Default [max_covers] is 20,000. Candidate covers cost-estimate in
-    parallel on the {!Parallel} pool ([jobs], default
-    {!Parallel.default_jobs}); the returned cover is independent of the
-    job count (ties resolve to the earliest enumerated cover). All
-    candidates score through one {!Estimator.open_search} scope. *)
+    enumeration order; ties resolve to the earliest enumerated cover.
+    All candidates score through one {!Estimator.open_search} scope. *)

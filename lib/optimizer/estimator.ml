@@ -110,9 +110,8 @@ let fragment_key gf fq =
   ^ "|"
   ^ String.concat "," (List.map Query.Term.to_string fq.Query.Cq.head)
 
-(* A memo miss computes outside the lock; when two domains race on one
-   fragment, both compute the same value and the first insert wins. The
-   counters count inserts, so they do not depend on the race. *)
+(* A memo miss computes outside the lock and the first insert wins;
+   the counters count inserts. *)
 let leaf s (key, fq) =
   match Mutex.protect s.lock (fun () -> Hashtbl.find_opt s.memo key) with
   | Some l ->
@@ -151,9 +150,7 @@ let score s cover =
       (Generalized.fragments cover)
       (Generalized.fragment_queries cover)
   in
-  (* fragments fan out like {!Reformulate.of_generalized}'s; inside a
-     parallel scoring batch this runs sequentially *)
-  let leaves = Parallel.map (leaf s) frags in
+  let leaves = List.map (leaf s) frags in
   let t0 = Obs.Mclock.now_ns () in
   let reformulation = Reformulate.join q (List.map (fun (l, _, _) -> l.fol) leaves) in
   let t1 = Obs.Mclock.now_ns () in

@@ -75,7 +75,6 @@ type scored = {
 }
 
 val score : search -> Covers.Generalized.t -> scored
-(** Reformulates and prices one cover. Safe to call from several
-    domains at once (the memo is locked); the result does not depend
-    on the interleaving. [Invalid_argument] for a cover of another
-    query than the scope's. *)
+(** Reformulates and prices one cover, reusing the scope's memoised
+    fragments. [Invalid_argument] for a cover of another query than
+    the scope's. *)

@@ -54,8 +54,8 @@ let out_of_time st =
   | None -> false
   | Some d -> Int64.compare (Obs.Mclock.now_ns ()) d > 0
 
-(* Always called sequentially (in candidate order after a parallel
-   scoring batch), so the Candidate trace stream is deterministic. *)
+(* Called in candidate order, so the Candidate trace stream is
+   deterministic. *)
 let record st cover (s : Estimator.scored) =
   let c = s.cost and fol = s.reformulation in
   st.cost_seconds <- st.cost_seconds +. s.cost_time;
@@ -79,38 +79,22 @@ let cover_cost st cover =
     record st cover scored;
     scored.cost, scored.reformulation
 
-(* Cost-estimate one search step's candidates: the not-yet-memoised
-   covers (deduplicated, first occurrence wins) score in parallel —
-   the search scope's memo is the only shared state, and it is
-   domain-safe — then the cache and counters update sequentially in candidate
-   order — so exploration statistics match the sequential search
-   exactly. Arms observe the deadline on entry; a cover skipped for
-   time is simply absent from the cache, as it would be sequentially. *)
-let batch_costs ?jobs st candidates =
+(* Cost-estimate one search step's candidates in candidate order. A
+   cover already memoised, or seen earlier in the batch, counts as
+   pruned. Each cover observes the deadline before it scores; a cover
+   skipped for time is simply absent from the cache. *)
+let batch_costs st candidates =
   let seen = Hashtbl.create 32 in
-  let fresh =
-    List.filter
-      (fun cover ->
-        let key = cover_key cover in
-        if Hashtbl.mem st.cost_cache key || Hashtbl.mem seen key then begin
-          Obs.Metrics.incr m_pruned;
-          false
-        end
-        else begin
-          Hashtbl.add seen key ();
-          true
-        end)
-      candidates
-  in
-  let scored =
-    Parallel.map ?jobs
-      (fun cover ->
-        if out_of_time st then None else Some (Estimator.score st.scope cover))
-      fresh
-  in
-  List.iter2
-    (fun cover -> function Some s -> record st cover s | None -> ())
-    fresh scored
+  List.iter
+    (fun cover ->
+      let key = cover_key cover in
+      if Hashtbl.mem st.cost_cache key || Hashtbl.mem seen key then
+        Obs.Metrics.incr m_pruned
+      else begin
+        Hashtbl.add seen key ();
+        if not (out_of_time st) then record st cover (Estimator.score st.scope cover)
+      end)
+    candidates
 
 (* All covers reachable from [cover] in one move. With [space = `Lq]
    the enlarge move is disabled and the search stays within the simple
@@ -151,7 +135,7 @@ let candidate_moves ?(space = `Gq) cover =
   in
   unions @ enlargements
 
-let search ?time_budget ?(space = `Gq) ?jobs tbox estimator q =
+let search ?time_budget ?(space = `Gq) tbox estimator q =
   let t0 = Obs.Mclock.now_ns () in
   Obs.Metrics.incr m_searches;
   let st =
@@ -175,7 +159,7 @@ let search ?time_budget ?(space = `Gq) ?jobs tbox estimator q =
     else begin
       st.step <- moves + 1;
       let candidates = candidate_moves ~space cover in
-      batch_costs ?jobs st candidates;
+      batch_costs st candidates;
       let best =
         List.fold_left
           (fun best candidate ->

@@ -27,7 +27,6 @@ type result = {
 val search :
   ?time_budget:float ->
   ?space:[ `Gq | `Lq ] ->
-  ?jobs:int ->
   Dllite.Tbox.t ->
   Estimator.t ->
   Query.Cq.t ->
@@ -37,8 +36,6 @@ val search :
     time-limited GDL experiment (e.g. [0.02] for 20 ms); [space = `Lq]
     disables the enlarge move, restricting the search to simple safe
     covers (the generalized-cover ablation). Each step's candidate
-    moves cost-estimate in parallel on the {!Parallel} pool ([jobs], default {!Parallel.default_jobs});
-    without a time budget the chosen cover and the exploration counts
-    are independent of the job count. The search scores through one
+    moves cost-estimate in candidate order. The search scores through one
     {!Estimator.open_search} scope, so each distinct fragment is
     reformulated and estimated once per search. *)

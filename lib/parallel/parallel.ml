@@ -1,190 +1,1 @@
-(* A fixed pool of worker domains fed from a mutex-guarded task queue.
-   Work is submitted as pre-chunked closures; the caller blocks on a
-   per-call latch until its chunks drain. Workers mark themselves in
-   domain-local storage so nested parallel calls run inline instead of
-   deadlocking the pool on itself. *)
-
-let recommended_jobs () = Domain.recommended_domain_count ()
-
-type pool = {
-  size : int;
-  queue : (unit -> unit) Queue.t;
-  lock : Mutex.t;
-  work_available : Condition.t;
-  mutable stop : bool;
-  mutable workers : unit Domain.t list;
-}
-
-let worker_flag : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
-
-let in_worker () = Domain.DLS.get worker_flag
-
-let worker_loop pool =
-  Domain.DLS.set worker_flag true;
-  let rec loop () =
-    Mutex.lock pool.lock;
-    while Queue.is_empty pool.queue && not pool.stop do
-      Condition.wait pool.work_available pool.lock
-    done;
-    match Queue.take_opt pool.queue with
-    | None ->
-      (* stopped and drained *)
-      Mutex.unlock pool.lock
-    | Some task ->
-      Mutex.unlock pool.lock;
-      (* tasks trap their own exceptions; see [run_chunks] *)
-      task ();
-      loop ()
-  in
-  loop ()
-
-let make_pool size =
-  let pool =
-    {
-      size;
-      queue = Queue.create ();
-      lock = Mutex.create ();
-      work_available = Condition.create ();
-      stop = false;
-      workers = [];
-    }
-  in
-  pool.workers <- List.init size (fun _ -> Domain.spawn (fun () -> worker_loop pool));
-  pool
-
-(* Global pool state, guarded by [state_lock]. The pool is created
-   lazily on the first parallel call so that purely sequential runs
-   (jobs = 1) never spawn a domain. *)
-let state_lock = Mutex.create ()
-
-let configured_jobs = ref None (* None: recommended_jobs () *)
-
-let current_pool : pool option ref = ref None
-
-let stop_pool pool =
-  Mutex.lock pool.lock;
-  pool.stop <- true;
-  Condition.broadcast pool.work_available;
-  Mutex.unlock pool.lock;
-  List.iter Domain.join pool.workers
-
-let shutdown () =
-  Mutex.lock state_lock;
-  let pool = !current_pool in
-  current_pool := None;
-  Mutex.unlock state_lock;
-  Option.iter stop_pool pool
-
-let () = at_exit shutdown
-
-let default_jobs () =
-  match !configured_jobs with
-  | Some n -> n
-  | None -> recommended_jobs ()
-
-let set_default_jobs n =
-  let n = max 1 n in
-  Mutex.lock state_lock;
-  configured_jobs := Some n;
-  let stale =
-    match !current_pool with
-    | Some p when p.size <> n ->
-      current_pool := None;
-      Some p
-    | _ -> None
-  in
-  Mutex.unlock state_lock;
-  Option.iter stop_pool stale
-
-let obtain_pool size =
-  Mutex.lock state_lock;
-  let stale, pool =
-    match !current_pool with
-    | Some p when p.size = size -> None, p
-    | other ->
-      let fresh = make_pool size in
-      current_pool := Some fresh;
-      other, fresh
-  in
-  Mutex.unlock state_lock;
-  Option.iter stop_pool stale;
-  pool
-
-(* Run [chunks] on the pool and wait for all of them. Exceptions are
-   collected per chunk; the earliest chunk's exception is re-raised so
-   the surfaced error does not depend on scheduling. *)
-let run_chunks pool (chunks : (unit -> unit) array) =
-  let n = Array.length chunks in
-  let done_lock = Mutex.create () in
-  let all_done = Condition.create () in
-  let remaining = ref n in
-  let failures : (int * exn) list ref = ref [] in
-  let wrap i body () =
-    (try body () with e -> Mutex.lock done_lock; failures := (i, e) :: !failures;
-                           Mutex.unlock done_lock);
-    Mutex.lock done_lock;
-    decr remaining;
-    if !remaining = 0 then Condition.broadcast all_done;
-    Mutex.unlock done_lock
-  in
-  Mutex.lock pool.lock;
-  Array.iteri (fun i body -> Queue.add (wrap i body) pool.queue) chunks;
-  Condition.broadcast pool.work_available;
-  Mutex.unlock pool.lock;
-  Mutex.lock done_lock;
-  while !remaining > 0 do
-    Condition.wait all_done done_lock
-  done;
-  Mutex.unlock done_lock;
-  match List.sort (fun (i, _) (j, _) -> compare i j) !failures with
-  | (_, e) :: _ -> raise e
-  | [] -> ()
-
-let resolve_jobs = function
-  | Some n -> max 1 n
-  | None -> default_jobs ()
-
-(* Shared chunked driver: writes f applied to slot i of [arr] into
-   [out.(i)]; chunks are contiguous slices so each worker touches a
-   compact region. *)
-let chunked_apply jobs f arr out =
-  let n = Array.length arr in
-  let pool = obtain_pool jobs in
-  let chunk_count = min n (jobs * 4) in
-  let base = n / chunk_count and extra = n mod chunk_count in
-  let chunks =
-    Array.init chunk_count (fun c ->
-        let lo = (c * base) + min c extra in
-        let hi = lo + base + (if c < extra then 1 else 0) in
-        fun () ->
-          for i = lo to hi - 1 do
-            out.(i) <- Some (f arr.(i))
-          done)
-  in
-  run_chunks pool chunks
-
-let map ?jobs f xs =
-  let jobs = resolve_jobs jobs in
-  match xs with
-  | [] -> []
-  | [ x ] -> [ f x ]
-  | _ when jobs <= 1 || in_worker () -> List.map f xs
-  | _ ->
-    let arr = Array.of_list xs in
-    let out = Array.make (Array.length arr) None in
-    chunked_apply jobs f arr out;
-    Array.to_list (Array.map Option.get out)
-
-let filter_map ?jobs f xs =
-  let jobs = resolve_jobs jobs in
-  match xs with
-  | [] -> []
-  | [ x ] -> Option.to_list (f x)
-  | _ when jobs <= 1 || in_worker () -> List.filter_map f xs
-  | _ ->
-    let arr = Array.of_list xs in
-    let out = Array.make (Array.length arr) None in
-    chunked_apply jobs f arr out;
-    Array.fold_right
-      (fun slot acc -> match Option.get slot with Some y -> y :: acc | None -> acc)
-      out []
+let set_default_jobs (_ : int) = ()

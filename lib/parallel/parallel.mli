@@ -1,49 +1,5 @@
-(** A fixed pool of worker domains with a chunked data-parallel API.
-
-    The pool exists to parallelise the embarrassingly parallel hot
-    paths of the engine: the independent arms of a reformulated
-    [Union] plan, the cost estimation of candidate covers during the
-    EDL/GDL searches, and the per-fragment reformulation of a cover.
-
-    Semantics are strictly deterministic: {!map} and {!filter_map}
-    preserve input order, so at any job count the result equals the
-    sequential [List.map] / [List.filter_map]. At [jobs = 1] (or from
-    inside a worker, or on singleton inputs) the functions {e are} the
-    sequential ones — no domain is ever spawned, making single-job
-    runs bitwise-identical to a sequential engine.
-
-    Nested calls degrade to sequential automatically: a task running
-    on a pool worker that itself calls {!map} executes inline, so the
-    pool can never deadlock on itself. *)
-
-val recommended_jobs : unit -> int
-(** [Domain.recommended_domain_count ()], the pool's default size. *)
-
 val set_default_jobs : int -> unit
-(** Override the default parallelism (clamped to [>= 1]). Takes effect
-    for subsequent {!map}/{!filter_map} calls that do not pass [~jobs];
-    an existing pool of a different size is shut down and rebuilt
-    lazily. [set_default_jobs 1] disables parallelism globally. *)
-
-val default_jobs : unit -> int
-(** The current default parallelism: the last {!set_default_jobs}
-    value, initially {!recommended_jobs}. *)
-
-val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
-(** [map ~jobs f xs] is [List.map f xs], computed by up to [jobs]
-    domains over contiguous chunks of [xs]. Exceptions raised by [f]
-    are re-raised in the caller (the earliest one in input order
-    wins). *)
-
-val filter_map : ?jobs:int -> ('a -> 'b option) -> 'a list -> 'b list
-(** [filter_map ~jobs f xs] is [List.filter_map f xs], parallelised
-    like {!map}. *)
-
-val in_worker : unit -> bool
-(** [true] when called from inside a pool task — parallel entry points
-    degrade to sequential in that case. *)
-
-val shutdown : unit -> unit
-(** Join the worker domains (idempotent; a later {!map} restarts the
-    pool). Registered with [at_exit], so explicit calls are only
-    needed to release domains early. *)
+(** A no-op: evaluation is sequential. Its only caller is the frozen
+    benchmark driver [bench/suite/obda_bench.ml], which asks for one
+    job; the next change to that benchmark deletes the call and this
+    library. *)

@@ -9,13 +9,11 @@ let postgres_like = { scan_cache = false; build_cache = false }
 
 let db2_like = { scan_cache = true; build_cache = true }
 
-(* Counters are atomic: the arms of a [Union] node evaluate on
-   separate domains and bump them concurrently. Every scan/build
-   request increments exactly one of (performed, hit). A build-table
-   miss reads its canonical scan without issuing a scan request, so
-   arms racing on the same miss add no requests: request totals are
-   fixed by plan and data at any job count (except that two arms
-   racing on the same view-store miss both compute the fragment). *)
+(* Counters are atomic so that runs on different threads may share
+   one record. Every scan/build request increments exactly one of
+   (performed, hit). A build-table miss reads its canonical scan
+   without issuing a scan request, so request totals are fixed by plan
+   and data. *)
 type counters = {
   scans : int Atomic.t;
   scan_hits : int Atomic.t;
@@ -73,12 +71,10 @@ let fresh_counters () =
    touched predicate and keep the rest warm. *)
 type view_store = (string list * string, Relation.t) Cache.Lru.t
 
-let default_view_capacity = 256
-
 (* The LRU stores charge the exact byte footprint of the columnar
    storage ({!Relation.bytes}) — no more per-row overhead guessing. *)
-let fresh_view_store ?(capacity = default_view_capacity) () : view_store =
-  Cache.Lru.create ~cost_of:Relation.bytes ~name:"views" ~capacity ()
+let fresh_view_store () : view_store =
+  Cache.Lru.create ~cost_of:Relation.bytes ~name:"views" ~capacity:256 ()
 
 let view_key p = Plan.predicates p, Plan.structural_key p
 
@@ -106,11 +102,9 @@ type ctx = {
   scans : (string, Relation.t) Cache.Lru.t;  (* canonical scan results *)
   builds : (string, Relation.build_table) Cache.Lru.t;
   views : view_store option;  (* cross-query materialised fragments *)
-  jobs : int;  (* parallelism for union arms; 1 = sequential *)
   sip_memo : (string, bool) Hashtbl.t;
       (* (reducer id, stored column) -> does the reducer intersect it?
-         Shared across the arms of one run; mutex-protected because
-         nested unions can run the emptiness test on pool domains. *)
+         Shared across the arms of one run. *)
   sip_lock : Mutex.t;
 }
 
@@ -190,11 +184,11 @@ type cache_outcome =
   | Miss
   | Uncached
 
-(* Cache protocol under parallelism: [Cache.Lru] locks internally for
-   the lookup and insert, the scan itself runs outside any lock — two
-   arms missing on the same signature recompute the same canonical
-   relation and the last writer wins (idempotent). [canonical] counts
-   nothing; [scan_cached] is the counted request. *)
+(* Cache protocol: [Cache.Lru] locks internally for the lookup and
+   insert, and the scan itself runs outside any lock. A recomputed
+   canonical relation is identical, so the last writer wins
+   (idempotent). [canonical] counts nothing; [scan_cached] is the
+   counted request. *)
 let canonical ctx atom =
   let use_cache = ctx.config.scan_cache && cacheable ctx atom in
   (* the signature sprintf only pays for itself when the cache is on *)
@@ -296,10 +290,10 @@ let index_join_op ?keep ctx left_op atom probe_col =
    through; at a [Union] it is remapped positionally into every arm,
    and an arm whose reducer-filtered base accesses are provably empty
    is never compiled at all. Reducers are immutable after
-   construction, so they cross parallel union arms without
-   synchronisation. Every cache-write site (scan cache, build cache,
-   view store) stores {e unfiltered} data, so dropping or adding a
-   binding anywhere is sound: reducers only prune, never invent. *)
+   construction, so every union arm shares them as they are. Every
+   cache-write site (scan cache, build cache, view store) stores
+   {e unfiltered} data, so dropping or adding a binding anywhere is
+   sound: reducers only prune, never invent. *)
 
 type senv = (string * Sip.t) list
 
@@ -545,8 +539,7 @@ let segmented_scan_op ctx (env : senv) atom =
    cached builds, projections and distinct pipeline on top without
    materialising. The pipeline breakers are exactly: hash-join build
    sides, merge joins (both sides sorted), [Materialize] fragments,
-   and union arms evaluated on the domain pool (jobs > 1) — a
-   sequential union streams its arms without a barrier.
+   and nothing else — a union streams its arms without a barrier.
 
    The one compiler serves plain and EXPLAIN ANALYZE runs alike. It
    takes an instrumentation hook: at each plan node it opens a frame
@@ -556,7 +549,7 @@ let segmented_scan_op ctx (env : senv) atom =
    returns every operator unchanged and allocates nothing per node;
    the [analyze] hook (below) wraps each one in a per-node
    accumulator. Both runs share every helper, and so every cache,
-   counter and parallel code path. *)
+   counter and code path. *)
 
 type 'n frame = {
   on_pruned : (int -> unit) option;
@@ -624,14 +617,10 @@ let rec compile h ctx env plan =
     let i, n = compile h ctx env p in
     finish fr (Physical.distinct i) [ n ]
   | Plan.Union { cols; inputs } ->
-    (* The embarrassingly parallel hot path: a reformulated UCQ is one
-       [Union] whose arms are independent. At jobs > 1 the arms
-       compile, drain and account on the domain pool and merge
-       positionally in input order (the domain join makes their nodes
-       safe to read here); sequentially they stream one after the
-       other. Either way the result is identical to the sequential
-       fold at any job count — arm elision is a pure function of
-       plan + data, so it too is deterministic. *)
+    (* The hot path: a reformulated UCQ is one [Union] whose arms are
+       independent. They stream one after the other in input order;
+       arm elision is a pure function of plan + data, so it too is
+       deterministic. *)
     let arms =
       List.filter_map
         (fun p ->
@@ -645,19 +634,7 @@ let rec compile h ctx env plan =
     in
     let elided = List.length inputs - List.length arms in
     Obs.Metrics.add m_union_arms (List.length arms);
-    if ctx.jobs > 1 && List.length arms > 1 then
-      let done_arms =
-        Parallel.map ~jobs:ctx.jobs
-          (fun (aenv, p) ->
-            let op, n = compile h ctx aenv p in
-            Physical.to_relation op, n)
-          arms
-      in
-      finish fr ~elided
-        (Physical.union ~cols
-           (List.map (fun (rel, _) -> Physical.of_relation rel) done_arms))
-        (List.map snd done_arms)
-    else if h.lazy_arms then
+    if h.lazy_arms then
       finish fr ~elided
         (Physical.union_delayed ~cols
            (List.map (fun (aenv, p) () -> fst (compile h ctx aenv p)) arms))
@@ -681,7 +658,8 @@ let rec compile h ctx env plan =
           (* the stored fragment is compiled {e without} the reducer
              environment — the view store is keyed on the fragment
              alone and outlives this query; filters go on top of the
-             copy. The first stored copy wins if a sibling arm raced. *)
+             copy. The first stored copy wins if a concurrent query raced
+             on the same store. *)
           let op, n = compile h ctx [] p in
           Miss, Cache.Lru.add_if_absent store key (Physical.to_relation op), [ n ]
       in
@@ -813,7 +791,7 @@ and compile_index h ctx env fr ~sip left atom probe_col =
    operator: the wrapped [next] adds its wall-clock and emitted rows
    to the node's accumulator, and compilation time (which includes any
    child materialised at compile time — builds, merge sorts,
-   materialised fragments, parallel arms) is charged to the node up
+   materialised fragments) is charged to the node up
    front. Because a parent's [next] calls its children's instrumented
    [next], every node's time is inclusive of its subtree. *)
 
@@ -899,11 +877,8 @@ let analyze =
    eight metrics-registry lookups per query. *)
 let disabled_run_caches = fresh_run_caches ()
 
-let make_ctx config counters views jobs layout =
+let make_ctx config counters views layout =
   let counters = Option.value ~default:(fresh_counters ()) counters in
-  let jobs =
-    match jobs with Some j -> max 1 j | None -> Parallel.default_jobs ()
-  in
   let scans, builds =
     if config.scan_cache || config.build_cache then fresh_run_caches ()
     else disabled_run_caches
@@ -915,17 +890,16 @@ let make_ctx config counters views jobs layout =
     scans;
     builds;
     views;
-    jobs;
     sip_memo = Hashtbl.create 16;
     sip_lock = Mutex.create ();
   }
 
-let run ?(config = postgres_like) ?counters ?views ?jobs layout plan =
-  let ctx = make_ctx config counters views jobs layout in
+let run ?(config = postgres_like) ?counters ?views layout plan =
+  let ctx = make_ctx config counters views layout in
   Physical.to_relation (fst (compile plain ctx [] plan))
 
-let run_analyzed ?(config = postgres_like) ?counters ?views ?jobs layout plan =
-  let ctx = make_ctx config counters views jobs layout in
+let run_analyzed ?(config = postgres_like) ?counters ?views layout plan =
+  let ctx = make_ctx config counters views layout in
   let op, acc = compile analyze ctx [] plan in
   let rel = Physical.to_relation op in
   rel, stats_of acc
@@ -952,5 +926,5 @@ let decode_rows layout (rel : Relation.t) =
   in
   List.sort_uniq compare_row (List.init rel.Relation.nrows (fun i -> row i 0))
 
-let answers ?config ?views ?jobs layout plan =
-  decode_rows layout (run ?config ?views ?jobs layout plan)
+let answers ?config ?views layout plan =
+  decode_rows layout (run ?config ?views layout plan)

@@ -3,9 +3,10 @@
     scan->index-join->project chains never materialise intermediates,
     hash joins build once from columns and probe batch-at-a-time, and
     [Distinct] dedupes incrementally. The pipeline breakers are hash
-    builds, merge-join sorts, [Materialize] fragments and parallel
-    union arms. (The pre-columnar row-at-a-time engine survives in the
-    test suite as the reference for differential tests.)
+    builds, merge-join sorts and [Materialize] fragments; the arms of
+    a [Union] stream one after the other. (The pre-columnar
+    row-at-a-time engine survives in the test suite as the reference
+    for differential tests.)
 
     The configuration models the engine-level runtime
     differences §6 of the paper observes between Postgres and DB2:
@@ -14,13 +15,10 @@
     arms of one query, which benefits exactly the large reformulated
     unions that re-read the same tables hundreds of times.
 
-    The arms of a [Union] plan node evaluate in parallel on the
-    {!Parallel} domain pool ([?jobs], defaulting to
-    {!Parallel.default_jobs}); arm results merge positionally in input
-    order, so answers are identical at any job count, and [jobs = 1]
-    never touches the pool. The scan/build caches are shared across
-    arms (bounded {!Cache.Lru} instances, internally locked); the
-    counters are atomic. *)
+    Evaluation is sequential: one run is one thread. The scan/build
+    caches are shared across the arms of one run (bounded
+    {!Cache.Lru} instances, internally locked), and the view store
+    and counters may be shared by runs on different threads. *)
 
 type config = {
   scan_cache : bool;  (** share identical atom scans within one query *)
@@ -40,13 +38,11 @@ type counters = {
   builds : int Atomic.t;
   build_hits : int Atomic.t;
 }
-(** Atomic so parallel union arms can bump them concurrently. Each
+(** Atomic so runs on different threads may share one record. Each
     scan (resp. build) request increments exactly one of the pair, so
     [scans + scan_hits] equals the number of requests. A build-table
     miss reads its canonical scan without a scan request, so the
-    totals are fixed by plan and data at any job count; racing arms
-    only shift hits into performed scans or builds. (Two arms racing
-    on the same view-store miss both compute the fragment.) *)
+    totals are fixed by plan and data. *)
 
 type view_store = (string list * string, Relation.t) Cache.Lru.t
 (** Materialised fragment views (the paper's §7 future-work extension):
@@ -61,9 +57,9 @@ type view_store = (string list * string, Relation.t) Cache.Lru.t
     fragments whose read set meets the touched predicates and keeps
     the rest warm. *)
 
-val fresh_view_store : ?capacity:int -> unit -> view_store
-(** A fresh store, bounded by entry count (default 256) and costed by
-    approximate relation bytes. *)
+val fresh_view_store : unit -> view_store
+(** A fresh store, bounded to 256 entries and costed by relation
+    bytes. *)
 
 val invalidate_views : view_store -> string list -> int
 (** [invalidate_views store touched] drops every stored fragment that
@@ -82,7 +78,6 @@ val run :
   ?config:config ->
   ?counters:counters ->
   ?views:view_store ->
-  ?jobs:int ->
   Layout.t ->
   Plan.t ->
   Relation.t
@@ -127,22 +122,19 @@ val run_analyzed :
   ?config:config ->
   ?counters:counters ->
   ?views:view_store ->
-  ?jobs:int ->
   Layout.t ->
   Plan.t ->
   Relation.t * node_stats
 (** Like {!run}, but also records per-operator actual cardinalities,
     cache outcomes and monotonic timings. {!run} and [run_analyzed]
     are one plan compiler under two instrumentation hooks, so they
-    share every cache, counter and parallel code path, and the
-    returned relation is identical to [run]'s at any job count. A
-    sequential instrumented union opens all its arms up front, where
-    {!run} opens them one at a time. *)
+    share every cache, counter and code path, and the returned
+    relation is identical to [run]'s. An instrumented union opens all
+    its arms up front, where {!run} opens them one at a time. *)
 
 val answers :
   ?config:config ->
   ?views:view_store ->
-  ?jobs:int ->
   Layout.t ->
   Plan.t ->
   string list list

@@ -2,9 +2,8 @@
    (the [op] record is the opened state) whose [next] yields column
    batches until [None]. Scan->index-join->project chains pipeline
    batch-at-a-time without materialising intermediates; the pipeline
-   breakers (hash-join builds, merge-join sorts, Materialize, parallel
-   union arms) live in {!Exec}, which composes these operators with
-   the cache and parallelism policy. *)
+   breakers (hash-join builds, merge-join sorts, Materialize) live in
+   {!Exec}, which composes these operators with the cache policy. *)
 
 type op = {
   cols : string array;
@@ -321,8 +320,8 @@ let union_delayed ~cols arms =
   in
   { cols = cols_arr; next; close }
 
-(* Eager variant over already-opened arms (the parallel-union merge
-   path): arity is validated up front, all offenders named. *)
+(* Eager variant over already-opened arms (the EXPLAIN ANALYZE path):
+   arity is validated up front, all offenders named. *)
 let union ~cols ops =
   let a = List.length cols in
   let offending =

@@ -9,9 +9,8 @@
     materialising any intermediate relation.
 
     Pipeline breakers — hash-join build sides, merge-join sorts,
-    [Materialize] fragments, parallel union arms — are composed in
-    {!Exec}, which owns the cache and parallelism policy; this module
-    is policy-free. *)
+    [Materialize] fragments — are composed in {!Exec}, which owns the
+    cache policy; this module is policy-free. *)
 
 type op = {
   cols : string array;  (** output column names *)

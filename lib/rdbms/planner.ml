@@ -64,11 +64,19 @@ let rec of_fol layout fol =
   match fol with
   | Fol.Leaf { out; ucq } -> (
     let cols = union_cols out in
-    match Ucq.disjuncts ucq with
-    | [ single ] -> Plan.Distinct (cq_arm layout single)
-    | disjuncts ->
-      Plan.Distinct
-        (Plan.Union { cols; inputs = List.map (cq_arm layout) disjuncts }))
+    (* An arm's head aligns with [out] by position, not by name:
+       reformulation may have unified an output variable with another
+       one or with a constant. A lone arm stands for the leaf only when
+       every output variable names its column; otherwise the union
+       renames the columns positionally. *)
+    let names_out arm =
+      List.for_all2
+        (fun o c -> match o with Term.Var v -> v = c | Term.Cst _ -> true)
+        out (Plan.out_cols arm)
+    in
+    match List.map (cq_arm layout) (Ucq.disjuncts ucq) with
+    | [ arm ] when names_out arm -> Plan.Distinct arm
+    | arms -> Plan.Distinct (Plan.Union { cols; inputs = arms }))
   | Fol.Union { out; branches } ->
     let cols = union_cols out in
     Plan.Distinct (Plan.Union { cols; inputs = List.map (of_fol layout) branches })

@@ -113,8 +113,8 @@ let distinct r =
   end
 
 (* The inputs are merged positionally, so arity compatibility is the
-   load-bearing invariant — especially for the parallel union path,
-   where a miscompiled arm would otherwise corrupt rows silently. The
+   load-bearing invariant: a miscompiled union arm would otherwise
+   corrupt rows silently. The
    error names every offending input's columns. *)
 let union_all ~cols rels =
   let a = List.length cols in

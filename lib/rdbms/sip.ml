@@ -8,8 +8,8 @@
    false negatives, so pruning on [not (mem r v)] is always sound).
 
    Reducers are built once at plan-compile time and never mutated
-   afterwards, which makes sharing one reducer across parallel union
-   arms safe without locks. *)
+   afterwards, which makes sharing one reducer across union arms safe
+   without copies. *)
 
 type repr =
   | Bitset of {

@@ -8,8 +8,8 @@
     filter (k = 3, ~10 bits/key) above the threshold. A Bloom filter
     may report false positives but never false negatives, so pruning
     rows with [not (mem r v)] is always sound. Reducers are never
-    mutated after construction — sharing one across parallel union
-    arms needs no locking. *)
+    mutated after construction — sharing one across union arms needs
+    no copying. *)
 
 type t
 

@@ -14,7 +14,7 @@ type table_stats = {
    [compact] merges the tail back into proper segments. Flat decoded
    arrays, hash indexes and histograms are all derived snapshots of
    the {e merged} table (segments ∪ tail), built lazily and published
-   through [Atomic.t] so parallel plan arms can race on first use:
+   through [Atomic.t] so concurrent queries can race on first use:
    both racers build the same value, a compare-and-set picks the
    winner, and the atomic write orders the contents before the pointer
    every reader dereferences. In-place maintenance ([insert_*],

@@ -42,7 +42,7 @@ val role_rows : t -> string -> (int * int) array
 val role_cols : t -> string -> int array * int array
 (** The role's (subjects, objects) as two column arrays — the decoded
     columnar projection of the stored segments, built lazily once per
-    table snapshot (safe to race from parallel plan arms, replaced by
+    table snapshot (safe to race from concurrent queries, replaced by
     {!insert_role}). Scan operators alias the arrays; callers must not
     mutate them. *)
 
@@ -59,7 +59,7 @@ val role_matches : t -> string -> [ `Subject | `Object ] -> int -> int array
     ascending. The array is the index's own bucket — no per-lookup
     allocation; callers must not mutate it. The index (a packed
     {!Keytab} over codes) is built lazily on first use, safe to race
-    from parallel plan arms. Resolve per operator, not per row: an
+    from concurrent queries. Resolve per operator, not per row: an
     insert into the role may publish a new index. *)
 
 val concept_mem : t -> string -> int -> bool

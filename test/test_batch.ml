@@ -290,9 +290,9 @@ let qcheck_structural_key_injective =
       (p1 = p2) = (Plan.structural_key p1 = Plan.structural_key p2))
 
 (* The differential property: on any plan over any data, the batch
-   engine (either cache config, sequential or parallel, simple or RDF
-   layout, with or without a view store) computes the same bag as the
-   legacy row-at-a-time engine — through the plain executor and
+   engine (either cache config, simple or RDF layout, with or without
+   a view store) computes the same bag as the legacy row-at-a-time
+   engine — through the plain executor and
    through the instrumented (EXPLAIN ANALYZE) one, whose root node must
    also count exactly the rows it returned. *)
 let qcheck_batch_equals_rowexec =
@@ -309,23 +309,19 @@ let qcheck_batch_equals_rowexec =
           let ref_bag = rows_bag reference in
           let ref_answers = Rowexec.answers layout plan in
           List.for_all
-            (fun (config, jobs) ->
+            (fun config ->
               let views = Exec.fresh_view_store () in
-              let got = Exec.run ~config ~views ~jobs layout plan in
+              let got = Exec.run ~config ~views layout plan in
               (* a second run serves any Materialize from the store *)
-              let again = Exec.run ~config ~views ~jobs layout plan in
-              let analyzed, stats = Exec.run_analyzed ~config ~views ~jobs layout plan in
+              let again = Exec.run ~config ~views layout plan in
+              let analyzed, stats = Exec.run_analyzed ~config ~views layout plan in
               got.Relation.cols = reference.Relation.cols
               && rows_bag got = ref_bag
               && rows_bag again = ref_bag
               && rows_bag analyzed = ref_bag
               && stats.Exec.actual_rows = Relation.cardinality analyzed
-              && Exec.answers ~config ~jobs layout plan = ref_answers)
-            [
-              Exec.postgres_like, 1;
-              Exec.db2_like, 1;
-              Exec.db2_like, 2;
-            ])
+              && Exec.answers ~config layout plan = ref_answers)
+            [ Exec.postgres_like; Exec.db2_like ])
         [ Layout.simple_of_abox abox; Layout.rdf_of_abox abox ])
 
 let suite =

@@ -197,7 +197,7 @@ let test_leaf_counters () =
   let engine = lubm_engine 1_000 in
   let q = (Lubm.Workload.find "Q9").query in
   let est0 = counter "cost.leaves.estimated" and reu0 = counter "cost.leaves.reused" in
-  let r, events = Obs.Trace.record (fun () -> Optimizer.Gdl.search ~jobs:1 tbox (Obda.estimator engine Obda.Ext_cost) q) in
+  let r, events = Obs.Trace.record (fun () -> Optimizer.Gdl.search tbox (Obda.estimator engine Obda.Ext_cost) q) in
   let estimated = counter "cost.leaves.estimated" - est0
   and reused = counter "cost.leaves.reused" - reu0 in
   let fragments =

@@ -14,16 +14,19 @@
    trained by two [Obda.analyze] runs per query. The expected text is
    [estimates.golden]; it changes only with a change that alters an
    estimation formula on purpose. On a mismatch the test writes what it
-   computed to [estimates.actual] (in the test's working directory) and
-   fails on the first differing line. *)
+   computed to [estimates.actual] and fails on the first differing
+   line. Both files sit next to the test executable, so the test runs
+   from any working directory. *)
 
 open Query
 
 let facts = 2_000
 
-let golden_file = "estimates.golden"
+let beside_executable file = Filename.concat (Filename.dirname Sys.executable_name) file
 
-let actual_file = "estimates.actual"
+let golden_file = beside_executable "estimates.golden"
+
+let actual_file = beside_executable "estimates.actual"
 
 let strategies q =
   [

@@ -20,7 +20,6 @@ let () =
       "sql", Test_sql.suite;
       "syntax", Test_syntax.suite;
       "rdf", Test_rdf.suite;
-      "parallel", Test_parallel.suite;
       "obs", Test_obs.suite;
       "server", Test_server.suite;
     ]

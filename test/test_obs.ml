@@ -1,6 +1,6 @@
 (* Observability layer: metrics registry, trace events, EXPLAIN
-   ANALYZE instrumentation, and the jobs-invariance of the counters
-   the bench acceptance relies on. *)
+   ANALYZE instrumentation, and the request counters the bench
+   acceptance relies on. *)
 
 open Query
 
@@ -284,35 +284,32 @@ let test_analyze_cardinalities () =
   in
   wellformed stats
 
-let test_analyze_matches_run_at_any_jobs () =
+let test_analyze_matches_run () =
   let layout, plan = example1_plan () in
   let reference = Rdbms.Exec.answers layout plan in
-  List.iter
-    (fun jobs ->
-      let rel, stats =
-        Rdbms.Exec.run_analyzed ~config:Rdbms.Exec.db2_like ~jobs layout plan
-      in
-      ignore rel;
-      let answers = Rdbms.Exec.answers ~jobs layout plan in
-      Alcotest.(check (list (list string)))
-        (Printf.sprintf "answers at jobs=%d" jobs)
-        reference answers;
-      Alcotest.(check int)
-        (Printf.sprintf "root cardinality at jobs=%d" jobs)
-        (List.length reference) stats.Rdbms.Exec.actual_rows)
-    [ 1; 2; 4 ]
+  let rel, stats = Rdbms.Exec.run_analyzed ~config:Rdbms.Exec.db2_like layout plan in
+  Alcotest.(check (list (list string)))
+    "db2-like analyzed answers = postgres-like answers" reference
+    (Rdbms.Exec.decode_rows layout rel);
+  Alcotest.(check (list (list string)))
+    "db2-like answers = postgres-like answers" reference
+    (Rdbms.Exec.answers ~config:Rdbms.Exec.db2_like layout plan);
+  Alcotest.(check int) "root cardinality" (List.length reference)
+    stats.Rdbms.Exec.actual_rows
 
-(* The counters DESIGN.md documents as jobs-invariant: each cache
-   request bumps exactly one of (performed, hit), and the number of
-   requests and union arms is fixed by the plan, not the schedule. *)
-let invariant_counters =
-  [ "exec.scan.requests"; "exec.build.requests"; "exec.union.arms" ]
+let counter_value name =
+  match Obs.Metrics.find_counter name with
+  | Some c -> Obs.Metrics.counter_value c
+  | None -> Alcotest.failf "counter %s not registered" name
 
-let test_metrics_invariant_across_jobs () =
+(* The counters the bench acceptance relies on: each cache request
+   bumps exactly one of (performed, hit), and the number of requests
+   and union arms is fixed by plan and data. *)
+let test_metrics_requests_split () =
   let layout = Rdbms.Layout.simple_of_abox (Fixtures.example1_abox ()) in
-  (* A plan that exercises all three counters: four identical union
-     arms, each a hash join whose build side is a base scan (so the
-     db2-like build/scan caches field requests from every arm). *)
+  (* A plan that exercises every counter: four identical union arms,
+     each a hash join whose build side is a base scan (so the db2-like
+     build/scan caches field requests from every arm). *)
   let arm _ =
     Rdbms.Plan.Project
       {
@@ -330,25 +327,22 @@ let test_metrics_invariant_across_jobs () =
     Rdbms.Plan.Distinct
       (Rdbms.Plan.Union { cols = [ "x" ]; inputs = List.init 4 arm })
   in
-  let totals jobs =
+  let totals () =
     Obs.Metrics.reset ();
-    ignore (Rdbms.Exec.run_analyzed ~config:Rdbms.Exec.db2_like ~jobs layout plan);
-    List.map
-      (fun name ->
-        match Obs.Metrics.find_counter name with
-        | Some c -> Obs.Metrics.counter_value c
-        | None -> Alcotest.failf "counter %s not registered" name)
-      invariant_counters
+    let c = Rdbms.Exec.fresh_counters () in
+    ignore (Rdbms.Exec.run_analyzed ~config:Rdbms.Exec.db2_like ~counters:c layout plan);
+    let scan_requests = counter_value "exec.scan.requests"
+    and build_requests = counter_value "exec.build.requests" in
+    Alcotest.(check int) "scans + scan hits = scan requests" scan_requests
+      (Atomic.get c.Rdbms.Exec.scans + Atomic.get c.Rdbms.Exec.scan_hits);
+    Alcotest.(check int) "builds + build hits = build requests" build_requests
+      (Atomic.get c.Rdbms.Exec.builds + Atomic.get c.Rdbms.Exec.build_hits);
+    [ scan_requests; build_requests; counter_value "exec.union.arms" ]
   in
-  let t1 = totals 1 in
+  let t1 = totals () in
   Alcotest.(check bool) "the plan exercises the counters" true
     (List.for_all (fun v -> v > 0) t1);
-  List.iter
-    (fun jobs ->
-      Alcotest.(check (list int))
-        (Printf.sprintf "totals at jobs=%d equal jobs=1" jobs)
-        t1 (totals jobs))
-    [ 2; 4 ]
+  Alcotest.(check (list int)) "a second run requests the same" t1 (totals ())
 
 (* {1 EXPLAIN rendering goldens}
 
@@ -544,10 +538,10 @@ let suite =
       test_gdl_emits_trace;
     Alcotest.test_case "analyze: cardinalities match the result" `Quick
       test_analyze_cardinalities;
-    Alcotest.test_case "analyze: identical answers at jobs 1/2/4" `Quick
-      test_analyze_matches_run_at_any_jobs;
-    Alcotest.test_case "metrics: totals invariant across jobs 1/2/4" `Quick
-      test_metrics_invariant_across_jobs;
+    Alcotest.test_case "analyze: identical answers to run" `Quick
+      test_analyze_matches_run;
+    Alcotest.test_case "metrics: requests = performed + hits" `Quick
+      test_metrics_requests_split;
     Alcotest.test_case "explain golden: scan" `Quick test_golden_scan;
     Alcotest.test_case "explain golden: join" `Quick test_golden_join;
     Alcotest.test_case "explain golden: union elision" `Quick

@@ -66,7 +66,7 @@ let test_monotonic_times () =
   let est = ext_estimator layout in
   (* at one job the estimator and reformulation timings are disjoint
      slices of the search's own wall time *)
-  let g = Optimizer.Gdl.search ~jobs:1 example7_tbox est example7_query in
+  let g = Optimizer.Gdl.search example7_tbox est example7_query in
   check_bool "gdl search_time >= 0" true (g.Optimizer.Gdl.search_time >= 0.);
   check_bool "gdl cost_time >= 0" true (g.Optimizer.Gdl.cost_time >= 0.);
   check_bool "gdl reform_time >= 0" true (g.Optimizer.Gdl.reform_time >= 0.);

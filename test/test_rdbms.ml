@@ -360,6 +360,30 @@ let test_exec_constants_and_selfloops () =
     "head constant" [ [ "a"; "tag" ] ]
     (eval_engine layout (Query.Fol.of_cq q5))
 
+(* A fragment leaf whose lone arm unified its two output variables:
+   the arm's head is (y,y) under the leaf output (x,y). Its columns
+   align by position, so the join on y and the projection on x still
+   find them, on both layouts and both configs. *)
+let test_exec_single_arm_leaf_aligns_by_position () =
+  let abox =
+    Dllite.Abox.of_assertions ~concepts:[ "A", "a"; "A", "b"; "B", "a" ] ~roles:[]
+  in
+  let unified =
+    Query.Fol.leaf ~out:[ v "x"; v "y" ]
+      (Ucq.make [ Cq.make ~head:[ v "y"; v "y" ] ~body:[ ca "A" (v "y") ] () ])
+  in
+  let b = Query.Fol.of_cq (Cq.make ~head:[ v "y" ] ~body:[ ca "B" (v "y") ] ()) in
+  let fol = Query.Fol.join ~out:[ v "x" ] [ unified; b ] in
+  List.iter
+    (fun layout ->
+      List.iter
+        (fun config ->
+          Alcotest.(check (list (list string)))
+            "positional leaf output" [ [ "a" ] ]
+            (eval_engine ~config layout fol))
+        [ Exec.postgres_like; Exec.db2_like ])
+    [ Layout.simple_of_abox abox; Layout.rdf_of_abox abox ]
+
 let test_exec_cache_counters () =
   let abox = example1_abox () in
   let layout = Layout.simple_of_abox abox in
@@ -367,9 +391,9 @@ let test_exec_cache_counters () =
   let fol = Query.Fol.leaf ~out:example3_query.Cq.head ucq in
   let plan = Planner.of_fol layout fol in
   let pg = Exec.fresh_counters () in
-  ignore (Exec.run ~config:Exec.postgres_like ~counters:pg ~jobs:1 layout plan);
+  ignore (Exec.run ~config:Exec.postgres_like ~counters:pg layout plan);
   let db2 = Exec.fresh_counters () in
-  ignore (Exec.run ~config:Exec.db2_like ~counters:db2 ~jobs:1 layout plan);
+  ignore (Exec.run ~config:Exec.db2_like ~counters:db2 layout plan);
   check_int "postgres-like never reuses scans" 0 (Atomic.get pg.Exec.scan_hits);
   check_bool "db2-like reuses scans" true (Atomic.get db2.Exec.scan_hits > 0);
   check_bool "db2-like performs fewer scans" true
@@ -543,6 +567,8 @@ let suite =
     Alcotest.test_case "exec example 3" `Quick test_exec_example3;
     Alcotest.test_case "exec vs reference (random)" `Slow test_exec_matches_reference_random;
     Alcotest.test_case "exec constants/self-loops" `Quick test_exec_constants_and_selfloops;
+    Alcotest.test_case "exec single-arm leaf aligns by position" `Quick
+      test_exec_single_arm_leaf_aligns_by_position;
     Alcotest.test_case "exec cache counters" `Quick test_exec_cache_counters;
     Alcotest.test_case "exec bounded run cache" `Quick test_exec_bounded_run_cache;
     Alcotest.test_case "estimate atom" `Quick test_estimate_atom;

@@ -3,8 +3,7 @@
    early exit, reducer filters and union-arm elision end-to-end with
    their EXPLAIN ANALYZE counters, the pass reducing rows on the LUBM
    workload, and the qcheck property that the Sip_pass annotation
-   never changes answers on randomised plans/ABoxes/layouts/configs/
-   jobs. *)
+   never changes answers on randomised plans/ABoxes/layouts/configs. *)
 
 open Query
 open Rdbms
@@ -68,7 +67,7 @@ let test_empty_build_early_exit () =
       }
   in
   let counters = Exec.fresh_counters () in
-  let rel = Exec.run ~config:Exec.postgres_like ~counters ~jobs:1 layout plan in
+  let rel = Exec.run ~config:Exec.postgres_like ~counters layout plan in
   check_int "no rows" 0 (Relation.cardinality rel);
   Alcotest.(check (array string))
     "join columns preserved"
@@ -127,7 +126,7 @@ let test_filter_and_elision () =
   let layout = sip_fixture () in
   let plan = sip_union_plan Plan.Build_to_probe in
   let rel, stats =
-    Exec.run_analyzed ~config:Exec.postgres_like ~jobs:1 layout plan
+    Exec.run_analyzed ~config:Exec.postgres_like layout plan
   in
   (* answers agree with the annotation-oblivious row engine *)
   Alcotest.(check (list (list string)))
@@ -179,7 +178,7 @@ let test_probe_to_build_direction () =
       }
   in
   let rel, stats =
-    Exec.run_analyzed ~config:Exec.postgres_like ~jobs:1 layout plan
+    Exec.run_analyzed ~config:Exec.postgres_like layout plan
   in
   Alcotest.(check (list (list string)))
     "same answers as row engine"
@@ -202,13 +201,12 @@ let qcheck_sip_pass_preserves_answers =
         (fun layout ->
           let annotated = Cost.Sip_pass.annotate layout plan in
           List.for_all
-            (fun (config, jobs) ->
-              let plain = Exec.run ~config ~jobs layout plan in
-              let sipped = Exec.run ~config ~jobs layout annotated in
+            (fun config ->
+              let plain = Exec.run ~config layout plan in
+              let sipped = Exec.run ~config layout annotated in
               Test_batch.rows_bag sipped = Test_batch.rows_bag plain
-              && Exec.answers ~config ~jobs layout annotated
-                 = Exec.answers ~config ~jobs layout plan)
-            [ Exec.postgres_like, 1; Exec.db2_like, 1; Exec.db2_like, 2 ])
+              && Exec.answers ~config layout annotated = Exec.answers ~config layout plan)
+            [ Exec.postgres_like; Exec.db2_like ])
         [ Layout.simple_of_abox abox; Layout.rdf_of_abox abox ])
 
 (* {1 The pass fires on the LUBM workload}
