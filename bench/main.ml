@@ -393,9 +393,11 @@ let exp_anatomy () =
   let data = Optimizer.Estimator.emptiness tbox simple in
   Fmt.pr "   (pruned: %d of the TBox's names are empty in this dataset, %d hopeless)@.@."
     (Reform.Emptiness.empty_count data) (Reform.Emptiness.hopeless_count data);
-  Fmt.pr "   (dropped: the TBox-redundant atoms the cost-based searches drop first)@.@.";
-  Fmt.pr "%-4s %6s %8s %9s %9s %9s %14s %14s %9s@." "qry" "atoms" "dropped" "raw-UCQ"
-    "min-UCQ" "pruned" "SQL simple" "SQL rdf" "over-2M?";
+  Fmt.pr "   (dropped: the TBox-redundant atoms the cost-based searches drop first)@.";
+  Fmt.pr "   (factorised: CQs of the pruned UCQ as a join of unions, - when it is@.";
+  Fmt.pr "    not a smaller product; GDL/EDL factorise their chosen fragments alike)@.@.";
+  Fmt.pr "%-4s %6s %8s %9s %9s %9s %10s %14s %14s %9s@." "qry" "atoms" "dropped" "raw-UCQ"
+    "min-UCQ" "pruned" "factorised" "SQL simple" "SQL rdf" "over-2M?";
   List.iter
     (fun e ->
       let q = e.Lubm.Workload.query in
@@ -405,11 +407,16 @@ let exp_anatomy () =
       let fol = Query.Fol.leaf ~out:q.Query.Cq.head min_u in
       let s1 = sql_length simple fol in
       let s2 = sql_length rdf fol in
-      Fmt.pr "%-4s %6d %8d %9d %9d %9d %14d %14d %9b@." e.Lubm.Workload.name
+      let factorised =
+        match Reform.Factorise.leaf q.Query.Cq.head pruned with
+        | Some (_, st) -> string_of_int (List.fold_left ( + ) 0 st.Reform.Factorise.parts)
+        | None -> "-"
+      in
+      Fmt.pr "%-4s %6d %8d %9d %9d %9d %10s %14d %14d %9b@." e.Lubm.Workload.name
         (Query.Cq.atom_count q)
         (List.length (snd (Reform.Reduce.reduce tbox q)))
         (Query.Ucq.size raw) (Query.Ucq.size min_u)
-        (Query.Ucq.size pruned) s1 s2 (s2 > 2_000_000))
+        (Query.Ucq.size pruned) factorised s1 s2 (s2 > 2_000_000))
     Lubm.Workload.queries
 
 (* {1 E9 — ablation: generalized covers on/off} *)

@@ -310,13 +310,21 @@ let explain_cmd =
       Fmt.pr
         "{\"query\":%S,\"strategy\":%S,\"dialect\":%S,\"cq_disjuncts\":%d,\
          \"join_width\":%d,\"rdbms_cost\":%.1f,\"ext_cost\":%.1f,\"sql_bytes\":%d,\
-         \"analyze\":%b,\"plan\":%s,\"trace\":[%s]}@."
+         \"factorised\":[%s],\"analyze\":%b,\"plan\":%s,\"trace\":[%s]}@."
         (Fmt.str "%a" Query.Cq.pp q)
         (Obda.strategy_name strategy) dialect (Query.Fol.cq_count fol)
         (Query.Fol.join_width fol)
         (est.Optimizer.Estimator.estimate fol)
         (ext.Optimizer.Estimator.estimate fol)
-        sql_bytes analyze plan_json
+        sql_bytes
+        (String.concat ","
+           (List.map
+              (fun { Reform.Factorise.arms; parts } ->
+                Fmt.str "{\"arms\":%d,\"parts\":[%a]}" arms
+                  (Fmt.list ~sep:(Fmt.any ",") Fmt.int)
+                  parts)
+              p.Obda.factorised))
+        analyze plan_json
         (String.concat "," (List.map Obs.Trace.event_to_json events))
     | `Text ->
       Fmt.pr "query        : %a@." Query.Cq.pp q;
@@ -330,6 +338,8 @@ let explain_cmd =
       end;
       Fmt.pr "dialect      : %s@." dialect;
       Fmt.pr "cq disjuncts : %d@." (Query.Fol.cq_count fol);
+      (* the leaves the cost-based strategies factorised after the search *)
+      List.iter (Fmt.pr "factorised   : %a@." Reform.Factorise.pp_stat) p.Obda.factorised;
       Fmt.pr "join width   : %d@." (Query.Fol.join_width fol);
       Fmt.pr "rdbms cost   : %.0f@." (est.Optimizer.Estimator.estimate fol);
       Fmt.pr "ext cost     : %.0f@." (ext.Optimizer.Estimator.estimate fol);
@@ -350,7 +360,7 @@ let explain_cmd =
             "reform.containment.skipped"; "reform.containment.memo_hits";
             "reform.fixpoint.iterations"; "reform.cq.generated";
             "reform.cq.pruned"; "reform.cache.requests"; "reform.cache.hits";
-            "reform.atoms.dropped";
+            "reform.atoms.dropped"; "reform.factorised.arms_saved";
           ];
         (* the emptiness snapshot the cost-based searches prune with *)
         let data = Optimizer.Estimator.emptiness tbox lay in

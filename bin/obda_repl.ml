@@ -109,6 +109,7 @@ let run_explain st text =
   let root = Covers.Safety.root_cover st.tbox q in
   Fmt.pr "root cover : %a@." Covers.Cover.pp root;
   Fmt.pr "cq count   : %d@." (Query.Fol.cq_count fol);
+  List.iter (Fmt.pr "factorised : %a@." Reform.Factorise.pp_stat) p.Obda.factorised;
   Fmt.pr "rdbms cost : %.0f@."
     ((Obda.estimator st.engine Obda.Rdbms_cost).Optimizer.Estimator.estimate fol);
   Fmt.pr "ext cost   : %.0f@."

@@ -153,19 +153,25 @@ let estimator e = function
   | Rdbms_cost -> Optimizer.Estimator.rdbms e.profile e.layout
   | Ext_cost -> Optimizer.Estimator.ext ?feedback:e.feedback e.model e.layout
 
-(* One optimisation pass: the chosen reformulation of the covered query. *)
+(* One optimisation pass: the chosen reformulation of the covered query,
+   and the leaves factorised in it. The cost-based strategies factorise
+   the reformulation their search chose (DESIGN §15.6); the search itself
+   prices flat leaves, and UCQ, USCQ and Croot stay the paper's columns. *)
 let search e tbox strategy q =
   match strategy with
-  | Ucq -> Covers.Reformulate.ucq tbox q
-  | Uscq -> Reform.Uscq_reform.reformulate tbox q
-  | Croot -> Covers.Reformulate.of_cover tbox (Covers.Safety.root_cover tbox q)
+  | Ucq -> Covers.Reformulate.ucq tbox q, []
+  | Uscq -> Reform.Uscq_reform.reformulate tbox q, []
+  | Croot -> Covers.Reformulate.of_cover tbox (Covers.Safety.root_cover tbox q), []
   | Gdl src ->
-    (Optimizer.Gdl.search tbox (estimator e src) q).Optimizer.Gdl.reformulation
+    Reform.Factorise.factorise
+      (Optimizer.Gdl.search tbox (estimator e src) q).Optimizer.Gdl.reformulation
   | Gdl_limited (src, budget) ->
-    (Optimizer.Gdl.search ~time_budget:budget tbox (estimator e src) q)
-      .Optimizer.Gdl.reformulation
+    Reform.Factorise.factorise
+      (Optimizer.Gdl.search ~time_budget:budget tbox (estimator e src) q)
+        .Optimizer.Gdl.reformulation
   | Edl src ->
-    (Optimizer.Edl.search tbox (estimator e src) q).Optimizer.Edl.reformulation
+    Reform.Factorise.factorise
+      (Optimizer.Edl.search tbox (estimator e src) q).Optimizer.Edl.reformulation
 
 type plan = {
   p_reformulation : Query.Fol.t;
@@ -177,6 +183,7 @@ type plan = {
          reproduce the same cover. *)
   p_covered : Query.Cq.t;  (* the query the search covered *)
   p_dropped : Query.Atom.t list;  (* the atoms reduced away from it *)
+  p_factorised : Reform.Factorise.stat list;  (* the leaves factorised in it *)
   p_generation : int;  (* the engine generation it was searched under *)
 }
 
@@ -198,7 +205,8 @@ let data_independent = function
 let covered_query tbox strategy q =
   if data_independent strategy then q, [] else Reform.Reduce.reduce tbox q
 
-let reformulate e tbox strategy q = search e tbox strategy (fst (covered_query tbox strategy q))
+let reformulate e tbox strategy q =
+  fst (search e tbox strategy (fst (covered_query tbox strategy q)))
 
 (* The plan cache: repeated queries skip PerfectRef and the EDL/GDL
    cover search entirely. Keyed by engine id, TBox uid, strategy and
@@ -243,13 +251,14 @@ let plan_for e tbox strategy q =
   | None ->
     let epoch = feedback_epoch e in
     let covered, dropped = covered_query tbox strategy q in
-    let fol = search e tbox strategy covered in
+    let fol, factorised = search e tbox strategy covered in
     let fresh =
       {
         p_reformulation = fol;
         p_epoch = epoch;
         p_covered = covered;
         p_dropped = dropped;
+        p_factorised = factorised;
         p_generation = generation;
       }
     in
@@ -270,6 +279,7 @@ type prepared = {
   covered : Query.Cq.t;
   dropped : Query.Atom.t list;
   reformulation : Query.Fol.t;
+  factorised : Reform.Factorise.stat list;
   plan_cached : bool;
   epoch : int;
   search_time : float;
@@ -309,6 +319,7 @@ let prepare e tbox strategy q =
     covered = plan.p_covered;
     dropped = plan.p_dropped;
     reformulation;
+    factorised = plan.p_factorised;
     plan_cached;
     epoch = plan.p_epoch;
     search_time;
@@ -319,6 +330,7 @@ let prepare e tbox strategy q =
 type outcome = {
   strategy : strategy;
   reformulation : Query.Fol.t;
+  factorised : Reform.Factorise.stat list;
   cq_count : int;
   sql : string lazy_t;
   search_time : float;
@@ -358,6 +370,7 @@ let execute e tbox strategy q run =
     {
       strategy;
       reformulation = p.reformulation;
+      factorised = p.factorised;
       cq_count = Query.Fol.cq_count p.reformulation;
       sql = p.sql;
       search_time = p.search_time;

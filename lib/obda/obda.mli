@@ -50,7 +50,9 @@ type strategy =
           first drops the query's TBox-redundant atoms
           ({!Reform.Reduce}), and reformulates fragments without the
           arms over predicates that have no stored fact
-          ({!Optimizer.Estimator.emptiness}) *)
+          ({!Optimizer.Estimator.emptiness}); after the search it
+          factorises the chosen reformulation's product-shaped leaves
+          ({!Reform.Factorise}) *)
   | Gdl_limited of cost_source * float  (** time-limited GDL (seconds) *)
   | Edl of cost_source  (** exhaustive cover search (small queries!) *)
 
@@ -79,6 +81,12 @@ type prepared = {
           query itself *)
   dropped : Query.Atom.t list;  (** the atoms reduced away from [covered] *)
   reformulation : Query.Fol.t;
+      (** for the cost-based strategies, the chosen cover's
+          reformulation with its product-shaped leaves factorised
+          ({!Reform.Factorise}) *)
+  factorised : Reform.Factorise.stat list;
+      (** one entry per leaf of the chosen reformulation that was
+          factorised; always [[]] for UCQ, USCQ and Croot *)
   plan_cached : bool;
       (** the reformulation came from the plan cache — no PerfectRef
           call and no cover search ran for this query *)
@@ -103,6 +111,7 @@ val prepare : engine -> Dllite.Tbox.t -> strategy -> Query.Cq.t -> prepared
 type outcome = {
   strategy : strategy;
   reformulation : Query.Fol.t;
+  factorised : Reform.Factorise.stat list;  (** as {!prepared.factorised} *)
   cq_count : int;  (** CQ disjuncts in the reformulation *)
   sql : string lazy_t;
       (** the SQL translation, as {!prepared.sql}: not forced on
@@ -121,8 +130,9 @@ type outcome = {
 
 val reformulate : engine -> Dllite.Tbox.t -> strategy -> Query.Cq.t -> Query.Fol.t
 (** Only the reformulation step, searched afresh (the cost-based
-    strategies reduce the query first, as {!prepare} does): it
-    bypasses the plan cache, which {!prepare} goes through. *)
+    strategies reduce the query first and factorise the result, as
+    {!prepare} does): it bypasses the plan cache, which {!prepare}
+    goes through. *)
 
 val answer : engine -> Dllite.Tbox.t -> strategy -> Query.Cq.t -> outcome
 (** {!prepare}, then the plain executor and decoding. The optimisation

@@ -74,7 +74,8 @@ type search = {
   feedback : Cost.Feedback.t option;
   data : Reform.Emptiness.t;
   memo : (string, leaf) Hashtbl.t;
-  lock : Mutex.t;
+      (* owned by this search: one search runs on one thread, start to
+         finish, so the memo needs no lock *)
 }
 
 type scored = {
@@ -98,7 +99,6 @@ let open_search estimator tbox query =
     (* likewise one emptiness snapshot per search *)
     data = emptiness tbox estimator.layout;
     memo = Hashtbl.create 64;
-    lock = Mutex.create ();
   }
 
 let seconds ~since until = Int64.to_float (Int64.sub until since) /. 1e9
@@ -110,10 +110,10 @@ let fragment_key gf fq =
   ^ "|"
   ^ String.concat "," (List.map Query.Term.to_string fq.Query.Cq.head)
 
-(* A memo miss computes outside the lock and the first insert wins;
-   the counters count inserts. *)
+(* A memo miss reformulates and prices the fragment once and stores
+   it; the counters count misses and hits. *)
 let leaf s (key, fq) =
-  match Mutex.protect s.lock (fun () -> Hashtbl.find_opt s.memo key) with
+  match Hashtbl.find_opt s.memo key with
   | Some l ->
     Cost.Cost_model.note_leaf ~reused:true;
     l, 0., 0.
@@ -128,17 +128,9 @@ let leaf s (key, fq) =
         Some (Cost.Cost_model.node ?feedback:s.feedback model s.estimator.layout fol)
     in
     let t2 = Obs.Mclock.now_ns () in
-    let l =
-      Mutex.protect s.lock (fun () ->
-          match Hashtbl.find_opt s.memo key with
-          | Some l ->
-            Cost.Cost_model.note_leaf ~reused:true;
-            l
-          | None ->
-            Hashtbl.add s.memo key { fol; node };
-            Cost.Cost_model.note_leaf ~reused:false;
-            { fol; node })
-    in
+    let l = { fol; node } in
+    Hashtbl.add s.memo key l;
+    Cost.Cost_model.note_leaf ~reused:false;
     l, seconds ~since:t0 t1, seconds ~since:t1 t2
 
 let score s cover =

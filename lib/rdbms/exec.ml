@@ -104,8 +104,8 @@ type ctx = {
   views : view_store option;  (* cross-query materialised fragments *)
   sip_memo : (string, bool) Hashtbl.t;
       (* (reducer id, stored column) -> does the reducer intersect it?
-         Shared across the arms of one run. *)
-  sip_lock : Mutex.t;
+         Owned by one run, which executes on one thread, so it needs no
+         lock; shared across that run's union arms. *)
 }
 
 let fresh_run_caches () =
@@ -377,20 +377,14 @@ let index_reducer ctx atom probe_col =
 
 (* Reducer-vs-stored-column emptiness, memoised per (reducer, stored
    column) so that the same reducer probing the same role across many
-   union arms walks it once. The intersection test runs outside the
-   lock ([Sip.intersects] is pure; a racing duplicate is idempotent). *)
+   union arms walks it once. *)
 let memo_intersects ctx r key col_thunk =
   let k = string_of_int (Sip.id r) ^ key in
-  Mutex.lock ctx.sip_lock;
-  let cached = Hashtbl.find_opt ctx.sip_memo k in
-  Mutex.unlock ctx.sip_lock;
-  match cached with
+  match Hashtbl.find_opt ctx.sip_memo k with
   | Some b -> b
   | None ->
     let b = Sip.intersects r (col_thunk ()) in
-    Mutex.lock ctx.sip_lock;
     Hashtbl.replace ctx.sip_memo k b;
-    Mutex.unlock ctx.sip_lock;
     b
 
 (* Conservative static emptiness: [true] only when some reducer
@@ -891,7 +885,6 @@ let make_ctx config counters views layout =
     builds;
     views;
     sip_memo = Hashtbl.create 16;
-    sip_lock = Mutex.create ();
   }
 
 let run ?(config = postgres_like) ?counters ?views layout plan =

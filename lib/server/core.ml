@@ -345,11 +345,12 @@ let run_explain t s ~id ~cq ~strategy ~analyze =
   let profile = Obda.profile t.engine and lay = Obda.layout t.engine in
   let reply =
     read_locked t.rw (fun () ->
-        let fol, sql, plan_json =
+        let fol, factorised, sql, plan_json =
           if analyze then
             let a = Obda.analyze t.engine t.tbox strategy cq in
             let o = a.Obda.a_outcome in
             ( o.Obda.reformulation,
+              o.Obda.factorised,
               o.Obda.sql,
               match a.Obda.a_stats, o.Obda.answers with
               | Some stats, _ -> Ok (Rdbms.Explain.render_analyze_json profile lay stats)
@@ -358,6 +359,7 @@ let run_explain t s ~id ~cq ~strategy ~analyze =
           else
             let p = Obda.prepare t.engine t.tbox strategy cq in
             ( p.Obda.reformulation,
+              p.Obda.factorised,
               p.Obda.sql,
               Result.map (Rdbms.Explain.render_json profile lay) p.Obda.physical )
         in
@@ -368,6 +370,14 @@ let run_explain t s ~id ~cq ~strategy ~analyze =
                 "dialect", Wire.String (Query.Fol.dialect fol);
                 "cq_disjuncts", Wire.Int (Query.Fol.cq_count fol);
                 "join_width", Wire.Int (Query.Fol.join_width fol);
+                ( "factorised",
+                  Wire.List
+                    (List.map
+                       (fun { Reform.Factorise.arms; parts } ->
+                         Wire.Obj
+                           [ "arms", Wire.Int arms;
+                             "parts", Wire.List (List.map (fun n -> Wire.Int n) parts) ])
+                       factorised) );
                 "sql_bytes", Wire.Int (String.length (Lazy.force sql));
                 "analyze", Wire.Bool analyze;
                 "plan", Wire.Raw plan_json ])

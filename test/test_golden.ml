@@ -42,7 +42,8 @@ let data_independent = Hashtbl.create 64
 
 (* The strategy's reformulation and, for a cover search, the chosen
    cover's key and estimated cost — the same search [Obda.reformulate]
-   runs, on the same reduced query. *)
+   runs, on the same reduced query, before [Obda] factorises its
+   result. *)
 let reformulate engine tbox strategy q =
   match strategy with
   | Obda.Gdl src ->

@@ -222,6 +222,46 @@ let test_gdl_never_worse_than_croot_estimate () =
         <= est.Optimizer.Estimator.estimate croot +. 1e-6))
     Lubm.Workload.queries
 
+(* Which leaves of GDL/ext's chosen reformulation factorise, and into
+   how many parts, on Q1–Q13 at 5k facts (seed 42, the default). The
+   same leaves factorise with the same counts at 20k and 100k facts.
+   The other leaves stay flat: the four-arm leaves of Q1 (f3), Q7 (f2)
+   and Q10 (f4) are unions over one variable, with nothing to split,
+   and Q8's five arms each join the professor alternative to the core
+   through an existential. Q13's core keeps 9 parts: both of its
+   atoms touch two output variables. *)
+let test_factorised_leaves_pinned () =
+  let abox = Lubm.Generator.generate ~target_facts:5_000 () in
+  let engine = Obda.make_engine `Pglite `Simple abox in
+  let tbox = Lubm.Ontology.tbox in
+  let leaves = function Query.Fol.Join { parts; _ } -> parts | fol -> [ fol ] in
+  let found =
+    List.concat_map
+      (fun (e : Lubm.Workload.entry) ->
+        let covered, _ = Reform.Reduce.reduce tbox e.query in
+        let r = Optimizer.Gdl.search tbox (Obda.estimator engine Obda.Ext_cost) covered in
+        let p = Obda.prepare engine tbox (Obda.Gdl Obda.Ext_cost) e.query in
+        let stats =
+          List.mapi (fun i leaf -> i, leaf) (leaves r.Optimizer.Gdl.reformulation)
+          |> List.filter_map (fun (i, leaf) ->
+                 match leaf with
+                 | Query.Fol.Leaf { out; ucq } ->
+                   Option.map (fun (_, st) -> i, st) (Reform.Factorise.leaf out ucq)
+                 | _ -> None)
+        in
+        (* the plan the engine runs records the same factorisations *)
+        check_bool (e.name ^ " prepare agrees") true (List.map snd stats = p.Obda.factorised);
+        List.map
+          (fun (i, st) -> Fmt.str "%s f%d %a" e.name (i + 1) Reform.Factorise.pp_stat st)
+          stats)
+      Lubm.Workload.queries
+  in
+  Alcotest.(check (list string))
+    "factorised leaves"
+    [ "Q6 f1 180 arms → 21 (2 + 10 + 9)"; "Q9 f1 25 arms → 11 (1 + 5 + 5)";
+      "Q10 f1 20 arms → 9 (2 + 2 + 5)"; "Q13 f1 90 arms → 20 (9 + 1 + 10)" ]
+    found
+
 let suite =
   [
     Alcotest.test_case "star prefixes shrink" `Slow test_star_prefix_answers_shrink;
@@ -229,6 +269,8 @@ let suite =
     Alcotest.test_case "strategy dialects" `Slow test_strategy_dialects;
     Alcotest.test_case "gdl never worse than croot" `Slow
       test_gdl_never_worse_than_croot_estimate;
+    Alcotest.test_case "factorised leaves (Q1-Q13, GDL/ext)" `Quick
+      test_factorised_leaves_pinned;
     Alcotest.test_case "vocabulary counts" `Quick test_vocabulary_counts;
     Alcotest.test_case "ontology satisfiable" `Quick test_ontology_satisfiable;
     Alcotest.test_case "hierarchy sanity" `Quick test_ontology_hierarchy_sanity;

@@ -822,6 +822,157 @@ let prop_pruned_equals_filtered_random =
       let tbox = random_tbox rng in
       pruned_matches_filtered (random_empty_set rng tbox) tbox q)
 
+(* {1 Factorising product-shaped leaves} *)
+
+(* A leaf over (x,y) whose arms are [a ∧ R(x,y) ∧ b] for every [a] of
+   [xs] and [b] of [ys]: an exact 1 × |xs| × |ys| product. *)
+let product_arms xs ys =
+  List.concat_map
+    (fun a ->
+      List.map
+        (fun b ->
+          Cq.canonicalize
+            (Cq.make ~head:[ v "x"; v "y" ] ~body:(a @ [ ra "R" (v "x") (v "y") ] @ b) ()))
+        ys)
+    xs
+
+let product_xs = [ [ ca "A0" (v "x") ]; [ ca "A1" (v "x") ]; [ ra "P" (v "x") (v "z") ] ]
+
+let product_ys = [ [ ca "B0" (v "y") ]; [ ca "B1" (v "y") ]; [ ra "P" (v "w") (v "y"); ca "C" (v "w") ] ]
+
+let product_leaf arms = Fol.leaf ~out:[ v "x"; v "y" ] (Ucq.make arms)
+
+let product_abox () =
+  Abox.of_assertions
+    ~concepts:[ "A0", "a"; "A1", "b"; "B0", "c"; "B1", "a"; "C", "e"; "C", "a" ]
+    ~roles:[ "R", "a", "c"; "R", "b", "a"; "R", "d", "d"; "R", "c", "b"; "P", "d", "e";
+             "P", "e", "d"; "P", "c", "a" ]
+
+let test_factorise_product () =
+  let leaf = product_leaf (product_arms product_xs product_ys) in
+  let fol, stats = Reform.Factorise.factorise leaf in
+  check_bool "one leaf factorised, 9 arms -> 1 + 3 + 3" true
+    (stats = [ { Reform.Factorise.arms = 9; parts = [ 1; 3; 3 ] } ]);
+  check_int "7 CQs" 7 (Fol.cq_count fol);
+  check_bool "a join of unions" true (Fol.dialect fol = "JUCQ");
+  check_bool "same answers" true
+    (eval_fol (product_abox ()) fol = eval_fol (product_abox ()) leaf
+    && eval_fol (product_abox ()) leaf <> []);
+  (* inside a join the parts are spliced in beside the other leaves *)
+  let other = Fol.of_cq (Cq.make ~head:[ v "y" ] ~body:[ ca "C" (v "y") ] ()) in
+  let join = Fol.join ~out:[ v "x" ] [ leaf; other ] in
+  match Reform.Factorise.factorise join with
+  | Fol.Join { parts; _ }, [ _ ] ->
+    check_int "three parts and the other leaf" 4 (List.length parts);
+    check_bool "spliced join = unfactorised join" true
+      (eval_fol (product_abox ()) (Fol.join ~out:[ v "x" ] parts)
+      = eval_fol (product_abox ()) join)
+  | _ -> Alcotest.fail "the join's product leaf was not spliced"
+
+let test_factorise_refuses_non_products () =
+  let unchanged name leaf =
+    let fol, stats = Reform.Factorise.factorise leaf in
+    check_bool name true (fol == leaf && stats = [])
+  in
+  let arms = product_arms product_xs product_ys in
+  unchanged "one arm removed" (product_leaf (List.tl arms));
+  (* the arm [P(x,z) ∧ R(x,y) ∧ P(z,y) ∧ C(z)] replaces
+     [P(x,z) ∧ R(x,y) ∧ P(w,y) ∧ C(w)]: its x and y parts share [z].
+     Keyed part by part it would complete the 3 × 3 product, but the
+     shared variable makes the three atoms one core group. *)
+  let shared =
+    List.map
+      (fun cq ->
+        if List.length cq.Cq.body = 4 && Term.Set.cardinal (Cq.existential_vars cq) = 2 then
+          Cq.canonicalize
+            (Cq.make ~head:[ v "x"; v "y" ]
+               ~body:
+                 [ ra "P" (v "x") (v "z"); ra "R" (v "x") (v "y"); ra "P" (v "z") (v "y");
+                   ca "C" (v "z") ]
+               ())
+        else cq)
+      arms
+  in
+  check_bool "one arm replaced" true
+    (List.length (List.filter (fun cq -> not (List.memq cq arms)) shared) = 1);
+  unchanged "two parts share an existential" (product_leaf shared);
+  (* 2 × 2: four arms against four parts, not strictly fewer *)
+  unchanged "2 x 2 is not smaller"
+    (product_leaf (product_arms (List.tl product_xs) (List.tl product_ys)));
+  unchanged "a plain UCQ"
+    (Fol.leaf ~out:example3_query.Cq.head
+       (Reform.Perfectref.reformulate example1_tbox example3_query))
+
+(* Random knowledge bases with planted product structure: the TBox
+   gives each of [A0(x)], [R0(x,y)] and [A1(y)] a random number of
+   rewritings — concept subsumees, existential subsumees and sub-roles
+   — on top of random axioms that may break the product. The
+   factorised reformulation, the flat one and the chase agree, through
+   the reference evaluator and through the engine, and through GDL,
+   which factorises the leaves of the cover it chooses. *)
+let planted_product rng =
+  let names prefix k = List.init k (fun i -> Printf.sprintf "%s%d" prefix i) in
+  let some k = 1 + Random.State.int rng k in
+  let axioms =
+    List.map (fun c -> sub (atomic c) (atomic "A0")) (names "P" (some 3))
+    @ List.map (fun c -> sub (atomic c) (atomic "A1")) (names "Q" (some 3))
+    @ (if Random.State.bool rng then [ sub (ex "S0") (atomic "A0") ] else [])
+    @ (if Random.State.bool rng then [ sub (ex_inv "S1") (atomic "A1") ] else [])
+    @ (if Random.State.bool rng then [ rsub (named "S2") (named "R0") ] else [])
+    @ if Random.State.bool rng then [ rsub (named "S3") (inv "R0") ] else []
+  in
+  let noise = List.filteri (fun i _ -> i < Random.State.int rng 3) (Tbox.axioms (random_tbox rng)) in
+  let tbox = Tbox.of_axioms (axioms @ noise) in
+  let head = if Random.State.int rng 4 = 0 then [ v "x" ] else [ v "x"; v "y" ] in
+  let chain =
+    (* a two-atom unary part of y, joined through an existential *)
+    if Random.State.bool rng then [ ra "R1" (v "y") (v "z"); ca "A2" (v "z") ] else []
+  in
+  let q =
+    Cq.make ~head ~body:([ ca "A0" (v "x"); ra "R0" (v "x") (v "y"); ca "A1" (v "y") ] @ chain) ()
+  in
+  let inds = [ "i0"; "i1"; "i2"; "i3"; "i4" ] in
+  let pick l = List.nth l (Random.State.int rng (List.length l)) in
+  let concepts = [ "A0"; "A1"; "A2"; "P0"; "P1"; "P2"; "Q0"; "Q1"; "Q2" ]
+  and roles = [ "R0"; "R1"; "S0"; "S1"; "S2"; "S3" ] in
+  let abox = Abox.create () in
+  for _ = 1 to 8 + Random.State.int rng 10 do
+    if Random.State.bool rng then Abox.add_concept abox ~concept:(pick concepts) ~ind:(pick inds)
+    else Abox.add_role abox ~role:(pick roles) ~subj:(pick inds) ~obj:(pick inds)
+  done;
+  tbox, abox, q
+
+let prop_factorised_answers_equal =
+  QCheck2.Test.make ~name:"factorised answers = flat = chase (planted products)" ~count:150
+    QCheck2.Gen.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Random.State.make [| seed; 0xFAC |] in
+      let tbox, abox, q = planted_product rng in
+      let expected = List.sort_uniq compare (Chase.certain_answers tbox abox q) in
+      let ucq = Reform.Perfectref.reformulate tbox q in
+      let flat = Fol.leaf ~out:q.Cq.head ucq in
+      let factorised, _ = Reform.Factorise.factorise flat in
+      let layout = Rdbms.Layout.simple_of_abox abox in
+      let engine fol =
+        List.sort_uniq compare (Rdbms.Exec.answers layout (Rdbms.Planner.of_fol layout fol))
+      in
+      let gdl = Obda.make_engine `Pglite `Simple abox in
+      (* any UCQ keeps its answers: with one arm dropped the leaf is no
+         longer a product, unless that arm was redundant *)
+      let thinned =
+        match Ucq.disjuncts ucq with
+        | [] | [ _ ] -> flat
+        | arms ->
+          let drop = Random.State.int rng (List.length arms) in
+          Fol.leaf ~out:q.Cq.head (Ucq.make (List.filteri (fun i _ -> i <> drop) arms))
+      in
+      eval_fol abox flat = expected
+      && eval_fol abox factorised = expected
+      && engine factorised = expected
+      && engine (fst (Reform.Factorise.factorise thinned)) = eval_fol abox thinned
+      && List.sort_uniq compare (Obda.answers_exn gdl tbox (Obda.Gdl Obda.Ext_cost) q)
+         = expected)
+
 let suite =
   [
     Alcotest.test_case "example 4 raw size" `Quick test_example4_raw_size;
@@ -866,7 +1017,11 @@ let suite =
     Alcotest.test_case "pruned LUBM sizes" `Quick test_pruned_lubm_sizes;
     Alcotest.test_case "lubm reductions" `Quick test_lubm_reductions;
     Alcotest.test_case "reductions = chase oracle (lubm)" `Slow test_reductions_match_chase;
+    Alcotest.test_case "factorise: exact product" `Quick test_factorise_product;
+    Alcotest.test_case "factorise: non-products unchanged" `Quick
+      test_factorise_refuses_non_products;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_minimized_answers_equal; prop_store_reformulation_equals_naive;
-        prop_pruned_equals_filtered_random; prop_reduced_answers_equal ]
+        prop_pruned_equals_filtered_random; prop_reduced_answers_equal;
+        prop_factorised_answers_equal ]

@@ -513,6 +513,37 @@ let test_explain_shows_the_plan_answer_runs () =
             (Wire.of_string (Rdbms.Explain.render_json profile lay plan)
             = Ok (field r "plan"))))
 
+(* EXPLAIN lists the leaves the cost-based strategies factorised, as
+   the pipeline recorded them: Q6's single product leaf under GDL/ext,
+   nothing under UCQ. *)
+let test_explain_lists_factorised_leaves () =
+  let tbox, engine = Lazy.force lubm_kb in
+  let q = (Lubm.Workload.find "Q6").Lubm.Workload.query in
+  let expected strategy =
+    Wire.List
+      (List.map
+         (fun { Reform.Factorise.arms; parts } ->
+           Wire.Obj
+             [ "arms", Wire.Int arms; "parts", Wire.List (List.map (fun n -> Wire.Int n) parts) ])
+         (Obda.prepare engine tbox strategy q).Obda.factorised)
+  in
+  check_bool "Q6 factorises under GDL/ext" true
+    (expected (Obda.Gdl Obda.Ext_cost) <> Wire.List []);
+  let t = Server.Core.start ~config:{ Server.Core.default_config with port = 0 } ~engine ~tbox () in
+  Fun.protect ~finally:(fun () -> Server.Core.stop t) (fun () ->
+      let c = connect (Server.Core.port t) in
+      Fun.protect ~finally:(fun () -> close c) (fun () ->
+          List.iter
+            (fun (name, strategy) ->
+              let r =
+                request c
+                  (Printf.sprintf "{\"op\":\"EXPLAIN\",\"query\":\"Q6\",\"strategy\":\"%s\"}" name)
+              in
+              check_string "explain status" "OK" (status r);
+              check_bool (name ^ ": factorised leaves") true
+                (field r "factorised" = expected strategy))
+            [ "gdl-ext", Obda.Gdl Obda.Ext_cost; "ucq", Obda.Ucq ]))
+
 let suite =
   [
     Alcotest.test_case "wire: print/parse round-trip" `Quick test_wire_roundtrip;
@@ -528,6 +559,8 @@ let suite =
     Alcotest.test_case "server: expired deadline gets TIMEOUT" `Quick test_deadline_timeout;
     Alcotest.test_case "server: EXPLAIN shows the plan ANSWER runs" `Quick
       test_explain_shows_the_plan_answer_runs;
+    Alcotest.test_case "server: EXPLAIN lists factorised leaves" `Quick
+      test_explain_lists_factorised_leaves;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [ qcheck_concurrent_equals_sequential; qcheck_concurrent_with_writer ]
