@@ -127,8 +127,11 @@ let engine_for kind layout facts =
 let sql_length layout fol = String.length (Sql.Sql_ast.to_string (Sql.Sql_gen.of_fol layout fol))
 
 (* Evaluate a reformulation through an engine: median of three runs for
-   fast queries, a single run once evaluation exceeds a second. *)
-let timed_eval engine fol =
+   fast queries, a single run once evaluation exceeds a second. With
+   [~sip:true] (E3-E6) the plan is the one [Obda.answer] runs: the
+   planner's, annotated by the SIP pass when the engine has SIP on.
+   Otherwise it is the planner's bare plan. *)
+let timed_eval ?(sip = false) engine fol =
   let layout = Obda.layout engine in
   let profile = Obda.profile engine in
   let sql_bytes = lazy (sql_length layout fol) in
@@ -137,6 +140,13 @@ let timed_eval engine fol =
     Error (Printf.sprintf "statement too long (%d chars)" (Lazy.force sql_bytes))
   | _ ->
     let plan = Rdbms.Planner.of_fol layout fol in
+    let plan =
+      if sip && Obda.sip_enabled engine then
+        Cost.Sip_pass.annotate
+          ~model:(Cost.Cost_model.calibrated (Obda.kind engine))
+          ?feedback:(Obda.feedback_store engine) layout plan
+      else plan
+    in
     let once () =
       let t0 = Unix.gettimeofday () in
       let answers =
@@ -165,7 +175,7 @@ let run_cell ~exp ~query engine (strategy_name, strategy) q =
   let fol = Obda.reformulate engine tbox strategy q in
   let search_ms = (Unix.gettimeofday () -. t0) *. 1000. in
   let cqs = Query.Fol.cq_count fol in
-  let shown = timed_eval engine fol in
+  let shown = timed_eval ~sip:true engine fol in
   json_cell ~exp ~query ~strategy:strategy_name ~search_ms ~cqs shown;
   search_ms, cqs, shown
 

@@ -215,41 +215,54 @@ let sort_atoms atoms =
     atoms.(!j + 1) <- a
   done
 
-(* One pass; the flag tells whether the sorted keys were pairwise
+let is_canonical_name = function
+  | Term.Var h -> String.length h > 2 && h.[0] = '_' && h.[1] = 'c'
+  | Term.Cst _ -> false
+
+type names = {
+  mutable mapping : (string * Term.t) list;
+  mutable next : int;
+}
+
+let map_term names rank t =
+  match t with
+  | Term.Var v when rank = 1 -> (
+    match List.assoc_opt v names.mapping with
+    | Some t' -> t'
+    | None ->
+      let t' = canonical_name names.next in
+      names.next <- names.next + 1;
+      names.mapping <- (v, t') :: names.mapping;
+      t')
+  | _ -> t
+
+(* One pass over a body whose variables outside [head] are
+   existential; the flag tells whether the sorted keys were pairwise
    distinct and no head variable is spelled like a canonical name. *)
-let canonical_pass q =
-  let atoms = Array.of_list q.body in
+let canonical_atoms head body =
+  let atoms = Array.of_list body in
   let n = Array.length atoms in
-  let ranks = Array.map (atom_ranks q.head) atoms in
+  let ranks = Array.make n 0 in
+  for i = 0 to n - 1 do
+    ranks.(i) <- atom_ranks head atoms.(i)
+  done;
   sort_by_key atoms ranks;
   let distinct = ref true in
   for i = 1 to n - 1 do
     if compare_keys atoms.(i - 1) ranks.(i - 1) atoms.(i) ranks.(i) = 0 then
       distinct := false
   done;
-  let mapping = ref [] and next = ref 0 in
-  let map_term rank t =
-    match t with
-    | Term.Var v when rank = 1 -> (
-      match List.assoc_opt v !mapping with
-      | Some t' -> t'
-      | None ->
-        let t' = canonical_name !next in
-        incr next;
-        mapping := (v, t') :: !mapping;
-        t')
-    | _ -> t
-  in
+  let names = { mapping = []; next = 0 } in
   for i = 0 to n - 1 do
     let r = ranks.(i) in
     atoms.(i) <-
       (match atoms.(i) with
       | Atom.Ca (p, t) as a ->
-        let t' = map_term (r / 4) t in
+        let t' = map_term names (r / 4) t in
         if t' == t then a else Atom.Ca (p, t')
       | Atom.Ra (p, t1, t2) as a ->
-        let t2' = map_term ((r land 3) - 1) t2 in
-        let t1' = map_term (r / 4) t1 in
+        let t2' = map_term names ((r land 3) - 1) t2 in
+        let t1' = map_term names (r / 4) t1 in
         if t1' == t1 && t2' == t2 then a else Atom.Ra (p, t1', t2'))
   done;
   sort_atoms atoms;
@@ -258,14 +271,13 @@ let canonical_pass q =
     if i = n - 1 || not (Atom.equal atoms.(i) atoms.(i + 1)) then
       body := atoms.(i) :: !body
   done;
-  let clash =
-    List.exists
-      (function
-        | Term.Var h -> String.length h > 2 && h.[0] = '_' && h.[1] = 'c'
-        | Term.Cst _ -> false)
-      q.head
-  in
-  { q with body = !body }, !distinct && not clash
+  !body, !distinct && not (List.exists is_canonical_name head)
+
+let canonical_pass q =
+  let body, settled = canonical_atoms q.head q.body in
+  { q with body }, settled
+
+let canonical_body ~head body = fst (canonical_atoms head body)
 
 let compare q1 q2 =
   let c = List.compare Term.compare q1.head q2.head in

@@ -61,6 +61,19 @@ val canonicalize : t -> t
     canonical form (the converse may fail for rare symmetric bodies,
     which is harmless for its use as a duplicate filter). *)
 
+val canonical_body : head:Term.t list -> Atom.t list -> Atom.t list
+(** One pass of {!canonicalize} over a body, without building a CQ:
+    the variables outside [head] are existential. Equal results mean
+    the two bodies are renamings of each other that fix [head] (when
+    no head variable {!is_canonical_name}); two renamings of a
+    symmetric body may give different results. *)
+
+val is_canonical_name : Term.t -> bool
+(** Whether the term is a variable spelled like the names
+    {!canonicalize} gives existential variables ([_c…]). Such a head
+    variable can coincide with a renamed existential, so callers that
+    compare canonical forms as renamings refuse those heads. *)
+
 val compare : t -> t -> int
 (** Syntactic comparison (use after {!canonicalize} for set semantics). *)
 

@@ -436,10 +436,58 @@ let rec provably_empty ctx (env : senv) plan =
          inputs
   | Plan.Sip { join; _ } -> provably_empty ctx env join
 
-(* The single-column join key a [Sip] annotation can act on. *)
-let sip_col on dir =
-  match on with
-  | [ c ] -> Some (c, dir)
+(* The static row estimate of a plan, by {!Estimate}'s rules: what
+   [Cost.Feedback.plan_est] returns without a correction store, which
+   this library cannot call. *)
+let rec static_est layout = function
+  | Plan.Scan a -> Estimate.atom layout a
+  | Plan.Hash_join { left; right; _ } | Plan.Merge_join { left; right; _ } ->
+    Estimate.join (static_est layout left) (static_est layout right)
+  | Plan.Index_join { left; atom; _ } ->
+    Estimate.join (static_est layout left) (Estimate.atom layout atom)
+  | Plan.Project { input = p; _ } | Plan.Distinct p | Plan.Materialize p | Plan.Sip { join = p; _ }
+    ->
+    static_est layout p
+  | Plan.Union { inputs; _ } ->
+    Estimate.union
+      (Estimate.union_rows (fun p -> (static_est layout p).Estimate.rows) inputs)
+
+(* The materialised fragments a join prefix is built from. *)
+let rec fragments = function
+  | Plan.Materialize _ as m -> [ m ]
+  | Plan.Hash_join { left; right; _ } | Plan.Merge_join { left; right; _ } ->
+    fragments left @ fragments right
+  | Plan.Sip { join = p; _ } | Plan.Project { input = p; _ } | Plan.Distinct p -> fragments p
+  | Plan.Scan _ | Plan.Index_join _ | Plan.Union _ -> []
+
+(* How much larger than every fragment of the probe side a unary build
+   fragment must be estimated before the probe side goes first (see
+   [sip_col]). Within a small factor the estimates cannot tell the two
+   sides apart: at 30k and 120k facts the unary build fragments of
+   Q1, Q6, Q9 and Q10 under GDL/ext are 1.1–1.6 times the probe side's
+   largest, and taking their probe side first made Q1 up to 1.6 times
+   slower; the factorised unary parts of Q10 and Q13 under GDL/RDBMS
+   are 8–80 times larger. *)
+let probe_first_ratio = 4.
+
+(* The single-column join key a [Sip] annotation can act on, and the
+   direction its reducer flows. A build side that is a materialised
+   fragment over the join column alone (such as the unary part of a
+   factorised leaf, DESIGN §15.6) only filters the probe side, and is
+   built in full before its reducer exists. When it is estimated far
+   larger than every fragment of the probe side, its reducer is the
+   weak one: the probe side is taken first instead, and its keys prune
+   the fragment's union arms. *)
+let sip_col ctx on dir left right =
+  match on, dir, right with
+  | [ c ], Plan.Build_to_probe, Plan.Materialize _ when Plan.out_cols right = [ c ] -> (
+    let rows p = (static_est ctx.layout p).Estimate.rows in
+    let r = rows right in
+    match fragments left with
+    | _ :: _ as fs when List.for_all (fun f -> probe_first_ratio *. rows f < r) fs ->
+      Some (c, Plan.Probe_to_build)
+    | _ -> Some (c, dir))
+  | [ c ], _, _ -> Some (c, dir)
   | _ -> None
 
 (* Zone-map-pruned segmented scan: when a sideways reducer binds a
@@ -665,9 +713,9 @@ let rec compile h ctx env plan =
        carries the annotation *)
     match join with
     | Plan.Hash_join { left; right; on } ->
-      compile_hash h ctx env fr (sip_col on dir) left right on
+      compile_hash h ctx env fr (sip_col ctx on dir left right) left right on
     | Plan.Merge_join { left; right; on } ->
-      compile_merge h ctx env fr (sip_col on dir) left right on
+      compile_merge h ctx env fr (sip_col ctx on dir left right) left right on
     | Plan.Index_join { left; atom; probe_col } ->
       compile_index h ctx env fr ~sip:(dir = Plan.Build_to_probe) left atom probe_col
     | other ->

@@ -9,26 +9,14 @@ let m_arms_saved =
   Obs.Metrics.counter ~help:"CQs removed by factorising product-shaped leaves"
     "reform.factorised.arms_saved"
 
-(* The position of [t] among the leaf's output variables (given by
-   name), or -1 for an existential variable or a constant. *)
 let rec index_from outs v i =
   if i = Array.length outs then -1
   else if String.equal outs.(i) v then i
   else index_from outs v (i + 1)
 
+(* The position of [t] among the leaf's output variables (given by
+   name), or -1 for an existential variable or a constant. *)
 let out_index outs = function Term.Cst _ -> -1 | Term.Var v -> index_from outs v 0
-
-let existential outs t = Term.is_var t && out_index outs t < 0
-
-let rec assoc x = function
-  | [] -> None
-  | (y, v) :: rest -> if String.equal x y then Some v else assoc x rest
-
-let iter_terms f = function
-  | Atom.Ca (_, t) -> f t
-  | Atom.Ra (_, t1, t2) ->
-    f t1;
-    f t2
 
 (* -1: no output variable, i >= 0: only the i-th, -2: several *)
 let join_touch g o = if g = -1 then o else if o = -1 || o = g then g else -2
@@ -37,162 +25,64 @@ let atom_touch outs = function
   | Atom.Ca (_, t) -> out_index outs t
   | Atom.Ra (_, t1, t2) -> join_touch (out_index outs t1) (out_index outs t2)
 
-let slot_of_touch o = if o >= 0 then o + 1 else 0
-
-exception Shared
-
-let note_existential outs seen = function
-  | Term.Var x as t when out_index outs t < 0 ->
-    if List.exists (String.equal x) seen then raise_notrace Shared else x :: seen
-  | Term.Var _ | Term.Cst _ -> seen
-
-(* Whether some existential variable occurs twice in the body, so that
-   atoms group through it. *)
-let shares_existential outs body =
-  match
-    List.fold_left
-      (fun seen a ->
-        match a with
-        | Atom.Ca (_, t) -> note_existential outs seen t
-        | Atom.Ra (_, t1, t2) -> note_existential outs (note_existential outs seen t1) t2)
-      [] body
-  with
-  | _ -> false
-  | exception Shared -> true
+(* Puts atom [i] in one group with the first atom of existential [t]
+   ([owners] maps each existential seen so far to that atom). *)
+let note_existential outs groups owners i t =
+  match t with
+  | Term.Var x when out_index outs t < 0 -> (
+    match List.assoc_opt x owners with
+    | None -> (x, i) :: owners
+    | Some j ->
+      ignore (Unionfind.union groups i j);
+      owners)
+  | Term.Var _ | Term.Cst _ -> owners
 
 (* The split of one arm into slots: slot 0 is the core, slot [i + 1]
    the unary part of the [i]-th output variable; [[]] where the arm has
    no atom for the slot. Atoms are grouped by a union-find over the
    existential variables they share; a group's slot is the one output
    variable it touches, or the core when it touches none or several.
-   Without a shared existential every atom is its own group. *)
-let split outs (arm : Cq.t) =
+   [groups] is the leaf's union-find, rolled back after each arm, so
+   the arm's atoms are its nodes [0 … n-1]. *)
+let split outs groups (arm : Cq.t) =
+  let atoms = Array.of_list arm.Cq.body in
+  let n = Array.length atoms in
+  let mark = Unionfind.snapshot groups in
+  let owners = ref [] in
+  for i = 0 to n - 1 do
+    ignore (Unionfind.make groups);
+    owners :=
+      match atoms.(i) with
+      | Atom.Ca (_, t) -> note_existential outs groups !owners i t
+      | Atom.Ra (_, t1, t2) ->
+        note_existential outs groups (note_existential outs groups !owners i t1) i t2
+  done;
+  let touch = Array.make n (-1) in
+  for i = 0 to n - 1 do
+    let r = Unionfind.find groups i in
+    touch.(r) <- join_touch touch.(r) (atom_touch outs atoms.(i))
+  done;
   let slots = Array.make (Array.length outs + 1) [] in
-  if not (shares_existential outs arm.Cq.body) then
-    List.fold_right
-      (fun a () ->
-        let s = slot_of_touch (atom_touch outs a) in
-        slots.(s) <- a :: slots.(s))
-      arm.Cq.body ()
-  else begin
-    let atoms = Array.of_list arm.Cq.body in
-    let n = Array.length atoms in
-    let parent = Array.init n Fun.id in
-    let rec find i =
-      if parent.(i) = i then i
-      else begin
-        let r = find parent.(i) in
-        parent.(i) <- r;
-        r
-      end
-    in
-    let owners = ref [] in
-    Array.iteri
-      (fun i a ->
-        iter_terms
-          (fun t ->
-            match t with
-            | Term.Var x when out_index outs t < 0 -> (
-              match assoc x !owners with
-              | None -> owners := (x, i) :: !owners
-              | Some j ->
-                let ri = find i and rj = find j in
-                if ri <> rj then parent.(ri) <- rj)
-            | Term.Var _ | Term.Cst _ -> ())
-          a)
-      atoms;
-    let group = Array.make n (-1) in
-    for i = 0 to n - 1 do
-      let r = find i in
-      group.(r) <- join_touch group.(r) (atom_touch outs atoms.(i))
-    done;
-    for i = n - 1 downto 0 do
-      let s = slot_of_touch group.(find i) in
-      slots.(s) <- atoms.(i) :: slots.(s)
-    done
-  end;
+  for i = n - 1 downto 0 do
+    let o = touch.(Unionfind.find groups i) in
+    let s = if o >= 0 then o + 1 else 0 in
+    slots.(s) <- atoms.(i) :: slots.(s)
+  done;
+  Unionfind.rollback groups mark;
   slots
 
-(* Existential variables in keys: names no query variable starts with
-   ([leaf] refuses a leaf whose output does). *)
-let blank = Term.Var "\x00"
-
-let ex_names = Array.init 4 (fun i -> Term.Var ("\x00" ^ string_of_int i))
-
-let ex_name i =
-  if i < Array.length ex_names then ex_names.(i) else Term.Var ("\x00" ^ string_of_int i)
-
-let reserved = function Term.Var v -> String.length v > 0 && v.[0] = '\x00' | Term.Cst _ -> false
-
-(* The key of a slot's atoms: the atoms themselves when no existential
-   variable occurs in them (sorted, when there are several); otherwise
-   the atoms sorted with their existentials blanked, then each
-   existential renamed after its first occurrence (a single atom, the
-   common case, needs no sort). Equal keys mean the two atom lists are
-   renamings of each other, which is all the exactness test needs; two
-   renamings that tie in the sort may get different keys, and then the
-   test fails safe. *)
-let key outs body =
-  let has_existential a =
-    match a with
-    | Atom.Ca (_, t) -> existential outs t
-    | Atom.Ra (_, t1, t2) -> existential outs t1 || existential outs t2
-  in
-  match body with
-  | [ a ] when not (has_existential a) -> body
-  | [ Atom.Ca (p, _) ] -> [ Atom.Ca (p, ex_name 0) ]
-  | [ Atom.Ra (p, t1, t2) ] ->
-    let e1 = existential outs t1 in
-    let t1' = if e1 then ex_name 0 else t1 in
-    let t2' =
-      if not (existential outs t2) then t2
-      else if e1 && Term.equal t1 t2 then t1'
-      else ex_name (if e1 then 1 else 0)
-    in
-    [ Atom.Ra (p, t1', t2') ]
-  | _ when not (List.exists has_existential body) -> List.sort Atom.compare body
-  | _ ->
-    let map f = function
-      | Atom.Ca (p, t) -> Atom.Ca (p, f t)
-      | Atom.Ra (p, t1, t2) ->
-        let t1 = f t1 in
-        Atom.Ra (p, t1, f t2)
-    in
-    let sorted =
-      List.stable_sort
-        (fun (e1, _) (e2, _) -> Atom.compare e1 e2)
-        (List.map (fun a -> map (fun t -> if existential outs t then blank else t) a, a) body)
-    in
-    let names = ref [] in
-    let rename t =
-      match t with
-      | Term.Var x when existential outs t -> (
-        match assoc x !names with
-        | Some t' -> t'
-        | None ->
-          let t' = ex_name (List.length !names) in
-          names := (x, t') :: !names;
-          t')
-      | _ -> t
-    in
-    List.map (fun (_, a) -> map rename a) sorted
-
-module Keys = Hashtbl.Make (struct
-  type t = Atom.t list
-
-  let equal = List.equal Atom.equal
-
-  let hash = Hashtbl.hash
-end)
-
+(* Canonical forms name existentials [_c0], [_c1] …; an output variable
+   spelled like one could coincide with a renamed existential. *)
 let distinct_vars out =
-  List.for_all (fun t -> Term.is_var t && not (reserved t)) out
+  List.for_all (fun t -> Term.is_var t && not (Cq.is_canonical_name t)) out
   && List.length (List.sort_uniq Term.compare out) = List.length out
 
 (* A union of k slots with d_1 … d_k parts each has Σ d_i CQs and is a
    product of Π d_i arms; Σ d_i < Π d_i needs Π d_i ≥ 6. *)
 let min_product = 6
 
+(* The part of slot [s] as a CQ: its head is the slot's output
+   variable, or for the core the output variables it mentions. *)
 let part_cq out name s body =
   let head =
     if s > 0 then [ List.nth out (s - 1) ]
@@ -208,12 +98,15 @@ let leaf out ucq =
   else begin
     let outs = Array.of_list (List.filter_map Term.var_name out) in
     let n_slots = Array.length outs + 1 in
-    (* per slot: key -> id, the distinct parts' bodies in first-seen
-       order, and how many arms have a part there *)
-    let ids = Array.init n_slots (fun _ -> Keys.create 16)
+    (* per slot: canonical body -> id, the distinct parts in first-seen
+       order, and how many arms have a part there. Two parts with one
+       canonical body are renamings of each other; a renaming of a
+       symmetric body that gets another one fails the exactness test
+       safe. *)
+    let ids = Array.init n_slots (fun _ -> Hashtbl.create 16)
     and seen = Array.make n_slots []
     and present = Array.make n_slots 0 in
-    let tuples = Hashtbl.create n_arms in
+    let tuples = Hashtbl.create n_arms and groups = Unionfind.create () in
     List.iter
       (fun arm ->
         let tuple =
@@ -223,20 +116,20 @@ let leaf out ucq =
               | [] -> -1
               | _ -> (
                 present.(s) <- present.(s) + 1;
-                let k = key outs body in
-                match Keys.find_opt ids.(s) k with
+                let k = Cq.canonical_body ~head:out body in
+                match Hashtbl.find_opt ids.(s) k with
                 | Some id -> id
                 | None ->
-                  let id = Keys.length ids.(s) in
-                  Keys.add ids.(s) k id;
-                  seen.(s) <- (arm.Cq.name, body) :: seen.(s);
+                  let id = Hashtbl.length ids.(s) in
+                  Hashtbl.add ids.(s) k id;
+                  seen.(s) <- part_cq out arm.Cq.name s body :: seen.(s);
                   id))
-            (split outs arm)
+            (split outs groups arm)
         in
         Hashtbl.replace tuples tuple ())
       arms;
     let used = List.filter (fun s -> present.(s) > 0) (List.init n_slots Fun.id) in
-    let counts = List.map (fun s -> Keys.length ids.(s)) used in
+    let counts = List.map (fun s -> Hashtbl.length ids.(s)) used in
     (* Every tuple lies in the product of the slots' parts, so the
        distinct tuples are all of it exactly when they are as many. *)
     let product = List.fold_left ( * ) 1 counts and sum = List.fold_left ( + ) 0 counts in
@@ -246,11 +139,7 @@ let leaf out ucq =
             && product = Hashtbl.length tuples && sum < n_arms)
     then None
     else begin
-      let parts =
-        List.map
-          (fun s -> s, List.rev_map (fun (name, body) -> part_cq out name s body) seen.(s))
-          used
-      in
+      let parts = List.map (fun s -> s, List.rev seen.(s)) used in
       (* a core must expose one head, shared by all its parts, to join on *)
       let core_ok =
         match List.assoc_opt 0 parts with

@@ -262,6 +262,38 @@ let test_factorised_leaves_pinned () =
       "Q10 f1 20 arms → 9 (2 + 2 + 5)"; "Q13 f1 90 arms → 20 (9 + 1 + 10)" ]
     found
 
+(* Q10 under GDL/RDBMS at 5k facts factorises into a join whose last
+   part is the unary part of [d], [subOrganizationOf(d,u) ∧
+   University(u)] rewritten: 12,510 union rows for 20 departments when
+   it runs on its own. The SIP pass annotates that join build→probe;
+   the executor takes the probe side first instead, and its keys prune
+   the part, which then holds no more rows than the probe side. *)
+let test_unary_part_pruned_by_probe () =
+  let abox = Lubm.Generator.generate ~target_facts:5_000 () in
+  let engine = Obda.make_engine `Pglite `Simple abox in
+  let q = (List.find (fun (e : Lubm.Workload.entry) -> e.name = "Q10") Lubm.Workload.queries).query in
+  let a = Obda.analyze engine Lubm.Ontology.tbox (Obda.Gdl Obda.Rdbms_cost) q in
+  check_bool "factorised" true (a.Obda.a_outcome.Obda.factorised <> []);
+  let rec nodes (s : Rdbms.Exec.node_stats) = s :: List.concat_map nodes s.children in
+  let unary_joins =
+    List.filter_map
+      (fun (s : Rdbms.Exec.node_stats) ->
+        match s.plan, s.children with
+        | ( Rdbms.Plan.Sip
+              { join = Rdbms.Plan.Hash_join { right = Rdbms.Plan.Materialize _ as r; on; _ };
+                dir = Rdbms.Plan.Build_to_probe },
+            [ probe; part ] )
+          when Rdbms.Plan.out_cols r = on ->
+          Some (on, probe.actual_rows, part.actual_rows)
+        | _ -> None)
+      (nodes (Option.get a.Obda.a_stats))
+  in
+  check_bool "the unary part of d is joined build->probe" true
+    (List.exists (fun (on, _, _) -> on = [ "d" ]) unary_joins);
+  List.iter
+    (fun (_, probe, part) -> check_bool "part rows <= probe rows" true (part <= probe))
+    unary_joins
+
 let suite =
   [
     Alcotest.test_case "star prefixes shrink" `Slow test_star_prefix_answers_shrink;
@@ -271,6 +303,8 @@ let suite =
       test_gdl_never_worse_than_croot_estimate;
     Alcotest.test_case "factorised leaves (Q1-Q13, GDL/ext)" `Quick
       test_factorised_leaves_pinned;
+    Alcotest.test_case "unary part pruned by the probe side (Q10, GDL/RDBMS)" `Quick
+      test_unary_part_pruned_by_probe;
     Alcotest.test_case "vocabulary counts" `Quick test_vocabulary_counts;
     Alcotest.test_case "ontology satisfiable" `Quick test_ontology_satisfiable;
     Alcotest.test_case "hierarchy sanity" `Quick test_ontology_hierarchy_sanity;
