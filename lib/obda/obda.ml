@@ -12,7 +12,9 @@ type engine = {
   kind : engine_kind;
   model : Cost.Cost_model.t;  (* the calibrated "ext" cost model *)
   id : int;  (* process-unique, a component of plan-cache keys *)
-  mutable generation : int;  (* KB generation: bumped on every insert *)
+  mutable generation : int;
+      (* KB generation: bumped on every insert, reported to clients;
+         plan validity does not read it *)
   mutable views : Rdbms.Exec.view_store option;
   mutable sip : bool;  (* sideways-information-passing annotations *)
   mutable feedback : Cost.Feedback.t option;
@@ -58,8 +60,9 @@ let generation e = e.generation
    the touched predicate. Invalidation is predicate-scoped: the view
    store drops exactly the fragments that read the touched predicate
    (the rest stay warm). The plan cache is not touched here: a
-   cost-based plan records the generation it was searched under and is
-   dropped on its next lookup ([plan_valid]). *)
+   cost-based plan records the layout's emptiness epoch and the
+   cardinalities of what it reads, and its next lookup decides whether
+   the insert moved either far enough to search again ([plan_valid]). *)
 let data_changed e ~predicate =
   e.generation <- e.generation + 1;
   Option.iter
@@ -184,7 +187,15 @@ type plan = {
   p_covered : Query.Cq.t;  (* the query the search covered *)
   p_dropped : Query.Atom.t list;  (* the atoms reduced away from it *)
   p_factorised : Reform.Factorise.stat list;  (* the leaves factorised in it *)
-  p_generation : int;  (* the engine generation it was searched under *)
+  p_empty_epoch : int;
+      (* the layout's emptiness epoch the search pruned under *)
+  p_reads : [ `Concept of string | `Role of string ] array;
+      (* the predicates the reformulation reads; [||] for the
+         data-independent strategies *)
+  p_cards : int array;  (* their cardinalities at search time *)
+  mutable p_checked_facts : int;
+      (* the layout's fact count when [p_cards] last held within the
+         drift bound: while it is unchanged nothing moved *)
 }
 
 (* A strategy is data-independent when its output is a function of the
@@ -213,10 +224,10 @@ let reformulate e tbox strategy q =
    the canonical form of the query — a plan is only ever replayed in
    exactly the context that produced it. Whether the data still
    supports a plan is [plan_valid]'s question alone: data-independent
-   plans hold for any data, a cost-based plan only within the
-   generation it was searched under (an update shifts the statistics
-   its cover search optimised against, and may fill a predicate it
-   pruned as empty). A lookup drops an invalid entry and the new
+   plans hold for any data; a cost-based plan holds while the set of
+   empty predicates it pruned against is unchanged (answers) and every
+   predicate it reads is within [plan_drift_factor] of the cardinality
+   its search saw (cost). A lookup drops an invalid entry and the new
    search takes its key, so a query holds one entry however many
    inserts pass; a plan never looked up again ages out of the LRU. *)
 let default_plan_cache_capacity = 256
@@ -238,20 +249,100 @@ let plan_key e tbox strategy q =
     (strategy_name strategy)
     (Query.Cq.to_string (Query.Cq.canonicalize q))
 
-let plan_valid strategy ~generation p = data_independent strategy || p.p_generation = generation
+(* A cost-based plan is served while no predicate it reads has grown
+   or shrunk by more than this factor since its search: the cost
+   staleness a cached cover accepts. *)
+let plan_drift_factor = 2
+
+let m_epoch_researches =
+  Obs.Metrics.counter
+    ~help:"cost-based plans searched again because the set of empty predicates changed"
+    "cache.plan.epoch_researches"
+
+let m_stale_researches =
+  Obs.Metrics.counter
+    ~help:"cost-based plans searched again because a read predicate drifted past the bound"
+    "cache.plan.stale_researches"
 
 let feedback_epoch e =
   match e.feedback with Some fb -> Cost.Feedback.epoch fb | None -> 0
 
+let cardinality layout = function
+  | `Concept n -> Rdbms.Layout.concept_card layout n
+  | `Role n -> Rdbms.Layout.role_card layout n
+
+(* The predicates a reformulation reads, each once. *)
+let read_set fol =
+  let seen = Hashtbl.create 16 in
+  let add = function
+    | Query.Atom.Ca (n, _) -> Hashtbl.replace seen (`Concept n) ()
+    | Query.Atom.Ra (n, _, _) -> Hashtbl.replace seen (`Role n) ()
+  in
+  let rec walk = function
+    | Query.Fol.Leaf { ucq; _ } ->
+      List.iter (fun cq -> List.iter add (Query.Cq.atoms cq)) (Query.Ucq.disjuncts ucq)
+    | Query.Fol.Join { parts = fs; _ } | Query.Fol.Union { branches = fs; _ } ->
+      List.iter walk fs
+  in
+  walk fol;
+  Array.of_seq (Hashtbl.to_seq_keys seen)
+
+let drifted ~recorded ~current =
+  current > plan_drift_factor * recorded || recorded > plan_drift_factor * current
+
+type staleness =
+  | Fresh
+  | Emptiness_changed
+  | Drifted
+
+(* The two questions of DESIGN §9, in order. Answers: only the arms
+   pruned over empty predicates can make a reformulation wrong, and
+   the emptiness epoch advances whenever the set of empty predicates
+   changes. Cost: a drift check per read predicate, skipped while the
+   layout's fact count is the one the last check passed at — so a hit
+   with no insert since compares two ints. *)
+let plan_staleness e strategy p =
+  if data_independent strategy then Fresh
+  else if Rdbms.Layout.empty_epoch e.layout <> p.p_empty_epoch then Emptiness_changed
+  else
+    let facts = Rdbms.Layout.total_facts e.layout in
+    if facts = p.p_checked_facts then Fresh
+    else
+      let rec moved i =
+        i < Array.length p.p_reads
+        && (drifted ~recorded:p.p_cards.(i) ~current:(cardinality e.layout p.p_reads.(i))
+           || moved (i + 1))
+      in
+      if moved 0 then Drifted
+      else begin
+        p.p_checked_facts <- facts;
+        Fresh
+      end
+
+(* The lookup's predicate: counts why a cost-based plan is searched
+   again. *)
+let plan_valid e strategy p =
+  match plan_staleness e strategy p with
+  | Fresh -> true
+  | Emptiness_changed ->
+    Obs.Metrics.incr m_epoch_researches;
+    false
+  | Drifted ->
+    Obs.Metrics.incr m_stale_researches;
+    false
+
 let plan_for e tbox strategy q =
   let key = plan_key e tbox strategy q in
-  let generation = e.generation in
-  match Cache.Lru.find ~valid:(plan_valid strategy ~generation) plan_cache key with
+  match Cache.Lru.find ~valid:(plan_valid e strategy) plan_cache key with
   | Some p -> p, true
   | None ->
+    (* read before the search: the epoch its emptiness snapshot uses *)
+    let empty_epoch = Rdbms.Layout.empty_epoch e.layout in
+    let facts = Rdbms.Layout.total_facts e.layout in
     let epoch = feedback_epoch e in
     let covered, dropped = covered_query tbox strategy q in
     let fol, factorised = search e tbox strategy covered in
+    let reads = if data_independent strategy then [||] else read_set fol in
     let fresh =
       {
         p_reformulation = fol;
@@ -259,13 +350,16 @@ let plan_for e tbox strategy q =
         p_covered = covered;
         p_dropped = dropped;
         p_factorised = factorised;
-        p_generation = generation;
+        p_empty_epoch = empty_epoch;
+        p_reads = reads;
+        p_cards = Array.map (cardinality e.layout) reads;
+        p_checked_facts = facts;
       }
     in
-    (* The first writer keeps the slot. A racing caller's plan from
-       another generation stays there but is not served to this one. *)
+    (* The first writer keeps the slot. A racing caller's plan that no
+       longer holds stays there but is not served to this one. *)
     let stored = Cache.Lru.add_if_absent plan_cache key fresh in
-    (if plan_valid strategy ~generation stored then stored else fresh), false
+    (if plan_staleness e strategy stored = Fresh then stored else fresh), false
 
 (* {1 The query pipeline}
 

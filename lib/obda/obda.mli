@@ -139,8 +139,8 @@ val answer : engine -> Dllite.Tbox.t -> strategy -> Query.Cq.t -> outcome
     step goes through the {{!section-plan_cache}plan cache}: a repeated
     query (same engine, TBox and strategy, equal canonical form)
     replays the memoised reformulation instead of searching again,
-    unless it is a cost-based plan searched under an older KB
-    generation. *)
+    unless it is a cost-based plan whose data has since moved (see
+    {!plan_drift_factor}). *)
 
 val answers_exn : engine -> Dllite.Tbox.t -> strategy -> Query.Cq.t -> string list list
 (** Convenience: the answers of {!answer}, raising [Failure] on engine
@@ -158,10 +158,12 @@ val estimator : engine -> cost_source -> Optimizer.Estimator.t
     delta buffers ({!Rdbms.Storage}), indexes and statistics are
     maintained in place, and invalidation is {e predicate-scoped} —
     only the materialised fragment views that read the touched
-    concept/role are dropped. Cost-based plans of the updated engine
-    are searched again on their next lookup; plans of the
-    data-independent strategies and of other engines survive updates
-    outright. Consistency of the update is
+    concept/role are dropped. A cost-based plan is searched again on
+    its next lookup only when an insert filled a predicate that was
+    empty, or grew a predicate the plan reads past
+    {!plan_drift_factor} times the cardinality its search saw; plans
+    of the data-independent strategies survive updates outright.
+    Consistency of the update is
     the caller's concern ({!Dllite.Kb.check_consistency} /
     {!Reform.Consistency}). *)
 
@@ -172,30 +174,43 @@ val insert_role : engine -> role:string -> subj:string -> obj:string -> bool
 
 val generation : engine -> int
 (** The engine's KB generation: starts at [0], advances on every
-    accepted insert. Every cached plan records the generation it was
-    searched under, so a cost-based cover search is never replayed
-    after an update to its engine. *)
+    accepted insert. Server replies carry it, so a client can order
+    its reads against its writes; plan validity does not depend on
+    it. *)
 
 (** {2:plan_cache Plan cache}
 
     One process-wide bounded LRU memoising the outcome of the
     optimisation step — the chosen cover and compiled reformulation —
-    keyed by (engine, TBox version, strategy, canonical query). Each
-    plan records the engine generation it was searched under, and one
-    validity rule decides whether a lookup may serve it: plans of the
-    data-independent strategies ([Ucq]/[Uscq]/[Croot]) are functions of
-    the TBox and query alone and always hold; plans of the cost-based
-    strategies ([Gdl]/[Gdl_limited]/[Edl]) hold only while their
-    engine's generation is unchanged. A lookup that finds an invalid
-    plan drops it and counts a miss and an invalidation, and the fresh
-    search is stored under the same key. Repeated-query traffic skips
-    PerfectRef and the EDL/GDL cover search entirely, and the atom
-    reduction of the cost-based strategies with them: the key is the
-    caller's query, not the reduced one. A replayed plan returns the
-    same answers as a fresh search: the data-independent
-    reformulations hold for any data, and the cost-based ones, which
-    drop the arms over predicates empty at search time (DESIGN §15.4),
-    are replayed only within the generation they were searched in. *)
+    keyed by (engine, TBox version, strategy, canonical query). One
+    validity rule decides whether a lookup may serve a plan. Plans of
+    the data-independent strategies ([Ucq]/[Uscq]/[Croot]) are
+    functions of the TBox and query alone and always hold. A plan of
+    a cost-based strategy ([Gdl]/[Gdl_limited]/[Edl]) records the
+    layout's emptiness epoch ({!Rdbms.Layout.empty_epoch}) it was
+    searched under and the cardinality of every concept and role its
+    reformulation reads, and holds while
+    - the epoch is unchanged, so every predicate it pruned as empty
+      still is: the replayed plan returns the same answers as a fresh
+      search;
+    - every recorded cardinality is within {!plan_drift_factor} of its
+      current value, in either direction: the cover it replays was
+      chosen under statistics at most that far off on anything it
+      reads.
+
+    A lookup that finds an invalid plan drops it and counts a miss, an
+    invalidation, and one of [cache.plan.epoch_researches] or
+    [cache.plan.stale_researches]; the fresh search is stored under
+    the same key. On a hit with no insert since the last check, the
+    check compares two ints. Repeated-query traffic skips PerfectRef
+    and the EDL/GDL cover search entirely, and the atom reduction of
+    the cost-based strategies with them: the key is the caller's
+    query, not the reduced one. *)
+
+val plan_drift_factor : int
+(** [2]: how far, in either direction, the cardinality of a predicate
+    a cached cost-based plan reads may move from the one its search
+    saw before the plan is searched again. *)
 
 val default_plan_cache_capacity : int
 (** Capacity of the plan cache, in entries. *)

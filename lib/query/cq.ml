@@ -222,7 +222,17 @@ let is_canonical_name = function
 type names = {
   mutable mapping : (string * Term.t) list;
   mutable next : int;
+  taken : Term.t list;  (* the head variables spelled like a canonical name *)
 }
+
+(* The next canonical name no head variable uses: an existential that
+   took a head variable's name would merge the two, so that
+   [q(_c0) <- R(_c0,y)] and [q(_c0) <- R(_c0,_c0)] would share one
+   canonical form. *)
+let rec fresh_name names =
+  let t = canonical_name names.next in
+  names.next <- names.next + 1;
+  if List.exists (Term.equal t) names.taken then fresh_name names else t
 
 let map_term names rank t =
   match t with
@@ -230,15 +240,14 @@ let map_term names rank t =
     match List.assoc_opt v names.mapping with
     | Some t' -> t'
     | None ->
-      let t' = canonical_name names.next in
-      names.next <- names.next + 1;
+      let t' = fresh_name names in
       names.mapping <- (v, t') :: names.mapping;
       t')
   | _ -> t
 
 (* One pass over a body whose variables outside [head] are
    existential; the flag tells whether the sorted keys were pairwise
-   distinct and no head variable is spelled like a canonical name. *)
+   distinct. *)
 let canonical_atoms head body =
   let atoms = Array.of_list body in
   let n = Array.length atoms in
@@ -252,7 +261,7 @@ let canonical_atoms head body =
     if compare_keys atoms.(i - 1) ranks.(i - 1) atoms.(i) ranks.(i) = 0 then
       distinct := false
   done;
-  let names = { mapping = []; next = 0 } in
+  let names = { mapping = []; next = 0; taken = List.filter is_canonical_name head } in
   for i = 0 to n - 1 do
     let r = ranks.(i) in
     atoms.(i) <-
@@ -271,7 +280,7 @@ let canonical_atoms head body =
     if i = n - 1 || not (Atom.equal atoms.(i) atoms.(i + 1)) then
       body := atoms.(i) :: !body
   done;
-  !body, !distinct && not (List.exists is_canonical_name head)
+  !body, !distinct
 
 let canonical_pass q =
   let body, settled = canonical_atoms q.head q.body in
@@ -287,28 +296,39 @@ let equal q1 q2 = compare q1 q2 = 0
 
 (* On symmetric bodies (e.g. [R(u,v) ∧ R(v,u)]) a single pass is not
    idempotent: the name assignment can flip on every application. The
-   canonical form is therefore the least body (w.r.t. [compare])
-   along the pass trajectory, which every element of the trajectory
-   also maps into — making the result a true fixpoint.
+   passes from any body run into a cycle, and the canonical form is the
+   least body (w.r.t. [compare]) on that cycle: the passes from it run
+   round the same cycle, so it is its own canonical form. The least
+   body of the whole walk would not be: a body before the cycle is
+   never met again ([q(x0) <- R2(x2,x3) ∧ A2(x0) ∧ R2(x3,x1)] passes to
+   [R2(_c0,_c2) ∧ R2(_c1,_c0)], which passes to the fixpoint
+   [R2(_c1,_c0) ∧ R2(_c2,_c1)]). A walk that meets no cycle within its
+   fuel keeps the least body it met.
 
    The walk is skipped when the first pass reports distinct keys. The
-   pass only renamed existential variables, injectively (no head
-   variable shares a canonical name), so every atom keeps its key; with
-   distinct keys the sorted order no longer depends on the input, the
-   second pass meets the variables in the same order, renames each to
-   itself and returns its input, which ends the walk at [first]. *)
+   pass only renamed existential variables, injectively and never to a
+   head variable's name, so every atom keeps its key; with distinct
+   keys the sorted order no longer depends on the input, the second
+   pass meets the variables in the same order, renames each to itself
+   and returns its input, which is the cycle. *)
+let least l = List.fold_left (fun best c -> if compare c best < 0 then c else best) (List.hd l) l
+
+(* [walked] holds the walk's bodies, the latest first. *)
+let rec walk walked fuel =
+  if fuel = 0 then least walked
+  else
+    let next = fst (canonical_pass (List.hd walked)) in
+    let rec cycle acc = function
+      | [] -> None
+      | c :: rest -> if equal c next then Some (c :: acc) else cycle (c :: acc) rest
+    in
+    match cycle [] walked with
+    | Some on_cycle -> least on_cycle
+    | None -> walk (next :: walked) (fuel - 1)
+
 let canonicalize q =
-  let rec walk current best seen fuel =
-    if fuel = 0 then best
-    else
-      let next = fst (canonical_pass current) in
-      if List.exists (equal next) seen then best
-      else
-        let best = if compare next best < 0 then next else best in
-        walk next best (next :: seen) (fuel - 1)
-  in
   let first, settled = canonical_pass q in
-  if settled then first else walk first first [ first ] 8
+  if settled then first else walk [ first ] 8
 
 (* Extends [s] so that term [t1] of the source maps to term [t2] of the
    target; unlike unification, the target side is never bound. *)

@@ -55,24 +55,21 @@ val rename_apart : avoid:Term.Set.t -> t -> t
 (** Renames existential variables so that they avoid the given set. *)
 
 val canonicalize : t -> t
-(** Renames existential variables to a canonical sequence determined by
-    a deterministic atom ordering, and sorts the body. Two CQs that are
+(** Renames existential variables to a canonical sequence ([_c0],
+    [_c1] …, skipping any name a head variable uses) determined by a
+    deterministic atom ordering, and sorts the body. Two CQs that are
     syntactically identical up to existential renaming receive the same
     canonical form (the converse may fail for rare symmetric bodies,
-    which is harmless for its use as a duplicate filter). *)
+    which is harmless for its use as a duplicate filter); equal
+    canonical forms mean the two CQs are renamings of each other.
+    Idempotent except on bodies whose renaming passes meet no cycle
+    within the walk's fuel (long chains of existential variables). *)
 
 val canonical_body : head:Term.t list -> Atom.t list -> Atom.t list
 (** One pass of {!canonicalize} over a body, without building a CQ:
     the variables outside [head] are existential. Equal results mean
-    the two bodies are renamings of each other that fix [head] (when
-    no head variable {!is_canonical_name}); two renamings of a
-    symmetric body may give different results. *)
-
-val is_canonical_name : Term.t -> bool
-(** Whether the term is a variable spelled like the names
-    {!canonicalize} gives existential variables ([_c…]). Such a head
-    variable can coincide with a renamed existential, so callers that
-    compare canonical forms as renamings refuse those heads. *)
+    the two bodies are renamings of each other that fix [head]; two
+    renamings of a symmetric body may give different results. *)
 
 val compare : t -> t -> int
 (** Syntactic comparison (use after {!canonicalize} for set semantics). *)

@@ -71,10 +71,8 @@ let split outs groups (arm : Cq.t) =
   Unionfind.rollback groups mark;
   slots
 
-(* Canonical forms name existentials [_c0], [_c1] …; an output variable
-   spelled like one could coincide with a renamed existential. *)
 let distinct_vars out =
-  List.for_all (fun t -> Term.is_var t && not (Cq.is_canonical_name t)) out
+  List.for_all Term.is_var out
   && List.length (List.sort_uniq Term.compare out) = List.length out
 
 (* A union of k slots with d_1 … d_k parts each has Σ d_i CQs and is a

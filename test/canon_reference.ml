@@ -4,8 +4,14 @@
    [Hashtbl], and the walk always runs. Tests compare
    {!Query.Cq.canonicalize} against it and the naive reformulation
    oracle ({!Reform_reference}) keys its seen-set on it; nothing in
-   [lib/] uses it. The only edit to the original text: the result is
-   rebuilt with [Cq.make], since [Cq.t] is private outside [Cq]. *)
+   [lib/] uses it. The edits to the original text: the result is
+   rebuilt with [Cq.make], since [Cq.t] is private outside [Cq]; an
+   existential variable skips the canonical names a head variable
+   already uses (the original gave [q(_c0) <- R(_c0,y)] and
+   [q(_c0) <- R(_c0,_c0)] one form); and the walk returns the least
+   body of the cycle the passes run into, not of the whole walk (the
+   original was not idempotent when that body came before the
+   cycle). *)
 
 open Query
 
@@ -41,8 +47,12 @@ let canonicalize_pass q =
         match Hashtbl.find_opt mapping v with
         | Some t' -> t'
         | None ->
-          let t' = Term.Var (Printf.sprintf "_c%d" !next) in
-          incr next;
+          let rec fresh () =
+            let t' = Term.Var (Printf.sprintf "_c%d" !next) in
+            incr next;
+            if Term.Set.mem t' hv then fresh () else t'
+          in
+          let t' = fresh () in
           Hashtbl.add mapping v t';
           t'
       end
@@ -64,18 +74,23 @@ let equal q1 q2 = compare q1 q2 = 0
 
 (* On symmetric bodies (e.g. [R(u,v) ∧ R(v,u)]) a single pass is not
    idempotent: the name assignment can flip on every application. The
-   canonical form is therefore the least body (w.r.t. [compare])
-   along the pass trajectory, which every element of the trajectory
-   also maps into — making the result a true fixpoint. *)
+   canonical form is therefore the least body (w.r.t. [compare]) on
+   the cycle the passes run into, whose passes run round the same
+   cycle — making the result a true fixpoint. *)
 let canonicalize q =
-  let rec walk current best seen fuel =
-    if fuel = 0 then best
-    else
-      let next = canonicalize_pass current in
-      if List.exists (equal next) seen then best
-      else
-        let best = if compare next best < 0 then next else best in
-        walk next best (next :: seen) (fuel - 1)
+  let least l =
+    List.fold_left (fun best c -> if compare c best < 0 then c else best) (List.hd l) l
   in
-  let first = canonicalize_pass q in
-  walk first first [ first ] 8
+  let rec walk walked fuel =
+    if fuel = 0 then least walked
+    else
+      let next = canonicalize_pass (List.hd walked) in
+      let rec cycle acc = function
+        | [] -> None
+        | c :: rest -> if equal c next then Some (c :: acc) else cycle (c :: acc) rest
+      in
+      match cycle [] walked with
+      | Some on_cycle -> least on_cycle
+      | None -> walk (next :: walked) (fuel - 1)
+  in
+  walk [ canonicalize_pass q ] 8

@@ -294,6 +294,63 @@ let test_unary_part_pruned_by_probe () =
     (fun (_, probe, part) -> check_bool "part rows <= probe rows" true (part <= probe))
     unary_joins
 
+(* The plan-cache criterion under ingest at LUBM scale: an engine over
+   the first 5k facts of the generator stream takes the next 640 in 20
+   batches of 32, and GDL/ext reads Q1–Q13 after every batch. Inserts
+   into predicates already holding facts keep the cost-based plans, so
+   more than 90% of the reads replay a cached plan; the grown engine
+   still returns the UCQ's answers of an engine built fresh from the
+   same facts. *)
+let test_plan_hits_under_ingest () =
+  let base = 5_000 and batches = 20 and batch = 32 in
+  let total = base + (batches * batch) in
+  let facts = ref [] in
+  ignore
+    (Lubm.Generator.generate_into ~target_facts:total
+       ~add_concept:(fun ~concept ~ind -> facts := `C (concept, ind) :: !facts)
+       ~add_role:(fun ~role ~subj ~obj -> facts := `R (role, subj, obj) :: !facts)
+       ());
+  let facts = Array.sub (Array.of_list (List.rev !facts)) 0 total in
+  let abox_of n =
+    let a = Abox.create () in
+    for i = 0 to n - 1 do
+      match facts.(i) with
+      | `C (concept, ind) -> Abox.add_concept a ~concept ~ind
+      | `R (role, subj, obj) -> Abox.add_role a ~role ~subj ~obj
+    done;
+    a
+  in
+  let tbox = Lubm.Ontology.tbox in
+  let queries = List.map (fun (e : Lubm.Workload.entry) -> e.query) Lubm.Workload.queries in
+  let grown = Obda.make_engine `Pglite `Simple (abox_of base) in
+  let gdl = Obda.Gdl Obda.Ext_cost in
+  Obda.clear_plan_cache ();
+  let s0 = Obda.plan_cache_stats () in
+  let read () = List.map (Obda.answers_exn grown tbox gdl) queries in
+  ignore (read ());
+  for b = 0 to batches - 1 do
+    for i = base + (b * batch) to base + ((b + 1) * batch) - 1 do
+      match facts.(i) with
+      | `C (concept, ind) -> ignore (Obda.insert_concept grown ~concept ~ind)
+      | `R (role, subj, obj) -> ignore (Obda.insert_role grown ~role ~subj ~obj)
+    done;
+    ignore (read ())
+  done;
+  let s1 = Obda.plan_cache_stats () in
+  let hits = s1.Cache.Lru.hits - s0.Cache.Lru.hits
+  and misses = s1.Cache.Lru.misses - s0.Cache.Lru.misses in
+  check_int "every read looked a plan up" ((batches + 1) * List.length queries) (hits + misses);
+  let ratio = float_of_int hits /. float_of_int (hits + misses) in
+  if ratio <= 0.9 then Alcotest.failf "plan hit ratio %.3f (%d hits, %d misses)" ratio hits misses;
+  let fresh = Obda.make_engine `Pglite `Simple (abox_of total) in
+  List.iter2
+    (fun (e : Lubm.Workload.entry) got ->
+      Alcotest.(check (list (list string)))
+        (e.name ^ ": grown GDL = fresh UCQ")
+        (Obda.answers_exn fresh tbox Obda.Ucq e.query)
+        got)
+    Lubm.Workload.queries (read ())
+
 let suite =
   [
     Alcotest.test_case "star prefixes shrink" `Slow test_star_prefix_answers_shrink;
@@ -303,6 +360,8 @@ let suite =
       test_gdl_never_worse_than_croot_estimate;
     Alcotest.test_case "factorised leaves (Q1-Q13, GDL/ext)" `Quick
       test_factorised_leaves_pinned;
+    Alcotest.test_case "plan hits under ingest (Q1-Q13, GDL/ext, 5k + 20x32)" `Quick
+      test_plan_hits_under_ingest;
     Alcotest.test_case "unary part pruned by the probe side (Q10, GDL/RDBMS)" `Quick
       test_unary_part_pruned_by_probe;
     Alcotest.test_case "vocabulary counts" `Quick test_vocabulary_counts;

@@ -266,47 +266,84 @@ let test_plan_cache_hit_skips_reduction () =
   Alcotest.(check (list (list string)))
     "answers = UCQ" (Obda.answers_exn engine example1_tbox Obda.Ucq q) (answers_of warm)
 
-(* Updating the data bumps the engine generation: cached plans keyed
-   on the old generation become unreachable and the next call
-   recomputes, seeing the new fact. *)
+let counter name = Obs.Metrics.counter_value (Option.get (Obs.Metrics.find_counter name))
+
+let epoch_researches () = counter "cache.plan.epoch_researches"
+
+let stale_researches () = counter "cache.plan.stale_researches"
+
+(* Filling an empty predicate advances the emptiness epoch, so a GDL
+   plan that pruned the predicate's arms is searched again and the new
+   fact reaches the answers. In Example 1 [PhDStudent] has no stored
+   fact, so the cold plan drops its arm; [PhDStudent(Ioana)] then makes
+   Ioana (who works with Francois) an answer that only that arm finds. *)
 let test_plan_cache_invalidation () =
   Obda.clear_plan_cache ();
-  let engine = Obda.make_engine `Pglite `Simple (example7_abox ()) in
+  let engine = Obda.make_engine `Pglite `Simple (example1_abox ()) in
   let strategy = Obda.Gdl Obda.Ext_cost in
-  let g0 = Obda.generation engine in
-  let before = Obda.answer engine example7_tbox strategy example7_query in
-  check_bool "warms the cache" true
-    (Obda.answer engine example7_tbox strategy example7_query).Obda.plan_cached;
-  ignore (Obda.insert_concept engine ~concept:"PhDStudent" ~ind:"Eve");
-  ignore (Obda.insert_concept engine ~concept:"Graduate" ~ind:"Eve");
-  check_bool "generation bumped" true (Obda.generation engine > g0);
-  let after = Obda.answer engine example7_tbox strategy example7_query in
-  check_bool "stale plan not served" false after.Obda.plan_cached;
-  check_bool "pre-update answers not replayed" true
-    (answers_of before <> answers_of after);
-  check_bool "new fact visible" true (List.mem [ "Eve" ] (answers_of after))
+  let before = Obda.answer engine example1_tbox strategy example3_query in
+  check_bool "Ioana not an answer yet" false (List.mem [ "Ioana" ] (answers_of before));
+  let e0 = epoch_researches () and d0 = stale_researches () in
+  check_bool "insert accepted" true
+    (Obda.insert_concept engine ~concept:"PhDStudent" ~ind:"Ioana");
+  let after = Obda.answer engine example1_tbox strategy example3_query in
+  check_bool "plan searched again" false after.Obda.plan_cached;
+  Alcotest.(check int) "one epoch re-search" 1 (epoch_researches () - e0);
+  Alcotest.(check int) "no drift re-search" 0 (stale_researches () - d0);
+  check_bool "new fact visible" true (List.mem [ "Ioana" ] (answers_of after));
+  Alcotest.(check (list (list string)))
+    "answers = UCQ"
+    (Obda.answers_exn engine example1_tbox Obda.Ucq example3_query)
+    (answers_of after)
 
-(* Invalidation is strategy-scoped: data-independent plans (functions
-   of TBox and query alone) survive updates; cost-based plans are
-   recomputed because their cover optimised against stale statistics. *)
+(* An insert into a non-empty predicate keeps every plan: the GDL plan
+   is replayed (a hit, no re-search) and still finds the new answer,
+   since only pruned arms could miss it. The data-independent plans
+   survive every insert, including the ones that fill an empty
+   predicate or grow a read predicate past the drift bound. *)
 let test_plan_cache_update_scoping () =
   Obda.clear_plan_cache ();
   let engine = Obda.make_engine `Pglite `Simple (example1_abox ()) in
-  ignore (Obda.answer engine example1_tbox Obda.Ucq example3_query);
-  ignore (Obda.answer engine example1_tbox (Obda.Gdl Obda.Ext_cost) example3_query);
+  let gdl = Obda.Gdl Obda.Ext_cost in
+  let independent = [ Obda.Ucq; Obda.Uscq; Obda.Croot ] in
+  let all = gdl :: independent in
+  List.iter (fun s -> ignore (Obda.answer engine example1_tbox s example3_query)) all;
+  (* supervisedBy: 2 -> 3 facts, within the bound *)
   ignore (Obda.insert_role engine ~role:"supervisedBy" ~subj:"Zed" ~obj:"Ioana");
-  let ucq = Obda.answer engine example1_tbox Obda.Ucq example3_query in
-  check_bool "data-independent plan survives the update" true ucq.Obda.plan_cached;
-  let gdl = Obda.answer engine example1_tbox (Obda.Gdl Obda.Ext_cost) example3_query in
-  check_bool "cost-based plan recomputed after the update" false gdl.Obda.plan_cached;
-  (* the surviving plan still sees the new data and both agree *)
-  check_bool "new answer through the cached plan" true
-    (List.mem [ "Zed" ] (answers_of ucq));
-  check_bool "strategies agree post-update" true (answers_of ucq = answers_of gdl)
+  let s0 = Obda.plan_cache_stats () in
+  let kept = Obda.answer engine example1_tbox gdl example3_query in
+  let s1 = Obda.plan_cache_stats () in
+  check_bool "cost-based plan kept" true kept.Obda.plan_cached;
+  Alcotest.(check int) "the read is a hit" 1 (s1.Cache.Lru.hits - s0.Cache.Lru.hits);
+  check_bool "new answer through the kept plan" true (List.mem [ "Zed" ] (answers_of kept));
+  (* an empty concept filled, then supervisedBy grown 3 -> 7 facts *)
+  ignore (Obda.insert_concept engine ~concept:"PhDStudent" ~ind:"Ann");
+  for i = 1 to 4 do
+    ignore
+      (Obda.insert_role engine ~role:"supervisedBy" ~subj:(Printf.sprintf "w%d" i)
+         ~obj:"Ann")
+  done;
+  List.iter
+    (fun s ->
+      check_bool
+        (Obda.strategy_name s ^ " plan survives every insert")
+        true (Obda.answer engine example1_tbox s example3_query).Obda.plan_cached)
+    independent;
+  let reference = Obda.answers_exn engine example1_tbox Obda.Ucq example3_query in
+  check_bool "Ann is an answer" true (List.mem [ "Ann" ] reference);
+  List.iter
+    (fun s ->
+      Alcotest.(check (list (list string)))
+        (Obda.strategy_name s ^ " agrees post-update")
+        reference
+        (Obda.answers_exn engine example1_tbox s example3_query))
+    all
 
-(* A cost-based plan goes stale only when its own engine's data
-   changes: an insert into engine [a] leaves engine [b]'s GDL plan,
-   searched under [b]'s unchanged generation, in the cache. *)
+(* Each engine's plans are checked against its own store: an insert
+   into engine [a] leaves engine [b]'s GDL plan cached with unchanged
+   answers. [a]'s plan survives its own insert into a non-empty role
+   too, and sees the new fact; only filling an empty predicate of [a]
+   re-searches [a]'s plan, and [b]'s still hits. *)
 let test_plan_cache_other_engine_insert () =
   Obda.clear_plan_cache ();
   let abox = example1_abox () in
@@ -320,13 +357,22 @@ let test_plan_cache_other_engine_insert () =
   check_bool "b's plan survives an insert into a" true warm.Obda.plan_cached;
   check_bool "b's answers unchanged" true (answers_of cold = answers_of warm);
   let a_after = Obda.answer a example1_tbox strategy example3_query in
-  check_bool "a's plan re-searched" false a_after.Obda.plan_cached;
-  check_bool "a sees its new fact" true (List.mem [ "Zed" ] (answers_of a_after))
+  check_bool "a's plan survives an insert into a non-empty role" true
+    a_after.Obda.plan_cached;
+  check_bool "a sees its new fact" true (List.mem [ "Zed" ] (answers_of a_after));
+  ignore (Obda.insert_concept a ~concept:"PhDStudent" ~ind:"Ioana");
+  check_bool "a's plan re-searched once its empty concept fills" false
+    (Obda.answer a example1_tbox strategy example3_query).Obda.plan_cached;
+  check_bool "b's plan still served" true
+    (Obda.answer b example1_tbox strategy example3_query).Obda.plan_cached
 
-(* A re-searched plan replaces its stale entry under the same key:
-   five insert -> read cycles leave one GDL entry, and each post-insert
-   lookup counts one miss and one invalidation, never a hit. The UCQ
-   plan of the same query stays cached throughout. *)
+(* Growing a read predicate past twice the cardinality the search saw
+   re-searches the plan, counted as one stale re-search, one miss and
+   one invalidation; the re-searched plan takes the old key, so nine
+   insert -> read cycles leave one GDL entry. The plan reads
+   [supervisedBy] alone, which starts with two facts: the reads after
+   it holds 5 and 11 facts re-search (5 > 2·2, 11 > 2·5), the other
+   seven hit. The UCQ plan stays cached throughout. *)
 let test_plan_cache_one_entry_across_inserts () =
   Obda.clear_plan_cache ();
   let engine = Obda.make_engine `Pglite `Simple (example1_abox ()) in
@@ -334,21 +380,56 @@ let test_plan_cache_one_entry_across_inserts () =
   let check_int = Alcotest.(check int) in
   ignore (Obda.answer engine example1_tbox gdl example3_query);
   ignore (Obda.answer engine example1_tbox Obda.Ucq example3_query);
-  for i = 1 to 5 do
-    ignore
+  let searched_at = ref 2 in
+  for i = 1 to 9 do
+    check_bool "insert accepted" true
       (Obda.insert_role engine ~role:"supervisedBy" ~subj:(Printf.sprintf "s%d" i)
          ~obj:"Ioana");
-    let s0 = Obda.plan_cache_stats () in
+    let card = Rdbms.Layout.role_card (Obda.layout engine) "supervisedBy" in
+    let drifted = card > 2 * !searched_at in
+    let s0 = Obda.plan_cache_stats () and d0 = stale_researches () in
     let o = Obda.answer engine example1_tbox gdl example3_query in
     let s1 = Obda.plan_cache_stats () in
-    check_bool "cost-based plan re-searched" false o.Obda.plan_cached;
-    check_int "one miss" 1 (s1.Cache.Lru.misses - s0.Cache.Lru.misses);
-    check_int "one invalidation" 1 (s1.Cache.Lru.invalidations - s0.Cache.Lru.invalidations);
-    check_int "no hit" 0 (s1.Cache.Lru.hits - s0.Cache.Lru.hits);
+    let delta f = f s1 - f s0 in
+    let n = Bool.to_int drifted in
+    check_bool "searched again exactly past the bound" drifted (not o.Obda.plan_cached);
+    check_int "stale re-searches" n (stale_researches () - d0);
+    check_int "misses" n (delta (fun s -> s.Cache.Lru.misses));
+    check_int "invalidations" n (delta (fun s -> s.Cache.Lru.invalidations));
+    check_int "hits" (1 - n) (delta (fun s -> s.Cache.Lru.hits));
+    if drifted then searched_at := card;
     check_bool "UCQ plan stays cached" true
       (Obda.answer engine example1_tbox Obda.Ucq example3_query).Obda.plan_cached
   done;
+  check_int "last searched at 11 facts" 11 !searched_at;
   check_int "one GDL entry beside the UCQ entry" 2 (Obda.plan_cache_stats ()).Cache.Lru.entries
+
+(* Queries whose heads are spelled like canonical names keep apart
+   in the plan cache: [q(_c0) <- worksWith(_c0,y)] and
+   [q(_c0) <- worksWith(_c0,_c0)] once had one key, so the second was
+   served the first one's plan. Each must get its own answers, in
+   either order, on one engine. *)
+let test_plan_cache_head_named_like_canonical () =
+  let q1 = Query.Cq.make ~head:[ v "_c0" ] ~body:[ ra "worksWith" (v "_c0") (v "y") ] () in
+  let q2 = Query.Cq.make ~head:[ v "_c0" ] ~body:[ ra "worksWith" (v "_c0") (v "_c0") ] () in
+  let abox = example1_abox () in
+  let certain q = List.sort_uniq compare (Dllite.Chase.certain_answers example1_tbox abox q) in
+  check_bool "the queries differ" true (certain q1 <> certain q2);
+  List.iter
+    (fun order ->
+      Obda.clear_plan_cache ();
+      let engine = Obda.make_engine `Pglite `Simple abox in
+      List.iter
+        (fun strategy ->
+          List.iter
+            (fun q ->
+              Alcotest.(check (list (list string)))
+                (Obda.strategy_name strategy ^ ": own answers")
+                (certain q)
+                (answers_of (Obda.answer engine example1_tbox strategy q)))
+            order)
+        [ Obda.Ucq; Obda.Gdl Obda.Ext_cost ])
+    [ [ q1; q2 ]; [ q2; q1 ] ]
 
 (* The qcheck property behind the incremental-update path: an engine
    grown by a random interleaved insert script answers every query
@@ -598,6 +679,8 @@ let suite =
       test_plan_cache_other_engine_insert;
     Alcotest.test_case "plan cache keeps one entry across inserts" `Quick
       test_plan_cache_one_entry_across_inserts;
+    Alcotest.test_case "plan cache keeps heads named like canonical apart" `Quick
+      test_plan_cache_head_named_like_canonical;
     QCheck_alcotest.to_alcotest qcheck_grown_equals_fresh;
     Alcotest.test_case "emptiness epoch and reformulation cache" `Quick
       test_emptiness_epoch_and_cache;

@@ -86,6 +86,32 @@ let test_cq_canonicalize_stable () =
   in
   check_bool "same canonical form" true (Cq.equal (Cq.canonicalize q1) (Cq.canonicalize q2))
 
+(* An existential never takes a head variable's name: a head spelled
+   [_c0] used to merge with the renamed existential, so these two
+   queries shared one canonical form. *)
+let test_cq_canonical_head_names () =
+  let q1 = Cq.make ~head:[ v "_c0" ] ~body:[ ra "worksFor" (v "_c0") (v "y") ] () in
+  let q2 = Cq.make ~head:[ v "_c0" ] ~body:[ ra "worksFor" (v "_c0") (v "_c0") ] () in
+  Alcotest.(check string)
+    "existential renamed past the head" "q(_c0) <- worksFor(_c0,_c1)"
+    (Cq.to_string (Cq.canonicalize q1));
+  check_bool "distinct forms" false (Cq.equal (Cq.canonicalize q1) (Cq.canonicalize q2))
+
+(* The canonical form is the least body on the cycle of passes: here
+   the first pass gives [R2(_c0,_c2) ∧ R2(_c1,_c0)], whose own pass is
+   the fixpoint below. The least body of the whole walk was the first,
+   and canonicalising it again gave the second. *)
+let test_cq_canonical_idempotent_example () =
+  let q =
+    Cq.make ~head:[ v "x0" ]
+      ~body:[ ra "R2" (v "x2") (v "x3"); ca "A2" (v "x0"); ra "R2" (v "x3") (v "x1") ]
+      ()
+  in
+  let once = Cq.canonicalize q in
+  Alcotest.(check string)
+    "canonical form" "q(x0) <- A2(x0) ^ R2(_c1,_c0) ^ R2(_c2,_c1)" (Cq.to_string once);
+  check_bool "idempotent" true (Cq.equal once (Cq.canonicalize once))
+
 let test_cq_hom_containment () =
   (* q1(x) <- R(x,y) ^ A(y)  is contained in  q2(x) <- R(x,y). *)
   let q1 = Cq.make ~head:[ v "x" ] ~body:[ ra "R" (v "x") (v "y"); ca "A" (v "y") ] () in
@@ -470,6 +496,10 @@ let suite =
     Alcotest.test_case "cq unbound vars" `Quick test_cq_unbound;
     Alcotest.test_case "cq connectivity" `Quick test_cq_connected;
     Alcotest.test_case "cq canonical form" `Quick test_cq_canonicalize_stable;
+    Alcotest.test_case "cq canonical form keeps head names" `Quick
+      test_cq_canonical_head_names;
+    Alcotest.test_case "cq canonical form idempotent (pinned)" `Quick
+      test_cq_canonical_idempotent_example;
     Alcotest.test_case "cq hom containment" `Quick test_cq_hom_containment;
     Alcotest.test_case "cq hom constants" `Quick test_cq_hom_constants;
     Alcotest.test_case "cq minimize" `Quick test_cq_minimize;
