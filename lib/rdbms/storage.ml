@@ -23,6 +23,10 @@ type concept_table = {
   mutable col : Colstore.t;  (* sorted, deduplicated codes *)
   mutable c_tail : Ibuf.t;  (* pending inserts, disjoint from [col] *)
   members_c : int array option Atomic.t;  (* lazy merged decoded view *)
+  mutable c_prev : (int array * int) option;
+      (* the merged view the last insert dropped and the number of tail
+         rows it holds: the next view merges only the newer rows into
+         it instead of decoding the segments again *)
   member_set : Keytab.t option Atomic.t;  (* lazy index *)
 }
 
@@ -49,6 +53,7 @@ type role_table = {
   columns : (int array * int array) option Atomic.t;
       (* lazy merged columnar projection: (subjects, objects), shared
          zero-copy by every full scan of the role *)
+  mutable r_prev : (int array * int array * int) option;  (* as [c_prev] *)
 }
 
 type t = {
@@ -218,6 +223,7 @@ let fresh_concept_table ~segment_rows members =
     col = Colstore.of_array ~segment_rows ~sorted:true members;
     c_tail = Ibuf.create ();
     members_c = Atomic.make (Some members);
+    c_prev = None;
     member_set = Atomic.make None;
   }
 
@@ -240,6 +246,7 @@ let fresh_role_table ~segment_rows subs objs =
     hist_subject = Atomic.make None;
     hist_object = Atomic.make None;
     columns = Atomic.make (Some (subs, objs));
+    r_prev = None;
   }
 
 let of_abox ?(segment_rows = Colstore.default_segment_rows) abox =
@@ -293,12 +300,23 @@ let force_index cell build =
 (* Every decoded view presents the merged table: the sorted segment
    decode linearly merged with the (sorted, deduplicated) delta tail.
    Tail rows are disjoint from the segments by construction, so the
-   merge needs no dedup pass. *)
+   merge needs no dedup pass. After an insert the view is rebuilt from
+   the one the insert dropped: the tail rows pushed since are disjoint
+   from it too, and merging them skips decoding every segment again,
+   a large share of a read's cost on a store taking inserts between
+   reads. *)
+let tail_from buf k = Array.init (Ibuf.length buf - k) (fun i -> Ibuf.get buf (k + i))
+
 let concept_members ct =
   force_index ct.members_c (fun () ->
-      let base = Colstore.to_array ct.col in
-      if Ibuf.length ct.c_tail = 0 then base
-      else merge_ints base (sort_dedup_ints (Ibuf.to_array ct.c_tail)))
+      match ct.c_prev with
+      | Some (prev, k) ->
+        ct.c_prev <- None;
+        merge_ints prev (sort_dedup_ints (tail_from ct.c_tail k))
+      | None ->
+        let base = Colstore.to_array ct.col in
+        if Ibuf.length ct.c_tail = 0 then base
+        else merge_ints base (sort_dedup_ints (Ibuf.to_array ct.c_tail)))
 
 let concept_rows t name =
   match Hashtbl.find_opt t.concepts name with
@@ -309,11 +327,17 @@ let empty_cols : int array * int array = [||], [||]
 
 let role_columns rt =
   force_index rt.columns (fun () ->
-      let base = Colstore.to_array rt.scol, Colstore.to_array rt.ocol in
-      if Ibuf.length rt.rs_tail = 0 then base
-      else
-        merge_pair_cols base
-          (sort_dedup_pairs (Ibuf.to_array rt.rs_tail) (Ibuf.to_array rt.ro_tail)))
+      match rt.r_prev with
+      | Some (subs, objs, k) ->
+        rt.r_prev <- None;
+        merge_pair_cols (subs, objs)
+          (sort_dedup_pairs (tail_from rt.rs_tail k) (tail_from rt.ro_tail k))
+      | None ->
+        let base = Colstore.to_array rt.scol, Colstore.to_array rt.ocol in
+        if Ibuf.length rt.rs_tail = 0 then base
+        else
+          merge_pair_cols base
+            (sort_dedup_pairs (Ibuf.to_array rt.rs_tail) (Ibuf.to_array rt.ro_tail)))
 
 (* Decoded columnar projection of a role table, built once per table
    snapshot (CAS-published like the hash indexes, invalidated by
@@ -539,6 +563,7 @@ let compact_concept t ct =
     let members = concept_members ct in
     ct.col <- Colstore.of_array ~segment_rows:t.segment_rows ~sorted:true members;
     ct.c_tail <- Ibuf.create ();
+    ct.c_prev <- None;
     Atomic.set ct.members_c (Some members)
   end
 
@@ -549,6 +574,7 @@ let compact_role t rt =
     rt.ocol <- Colstore.of_array ~segment_rows:t.segment_rows objs;
     rt.rs_tail <- Ibuf.create ();
     rt.ro_tail <- Ibuf.create ();
+    rt.r_prev <- None;
     Atomic.set rt.columns (Some (subs, objs));
     (* re-derive the stats from the merged columns: resyncs any drift
        the incremental ndv maintenance could accumulate *)
@@ -581,6 +607,9 @@ let insert_concept t ~concept ~ind =
   else begin
     if fresh = 0 then t.empty_epoch <- t.empty_epoch + 1;
     Ibuf.push ct.c_tail code;
+    (match Atomic.get ct.members_c with
+    | Some m -> ct.c_prev <- Some (m, Ibuf.length ct.c_tail - 1)
+    | None -> ());
     Atomic.set ct.members_c None;
     t.total_facts <- t.total_facts + 1;
     if Ibuf.length ct.c_tail >= t.delta_rows then compact_concept t ct;
@@ -657,6 +686,9 @@ let insert_role t ~role ~subj ~obj =
       };
     Ibuf.push rt.rs_tail s;
     Ibuf.push rt.ro_tail o;
+    (match Atomic.get rt.columns with
+    | Some (subs, objs) -> rt.r_prev <- Some (subs, objs, Ibuf.length rt.rs_tail - 1)
+    | None -> ());
     Atomic.set rt.columns None;
     (* histograms are derived snapshots; rebuild lazily after updates *)
     Atomic.set rt.hist_subject None;
@@ -987,6 +1019,7 @@ let load file =
                     col;
                     c_tail = Ibuf.create ();
                     members_c = Atomic.make None;
+                    c_prev = None;
                     member_set = Atomic.make None;
                   }
               done;
@@ -1018,6 +1051,7 @@ let load file =
                     hist_subject = Atomic.make None;
                     hist_object = Atomic.make None;
                     columns = Atomic.make None;
+                    r_prev = None;
                   }
               done;
               if !check <> total then raise (Corrupt "fact count mismatch");

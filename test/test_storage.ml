@@ -336,6 +336,72 @@ let test_delta_merge_boundary () =
     (let f = Storage.of_abox final in
      decode f (Storage.concept_rows f "C"))
 
+(* A decoded view rebuilt after inserts merges the new tail rows into
+   the view the inserts dropped. Random inserts (duplicates included)
+   into a few small tables, reads between them that force the views,
+   random merge thresholds and a segment size of 2: after every step
+   each view holds exactly the facts inserted so far, strictly sorted
+   by code. *)
+let qcheck_views_across_inserts =
+  QCheck2.Test.make ~name:"delta: views rebuilt across inserts = facts so far" ~count:100
+    QCheck2.Gen.(int_bound 1_000_000)
+    (fun seed ->
+      let st = Random.State.make [| seed; 0x7A11 |] in
+      let s = Storage.of_abox ~segment_rows:2 (Dllite.Abox.create ()) in
+      Storage.set_delta_rows s (1 + Random.State.int st 6);
+      let ind () = Printf.sprintf "i%d" (Random.State.int st 12) in
+      let concepts = Hashtbl.create 4 and roles = Hashtbl.create 4 in
+      let decode = Dllite.Dict.decode (Storage.dict s) in
+      let ascending a =
+        let ok = ref true in
+        for i = 1 to Array.length a - 1 do
+          if compare a.(i - 1) a.(i) >= 0 then ok := false
+        done;
+        !ok
+      in
+      let holds rows decode_row set =
+        ascending rows
+        && List.sort compare (Array.to_list (Array.map decode_row rows))
+           = List.sort compare set
+      in
+      let views_hold () =
+        Hashtbl.fold
+          (fun c set ok -> ok && holds (Storage.concept_rows s c) decode !set)
+          concepts true
+        && Hashtbl.fold
+             (fun r set ok ->
+               ok && holds (Storage.role_rows s r) (fun (x, y) -> decode x, decode y) !set)
+             roles true
+      in
+      let add tbl k v =
+        let set =
+          match Hashtbl.find_opt tbl k with
+          | Some set -> set
+          | None ->
+            let set = ref [] in
+            Hashtbl.add tbl k set;
+            set
+        in
+        if not (List.mem v !set) then set := v :: !set
+      in
+      let ok = ref true in
+      for _ = 1 to 60 do
+        (if Random.State.bool st then begin
+           let concept = Printf.sprintf "C%d" (Random.State.int st 2) and ind = ind () in
+           ignore (Storage.insert_concept s ~concept ~ind);
+           add concepts concept ind
+         end
+         else begin
+           let role = Printf.sprintf "R%d" (Random.State.int st 2)
+           and subj = ind ()
+           and obj = ind () in
+           ignore (Storage.insert_role s ~role ~subj ~obj);
+           add roles role (subj, obj)
+         end);
+        if Random.State.int st 3 = 0 then ok := !ok && views_hold ()
+      done;
+      !ok && views_hold ())
+
 let test_incremental_index_order_matches_fresh () =
   (* satellite: the incrementally-maintained subject/object buckets
      keep the same (sorted) order a from-scratch index build produces,
@@ -437,6 +503,7 @@ let suite =
     Alcotest.test_case "scan: zone maps skip segments" `Quick
       test_zone_pruned_scan_skips;
     QCheck_alcotest.to_alcotest qcheck_zone_pruning_preserves_answers;
+    QCheck_alcotest.to_alcotest qcheck_views_across_inserts;
     Alcotest.test_case "scan: zone maps skip segments on the LUBM workload" `Quick
       test_zone_maps_skip_on_lubm;
     Alcotest.test_case "delta: tail facts visible everywhere" `Quick
