@@ -1,7 +1,7 @@
 (* obda-server: the concurrent OBDA endpoint.
 
    Loads a knowledge base the same way obda-cli does (generated LUBMe,
-   --data file, --rdf graph or an mmap --store), then serves the
+   --data file, --rdf graph or a --store file), then serves the
    newline-delimited JSON protocol of lib/server until SIGINT/SIGTERM.
    See DESIGN.md §13 for the protocol and README "Running the server"
    for a walkthrough. *)
@@ -11,7 +11,7 @@ open Common
 
 let store_arg =
   store_arg
-    ~doc:"Open the ABox from a binary column store (mmap; implies the simple layout). \
+    ~doc:"Open the ABox from a binary column store (implies the simple layout). \
           Overrides --data/--facts/--rdf."
 
 let tbox_arg = tbox_arg ~doc:"Load the TBox from $(docv) instead of the built-in LUBMe ontology."

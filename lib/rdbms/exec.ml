@@ -490,89 +490,6 @@ let sip_col ctx on dir left right =
   | [ c ], _, _ -> Some (c, dir)
   | _ -> None
 
-(* Zone-map-pruned segmented scan: when a sideways reducer binds a
-   column of a full variable scan on the simple layout, stream the
-   stored compressed segments directly ({!Physical.segments_scan}) and
-   let the reducer's exact key range discard whole segments off their
-   zone maps before any decoding. The table's pending delta tail rides
-   along as a final pseudo-segment (its min/max plays the zone map) —
-   without it a segment-streaming scan would miss facts inserted since
-   the last compaction. Only the uncached configuration takes this
-   path — the scan cache must store the canonical unfiltered relation,
-   so cached scans keep materialising. Row-level reducer filtering
-   still applies on top ([apply_sip]); the zone test is the
-   necessary-condition prefilter, never the membership test. *)
-let array_range a =
-  let n = Array.length a in
-  if n = 0 then None
-  else begin
-    let lo = ref a.(0) and hi = ref a.(0) in
-    for i = 1 to n - 1 do
-      if a.(i) < !lo then lo := a.(i);
-      if a.(i) > !hi then hi := a.(i)
-    done;
-    Some (!lo, !hi)
-  end
-
-let segmented_scan_op ctx (env : senv) atom =
-  if ctx.config.scan_cache || env = [] then None
-  else
-    match ctx.layout with
-    | Layout.Rdf _ -> None
-    | Layout.Simple s -> (
-      let zone_miss col r i =
-        let lo, hi = Colstore.zone col i in
-        not (Sip.overlaps_range r ~lo ~hi)
-      in
-      let range_miss range r =
-        match range with
-        | None -> true
-        | Some (lo, hi) -> not (Sip.overlaps_range r ~lo ~hi)
-      in
-      let count_scan () =
-        Atomic.incr ctx.counters.scans;
-        Obs.Metrics.incr m_scan_requests
-      in
-      match atom with
-      | Atom.Ca (p, Term.Var v) when List.mem_assoc v env -> (
-        match Storage.concept_col s p with
-        | None -> None
-        | Some col ->
-          let r = List.assoc v env in
-          let tail_col = Storage.concept_tail s p in
-          let tail_rng = array_range tail_col in
-          let nsegs = Colstore.seg_count col in
-          let skip i =
-            if i < nsegs then zone_miss col r i else range_miss tail_rng r
-          in
-          let decoded = Option.map (fun a -> [| a |]) (Storage.concept_decoded s p) in
-          count_scan ();
-          Some
-            (Physical.segments_scan ?decoded ~tail:[| tail_col |] ~cols:[| v |] ~skip
-               [| col |]))
-      | Atom.Ra (p, Term.Var v1, Term.Var v2)
-        when v1 <> v2 && (List.mem_assoc v1 env || List.mem_assoc v2 env) -> (
-        match Storage.role_colstores s p with
-        | None -> None
-        | Some (scol, ocol) ->
-          let tail_s, tail_o = Storage.role_tail s p in
-          let rng_s = array_range tail_s and rng_o = array_range tail_o in
-          let nsegs = Colstore.seg_count scol in
-          let side col rng v i =
-            match List.assoc_opt v env with
-            | None -> false
-            | Some r -> if i < nsegs then zone_miss col r i else range_miss rng r
-          in
-          let skip i = side scol rng_s v1 i || side ocol rng_o v2 i in
-          let decoded =
-            Option.map (fun (subs, objs) -> [| subs; objs |]) (Storage.role_decoded s p)
-          in
-          count_scan ();
-          Some
-            (Physical.segments_scan ?decoded ~tail:[| tail_s; tail_o |]
-               ~cols:[| v1; v2 |] ~skip [| scol; ocol |]))
-      | _ -> None)
-
 (* {2 Plan compilation}
 
    [compile] turns a logical plan into an opened physical operator
@@ -640,14 +557,8 @@ let rec compile h ctx env plan =
   let fr = h.enter plan in
   match plan with
   | Plan.Scan atom ->
-    let op, cache =
-      match segmented_scan_op ctx env atom with
-      | Some op -> op, Uncached
-      | None ->
-        let rel, outcome = scan ctx atom in
-        Physical.of_relation rel, outcome
-    in
-    finish fr ~cache (apply_sip ?on_pruned:fr.on_pruned env op) []
+    let rel, cache = scan ctx atom in
+    finish fr ~cache (apply_sip ?on_pruned:fr.on_pruned env (Physical.of_relation rel)) []
   | Plan.Hash_join { left; right; on } -> compile_hash h ctx env fr None left right on
   | Plan.Merge_join { left; right; on } -> compile_merge h ctx env fr None left right on
   | Plan.Index_join { left; atom; probe_col } ->

@@ -16,6 +16,11 @@ let push b x =
   b.a.(b.len) <- x;
   b.len <- b.len + 1
 
+let insert b i x =
+  push b x;
+  Array.blit b.a i b.a (i + 1) (b.len - 1 - i);
+  b.a.(i) <- x
+
 let get b i = b.a.(i)
 
 let clear b = b.len <- 0

@@ -12,6 +12,10 @@ val length : t -> int
 
 val push : t -> int -> unit
 
+val insert : t -> int -> int -> unit
+(** [insert b i x] puts [x] at position [i <= length b], shifting the
+    elements from [i] on one place up: O(length b - i). *)
+
 val get : t -> int -> int
 (** [get b i] reads position [i < length b] (unchecked beyond array
     bounds). *)

@@ -83,31 +83,19 @@ let individual_count = function
   | Simple s -> Storage.individual_count s
   | Rdf r -> Rdf_layout.individual_count r
 
-(* Segment access: only the simple layout stores compressed columns;
-   the RDF wide tables keep their own representation. *)
-let concept_col t n =
-  match t with Simple s -> Storage.concept_col s n | Rdf _ -> None
-
-let role_colstores t n =
-  match t with Simple s -> Storage.role_colstores s n | Rdf _ -> None
-
 (* Histogram-backed selectivity for an equality on a role column,
-   refined by the zone maps: when the code falls outside every
-   segment's [min, max] the zone estimate is 0 and the value is
-   provably absent — a certainty the equi-depth histogram cannot
-   express (it answers a bucket average for any in-range code). A
-   nonzero zone estimate is per-segment [len/ndv], an average that
-   would erase the histogram's skew information, so the histogram
-   wins there. The RDF layout keeps only coarse statistics, like the
-   store it models. *)
+   refined to 0 when the code is provably absent
+   ({!Storage.role_code_absent}) — a certainty the equi-depth
+   histogram cannot express (it answers a bucket average for any
+   in-range code). The RDF layout keeps only coarse statistics, like
+   the store it models. *)
 let role_eq_rows t role side code =
   match t with
   | Simple s ->
     Option.map
       (fun h ->
-        match Storage.role_eq_zone_rows s role side code with
-        | Some 0 -> 0.
-        | _ -> Histogram.est_eq h code)
+        if Storage.role_code_absent s role side code then 0.
+        else Histogram.est_eq h code)
       (Storage.role_histogram s role side)
   | Rdf _ -> None
 

@@ -78,24 +78,16 @@ val empty_epoch : t -> int
 val individual_count : t -> int
 (** Number of distinct individuals in the dictionary. *)
 
-val concept_col : t -> string -> Colstore.t option
-(** The concept's compressed column ([None] on the RDF layout). *)
-
-val role_colstores : t -> string -> (Colstore.t * Colstore.t) option
-(** The role's compressed (subject, object) columns ([None] on the
-    RDF layout). *)
-
 val role_eq_rows : t -> string -> [ `Subject | `Object ] -> int -> float option
 (** Histogram-based estimate of the rows of a role whose subject or
-    object equals the given code. On the simple layout the zone maps
-    refine it to an exact [0.] when the code falls outside every
-    segment's range (provably absent). [None] when no histogram exists
-    — notably on the RDF layout. *)
+    object equals the given code. On the simple layout it is an exact
+    [0.] when the code is provably absent ({!Storage.role_code_absent}).
+    [None] when no histogram exists — notably on the RDF layout. *)
 
 val compact : t -> unit
-(** Folds any pending delta tails into encoded segments
+(** Folds any pending delta tails into the tables' arrays
     ({!Storage.compact}); a no-op on the RDF layout, which has no
-    segmented columns. *)
+    delta tails. *)
 
 val delta_fact_count : t -> int
 (** Pending (uncompacted) inserted facts ({!Storage.delta_fact_count});

@@ -36,70 +36,9 @@ let of_relation ?(batch_size = Batch.default_size) (r : Relation.t) =
   in
   { cols = r.Relation.cols; next; close = no_close }
 
-(* Segment-at-a-time scan over compressed columns. Batches are
-   zero-copy windows: over [decoded] (the stores' full decoded columns,
-   when the caller already holds them — nothing is decoded at all),
-   else over one decode of the current segment per column, made when
-   the scan enters the segment. [skip] consults the zone maps {e
-   before} any decoding — a skipped segment costs one predicate call,
-   its rows are never unpacked. The stores must be segment-aligned
-   (same [segment_rows], same length), which {!Storage} guarantees for
-   a role's two columns. [tail] streams a table's pending delta rows
-   (column arrays parallel to [stores]) as one final pseudo-segment,
-   windowed in place: [skip] is consulted for it at index
-   [seg_count], so reducers can range-test the tail the same way they
-   zone-test real segments. *)
-let segments_scan ?(batch_size = Batch.default_size) ?decoded ?(tail = [||]) ~cols
-    ~skip stores =
-  let nsegs =
-    if Array.length stores = 0 then 0 else Colstore.seg_count stores.(0)
-  in
-  let tail_len = if Array.length tail = 0 then 0 else Array.length tail.(0) in
-  let units = nsegs + if tail_len > 0 then 1 else 0 in
-  (* unit [i]'s rows, as column arrays and the offset they start at *)
-  let unit_data i =
-    if i >= nsegs then tail, 0
-    else
-      match decoded with
-      | Some full -> full, i * Colstore.segment_rows stores.(0)
-      | None -> Array.map (fun st -> Segment.decode (Colstore.seg st i)) stores, 0
-  in
-  let unit_len i =
-    if i < nsegs then Segment.length (Colstore.seg stores.(0) i) else tail_len
-  in
-  let si = ref 0 and off = ref 0 and data = ref [||] and base = ref 0 in
-  let rec next () =
-    if !si >= units then None
-    else begin
-      let seg_len = unit_len !si in
-      if !off = 0 && skip !si then begin
-        Colstore.note_segment ~skipped:true;
-        incr si;
-        next ()
-      end
-      else begin
-        if !off = 0 then begin
-          Colstore.note_segment ~skipped:false;
-          let d, b = unit_data !si in
-          data := d;
-          base := b
-        end;
-        let len = min batch_size (seg_len - !off) in
-        let b = { Batch.cols; data = !data; sel = None; off = !base + !off; len } in
-        off := !off + len;
-        if !off >= seg_len then begin
-          incr si;
-          off := 0
-        end;
-        Some b
-      end
-    end
-  in
-  { cols; next; close = no_close }
-
 (* Draining sink. When the batches are contiguous windows that tile
    the same backing columns from row 0 to their end — a scan of a
-   materialised relation or of decoded segments, renamed, projected or
+   materialised relation or of a stored table, renamed, projected or
    passed through a union — the relation adopts those columns with no
    copy. Otherwise the exact output size is known after the drain, so
    each column is filled once into an exactly-sized array. *)

@@ -23,30 +23,6 @@ val of_relation : ?batch_size:int -> Relation.t -> op
 (** Streams a materialised relation as contiguous zero-copy windows of
     [batch_size] (default {!Batch.default_size}) rows. *)
 
-val segments_scan :
-  ?batch_size:int ->
-  ?decoded:int array array ->
-  ?tail:int array array ->
-  cols:string array ->
-  skip:(int -> bool) ->
-  Colstore.t array ->
-  op
-(** Streams segment-aligned compressed columns (one {!Colstore.t} per
-    output column) in zero-copy windows of at most [batch_size] rows.
-    [skip i] is consulted once per segment {e before} decoding —
-    returning [true] (e.g. because a sideways-information-passing
-    reducer's key range misses the segment's zone map) drops all of
-    segment [i]'s rows at the cost of a single predicate call. Both
-    outcomes feed the {!Colstore} scan counters. A surviving segment is
-    decoded once, as the scan enters it, and windowed; with [decoded]
-    (the stores' full decoded columns, parallel to [stores]) the
-    windows are cut from those arrays and nothing is decoded. [tail]
-    (column arrays parallel to the stores — a table's pending delta
-    rows) streams as one final pseudo-segment after the real ones,
-    windowed in place, with [skip] consulted for it at index
-    [Colstore.seg_count]; when absent or empty the scan is exactly the
-    segments. *)
-
 val to_relation : op -> Relation.t
 (** Drains (and closes) an operator into a relation. A single whole
     batch adopts its backing arrays; otherwise the output columns are

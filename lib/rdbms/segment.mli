@@ -1,53 +1,43 @@
-(** One immutable compressed run of a column: up to {!Colstore}'s
-    segment size of dictionary codes, frame-of-reference encoded
-    (values are stored as [v - base]) and bit-packed into 64-bit
-    words. The words live in an [int64] {!Bigarray.Array1}, so an
-    in-memory segment and a slice of an mmapped file share one
-    representation — reopening a persisted store never copies or
-    re-encodes a payload.
-
-    Each segment carries its {e zone map}: the minimum ([base]),
-    maximum and number of distinct values of the run, letting scans
-    skip the whole segment — without decoding a single value — when a
-    predicate or semijoin reducer cannot intersect it. *)
-
-type words = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
+(** One run of a column as a store file holds it: up to 65,536
+    dictionary codes, frame-of-reference encoded (values are stored as
+    [v - base]) and bit-packed little-endian into 64-bit words. Its
+    frame — minimum ([base]), width, length and maximum — is what the
+    file's directory says about it. Only {!Storage.save} encodes and only
+    {!Storage.load} decodes: in memory a table is its plain sorted
+    arrays. *)
 
 type t = private {
-  base : int;  (** minimum value of the run (= zone-map min) *)
+  base : int;  (** minimum value of the run *)
   bits : int;  (** code width; 0 when the run is constant *)
   len : int;  (** number of rows *)
-  zmax : int;  (** zone-map max *)
-  ndv : int;  (** distinct values in the run *)
-  words : words;  (** [ceil (len * bits / 64)] packed words *)
+  zmax : int;  (** maximum value of the run *)
 }
 
-val encode : ?ndv:int -> int array -> off:int -> len:int -> t
-(** Encodes [len] values of the array starting at [off]. Values must
-    be non-negative (dictionary codes). [ndv] overrides the distinct
-    count when the caller already knows it (e.g. sorted input);
-    otherwise it is computed exactly. An empty slice yields a valid
-    zero-row segment. *)
+val frame : int array -> off:int -> len:int -> t
+(** The frame of the [len] values of the array starting at [off].
+    Values must be non-negative (dictionary codes). An empty slice
+    yields a valid zero-row run. *)
 
-val of_words :
-  base:int -> bits:int -> len:int -> zmax:int -> ndv:int -> words -> (t, string) result
-(** Reassembles a segment around an existing word array (a slice of an
-    mmapped file). Validates the invariants — width bounds, word
-    count, [base <= zmax], zero-width runs are constant — and reports
-    a human-readable reason instead of producing a segment that would
-    crash on access. *)
-
-val length : t -> int
-
-val get : t -> int -> int
-(** Random access to row [i] (unchecked beyond the packing bounds). *)
-
-val decode_slice : t -> off:int -> len:int -> int array
-(** Decodes rows [off, off+len) into a fresh array. *)
-
-val decode : t -> int array
+val of_fields : base:int -> bits:int -> len:int -> zmax:int -> (t, string) result
+(** A frame read from a file's directory. Validates the invariants —
+    width bounds, [base <= zmax], zero-width runs are constant, a word
+    count that fits an OCaml int — and reports a human-readable reason
+    instead of producing an entry that would crash on {!unpack}. *)
 
 val word_count : t -> int
+(** [ceil (len * bits / 64)] payload words. *)
 
 val bytes : t -> int
-(** Payload plus fixed per-segment metadata, in bytes. *)
+(** What the run takes in a file: its payload words plus its 48-byte
+    directory entry (the frame, the word offset and the distinct
+    count). *)
+
+val pack : t -> int array -> off:int -> Bytes.t
+(** The payload words of the run framed by [t] over the same slice, as
+    [8 * word_count t] little-endian bytes. *)
+
+val unpack : t -> Bytes.t -> int array -> at:int -> unit
+(** [unpack t words dst ~at] decodes the run from its payload bytes
+    (the first [8 * word_count t] of [words]) into [dst.(at) ..
+    dst.(at + t.len - 1)]. Every decoded value lies in
+    [[base, base + 2^bits)]. *)

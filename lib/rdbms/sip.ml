@@ -27,8 +27,6 @@ type t = {
   count : int;
       (* distinct keys for a bitset; insertions (an upper bound on
          distinct keys) for a Bloom filter *)
-  key_min : int;  (* exact bounds of the inserted keys, tracked at *)
-  key_max : int;  (* build time — sound for both representations *)
 }
 
 let next_id = Atomic.make 0
@@ -79,45 +77,27 @@ let next_id_value () = Atomic.fetch_and_add next_id 1
 let make_bitset ~domain iter =
   let bits = Bytes.make ((max 1 domain + 7) lsr 3) '\000' in
   let distinct = ref 0 in
-  let lo = ref max_int and hi = ref min_int in
   iter (fun v ->
       if v >= 0 && v < domain then begin
-        if v < !lo then lo := v;
-        if v > !hi then hi := v;
         if not (bit_get bits v) then begin
           bit_set bits v;
           incr distinct
         end
       end);
-  {
-    id = next_id_value ();
-    repr = Bitset { bits; domain };
-    count = !distinct;
-    key_min = !lo;
-    key_max = !hi;
-  }
+  { id = next_id_value (); repr = Bitset { bits; domain }; count = !distinct }
 
 let make_bloom ~count iter =
   let nbits = bloom_bit_count count in
   let mask = nbits - 1 in
   let bits = Bytes.make (nbits lsr 3) '\000' in
   let inserted = ref 0 in
-  let lo = ref max_int and hi = ref min_int in
   iter (fun v ->
-      if v < !lo then lo := v;
-      if v > !hi then hi := v;
       let p1, p2, p3 = bloom_probes mask v in
       bit_set bits p1;
       bit_set bits p2;
       bit_set bits p3;
       incr inserted);
-  {
-    id = next_id_value ();
-    repr = Bloom { bits; mask };
-    count = !inserted;
-    key_min = !lo;
-    key_max = !hi;
-  }
+  { id = next_id_value (); repr = Bloom { bits; mask }; count = !inserted }
 
 (* [of_iter ~domain ~count iter] builds a reducer from a key producer:
    [iter f] must call [f] once per key (duplicates allowed); [count]
@@ -148,15 +128,3 @@ let intersects t values =
   let n = Array.length values in
   let rec go i = i < n && (mem t values.(i) || go (i + 1)) in
   not (is_empty t) && go 0
-
-(* The exact [min, max] of the inserted keys: a membership-free
-   necessary condition, so a scan can discard a whole storage segment
-   whose zone map lies outside the range. Unlike [mem], the range is
-   exact even for the Bloom representation — it is tracked from the
-   actual insert stream, never from the filter bits. *)
-let range t = if is_empty t then None else Some (t.key_min, t.key_max)
-
-let overlaps_range t ~lo ~hi =
-  match range t with
-  | None -> false
-  | Some (kmin, kmax) -> kmax >= lo && kmin <= hi

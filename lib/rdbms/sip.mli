@@ -50,16 +50,3 @@ val kind_name : t -> string
 val id : t -> int
 (** Process-unique identity, keying the executor's per-run
     arm-emptiness memo. *)
-
-val range : t -> (int * int) option
-(** The exact [min, max] of the inserted keys; [None] when empty.
-    Exact for both representations (tracked from the insert stream,
-    not read off the filter bits), so it is a sound necessary
-    condition: a storage segment whose zone map does not overlap the
-    range cannot contain any reducer key. *)
-
-val overlaps_range : t -> lo:int -> hi:int -> bool
-(** Whether any inserted key may lie in [[lo, hi]] — the zone-map
-    pruning test. [false] proves no key of the reducer is in the
-    interval (and thus a segment with that zone map can be skipped
-    without decoding). *)

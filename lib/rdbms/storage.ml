@@ -3,30 +3,27 @@ type table_stats = {
   ndv : int array;
 }
 
-(* The ground truth of every table is its compressed segmented
-   column(s) ({!Colstore}): concept members sorted and deduplicated,
-   role pairs sorted by (subject, object) and deduplicated, so the
-   subject column is non-decreasing and frame-of-reference packs
-   tightly. Since PR 8 each table also carries a small unsorted {e
-   delta tail} of pending inserts, disjoint from the encoded segments
-   by construction (duplicates are rejected at insert time): a single
-   insert is an O(1) amortised buffer push, and a size-triggered
-   [compact] merges the tail back into proper segments. Flat decoded
-   arrays, hash indexes and histograms are all derived snapshots of
-   the {e merged} table (segments ∪ tail), built lazily and published
-   through [Atomic.t] so concurrent queries can race on first use:
-   both racers build the same value, a compare-and-set picks the
-   winner, and the atomic write orders the contents before the pointer
-   every reader dereferences. In-place maintenance ([insert_*],
-   [compact]) is not concurrent with query evaluation by contract. *)
+(* Every table is its plain arrays: concept members sorted and
+   deduplicated, role pairs sorted by (subject, object) and
+   deduplicated (§6.1's one indexed table per concept and role). Each
+   table also carries a small {e delta tail} of pending inserts, kept
+   in the table's order and disjoint from the arrays by construction
+   (duplicates are rejected at insert time): a single insert is a
+   binary search and a shift of at most [delta_rows] tail rows, and a
+   size-triggered [compact] adopts the merged table as the new
+   arrays. The merged view (arrays ∪ tail), the hash
+   indexes and the histograms are derived snapshots, built lazily and
+   published through [Atomic.t] so concurrent queries can race on
+   first use: both racers build the same value, a compare-and-set
+   picks the winner, and the atomic write orders the contents before
+   the pointer every reader dereferences. In-place maintenance
+   ([insert_*], [compact]) is not concurrent with query evaluation by
+   contract. The compressed segments of the file format exist only in
+   [save] and [load]. *)
 type concept_table = {
-  mutable col : Colstore.t;  (* sorted, deduplicated codes *)
-  mutable c_tail : Ibuf.t;  (* pending inserts, disjoint from [col] *)
-  members_c : int array option Atomic.t;  (* lazy merged decoded view *)
-  mutable c_prev : (int array * int) option;
-      (* the merged view the last insert dropped and the number of tail
-         rows it holds: the next view merges only the newer rows into
-         it instead of decoding the segments again *)
+  mutable members : int array;  (* sorted, deduplicated codes *)
+  mutable c_tail : Ibuf.t;  (* pending inserts, sorted, disjoint from [members] *)
+  merged_c : int array option Atomic.t;  (* lazy members ∪ tail *)
   member_set : Keytab.t option Atomic.t;  (* lazy index *)
 }
 
@@ -41,19 +38,18 @@ type role_index = {
 }
 
 type role_table = {
-  mutable scol : Colstore.t;  (* subjects, (s,o)-sorted *)
-  mutable ocol : Colstore.t;  (* objects, segment-aligned with scol *)
+  mutable subs : int array;  (* (s,o)-sorted, deduplicated pairs *)
+  mutable objs : int array;
+  mutable obj_range : int * int;  (* [objs]' (min, max); (1, 0) when empty *)
   mutable rs_tail : Ibuf.t;  (* pending subjects, parallel to ro_tail *)
-  mutable ro_tail : Ibuf.t;  (* pending objects *)
+  mutable ro_tail : Ibuf.t;  (* pending objects; pairs (s,o)-sorted *)
   mutable r_stats : table_stats;
   by_subject : role_index option Atomic.t;
   by_object : role_index option Atomic.t;
   hist_subject : Histogram.t option Atomic.t;  (* lazy column histograms *)
   hist_object : Histogram.t option Atomic.t;
-  columns : (int array * int array) option Atomic.t;
-      (* lazy merged columnar projection: (subjects, objects), shared
-         zero-copy by every full scan of the role *)
-  mutable r_prev : (int array * int array * int) option;  (* as [c_prev] *)
+  merged_r : (int array * int array) option Atomic.t;
+      (* lazy (subs, objs) ∪ tail, shared zero-copy by every full scan *)
 }
 
 type t = {
@@ -61,7 +57,6 @@ type t = {
   concepts : (string, concept_table) Hashtbl.t;
   roles : (string, role_table) Hashtbl.t;
   mutable total_facts : int;
-  segment_rows : int;
   mutable delta_rows : int;  (* tail length that triggers a merge *)
   uid : int;  (* process-unique, like [Dllite.Tbox.uid] *)
   mutable empty_epoch : int;
@@ -164,8 +159,8 @@ let count_distinct_arr a =
   Array.iter (fun v -> ignore (Keytab.intern1 seen v)) a;
   Keytab.length seen
 
-(* Linear merge of two sorted {e disjoint} arrays — how a decoded view
-   folds a sorted delta tail into the sorted segment decode without a
+(* Linear merge of two sorted {e disjoint} arrays — how a merged view
+   folds a sorted delta tail into the table's sorted arrays without a
    full re-sort. *)
 let merge_ints a b =
   let na = Array.length a and nb = Array.length b in
@@ -218,38 +213,59 @@ let merge_pair_cols (asub, aobj) (bsub, bobj) =
 
 (* {1 Table construction} *)
 
-let fresh_concept_table ~segment_rows members =
+let range a =
+  let n = Array.length a in
+  if n = 0 then 1, 0
+  else begin
+    let lo = ref a.(0) and hi = ref a.(0) in
+    for i = 1 to n - 1 do
+      if a.(i) < !lo then lo := a.(i);
+      if a.(i) > !hi then hi := a.(i)
+    done;
+    !lo, !hi
+  end
+
+let concept_table members =
   {
-    col = Colstore.of_array ~segment_rows ~sorted:true members;
+    members;
     c_tail = Ibuf.create ();
-    members_c = Atomic.make (Some members);
-    c_prev = None;
+    merged_c = Atomic.make None;
     member_set = Atomic.make None;
   }
 
 (* [subs]/[objs] must already be (s,o)-sorted and deduplicated. *)
-let fresh_role_table ~segment_rows subs objs =
-  let stats =
-    {
-      card = Array.length subs;
-      ndv = [| sorted_distinct subs; count_distinct_arr objs |];
-    }
+let role_table ?ndv subs objs =
+  let ndv =
+    match ndv with
+    | Some ndv -> ndv
+    | None -> [| sorted_distinct subs; count_distinct_arr objs |]
   in
   {
-    scol = Colstore.of_array ~segment_rows ~sorted:true subs;
-    ocol = Colstore.of_array ~segment_rows objs;
+    subs;
+    objs;
+    obj_range = range objs;
     rs_tail = Ibuf.create ();
     ro_tail = Ibuf.create ();
-    r_stats = stats;
+    r_stats = { card = Array.length subs; ndv };
     by_subject = Atomic.make None;
     by_object = Atomic.make None;
     hist_subject = Atomic.make None;
     hist_object = Atomic.make None;
-    columns = Atomic.make (Some (subs, objs));
-    r_prev = None;
+    merged_r = Atomic.make None;
   }
 
-let of_abox ?(segment_rows = Colstore.default_segment_rows) abox =
+let make ~dict ~concepts ~roles ~total_facts =
+  {
+    dict;
+    concepts;
+    roles;
+    total_facts;
+    delta_rows = default_delta_rows;
+    uid = fresh_uid ();
+    empty_epoch = 0;
+  }
+
+let of_abox abox =
   timed_load (fun () ->
       let concepts = Hashtbl.create 64 and roles = Hashtbl.create 64 in
       let total = ref 0 in
@@ -257,7 +273,7 @@ let of_abox ?(segment_rows = Colstore.default_segment_rows) abox =
         (fun name ->
           let members = sort_dedup_ints (Dllite.Abox.concept_members abox name) in
           total := !total + Array.length members;
-          Hashtbl.replace concepts name (fresh_concept_table ~segment_rows members))
+          Hashtbl.replace concepts name (concept_table members))
         (Dllite.Abox.concept_names abox);
       List.iter
         (fun name ->
@@ -266,18 +282,9 @@ let of_abox ?(segment_rows = Colstore.default_segment_rows) abox =
             sort_dedup_pairs (Array.map fst pairs) (Array.map snd pairs)
           in
           total := !total + Array.length subs;
-          Hashtbl.replace roles name (fresh_role_table ~segment_rows subs objs))
+          Hashtbl.replace roles name (role_table subs objs))
         (Dllite.Abox.role_names abox);
-      {
-        dict = Dllite.Abox.dict abox;
-        concepts;
-        roles;
-        total_facts = !total;
-        segment_rows;
-        delta_rows = default_delta_rows;
-        uid = fresh_uid ();
-        empty_epoch = 0;
-      })
+      make ~dict:(Dllite.Abox.dict abox) ~concepts ~roles ~total_facts:!total)
 
 let dict t = t.dict
 
@@ -297,26 +304,14 @@ let force_index cell build =
     if Atomic.compare_and_set cell None (Some v) then v
     else Option.get (Atomic.get cell)
 
-(* Every decoded view presents the merged table: the sorted segment
-   decode linearly merged with the (sorted, deduplicated) delta tail.
-   Tail rows are disjoint from the segments by construction, so the
-   merge needs no dedup pass. After an insert the view is rebuilt from
-   the one the insert dropped: the tail rows pushed since are disjoint
-   from it too, and merging them skips decoding every segment again,
-   a large share of a read's cost on a store taking inserts between
-   reads. *)
-let tail_from buf k = Array.init (Ibuf.length buf - k) (fun i -> Ibuf.get buf (k + i))
-
+(* A table with an empty tail is its arrays. Otherwise the view is the
+   arrays linearly merged with the sorted tail: tail rows are disjoint
+   from the arrays by construction, so the merge needs no dedup
+   pass. *)
 let concept_members ct =
-  force_index ct.members_c (fun () ->
-      match ct.c_prev with
-      | Some (prev, k) ->
-        ct.c_prev <- None;
-        merge_ints prev (sort_dedup_ints (tail_from ct.c_tail k))
-      | None ->
-        let base = Colstore.to_array ct.col in
-        if Ibuf.length ct.c_tail = 0 then base
-        else merge_ints base (sort_dedup_ints (Ibuf.to_array ct.c_tail)))
+  if Ibuf.length ct.c_tail = 0 then ct.members
+  else
+    force_index ct.merged_c (fun () -> merge_ints ct.members (Ibuf.to_array ct.c_tail))
 
 let concept_rows t name =
   match Hashtbl.find_opt t.concepts name with
@@ -326,22 +321,11 @@ let concept_rows t name =
 let empty_cols : int array * int array = [||], [||]
 
 let role_columns rt =
-  force_index rt.columns (fun () ->
-      match rt.r_prev with
-      | Some (subs, objs, k) ->
-        rt.r_prev <- None;
-        merge_pair_cols (subs, objs)
-          (sort_dedup_pairs (tail_from rt.rs_tail k) (tail_from rt.ro_tail k))
-      | None ->
-        let base = Colstore.to_array rt.scol, Colstore.to_array rt.ocol in
-        if Ibuf.length rt.rs_tail = 0 then base
-        else
-          merge_pair_cols base
-            (sort_dedup_pairs (Ibuf.to_array rt.rs_tail) (Ibuf.to_array rt.ro_tail)))
+  if Ibuf.length rt.rs_tail = 0 then rt.subs, rt.objs
+  else
+    force_index rt.merged_r (fun () ->
+        merge_pair_cols (rt.subs, rt.objs) (Ibuf.to_array rt.rs_tail, Ibuf.to_array rt.ro_tail))
 
-(* Decoded columnar projection of a role table, built once per table
-   snapshot (CAS-published like the hash indexes, invalidated by
-   insertion). Scan relations alias these arrays directly. *)
 let role_cols t name =
   match Hashtbl.find_opt t.roles name with
   | None -> empty_cols
@@ -354,7 +338,7 @@ let role_rows t name =
 let concept_stats t name =
   match Hashtbl.find_opt t.concepts name with
   | Some ct ->
-    let n = Colstore.length ct.col + Ibuf.length ct.c_tail in
+    let n = Array.length ct.members + Ibuf.length ct.c_tail in
     { card = n; ndv = [| n |] }
   | None -> { card = 0; ndv = [| 0 |] }
 
@@ -428,9 +412,9 @@ let empty_epoch t = t.empty_epoch
 let individual_count t = Dllite.Dict.size t.dict
 
 let warm t =
-  (* decode every column and build every lazy hash index up front; the
-     probe key -1 never matches (codes are non-negative) but forces
-     the index build all the same *)
+  (* merge every pending tail and build every lazy hash index up
+     front; the probe key -1 never matches (codes are non-negative) but
+     forces the index build all the same *)
   let tables = ref 0 in
   List.iter
     (fun c ->
@@ -447,40 +431,7 @@ let warm t =
     (role_names t);
   !tables
 
-(* {1 Segment access (zone-map pruned scans)} *)
-
-let concept_col t name =
-  Option.map (fun ct -> ct.col) (Hashtbl.find_opt t.concepts name)
-
-let role_colstores t name =
-  Option.map (fun rt -> rt.scol, rt.ocol) (Hashtbl.find_opt t.roles name)
-
-(* With an empty tail the merged view is the segments' decode,
-   concatenated: a segment scan can window it instead of decoding. *)
-let concept_decoded t name =
-  match Hashtbl.find_opt t.concepts name with
-  | Some ct when Ibuf.length ct.c_tail = 0 -> Atomic.get ct.members_c
-  | _ -> None
-
-let role_decoded t name =
-  match Hashtbl.find_opt t.roles name with
-  | Some rt when Ibuf.length rt.rs_tail = 0 -> Atomic.get rt.columns
-  | _ -> None
-
 (* {1 Delta tails} *)
-
-let empty_ints : int array = [||]
-
-let concept_tail t name =
-  match Hashtbl.find_opt t.concepts name with
-  | Some ct when Ibuf.length ct.c_tail > 0 -> Ibuf.to_array ct.c_tail
-  | _ -> empty_ints
-
-let role_tail t name =
-  match Hashtbl.find_opt t.roles name with
-  | Some rt when Ibuf.length rt.rs_tail > 0 ->
-    Ibuf.to_array rt.rs_tail, Ibuf.to_array rt.ro_tail
-  | _ -> empty_ints, empty_ints
 
 let touched_predicates t =
   let names = ref [] in
@@ -502,80 +453,62 @@ let set_delta_rows t n = t.delta_rows <- max 1 n
 
 let delta_rows t = t.delta_rows
 
-(* The zone estimate covers segments {e and} the pending tail: a
-   [Some 0] is a soundness claim ("provably absent") that must account
-   for rows not yet compacted into any segment. The tail contribution
-   is an exact count — the tail is at most [delta_rows] entries. *)
-let role_eq_zone_rows t name side code =
+(* A [true] is a soundness claim ("provably absent") that must account
+   for the rows of the pending tail too, at most [delta_rows] of
+   them. *)
+let role_code_absent t name side code =
   match Hashtbl.find_opt t.roles name with
-  | None -> None
+  | None -> true
   | Some rt ->
-    let col, tail =
+    let (lo, hi), tail =
       match side with
-      | `Subject -> rt.scol, rt.rs_tail
-      | `Object -> rt.ocol, rt.ro_tail
+      | `Subject ->
+        let n = Array.length rt.subs in
+        (if n = 0 then 1, 0 else rt.subs.(0), rt.subs.(n - 1)), rt.rs_tail
+      | `Object -> rt.obj_range, rt.ro_tail
     in
-    let in_tail = ref 0 in
+    let in_tail = ref false in
     for i = 0 to Ibuf.length tail - 1 do
-      if Ibuf.get tail i = code then incr in_tail
+      if Ibuf.get tail i = code then in_tail := true
     done;
-    Some (Colstore.eq_rows_est col code + !in_tail)
-
-(* {1 Footprint} *)
-
-let column_bytes t =
-  let acc = ref 0 in
-  Hashtbl.iter
-    (fun _ ct ->
-      acc := !acc + Colstore.bytes ct.col + (8 * Ibuf.length ct.c_tail))
-    t.concepts;
-  Hashtbl.iter
-    (fun _ rt ->
-      acc :=
-        !acc + Colstore.bytes rt.scol + Colstore.bytes rt.ocol
-        + (16 * Ibuf.length rt.rs_tail))
-    t.roles;
-  !acc
-
-let flat_bytes t =
-  let cells = ref 0 in
-  Hashtbl.iter
-    (fun _ ct -> cells := !cells + Colstore.length ct.col + Ibuf.length ct.c_tail)
-    t.concepts;
-  Hashtbl.iter
-    (fun _ rt ->
-      cells := !cells + (2 * (Colstore.length rt.scol + Ibuf.length rt.rs_tail)))
-    t.roles;
-  8 * !cells
+    (code < lo || code > hi) && not !in_tail
 
 (* {1 Incremental maintenance}
 
    An accepted insert is O(1) amortised: a hash-index duplicate probe
    (forced once, then maintained), a push onto the table's delta tail,
    in-place index and statistics maintenance, and an invalidation of
-   the decoded views (rebuilt lazily by a linear merge, never a full
+   the merged view (rebuilt lazily by a linear merge, never a full
    re-sort). Once a tail reaches [delta_rows] entries the table
-   compacts: the merged view is re-encoded into proper FOR/bit-packed
-   segments and the tail empties. *)
+   compacts: the merged view becomes the table's arrays and the tail
+   empties. *)
 
-let compact_concept t ct =
+(* Where a row goes in a sorted run of [n] rows: the first position
+   whose row is not [below] it. *)
+let insertion_point n below =
+  let lo = ref 0 and hi = ref n in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if below mid then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+let compact_concept ct =
   if Ibuf.length ct.c_tail > 0 then begin
-    let members = concept_members ct in
-    ct.col <- Colstore.of_array ~segment_rows:t.segment_rows ~sorted:true members;
+    ct.members <- concept_members ct;
     ct.c_tail <- Ibuf.create ();
-    ct.c_prev <- None;
-    Atomic.set ct.members_c (Some members)
+    Atomic.set ct.merged_c None
   end
 
-let compact_role t rt =
+let compact_role rt =
   if Ibuf.length rt.rs_tail > 0 then begin
     let subs, objs = role_columns rt in
-    rt.scol <- Colstore.of_array ~segment_rows:t.segment_rows ~sorted:true subs;
-    rt.ocol <- Colstore.of_array ~segment_rows:t.segment_rows objs;
+    rt.subs <- subs;
+    rt.objs <- objs;
+    rt.obj_range <- range objs;
     rt.rs_tail <- Ibuf.create ();
     rt.ro_tail <- Ibuf.create ();
-    rt.r_prev <- None;
-    Atomic.set rt.columns (Some (subs, objs));
+    Atomic.set rt.merged_r None;
     (* re-derive the stats from the merged columns: resyncs any drift
        the incremental ndv maintenance could accumulate *)
     rt.r_stats <-
@@ -586,8 +519,8 @@ let compact_role t rt =
   end
 
 let compact t =
-  Hashtbl.iter (fun _ ct -> compact_concept t ct) t.concepts;
-  Hashtbl.iter (fun _ rt -> compact_role t rt) t.roles
+  Hashtbl.iter (fun _ ct -> compact_concept ct) t.concepts;
+  Hashtbl.iter (fun _ rt -> compact_role rt) t.roles
 
 let insert_concept t ~concept ~ind =
   let code = Dllite.Dict.encode t.dict ind in
@@ -595,24 +528,22 @@ let insert_concept t ~concept ~ind =
     match Hashtbl.find_opt t.concepts concept with
     | Some ct -> ct
     | None ->
-      let ct = fresh_concept_table ~segment_rows:t.segment_rows [||] in
+      let ct = concept_table [||] in
       Hashtbl.add t.concepts concept ct;
       ct
   in
   (* duplicate probe against the member-set index (forced if absent),
-     not a linear scan of the decoded table *)
+     not a linear scan of the table *)
   let set = member_set ct in
   let fresh = Keytab.length set in
   if Keytab.intern1 set code < fresh then false
   else begin
     if fresh = 0 then t.empty_epoch <- t.empty_epoch + 1;
-    Ibuf.push ct.c_tail code;
-    (match Atomic.get ct.members_c with
-    | Some m -> ct.c_prev <- Some (m, Ibuf.length ct.c_tail - 1)
-    | None -> ());
-    Atomic.set ct.members_c None;
+    let tail = ct.c_tail in
+    Ibuf.insert tail (insertion_point (Ibuf.length tail) (fun i -> Ibuf.get tail i < code)) code;
+    Atomic.set ct.merged_c None;
     t.total_facts <- t.total_facts + 1;
-    if Ibuf.length ct.c_tail >= t.delta_rows then compact_concept t ct;
+    if Ibuf.length ct.c_tail >= t.delta_rows then compact_concept ct;
     true
   end
 
@@ -621,16 +552,12 @@ let insert_concept t ~concept ~ind =
    build. [None] when the code is already there. *)
 let bucket_insert arr v =
   let n = Array.length arr in
-  let lo = ref 0 and hi = ref n in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if arr.(mid) < v then lo := mid + 1 else hi := mid
-  done;
-  if !lo < n && arr.(!lo) = v then None
+  let i = insertion_point n (fun m -> arr.(m) < v) in
+  if i < n && arr.(i) = v then None
   else begin
     let out = Array.make (n + 1) v in
-    Array.blit arr 0 out 0 !lo;
-    Array.blit arr !lo out (!lo + 1) (n - !lo);
+    Array.blit arr 0 out 0 i;
+    Array.blit arr i out (i + 1) (n - i);
     Some out
   end
 
@@ -662,7 +589,7 @@ let insert_role t ~role ~subj ~obj =
     match Hashtbl.find_opt t.roles role with
     | Some rt -> rt
     | None ->
-      let rt = fresh_role_table ~segment_rows:t.segment_rows [||] [||] in
+      let rt = role_table [||] [||] in
       Hashtbl.add t.roles role rt;
       rt
   in
@@ -684,17 +611,20 @@ let insert_role t ~role ~subj ~obj =
           [| (rt.r_stats.ndv.(0) + if new_subject then 1 else 0);
              (rt.r_stats.ndv.(1) + if new_object then 1 else 0) |];
       };
-    Ibuf.push rt.rs_tail s;
-    Ibuf.push rt.ro_tail o;
-    (match Atomic.get rt.columns with
-    | Some (subs, objs) -> rt.r_prev <- Some (subs, objs, Ibuf.length rt.rs_tail - 1)
-    | None -> ());
-    Atomic.set rt.columns None;
+    let subs = rt.rs_tail and objs = rt.ro_tail in
+    let i =
+      insertion_point (Ibuf.length subs) (fun i ->
+          let si = Ibuf.get subs i in
+          si < s || (si = s && Ibuf.get objs i < o))
+    in
+    Ibuf.insert subs i s;
+    Ibuf.insert objs i o;
+    Atomic.set rt.merged_r None;
     (* histograms are derived snapshots; rebuild lazily after updates *)
     Atomic.set rt.hist_subject None;
     Atomic.set rt.hist_object None;
     t.total_facts <- t.total_facts + 1;
-    if Ibuf.length rt.rs_tail >= t.delta_rows then compact_role t rt;
+    if Ibuf.length rt.rs_tail >= t.delta_rows then compact_role rt;
     true
 
 let role_histogram t name side =
@@ -712,7 +642,7 @@ let role_histogram t name side =
 
    The multi-million-fact ingest path: assertions stream into growable
    unboxed buffers (one per table, no per-fact tuples or lists), then
-   [finish] sorts, deduplicates and encodes each column once. *)
+   [finish] sorts and deduplicates each table once. *)
 
 type storage = t
 
@@ -759,7 +689,7 @@ module Builder = struct
 
   let assertion_count b = b.b_assertions
 
-  let finish ?(segment_rows = Colstore.default_segment_rows) b : storage =
+  let finish b : storage =
     timed_load (fun () ->
         let concepts = Hashtbl.create 64 and roles = Hashtbl.create 64 in
         let total = ref 0 in
@@ -767,37 +697,31 @@ module Builder = struct
           (fun name buf ->
             let members = sort_dedup_ints (Ibuf.to_array buf) in
             total := !total + Array.length members;
-            Hashtbl.replace concepts name (fresh_concept_table ~segment_rows members))
+            Hashtbl.replace concepts name (concept_table members))
           b.b_concepts;
         Hashtbl.iter
           (fun name (sb, ob) ->
             let subs, objs = sort_dedup_pairs (Ibuf.to_array sb) (Ibuf.to_array ob) in
             total := !total + Array.length subs;
-            Hashtbl.replace roles name (fresh_role_table ~segment_rows subs objs))
+            Hashtbl.replace roles name (role_table subs objs))
           b.b_roles;
-        {
-          dict = b.b_dict;
-          concepts;
-          roles;
-          total_facts = !total;
-          segment_rows;
-          delta_rows = default_delta_rows;
-          uid = fresh_uid ();
-          empty_epoch = 0;
-        })
+        make ~dict:b.b_dict ~concepts ~roles ~total_facts:!total)
 end
 
 (* {1 Binary persistence}
 
    Versioned little-endian format. A small parsed part — header,
-   dictionary, per-table directory with zone maps — is followed by a
-   page-aligned payload of raw segment words. [load] parses the small
-   part, maps the payload once with [Unix.map_file], and hands every
-   segment a zero-copy sub-slice of the mapping: opening a store is
-   O(dictionary + segments), never O(rows), and two handles on one
-   file share the physical pages. Every read is bounds-checked and
-   every structural invariant revalidated, so a corrupt or truncated
-   file yields [Error _], not a crash. *)
+   dictionary, per-table directory — is followed by a page-aligned
+   payload of packed words. Each column is cut into runs of
+   [segment_rows] rows, and each run is frame-of-reference encoded
+   and bit-packed ({!Segment}); its directory entry holds the run's
+   word offset, minimum, width, length, maximum and distinct count.
+   [save] encodes every run and [load] decodes every run, so a loaded
+   store is the same plain arrays a built one is. [load] checks every
+   field against the file before using it, and every decoded table
+   against the invariants of the arrays (codes in the dictionary, rows
+   sorted and distinct), so a corrupt or truncated file yields
+   [Error _], not a crash. *)
 
 let magic = "OBDACOL1"
 
@@ -805,7 +729,12 @@ let format_version = 1
 
 let page_size = 4096
 
+(* Rows per run the writer cuts; the reader takes the header's value. *)
+let segment_rows = 65536
+
 exception Corrupt of string
+
+let corrupt msg = raise (Corrupt msg)
 
 module Writer = struct
   let int64 buf v = Buffer.add_int64_le buf (Int64.of_int v)
@@ -815,40 +744,58 @@ module Writer = struct
     Buffer.add_string buf s
 end
 
-(* The directory entry of one column assigns its segments consecutive
-   word offsets in the payload; [cursor] threads the running total. *)
-let dir_column buf cursor col =
-  Writer.int64 buf (Colstore.length col);
-  Writer.int64 buf (Colstore.seg_count col);
-  for i = 0 to Colstore.seg_count col - 1 do
-    let s = Colstore.seg col i in
-    Writer.int64 buf !cursor;
-    Writer.int64 buf s.Segment.base;
-    Writer.int64 buf s.Segment.bits;
-    Writer.int64 buf s.Segment.len;
-    Writer.int64 buf s.Segment.zmax;
-    Writer.int64 buf s.Segment.ndv;
-    cursor := !cursor + Segment.word_count s
-  done
+(* The runs of one column with the row each starts at: the writer's
+   sizing, which [column_bytes] shares. *)
+let runs a =
+  let n = Array.length a in
+  Array.init
+    ((n + segment_rows - 1) / segment_rows)
+    (fun i ->
+      let off = i * segment_rows in
+      off, Segment.frame a ~off ~len:(min segment_rows (n - off)))
 
-let write_column_words oc col =
-  for i = 0 to Colstore.seg_count col - 1 do
-    let s = Colstore.seg col i in
-    let nw = Segment.word_count s in
-    if nw > 0 then begin
-      let bytes = Bytes.create (8 * nw) in
-      for w = 0 to nw - 1 do
-        Bytes.set_int64_le bytes (8 * w) (Bigarray.Array1.get s.Segment.words w)
-      done;
-      output_bytes oc bytes
-    end
-  done
+(* Distinct values of one run: a boundary count on a sorted column, a
+   small hash table otherwise. *)
+let run_ndv ~sorted a ~off ~len =
+  let run = Array.sub a off len in
+  if sorted then sorted_distinct run else count_distinct_arr run
+
+(* The directory entry of one column assigns its runs consecutive
+   word offsets in the payload; [cursor] threads the running total. *)
+let dir_column buf cursor (a, sorted, runs) =
+  Writer.int64 buf (Array.length a);
+  Writer.int64 buf (Array.length runs);
+  Array.iter
+    (fun (off, (s : Segment.t)) ->
+      Writer.int64 buf !cursor;
+      Writer.int64 buf s.base;
+      Writer.int64 buf s.bits;
+      Writer.int64 buf s.len;
+      Writer.int64 buf s.zmax;
+      Writer.int64 buf (run_ndv ~sorted a ~off ~len:s.len);
+      cursor := !cursor + Segment.word_count s)
+    runs
+
+let write_column_words oc (a, _, runs) =
+  Array.iter (fun (off, s) -> output_bytes oc (Segment.pack s a ~off)) runs
 
 let save t file =
-  (* the on-disk format stores only encoded segments: fold any pending
-     delta tails into segments first so no fact is left behind *)
+  (* the file holds whole tables: fold any pending delta tails into
+     the arrays first so no fact is left behind *)
   compact t;
-  let cnames = concept_names t and rnames = role_names t in
+  let column ~sorted a = a, sorted, runs a in
+  let concepts =
+    List.map
+      (fun name -> name, column ~sorted:true (Hashtbl.find t.concepts name).members)
+      (concept_names t)
+  in
+  let roles =
+    List.map
+      (fun name ->
+        let rt = Hashtbl.find t.roles name in
+        name, rt.r_stats.ndv, column ~sorted:true rt.subs, column ~sorted:false rt.objs)
+      (role_names t)
+  in
   let dir = Buffer.create (1 lsl 16) in
   let n = Dllite.Dict.size t.dict in
   for c = 0 to n - 1 do
@@ -856,20 +803,18 @@ let save t file =
   done;
   let cursor = ref 0 in
   List.iter
-    (fun name ->
-      let ct = Hashtbl.find t.concepts name in
+    (fun (name, col) ->
       Writer.str dir name;
-      dir_column dir cursor ct.col)
-    cnames;
+      dir_column dir cursor col)
+    concepts;
   List.iter
-    (fun name ->
-      let rt = Hashtbl.find t.roles name in
+    (fun (name, ndv, scol, ocol) ->
       Writer.str dir name;
-      Writer.int64 dir rt.r_stats.ndv.(0);
-      Writer.int64 dir rt.r_stats.ndv.(1);
-      dir_column dir cursor rt.scol;
-      dir_column dir cursor rt.ocol)
-    rnames;
+      Writer.int64 dir ndv.(0);
+      Writer.int64 dir ndv.(1);
+      dir_column dir cursor scol;
+      dir_column dir cursor ocol)
+    roles;
   let header_bytes = String.length magic + (8 * 8) in
   let payload_off =
     (header_bytes + Buffer.length dir + page_size - 1) / page_size * page_size
@@ -880,27 +825,60 @@ let save t file =
   Writer.int64 header payload_off;
   Writer.int64 header !cursor;
   Writer.int64 header n;
-  Writer.int64 header (List.length cnames);
-  Writer.int64 header (List.length rnames);
+  Writer.int64 header (List.length concepts);
+  Writer.int64 header (List.length roles);
   Writer.int64 header t.total_facts;
-  Writer.int64 header t.segment_rows;
-  let oc = open_out_bin file in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      Buffer.output_buffer oc header;
-      Buffer.output_buffer oc dir;
-      output_string oc
-        (String.make (payload_off - header_bytes - Buffer.length dir) '\000');
-      List.iter
-        (fun name -> write_column_words oc (Hashtbl.find t.concepts name).col)
-        cnames;
-      List.iter
-        (fun name ->
-          let rt = Hashtbl.find t.roles name in
-          write_column_words oc rt.scol;
-          write_column_words oc rt.ocol)
-        rnames)
+  Writer.int64 header segment_rows;
+  (* written beside the target and renamed over it, so a crash
+     mid-save never leaves a truncated store *)
+  let tmp = file ^ ".tmp" in
+  let oc = open_out_bin tmp in
+  match
+    Fun.protect
+      ~finally:(fun () -> close_out_noerr oc)
+      (fun () ->
+        Buffer.output_buffer oc header;
+        Buffer.output_buffer oc dir;
+        output_string oc
+          (String.make (payload_off - header_bytes - Buffer.length dir) '\000');
+        List.iter (fun (_, col) -> write_column_words oc col) concepts;
+        List.iter
+          (fun (_, _, scol, ocol) ->
+            write_column_words oc scol;
+            write_column_words oc ocol)
+          roles;
+        close_out oc)
+  with
+  | () -> Sys.rename tmp file
+  | exception e ->
+    (try Sys.remove tmp with Sys_error _ -> ());
+    raise e
+
+(* {1 Footprint} *)
+
+(* Per column: its runs' payload words and 48-byte entries, plus 32
+   bytes for the column's length and run count and its share of the
+   table's name and distinct counts. *)
+let column_bytes t =
+  let col a = Array.fold_left (fun acc (_, s) -> acc + Segment.bytes s) 32 (runs a) in
+  let acc = ref 0 in
+  Hashtbl.iter (fun _ ct -> acc := !acc + col (concept_members ct)) t.concepts;
+  Hashtbl.iter
+    (fun _ rt ->
+      let subs, objs = role_columns rt in
+      acc := !acc + col subs + col objs)
+    t.roles;
+  !acc
+
+let flat_bytes t =
+  let cells = ref 0 in
+  Hashtbl.iter
+    (fun _ ct -> cells := !cells + Array.length ct.members + Ibuf.length ct.c_tail)
+    t.concepts;
+  Hashtbl.iter
+    (fun _ rt -> cells := !cells + (2 * (Array.length rt.subs + Ibuf.length rt.rs_tail)))
+    t.roles;
+  8 * !cells
 
 module Reader = struct
   type r = {
@@ -913,48 +891,84 @@ module Reader = struct
   let make ic ~limit = { ic; pos = 0; limit; scratch = Bytes.create 8 }
 
   let int64 r =
-    if r.pos + 8 > r.limit then raise (Corrupt "truncated file");
+    if r.pos + 8 > r.limit then corrupt "truncated file";
     really_input r.ic r.scratch 0 8;
     r.pos <- r.pos + 8;
     let v = Int64.to_int (Bytes.get_int64_le r.scratch 0) in
-    if v < 0 then raise (Corrupt "negative field") else v
+    if v < 0 then corrupt "negative field" else v
 
   let str r =
     let len = int64 r in
-    if len > r.limit - r.pos then raise (Corrupt "truncated string");
+    if len > r.limit - r.pos then corrupt "truncated string";
     let b = Bytes.create len in
     really_input r.ic b 0 len;
     r.pos <- r.pos + len;
     Bytes.unsafe_to_string b
 end
 
-let read_column r ~payload ~payload_words ~segment_rows ~max_code =
+(* A column's directory entry, every field checked against the file
+   before anything is read through it: the column's length, and per
+   run the file position of its payload words and its frame. *)
+let read_column_dir r ~payload_off ~payload_words ~segment_rows ~max_code =
   let len = Reader.int64 r in
   let nsegs = Reader.int64 r in
-  if nsegs > 1 + (len / max 1 segment_rows) then raise (Corrupt "segment count");
-  let segs =
-    Array.init nsegs (fun _ ->
+  if nsegs <> (len / segment_rows) + if len mod segment_rows = 0 then 0 else 1 then
+    corrupt "segment count does not tile the column";
+  if nsegs > (r.Reader.limit - r.Reader.pos) / 48 then corrupt "truncated directory";
+  let runs =
+    Array.init nsegs (fun i ->
         let word_off = Reader.int64 r in
         let base = Reader.int64 r in
         let bits = Reader.int64 r in
         let slen = Reader.int64 r in
         let zmax = Reader.int64 r in
         let ndv = Reader.int64 r in
-        if zmax > max_code then raise (Corrupt "code out of dictionary range");
-        let nw = ((slen * bits) + 63) / 64 in
-        if word_off + nw > payload_words then raise (Corrupt "segment past payload");
-        let words =
-          if nw = 0 then
-            Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout 0
-          else Bigarray.Array1.sub payload word_off nw
+        if slen <> min segment_rows (len - (i * segment_rows)) then
+          corrupt "segment lengths do not tile the column";
+        if ndv > slen then corrupt "invalid distinct count";
+        let s =
+          match Segment.of_fields ~base ~bits ~len:slen ~zmax with
+          | Ok s -> s
+          | Error e -> corrupt e
         in
-        match Segment.of_words ~base ~bits ~len:slen ~zmax ~ndv words with
-        | Ok s -> s
-        | Error e -> raise (Corrupt e))
+        if zmax > max_code then corrupt "code out of dictionary range";
+        if word_off > payload_words - Segment.word_count s then
+          corrupt "segment past payload";
+        payload_off + (8 * word_off), s)
   in
-  match Colstore.of_segments ~segment_rows ~len segs with
-  | Ok col -> col
-  | Error e -> raise (Corrupt e)
+  len, runs
+
+(* [words] is a scratch buffer shared by every run of a load, grown to
+   the largest run, so reading leaves no garbage but the arrays. *)
+let read_column ic ~words ~max_code (len, runs) =
+  let a = Array.make len 0 in
+  let at = ref 0 in
+  Array.iter
+    (fun (pos, (s : Segment.t)) ->
+      let n = 8 * Segment.word_count s in
+      if Bytes.length !words < n then words := Bytes.create n;
+      seek_in ic pos;
+      really_input ic !words 0 n;
+      Segment.unpack s !words a ~at:!at;
+      at := !at + s.len)
+    runs;
+  Array.iter (fun v -> if v < 0 || v > max_code then corrupt "code out of dictionary range") a;
+  a
+
+let strictly_sorted a =
+  let ok = ref true in
+  for i = 1 to Array.length a - 1 do
+    if a.(i) <= a.(i - 1) then ok := false
+  done;
+  !ok
+
+let pairs_strictly_sorted subs objs =
+  let ok = ref true in
+  for i = 1 to Array.length subs - 1 do
+    if subs.(i) < subs.(i - 1) || (subs.(i) = subs.(i - 1) && objs.(i) <= objs.(i - 1))
+    then ok := false
+  done;
+  !ok
 
 let load file =
   timed_load (fun () ->
@@ -968,13 +982,13 @@ let load file =
               let file_len = in_channel_length ic in
               let m = Bytes.create (String.length magic) in
               (try really_input ic m 0 (String.length magic)
-               with End_of_file -> raise (Corrupt "truncated header"));
-              if Bytes.to_string m <> magic then raise (Corrupt "bad magic");
+               with End_of_file -> corrupt "truncated header");
+              if Bytes.to_string m <> magic then corrupt "bad magic";
               let r = Reader.make ic ~limit:file_len in
               r.Reader.pos <- String.length magic;
               let version = Reader.int64 r in
               if version <> format_version then
-                raise (Corrupt (Printf.sprintf "unsupported version %d" version));
+                corrupt (Printf.sprintf "unsupported version %d" version);
               let payload_off = Reader.int64 r in
               let payload_words = Reader.int64 r in
               let dict_count = Reader.int64 r in
@@ -982,95 +996,73 @@ let load file =
               let n_roles = Reader.int64 r in
               let total = Reader.int64 r in
               let segment_rows = Reader.int64 r in
-              if segment_rows <= 0 then raise (Corrupt "invalid segment size");
-              if payload_off + (8 * payload_words) > file_len then
-                raise (Corrupt "payload past end of file");
+              if segment_rows = 0 then corrupt "invalid segment size";
+              if payload_off > file_len || payload_words > (file_len - payload_off) / 8 then
+                corrupt "payload past end of file";
+              (* every row of a valid file costs at least one payload
+                 bit, or is a one-row run with its own 48-byte entry *)
+              if total > 9 * file_len then corrupt "fact count exceeds the file";
               let dict = Dllite.Dict.create () in
               for c = 0 to dict_count - 1 do
                 let s = Reader.str r in
-                if Dllite.Dict.encode dict s <> c then
-                  raise (Corrupt "duplicate dictionary entry")
+                if Dllite.Dict.encode dict s <> c then corrupt "duplicate dictionary entry"
               done;
-              let payload =
-                if payload_words = 0 then
-                  Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout 0
-                else begin
-                  let fd = Unix.openfile file [ Unix.O_RDONLY ] 0 in
-                  Fun.protect
-                    ~finally:(fun () -> Unix.close fd)
-                    (fun () ->
-                      Bigarray.array1_of_genarray
-                        (Unix.map_file fd ~pos:(Int64.of_int payload_off)
-                           Bigarray.int64 Bigarray.c_layout false
-                           [| payload_words |]))
-                end
-              in
               let max_code = dict_count - 1 in
-              let concepts = Hashtbl.create 64 and roles = Hashtbl.create 64 in
-              let check = ref 0 in
-              for _ = 1 to n_concepts do
-                let name = Reader.str r in
-                let col =
-                  read_column r ~payload ~payload_words ~segment_rows ~max_code
+              let remaining = ref total in
+              let column_dir () =
+                let ((len, _) as col) =
+                  read_column_dir r ~payload_off ~payload_words ~segment_rows ~max_code
                 in
-                check := !check + Colstore.length col;
-                Hashtbl.replace concepts name
-                  {
-                    col;
-                    c_tail = Ibuf.create ();
-                    members_c = Atomic.make None;
-                    c_prev = None;
-                    member_set = Atomic.make None;
-                  }
-              done;
-              for _ = 1 to n_roles do
-                let name = Reader.str r in
-                let ndv_s = Reader.int64 r in
-                let ndv_o = Reader.int64 r in
-                let scol =
-                  read_column r ~payload ~payload_words ~segment_rows ~max_code
-                in
-                let ocol =
-                  read_column r ~payload ~payload_words ~segment_rows ~max_code
-                in
-                let card = Colstore.length scol in
-                if Colstore.length ocol <> card then
-                  raise (Corrupt "role column lengths differ");
-                if ndv_s > card || ndv_o > card then
-                  raise (Corrupt "distinct count exceeds cardinality");
-                check := !check + card;
-                Hashtbl.replace roles name
-                  {
-                    scol;
-                    ocol;
-                    rs_tail = Ibuf.create ();
-                    ro_tail = Ibuf.create ();
-                    r_stats = { card; ndv = [| ndv_s; ndv_o |] };
-                    by_subject = Atomic.make None;
-                    by_object = Atomic.make None;
-                    hist_subject = Atomic.make None;
-                    hist_object = Atomic.make None;
-                    columns = Atomic.make None;
-                    r_prev = None;
-                  }
-              done;
-              if !check <> total then raise (Corrupt "fact count mismatch");
-              Ok
-                {
-                  dict;
-                  concepts;
-                  roles;
-                  total_facts = total;
-                  segment_rows;
-                  delta_rows = default_delta_rows;
-                  uid = fresh_uid ();
-                  empty_epoch = 0;
-                }
+                if len > !remaining then corrupt "fact count mismatch";
+                col
+              in
+              let concepts =
+                List.init n_concepts (fun _ ->
+                    let name = Reader.str r in
+                    let ((len, _) as col) = column_dir () in
+                    remaining := !remaining - len;
+                    name, col)
+              in
+              let roles =
+                List.init n_roles (fun _ ->
+                    let name = Reader.str r in
+                    let ndv_s = Reader.int64 r in
+                    let ndv_o = Reader.int64 r in
+                    let ((card, _) as scol) = column_dir () in
+                    let ((ocard, _) as ocol) = column_dir () in
+                    if ocard <> card then corrupt "role column lengths differ";
+                    if ndv_s > card || ndv_o > card then
+                      corrupt "distinct count exceeds cardinality";
+                    remaining := !remaining - card;
+                    name, [| ndv_s; ndv_o |], scol, ocol)
+              in
+              if !remaining <> 0 then corrupt "fact count mismatch";
+              let decode = read_column ic ~words:(ref Bytes.empty) ~max_code in
+              let ctables = Hashtbl.create 64 and rtables = Hashtbl.create 64 in
+              let add tbl name v =
+                if Hashtbl.mem tbl name then corrupt "duplicate table";
+                Hashtbl.add tbl name v
+              in
+              List.iter
+                (fun (name, col) ->
+                  let members = decode col in
+                  if not (strictly_sorted members) then
+                    corrupt "concept members not sorted and distinct";
+                  add ctables name (concept_table members))
+                concepts;
+              List.iter
+                (fun (name, ndv, scol, ocol) ->
+                  let subs = decode scol in
+                  let objs = decode ocol in
+                  if not (pairs_strictly_sorted subs objs) then
+                    corrupt "role pairs not sorted and distinct";
+                  add rtables name (role_table ~ndv subs objs))
+                roles;
+              Ok (make ~dict ~concepts:ctables ~roles:rtables ~total_facts:total)
             with
             | Corrupt msg -> Error (Printf.sprintf "%s: corrupt store (%s)" file msg)
             | End_of_file -> Error (Printf.sprintf "%s: corrupt store (truncated)" file)
-            | Sys_error e -> Error e
-            | Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)))
+            | Sys_error e -> Error e))
 
 let load_exn file =
   match load file with Ok t -> t | Error msg -> failwith msg

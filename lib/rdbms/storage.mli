@@ -2,12 +2,11 @@
     binary table per role, dictionary-encoded, deduplicated, with
     per-table statistics and hash indexes on each attribute.
 
-    Since PR 6 the ground truth of every table is a compressed
-    segmented column ({!Colstore}): frame-of-reference + bit-packed
-    runs with per-segment zone maps. Flat arrays, hash indexes and
-    histograms are decoded views, built lazily per table snapshot.
-    A store can be persisted to a versioned binary file and reopened
-    by mmap in O(segments) — see {!save} and {!load}. *)
+    Every table is its sorted, duplicate-free [int] arrays, plus a
+    small tail of pending inserts. Hash indexes and histograms are
+    built lazily per table snapshot. A store can be persisted to a
+    versioned binary file of compressed segments and read back — see
+    {!save} and {!load}; segments exist only in the file. *)
 
 type table_stats = {
   card : int;  (** number of (distinct) rows *)
@@ -16,10 +15,9 @@ type table_stats = {
 
 type t
 
-val of_abox : ?segment_rows:int -> Dllite.Abox.t -> t
+val of_abox : Dllite.Abox.t -> t
 (** Load an ABox: dictionary-encode, sort, deduplicate (one in-place
-    pass per column), gather stats, and compress into segments of
-    [segment_rows] rows (default {!Colstore.default_segment_rows}). *)
+    pass per column) and gather stats. *)
 
 val dict : t -> Dllite.Dict.t
 (** The dictionary mapping individual names to integer codes. *)
@@ -31,8 +29,9 @@ val role_names : t -> string list
 (** Roles with at least one stored pair. *)
 
 val concept_rows : t -> string -> int array
-(** Sorted, duplicate-free members of the concept ([||] if absent).
-    Decoded lazily from the segments; callers must not mutate. *)
+(** Sorted, duplicate-free members of the concept ([||] if absent):
+    the table's own array, or its lazily merged view while inserts are
+    pending. Callers must not mutate it. *)
 
 val role_rows : t -> string -> (int * int) array
 (** Duplicate-free pairs of the role, sorted by (subject, object); a
@@ -40,9 +39,10 @@ val role_rows : t -> string -> (int * int) array
     reference code, not hot paths). *)
 
 val role_cols : t -> string -> int array * int array
-(** The role's (subjects, objects) as two column arrays — the decoded
-    columnar projection of the stored segments, built lazily once per
-    table snapshot (safe to race from concurrent queries, replaced by
+(** The role's (subjects, objects) as two column arrays, sorted by
+    (subject, object): the table's own arrays, or their merged view
+    while inserts are pending (built lazily once per table snapshot,
+    safe to race from concurrent queries, replaced by
     {!insert_role}). Scan operators alias the arrays; callers must not
     mutate them. *)
 
@@ -79,55 +79,30 @@ val empty_epoch : t -> int
     unchanged. *)
 
 val warm : t -> int
-(** Forces every lazily-decoded column array and lazily-built hash
-    index (concept member sets, role subject/object indexes) so that
-    no query pays first-touch decoding cost. A store reopened with
-    {!load} is {e cold}: segments are mmapped but nothing is decoded
-    until a scan or index probe needs it, which makes the first timed
-    query after open misleadingly slow. Returns the number of tables
-    warmed. Safe to call concurrently with readers (the indexes are
-    CAS-published). *)
+(** Forces every lazily-built hash index (concept member sets, role
+    subject/object indexes) and every merged view of a pending tail,
+    so that no query pays first-touch cost. {!load} already decodes
+    every table; the indexes are built on first use, which makes the
+    first timed query after open misleadingly slow. Returns the number
+    of tables warmed. Safe to call concurrently with readers (the
+    indexes are CAS-published). *)
 
 val individual_count : t -> int
 (** Number of distinct individuals in the dictionary. *)
 
-(** {2 Segment access}
-
-    Direct access to the compressed columns, for zone-map-pruned scan
-    operators and segment-aware cardinality estimation. *)
-
-val concept_col : t -> string -> Colstore.t option
-(** The concept's compressed (sorted) member column. *)
-
-val role_colstores : t -> string -> (Colstore.t * Colstore.t) option
-(** The role's compressed (subject, object) columns; segment-aligned,
-    so segment [i] of both covers the same row range. *)
-
-val concept_decoded : t -> string -> int array option
-(** The concept's decoded member array, only when it is already built
-    and the table has no pending tail — then it is exactly the
-    segments' decode, concatenated, and a segment scan can window it
-    instead of decoding. *)
-
-val role_decoded : t -> string -> (int array * int array) option
-(** {!concept_decoded} for a role's (subject, object) columns. *)
-
-val role_eq_zone_rows : t -> string -> [ `Subject | `Object ] -> int -> int option
-(** Zone-map upper estimate of the rows whose [side] column equals a
-    code ({!Colstore.eq_rows_est}), plus the exact count of matching
-    rows in the pending delta tail; [Some 0] means the code provably
-    does not occur, [None] an absent role. *)
+val role_code_absent : t -> string -> [ `Subject | `Object ] -> int -> bool
+(** [true] when the code provably does not occur in the role's
+    [side] column: it lies outside the column's [min, max] and is not
+    in the pending delta tail. [true] for an absent role. *)
 
 (** {2 Delta tails}
 
-    Inserts do not rebuild segments: they append to a small unsorted
-    per-table tail, disjoint from the encoded segments by construction
-    (duplicates are rejected at insert time against the hash indexes).
-    Decoded views and indexes always present the merged table; scan
-    operators that stream raw segments must additionally read the tail
-    ({!concept_tail} / {!role_tail}) as a final mini-segment. Once a
-    tail reaches {!delta_rows} entries the table is compacted back
-    into proper FOR/bit-packed segments. *)
+    Inserts do not rebuild a table's arrays: they go into a small
+    per-table tail, kept in the table's sort order and disjoint from
+    the arrays by construction (duplicates are rejected at insert time
+    against the hash indexes). Row views and indexes always present
+    the merged table. Once a tail reaches {!delta_rows} entries the
+    table is compacted: the merged view becomes its arrays. *)
 
 val default_delta_rows : int
 
@@ -139,43 +114,37 @@ val set_delta_rows : t -> int -> unit
 (** Sets the compaction trigger (clamped to at least 1). Lowering it
     does not retroactively compact; call {!compact}. *)
 
-val concept_tail : t -> string -> int array
-(** The concept's pending (unsorted, duplicate-free) inserted codes —
-    rows present in no segment yet. A fresh copy; [[||]] when none. *)
-
-val role_tail : t -> string -> int array * int array
-(** The role's pending inserted (subjects, objects), parallel arrays in
-    insertion order. Fresh copies; [([||], [||])] when none. *)
-
 val touched_predicates : t -> string list
 (** Sorted names of the tables currently holding a non-empty delta
-    tail — the predicates whose segment set does not yet reflect every
-    stored fact. *)
+    tail — the predicates whose arrays do not yet hold every stored
+    fact. *)
 
 val delta_fact_count : t -> int
 (** Total pending tail rows across all tables. *)
 
 val compact : t -> unit
-(** Merges every pending tail into freshly encoded segments (a linear
-    merge per touched table, no full re-sort) and empties the tails.
-    Not concurrent with query evaluation, like [insert_*]. *)
+(** Makes every table's merged view (a linear merge per touched table,
+    no full re-sort) its arrays and empties the tails. Not concurrent
+    with query evaluation, like [insert_*]. *)
 
 val column_bytes : t -> int
-(** Encoded footprint of all stored columns (segment payload words
-    plus per-segment metadata). *)
+(** What the encoded columns take in the file {!save} would write:
+    segment payload words plus per-segment and per-column directory
+    bytes, computed by the writer's own sizing code. *)
 
 val flat_bytes : t -> int
-(** What the same values would occupy as flat 8-byte-per-value arrays
-    — the PR 5 representation, kept as the compression baseline. *)
+(** What the same values occupy as flat 8-byte-per-value arrays, the
+    in-memory form — the baseline {!column_bytes} compresses. *)
 
 (** {2 Incremental maintenance}
 
     Insertions keep tables deduplicated and update the live hash
     indexes and statistics in place, so a loaded database absorbs new
-    facts without a reload. An accepted insert is O(1) amortised: a
-    hash-index duplicate probe (the index is forced on first insert,
-    then maintained), a delta-tail push, and lazy invalidation of the
-    decoded views — never a per-fact segment rebuild. Index buckets
+    facts without a reload. An accepted insert costs a hash-index
+    duplicate probe (the index is forced on first insert, then
+    maintained), a sorted splice into the delta tail (at most
+    {!delta_rows} rows), and lazy invalidation of the merged view —
+    never a per-fact table rebuild. Index buckets
     are maintained in sorted (subject, object) position, so an
     incrementally-grown store and one built from scratch on the final
     facts expose identical indexes, bucket order included. *)
@@ -195,7 +164,7 @@ val role_histogram : t -> string -> [ `Subject | `Object ] -> Histogram.t option
 
     Ingest facts one at a time without materializing an intermediate
     {!Dllite.Abox.t}: assertions stream into growable unboxed buffers
-    and [finish] sorts, deduplicates and compresses each column once.
+    and [finish] sorts and deduplicates each table once.
     This is how the LUBM generator reaches tens of millions of facts
     without holding the row-form ABox in memory. *)
 
@@ -212,27 +181,29 @@ module Builder : sig
   (** Assertions streamed in so far (duplicates included — the same
       accounting as {!Dllite.Abox.size}). *)
 
-  val finish : ?segment_rows:int -> b -> t
+  val finish : b -> t
 end
 
 (** {2 Binary persistence}
 
     A versioned little-endian on-disk format ([OBDACOL1]): header,
-    dictionary and per-table directory with zone maps up front, then a
-    page-aligned payload of raw segment words. {!load} parses the
-    small front matter, maps the payload with [Unix.map_file], and
-    slices every segment out of the mapping zero-copy — opening a
-    store is O(dictionary + segments), not O(rows). *)
+    dictionary and per-table directory up front, then a page-aligned
+    payload of compressed segments — runs of 65,536 rows per column,
+    frame-of-reference encoded and bit-packed ({!Segment}). {!save}
+    encodes every table and {!load} decodes every table, O(rows) each
+    way. *)
 
 val save : t -> string -> unit
-(** Writes the store to [file] (overwriting it). Pending delta tails
-    are {!compact}ed first — the format stores only encoded segments,
-    so saving never drops an inserted fact. *)
+(** Writes the store to [file], through a temporary file beside it
+    that is renamed over [file], so a crash mid-save leaves either the
+    old file or the new one. Pending delta tails are {!compact}ed
+    first, so saving never drops an inserted fact. *)
 
 val load : string -> (t, string) result
-(** Opens a saved store. Any structural violation — bad magic, wrong
-    version, truncation, out-of-range codes or offsets — yields
-    [Error], never a crash. *)
+(** Reads a saved store, in any segment size a file header names. Any
+    structural violation — bad magic, wrong version, truncation,
+    out-of-range offsets, lengths, widths or codes, tables not sorted
+    and duplicate-free — yields [Error], never a crash. *)
 
 val load_exn : string -> t
 (** {!load}, raising [Failure] on error. *)

@@ -2,10 +2,10 @@
    Hashtbl model, hash-join build/probe and DISTINCT against naive
    list references (unique, grouped, zero- and multi-column keys,
    selection-vector input), the storage's packed role indexes against
-   a filter over the role's rows on both layouts, segment scans as
-   zero-copy windows, the fused index-join reducer test against a
-   separate SIP filter, and one-pass answer decoding against the
-   decode-then-sort definition. *)
+   a filter over the role's rows on both layouts, the fused
+   index-join reducer test against a separate SIP filter, and
+   one-pass answer decoding against the decode-then-sort
+   definition. *)
 
 open Rdbms
 
@@ -144,28 +144,6 @@ let qcheck_role_index =
             (List.init (Dllite.Dict.size dict + 1) Fun.id))
         [ Layout.simple_of_abox abox; Layout.rdf_of_abox abox ])
 
-(* {1 Segment scans as zero-copy windows} *)
-
-let test_segment_windows () =
-  let a = Array.init 50 (fun i -> 2 * i) in
-  let col = Colstore.of_array ~segment_rows:16 ~sorted:true a in
-  let scan ?decoded ?tail skip =
-    Physical.segments_scan ~batch_size:5 ?decoded ?tail ~cols:[| "x" |] ~skip [| col |]
-  in
-  let all = Physical.to_relation (scan (fun _ -> false)) in
-  Alcotest.(check (array int)) "decoded per segment" a all.Relation.columns.(0);
-  let over = Physical.to_relation (scan ~decoded:[| a |] (fun _ -> false)) in
-  check_bool "windows over the decoded column are adopted, not copied" true
-    (over.Relation.columns.(0) == a);
-  let pruned = Physical.to_relation (scan ~decoded:[| a |] (fun i -> i <> 1)) in
-  Alcotest.(check (array int))
-    "zone skip still applies to decoded windows" (Array.sub a 16 16)
-    pruned.Relation.columns.(0);
-  let tail = [| 101; 103 |] in
-  let b = Option.get ((scan ~tail:[| tail |] (fun i -> i < 4)).Physical.next ()) in
-  check_bool "the tail is windowed in place" true
-    (b.Batch.data.(0) == tail && Batch.length b = 2)
-
 (* {1 Fused index-join reducer} *)
 
 let test_index_join_keep () =
@@ -230,7 +208,6 @@ let test_decoder_bounds () =
 
 let suite =
   [
-    Alcotest.test_case "segment scans: zero-copy windows" `Quick test_segment_windows;
     Alcotest.test_case "index join: fused reducer = SIP filter" `Quick test_index_join_keep;
     Alcotest.test_case "dict decoder: snapshot bounds" `Quick test_decoder_bounds;
   ]

@@ -1,9 +1,9 @@
-(* Compressed segmented storage: segment encode/decode round-trips
-   (including empty, singleton, constant and max-width runs), zone-map
-   pruning never changing answers (qcheck differential against the
-   default-segmented engine), the binary store format (save → mmap
-   load equivalence, corrupt/truncated files failing cleanly), and the
-   streaming Builder matching the ABox load path fact for fact. *)
+(* Storage: segment encode/decode round-trips (including empty,
+   singleton, constant and max-width runs), the binary store format
+   (save → load equivalence, a file written by the previous writer,
+   corrupt/truncated files failing cleanly, a qcheck over random
+   corruptions), the delta tails, and the streaming Builder matching
+   the ABox load path fact for fact. *)
 
 open Query
 open Rdbms
@@ -16,129 +16,57 @@ let check_arr = Alcotest.(check (array int))
 
 (* {1 Segment round-trips} *)
 
-let test_segment_edges () =
-  let empty = Segment.encode [||] ~off:0 ~len:0 in
-  check_int "empty len" 0 (Segment.length empty);
-  check_arr "empty decode" [||] (Segment.decode empty);
-  let single = Segment.encode [| 42 |] ~off:0 ~len:1 in
-  check_arr "singleton" [| 42 |] (Segment.decode single);
-  check_int "singleton get" 42 (Segment.get single 0);
-  (* a constant run packs to zero words *)
-  let const = Segment.encode [| 7; 7; 7; 7 |] ~off:0 ~len:4 in
-  check_int "constant words" 0 (Segment.word_count const);
-  check_arr "constant decode" [| 7; 7; 7; 7 |] (Segment.decode const);
-  (* the widest representable codes: 62-bit range *)
-  let wide = Segment.encode [| 0; max_int; 1; max_int - 1 |] ~off:0 ~len:4 in
-  check_arr "max-width decode" [| 0; max_int; 1; max_int - 1 |] (Segment.decode wide);
-  (* offsets slice mid-array *)
-  let mid = Segment.encode [| 9; 1; 2; 3; 9 |] ~off:1 ~len:3 in
-  check_arr "offset decode" [| 1; 2; 3 |] (Segment.decode mid);
-  check_arr "decode_slice window" [| 2; 3 |] (Segment.decode_slice mid ~off:1 ~len:2)
+let roundtrip a ~off ~len =
+  let s = Segment.frame a ~off ~len in
+  let words = Segment.pack s a ~off in
+  let out = Array.make len (-1) in
+  Segment.unpack s words out ~at:0;
+  s, Bytes.length words, out
 
+let test_segment_edges () =
+  let s, nbytes, out = roundtrip [||] ~off:0 ~len:0 in
+  check_int "empty len" 0 s.Segment.len;
+  check_int "empty words" 0 nbytes;
+  check_arr "empty decode" [||] out;
+  let _, _, out = roundtrip [| 42 |] ~off:0 ~len:1 in
+  check_arr "singleton" [| 42 |] out;
+  (* a constant run packs to zero words *)
+  let s, nbytes, out = roundtrip [| 7; 7; 7; 7 |] ~off:0 ~len:4 in
+  check_int "constant words" 0 (Segment.word_count s);
+  check_int "constant bytes" 0 nbytes;
+  check_arr "constant decode" [| 7; 7; 7; 7 |] out;
+  (* the widest representable codes: 62-bit range *)
+  let _, _, out = roundtrip [| 0; max_int; 1; max_int - 1 |] ~off:0 ~len:4 in
+  check_arr "max-width decode" [| 0; max_int; 1; max_int - 1 |] out;
+  (* offsets slice mid-array *)
+  let s, _, out = roundtrip [| 9; 1; 2; 3; 9 |] ~off:1 ~len:3 in
+  check_arr "offset decode" [| 1; 2; 3 |] out;
+  check_bool "frame of the slice" true (s.Segment.base = 1 && s.Segment.zmax = 3)
+
+(* A column cut into runs of a random length, each run packed and
+   unpacked into its place: the column comes back unchanged. *)
 let qcheck_segment_roundtrip =
   QCheck2.Test.make ~name:"storage: segment encode/decode round-trip" ~count:300
     QCheck2.Gen.(
       pair
         (list (oneof [ int_bound 10; int_bound 100_000; int_bound max_int ]))
         (int_range 1 7))
-    (fun (values, segment_rows) ->
+    (fun (values, run) ->
       let a = Array.of_list values in
-      let col = Colstore.of_array ~segment_rows a in
-      Colstore.to_array col = a
-      && Colstore.length col = Array.length a
-      && Array.for_all
-           (fun i -> Colstore.get col i = a.(i))
-           (Array.init (Array.length a) Fun.id))
-
-(* {1 Zone maps} *)
-
-let test_zone_maps_and_estimate () =
-  let a = Array.init 100 Fun.id in
-  let col = Colstore.of_array ~segment_rows:10 ~sorted:true a in
-  check_int "segments" 10 (Colstore.seg_count col);
-  check_bool "zone of seg 3" true (Colstore.zone col 3 = (30, 39));
-  check_bool "min/max" true (Colstore.min_max col = Some (0, 99));
-  (* every value occurs once: the zone estimate of a present code is 1
-     (one segment contains it, len/ndv = 1), absent codes are 0 *)
-  check_int "present code" 1 (Colstore.eq_rows_est col 42);
-  check_int "absent code" 0 (Colstore.eq_rows_est col 1234)
-
-let test_zone_pruned_scan_skips () =
-  let a = Array.init 100 Fun.id in
-  let col = Colstore.of_array ~segment_rows:10 ~sorted:true a in
-  let reducer = Sip.of_array ~domain:128 [| 42; 47 |] in
-  let skip i =
-    let lo, hi = Colstore.zone col i in
-    not (Sip.overlaps_range reducer ~lo ~hi)
-  in
-  Colstore.reset_scan_counters ();
-  let op = Physical.segments_scan ~cols:[| "x" |] ~skip [| col |] in
-  let rel = Physical.to_relation op in
-  let scanned, skipped = Colstore.scan_counters () in
-  (* keys 42..47 live in segment 4 only: 9 of 10 segments never decode *)
-  check_int "segments scanned" 1 scanned;
-  check_int "segments skipped" 9 skipped;
-  check_arr "surviving rows" (Array.init 10 (fun i -> 40 + i))
-    rel.Relation.columns.(0)
-
-(* The pruned scan only applies a necessary condition; the engine
-   differential below checks it never loses an answer. *)
-let qcheck_zone_pruning_preserves_answers =
-  QCheck2.Test.make
-    ~name:"storage: tiny-segment engine = default engine (random sip plans)"
-    ~count:60
-    QCheck2.Gen.(int_bound 1_000_000)
-    (fun seed ->
-      let st = Random.State.make [| seed |] in
-      let abox = Test_batch.random_abox st in
-      let plan = Test_batch.random_plan st (1 + Random.State.int st 4) in
-      let annotated = Cost.Sip_pass.annotate (Layout.simple_of_abox abox) plan in
-      let tiny = Layout.of_storage (Storage.of_abox ~segment_rows:2 abox) in
-      let dflt = Layout.simple_of_abox abox in
-      List.for_all
-        (fun plan ->
-          List.for_all
-            (fun config -> Exec.answers ~config tiny plan = Exec.answers ~config dflt plan)
-            [ Exec.postgres_like; Exec.db2_like ])
-        [ plan; annotated ])
-
-(* Tiny segments over fixed-seed LUBM data: the reducers Sip_pass
-   pushes into segmented scans must let the zone maps skip a real
-   share of the segments on some workload query, with the answers of
-   the default-segmented engine. Subject columns are sorted, so a
-   selective join binding covers few segments' code ranges. *)
-let test_zone_maps_skip_on_lubm () =
-  let abox = Lubm.Generator.generate ~seed:7 ~target_facts:4_000 () in
-  let tbox = Lubm.Ontology.tbox in
-  let segmented =
-    Obda.make_engine_of_layout `Pglite
-      (Layout.of_storage (Storage.of_abox ~segment_rows:8 abox))
-  in
-  let reference = Obda.make_engine `Pglite `Simple abox in
-  let best = ref 0. in
-  List.iter
-    (fun strategy ->
-      List.iter
-        (fun e ->
-          let q = e.Lubm.Workload.query in
-          Colstore.reset_scan_counters ();
-          let got = Obda.answers_exn segmented tbox strategy q in
-          let scanned, skipped = Colstore.scan_counters () in
-          Alcotest.(check (list (list string)))
-            (e.Lubm.Workload.name ^ ": tiny segments = default")
-            (Obda.answers_exn reference tbox strategy q)
-            got;
-          if skipped > 0 then
-            best :=
-              Float.max !best
-                (float_of_int skipped /. float_of_int (scanned + skipped)))
-        Lubm.Workload.queries)
-    [ Obda.Ucq; Obda.Croot; Obda.Gdl Obda.Ext_cost ];
-  check_bool
-    (Printf.sprintf "best segment-skip share %.2f (need 0.30)" !best)
-    true (!best >= 0.30)
+      let n = Array.length a in
+      let out = Array.make n (-1) in
+      let off = ref 0 in
+      while !off < n do
+        let len = min run (n - !off) in
+        let s = Segment.frame a ~off:!off ~len in
+        let words = Segment.pack s a ~off:!off in
+        Segment.unpack s words out ~at:!off;
+        off := !off + len
+      done;
+      out = a)
 
 (* {1 Binary persistence} *)
+
 
 let with_temp_store f =
   let file = Filename.temp_file "obda_store" ".col" in
@@ -164,8 +92,7 @@ let same_storage a b =
 
 let test_save_load_roundtrip () =
   let abox = Lubm.Generator.generate ~seed:7 ~target_facts:3_000 () in
-  (* small segments force a multi-segment file *)
-  let s = Storage.of_abox ~segment_rows:256 abox in
+  let s = Storage.of_abox abox in
   with_temp_store (fun file ->
       Storage.save s file;
       let loaded = Storage.load_exn file in
@@ -224,7 +151,7 @@ let expect_error name = function
 
 let test_corrupt_files () =
   let abox = Lubm.Generator.generate ~seed:3 ~target_facts:500 () in
-  let s = Storage.of_abox ~segment_rows:64 abox in
+  let s = Storage.of_abox abox in
   with_temp_store (fun file ->
       Storage.save s file;
       let good = read_file file in
@@ -260,6 +187,136 @@ let test_corrupt_files () =
       (* restore so the cleanup path has a sane file *)
       write_file file good)
 
+(* The store [obda_cli store save --facts 3000 --seed 5] writes: a
+   47,632-byte file in which setting byte 35,443 from 0 to 186 turns a
+   run's width into a huge value. The reader must refuse it before
+   computing a word count from it. *)
+let test_corrupt_width_pinned () =
+  let b = Storage.Builder.create () in
+  ignore
+    (Lubm.Generator.generate_into ~seed:5 ~target_facts:3_000
+       ~add_concept:(fun ~concept ~ind -> Storage.Builder.add_concept b ~concept ~ind)
+       ~add_role:(fun ~role ~subj ~obj -> Storage.Builder.add_role b ~role ~subj ~obj)
+       ());
+  with_temp_store (fun file ->
+      Storage.save (Storage.Builder.finish b) file;
+      let bytes = read_file file in
+      check_int "file length" 47_632 (Bytes.length bytes);
+      check_int "byte 35,443" 0 (Char.code (Bytes.get bytes 35_443));
+      Bytes.set bytes 35_443 (Char.chr 186);
+      write_file file bytes;
+      expect_error "byte 35,443 = 186" (Storage.load file))
+
+(* A payload that decodes to codes outside the dictionary, or to rows
+   out of order, passes every directory check; only the decoded table
+   shows it. Concept C holds the codes 0, 1, 2 (the whole dictionary)
+   as one 2-bit run: payload word 0b10_01_00. *)
+let test_corrupt_payload () =
+  let abox = Dllite.Abox.create () in
+  List.iter (fun ind -> Dllite.Abox.add_concept abox ~concept:"C" ~ind) [ "a"; "b"; "c" ];
+  with_temp_store (fun file ->
+      Storage.save (Storage.of_abox abox) file;
+      let good = read_file file in
+      let payload = Int64.to_int (Bytes.get_int64_le good 16) in
+      check_int "the packed run" 0b10_01_00
+        (Int64.to_int (Bytes.get_int64_le good payload));
+      let with_word w =
+        let b = Bytes.copy good in
+        Bytes.set_int64_le b payload (Int64.of_int w);
+        write_file file b;
+        Storage.load file
+      in
+      check_bool "sane payload loads" true (Result.is_ok (with_word 0b10_01_00));
+      expect_error "code 3 past the dictionary" (with_word 0b11_01_00);
+      expect_error "rows out of order" (with_word 0b00_01_10);
+      expect_error "duplicate rows" (with_word 0b01_01_00))
+
+(* Saving over a file replaces it by a rename: a reader that opened
+   the old file keeps reading all of it. Writing in place would
+   truncate the file under that reader. *)
+let test_save_renames () =
+  let small = Dllite.Abox.create () in
+  Dllite.Abox.add_concept small ~concept:"C" ~ind:"a";
+  let large = Lubm.Generator.generate ~seed:3 ~target_facts:500 () in
+  with_temp_store (fun file ->
+      Storage.save (Storage.of_abox large) file;
+      let before = read_file file in
+      let ic = open_in_bin file in
+      Fun.protect
+        ~finally:(fun () -> close_in_noerr ic)
+        (fun () ->
+          Storage.save (Storage.of_abox small) file;
+          let n = in_channel_length ic in
+          check_int "old file intact" (Bytes.length before) n;
+          check_bool "old bytes intact" true (really_input_string ic n = Bytes.to_string before));
+      check_bool "no temporary file left" false (Sys.file_exists (file ^ ".tmp"));
+      check_int "new file loads" 1 (Storage.total_facts (Storage.load_exn file)))
+
+(* {1 Files written before segments left memory}
+
+   [legacy_store.col] was written by the writer as it stood when the
+   in-memory tables were still segments, with 64-row segments, from
+   [Lubm.Generator.generate ~seed:31 ~target_facts:250]: 395 facts in
+   multi-segment columns. It must load into the same tables, and
+   answer Q1–Q13 as, a store built fresh from the same facts. *)
+
+let beside_executable file = Filename.concat (Filename.dirname Sys.executable_name) file
+
+let legacy_abox () = Lubm.Generator.generate ~seed:31 ~target_facts:250 ()
+
+let ucq_answers storage =
+  let engine = Obda.make_engine_of_layout `Pglite (Layout.of_storage storage) in
+  List.map
+    (fun e -> Obda.answers_exn engine Lubm.Ontology.tbox Obda.Ucq e.Lubm.Workload.query)
+    Lubm.Workload.queries
+
+let test_legacy_file () =
+  let loaded = Storage.load_exn (beside_executable "legacy_store.col") in
+  let fresh = Storage.of_abox (legacy_abox ()) in
+  check_int "395 facts" 395 (Storage.total_facts loaded);
+  same_storage fresh loaded;
+  check_bool "Q1-Q13 answers" true (ucq_answers fresh = ucq_answers loaded)
+
+(* {1 Random corruption}
+
+   1–3 random byte changes, or a truncation, of a small saved store:
+   [load] returns [Error], or a store on which Q1–Q13 under UCQ
+   complete. Whether the answers stay the same is not checked: the
+   format carries no checksum, so a changed code can load as another
+   valid code. *)
+let qcheck_corruption =
+  let good =
+    lazy
+      (with_temp_store (fun file ->
+           Storage.save (Storage.of_abox (legacy_abox ())) file;
+           read_file file))
+  in
+  QCheck2.Test.make ~name:"store: random corruption = Error or a queryable store" ~count:500
+    QCheck2.Gen.(int_bound 1_000_000)
+    (fun seed ->
+      let st = Random.State.make [| seed; 0xC0DE |] in
+      let good = Lazy.force good in
+      let n = Bytes.length good in
+      let b =
+        if Random.State.int st 4 = 0 then Bytes.sub good 0 (Random.State.int st n)
+        else begin
+          let b = Bytes.copy good in
+          for _ = 0 to Random.State.int st 3 do
+            let i = Random.State.int st n in
+            Bytes.set b i
+              (Char.chr (Char.code (Bytes.get b i) lxor (1 + Random.State.int st 255)))
+          done;
+          b
+        end
+      in
+      with_temp_store (fun file ->
+          write_file file b;
+          match Storage.load file with
+          | Error _ -> true
+          | Ok s ->
+            ignore (ucq_answers s);
+            true))
+
 (* {1 Streaming builder = ABox load} *)
 
 let test_builder_matches_of_abox () =
@@ -290,12 +347,8 @@ let test_delta_tail_visibility () =
   Alcotest.(check (list string))
     "touched predicates reported" [ "C"; "R" ] (Storage.touched_predicates s);
   check_int "pending facts counted" 2 (Storage.delta_fact_count s);
-  check_int "concept tail holds the insert" 1
-    (Array.length (Storage.concept_tail s "C"));
-  check_int "role tail holds the insert" 1
-    (Array.length (fst (Storage.role_tail s "R")));
   let code n = Option.get (Dllite.Dict.find (Storage.dict s) n) in
-  (* every decoded view and index sees through the tail *)
+  (* every row view and index sees through the tail *)
   check_bool "membership" true (Storage.concept_mem s "C" (code "z"));
   check_bool "decoded members sorted" true
     (let m = Storage.concept_rows s "C" in
@@ -305,7 +358,7 @@ let test_delta_tail_visibility () =
   check_bool "subject probe sees tail fact" true
     (Storage.role_matches s "R" `Subject (code "z") = [| code "a" |]);
   check_int "stats count tail rows" 2 (Storage.role_stats s "R").Storage.card;
-  (* compaction folds the tails into segments without changing views *)
+  (* compaction folds the tails into the arrays without changing views *)
   let members = Storage.concept_rows s "C" and pairs = Storage.role_rows s "R" in
   Storage.compact s;
   check_bool "tails drained" true
@@ -336,18 +389,17 @@ let test_delta_merge_boundary () =
     (let f = Storage.of_abox final in
      decode f (Storage.concept_rows f "C"))
 
-(* A decoded view rebuilt after inserts merges the new tail rows into
-   the view the inserts dropped. Random inserts (duplicates included)
-   into a few small tables, reads between them that force the views,
-   random merge thresholds and a segment size of 2: after every step
-   each view holds exactly the facts inserted so far, strictly sorted
-   by code. *)
+(* A view rebuilt after inserts merges the table's arrays with its
+   tail. Random inserts (duplicates included) into a few small tables,
+   reads between them that force the views, and random merge
+   thresholds: after every step each view holds exactly the facts
+   inserted so far, strictly sorted by code. *)
 let qcheck_views_across_inserts =
   QCheck2.Test.make ~name:"delta: views rebuilt across inserts = facts so far" ~count:100
     QCheck2.Gen.(int_bound 1_000_000)
     (fun seed ->
       let st = Random.State.make [| seed; 0x7A11 |] in
-      let s = Storage.of_abox ~segment_rows:2 (Dllite.Abox.create ()) in
+      let s = Storage.of_abox (Dllite.Abox.create ()) in
       Storage.set_delta_rows s (1 + Random.State.int st 6);
       let ind () = Printf.sprintf "i%d" (Random.State.int st 12) in
       let concepts = Hashtbl.create 4 and roles = Hashtbl.create 4 in
@@ -453,30 +505,35 @@ let test_incremental_index_order_matches_fresh () =
         (Storage.role_rows grown n))
     [ "advisor"; "takesCourse" ]
 
-let test_tail_aware_zone_rows () =
-  (* an insert outside every segment's range must flip the zone
-     estimate from "provably absent" to at least the tail count *)
+let test_tail_aware_absence () =
+  (* subjects take the even codes 0..126, objects the odd ones 1..127:
+     an insert outside a column's range must flip "provably absent" off
+     while it sits in the tail, and after compaction *)
   let abox = Dllite.Abox.create () in
   for i = 0 to 63 do
     Dllite.Abox.add_role abox ~role:"R" ~subj:(Printf.sprintf "s%03d" i)
       ~obj:(Printf.sprintf "o%03d" i)
   done;
-  let s = Storage.of_abox ~segment_rows:16 abox in
+  let s = Storage.of_abox abox in
   Storage.set_delta_rows s 100;
+  let code n = Option.get (Dllite.Dict.find (Storage.dict s) n) in
+  check_bool "object code above the subjects" true
+    (Storage.role_code_absent s "R" `Subject (code "o063"));
+  check_bool "subject code below the objects" true
+    (Storage.role_code_absent s "R" `Object (code "s000"));
+  check_bool "present subject" false (Storage.role_code_absent s "R" `Subject (code "s010"));
   check_bool "fresh individual insert" true
     (Storage.insert_role s ~role:"R" ~subj:"zzz" ~obj:"zzz");
-  let code = Option.get (Dllite.Dict.find (Storage.dict s) "zzz") in
-  (match Storage.role_eq_zone_rows s "R" `Subject code with
-  | Some n -> check_bool "tail fact counted" true (n >= 1)
-  | None -> Alcotest.fail "role exists");
+  check_bool "tail fact counted" false
+    (Storage.role_code_absent s "R" `Subject (code "zzz"));
   Storage.compact s;
-  match Storage.role_eq_zone_rows s "R" `Subject code with
-  | Some n -> check_bool "still visible after compaction" true (n >= 1)
-  | None -> Alcotest.fail "role exists after compaction"
+  check_bool "still visible after compaction" false
+    (Storage.role_code_absent s "R" `Subject (code "zzz"));
+  check_bool "absent role" true (Storage.role_code_absent s "S" `Subject 0)
 
 let test_save_compacts_deltas () =
   let abox = Lubm.Generator.generate ~seed:13 ~target_facts:1_000 () in
-  let s = Storage.of_abox ~segment_rows:128 abox in
+  let s = Storage.of_abox abox in
   Storage.set_delta_rows s 1_000;
   check_bool "insert" true (Storage.insert_role s ~role:"advisor" ~subj:"nu" ~obj:"mu");
   check_bool "insert" true (Storage.insert_concept s ~concept:"Course" ~ind:"nc");
@@ -498,28 +555,28 @@ let suite =
   [
     Alcotest.test_case "segment: edge runs round-trip" `Quick test_segment_edges;
     QCheck_alcotest.to_alcotest qcheck_segment_roundtrip;
-    Alcotest.test_case "colstore: zone maps and eq estimate" `Quick
-      test_zone_maps_and_estimate;
-    Alcotest.test_case "scan: zone maps skip segments" `Quick
-      test_zone_pruned_scan_skips;
-    QCheck_alcotest.to_alcotest qcheck_zone_pruning_preserves_answers;
     QCheck_alcotest.to_alcotest qcheck_views_across_inserts;
-    Alcotest.test_case "scan: zone maps skip segments on the LUBM workload" `Quick
-      test_zone_maps_skip_on_lubm;
     Alcotest.test_case "delta: tail facts visible everywhere" `Quick
       test_delta_tail_visibility;
     Alcotest.test_case "delta: merge boundary equals fresh build" `Quick
       test_delta_merge_boundary;
     Alcotest.test_case "delta: incremental index order = fresh" `Quick
       test_incremental_index_order_matches_fresh;
-    Alcotest.test_case "delta: zone estimate counts tail" `Quick
-      test_tail_aware_zone_rows;
+    Alcotest.test_case "delta: absence test counts tail" `Quick
+      test_tail_aware_absence;
     Alcotest.test_case "delta: save compacts pending tails" `Quick
       test_save_compacts_deltas;
     Alcotest.test_case "store: save/load round-trip" `Quick test_save_load_roundtrip;
     Alcotest.test_case "store: loaded store absorbs inserts" `Quick
       test_load_after_insert;
     Alcotest.test_case "store: corrupt files fail cleanly" `Quick test_corrupt_files;
+    Alcotest.test_case "store: corrupt run width fails cleanly (pinned)" `Quick
+      test_corrupt_width_pinned;
+    Alcotest.test_case "store: corrupt payload fails cleanly" `Quick test_corrupt_payload;
+    QCheck_alcotest.to_alcotest qcheck_corruption;
+    Alcotest.test_case "store: save replaces the file by a rename" `Quick test_save_renames;
+    Alcotest.test_case "store: file from the previous writer = fresh store" `Quick
+      test_legacy_file;
     Alcotest.test_case "builder: streaming = abox load" `Quick
       test_builder_matches_of_abox;
     Alcotest.test_case "store: bytes/fact under half of flat" `Quick
