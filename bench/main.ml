@@ -1,6 +1,6 @@
 (* Benchmark harness: regenerates every table and figure of the
-   paper's evaluation (Section 6), on the OCaml substrate, plus three
-   extensions of it (E10-E12) and a cost-model calibration (E13). The
+   paper's evaluation (Section 6), on the OCaml substrate, plus two
+   extensions of it (E10, E12) and a cost-model calibration (E13). The
    experiments and their --exp ids are the [experiments] list at the
    end of this file; --help prints them.
 
@@ -485,35 +485,6 @@ let exp_uscq () =
         (Query.Fol.cq_count ucq) (Query.Fol.cq_count uscq) (eval ucq) (eval uscq))
     Lubm.Workload.queries
 
-(* {1 E11 — materialised fragment views (§7 future work)} *)
-
-let exp_views () =
-  Fmt.pr "@.== E11 (§7 future work): materialised fragment views ==@.";
-  Fmt.pr "   (fragments shared across the workload are materialised once@.";
-  Fmt.pr "    and reused by later queries)@.@.";
-  let run_workload engine =
-    let t0 = Unix.gettimeofday () in
-    List.iter
-      (fun e ->
-        ignore (Obda.answers_exn engine tbox Obda.Croot e.Lubm.Workload.query);
-        ignore
-          (Obda.answers_exn engine tbox (Obda.Gdl Obda.Ext_cost) e.Lubm.Workload.query))
-      Lubm.Workload.queries;
-    (Unix.gettimeofday () -. t0) *. 1000.
-  in
-  let abox = abox_for !small_facts in
-  let cold = Obda.make_engine `Pglite `Simple abox in
-  let warm = Obda.make_engine `Pglite `Simple abox in
-  Obda.enable_fragment_views warm;
-  let t_cold = run_workload cold in
-  let t_first = run_workload warm in
-  let t_second = run_workload warm in
-  Fmt.pr "no views        : %8.1f ms per workload pass@." t_cold;
-  Fmt.pr "views, 1st pass : %8.1f ms (%d fragments materialised)@." t_first
-    (Obda.fragment_view_count warm);
-  Fmt.pr "views, 2nd pass : %8.1f ms (%.1fx vs no views)@." t_second
-    (t_cold /. Float.max 0.1 t_second)
-
 (* {1 E12 — reformulation vs materialisation (ABox saturation)} *)
 
 let exp_saturation () =
@@ -612,7 +583,6 @@ let experiments =
     "anatomy", "E8 §2.3: reformulation and SQL statement sizes", exp_anatomy;
     "ablation-gq", "E9 §6.3: generalized covers on/off", exp_ablation;
     "uscq", "E10 §7: USCQ vs UCQ reformulations", exp_uscq;
-    "views", "E11 §7: materialised fragment views", exp_views;
     "saturation", "E12: reformulation vs ABox saturation", exp_saturation;
     "calibration", "E13 §6.3: cardinality q-errors via EXPLAIN ANALYZE",
       exp_calibration;

@@ -68,10 +68,34 @@ let apply_caches plan_cap reform_cap =
 
 (* {1 Loading} *)
 
+(* Reads a file named on the command line with [read]. A missing or
+   unreadable file, or one that [read] rejects, ends the program with
+   "prog: FILE: reason", as a bad --store does. *)
+let read_file file read =
+  match read file with
+  | Ok v -> v
+  | Error msg -> fail "%s: %s" file msg
+  | exception Sys_error msg ->
+    (* an open names the file in its message; a failed read does not *)
+    if String.starts_with ~prefix:(file ^ ": ") msg then fail "%s" msg
+    else fail "%s: %s" file msg
+
 let tbox_of tbox_file =
   match tbox_file with
-  | Some file -> Syntax.Tbox_text.load file
+  | Some file ->
+    read_file file (fun f ->
+        try Ok (Syntax.Tbox_text.load f) with Syntax.Tbox_text.Parse_error msg -> Error msg)
   | None -> Lubm.Ontology.tbox
+
+let load_abox file =
+  read_file file (fun f ->
+      Result.map_error (Fmt.str "%a" Dllite.Abox.pp_parse_error) (Dllite.Abox.load f))
+
+(* [Invalid_argument]: a literal where the RDFS mapping needs an IRI *)
+let load_rdf file =
+  read_file file (fun f ->
+      try Ok (Rdf.Rdfs.load_kb f)
+      with Rdf.Triple.Parse_error msg | Invalid_argument msg -> Error msg)
 
 let load_storage file =
   match Rdbms.Storage.load file with Ok s -> s | Error msg -> fail "%s" msg
@@ -81,16 +105,13 @@ let load_storage file =
 let load_kb rdf tbox_file data facts seed =
   match rdf with
   | Some file ->
-    let kb = Rdf.Rdfs.load_kb file in
+    let kb = load_rdf file in
     Dllite.Kb.tbox kb, Dllite.Kb.abox kb
   | None ->
     let tbox = tbox_of tbox_file in
     let abox =
       match data with
-      | Some file -> (
-        match Dllite.Abox.load file with
-        | Ok abox -> abox
-        | Error e -> fail "%s: %a" file Dllite.Abox.pp_parse_error e)
+      | Some file -> load_abox file
       | None -> Lubm.Generator.generate ~seed ~target_facts:facts ()
     in
     tbox, abox

@@ -115,10 +115,7 @@ let store_save_cmd =
   let run facts seed data out =
     let storage =
       match data with
-      | Some file -> (
-        match Dllite.Abox.load file with
-        | Ok abox -> Rdbms.Storage.of_abox abox
-        | Error e -> fail "%s: %a" file Dllite.Abox.pp_parse_error e)
+      | Some file -> Rdbms.Storage.of_abox (load_abox file)
       | None ->
         (* stream the generator straight into the column builder: no
            intermediate row-form ABox, so --facts can go to tens of

@@ -46,8 +46,7 @@ let help () =
   stats                         knowledge-base summary
   consistent                    check T-consistency
   saturate                      materialise entailed facts into the ABox
-  views (on|off)                materialised fragment views
-  cache stats                   plan / reformulation / view cache statistics
+  cache stats                   plan and reformulation cache statistics
   cache plan N                  resize the plan cache (0 disables)
   cache reform N                resize the reformulation cache (0 disables)
   cache clear                   flush the plan and reformulation caches
@@ -207,12 +206,6 @@ let handle st line =
     st.abox <- Dllite.Saturate.abox st.tbox st.abox;
     rebuild st;
     Printf.printf "saturated: %d -> %d facts\n" before (Dllite.Abox.size st.abox)
-  | [ "views"; "on" ] ->
-    Obda.enable_fragment_views st.engine;
-    print_endline "fragment views enabled"
-  | [ "views"; "off" ] ->
-    Obda.disable_fragment_views st.engine;
-    print_endline "fragment views disabled"
   | [ "cache"; "stats" ] ->
     Fmt.pr "%a@." Cache.Lru.pp_stats (Obda.plan_cache_stats ());
     Fmt.pr "%a@." Cache.Lru.pp_stats (Reform.Perfectref.cache_stats ())

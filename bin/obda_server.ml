@@ -57,6 +57,10 @@ let serve_cmd =
         fail "unknown strategy %s (one of %s)" strategy (String.concat ", " Obda.strategy_names)
     in
     let tbox, engine = load_engine store rdf tbox_file data facts seed engine_kind layout in
+    (* loading a store allocates every table at once: finish the major
+       collector's cycle over that heap now, not inside the first
+       requests *)
+    if store <> None then Gc.full_major ();
     let config =
       { Server.Core.host;
         port;

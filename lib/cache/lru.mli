@@ -1,8 +1,8 @@
 (** A generic, thread-safe, bounded LRU cache.
 
-    Every long-lived memoisation table in the engine (the PerfectRef
-    reformulation cache, the executor's scan / build-table / view
-    stores, the OBDA plan cache) is an instance of this module, so
+    Every memoisation table in the engine (the PerfectRef
+    reformulation cache, the executor's per-run scan and build-table
+    caches, the OBDA plan cache) is an instance of this module, so
     that a long-running process serving repeated-query traffic has a
     bounded memory footprint and a uniform invalidation story.
 
@@ -12,11 +12,11 @@
     {!stats}; it does not bound the cache.
 
     Invalidation: the caller decides what is stale. {!invalidate_if}
-    drops every entry whose key matches a predicate (the view store
-    drops the fragments that read an updated predicate), and
-    [find ~valid] drops the one entry it finds when its value no
-    longer holds (the plan cache drops a plan searched under an older
-    KB generation).
+    drops every entry whose key matches a predicate (the plan cache
+    drops the plan of a query whose analyze run showed its estimates
+    drifted), and [find ~valid] drops the one entry it finds when its
+    value no longer holds (the plan cache drops a cost-based plan
+    whose data moved since its search).
 
     Observability: each cache registers four counters in the
     {!Obs.Metrics} registry — [cache.<name>.hits], [.misses],

@@ -231,15 +231,7 @@ let lookup_fol feedback fol =
 (* ------------------------------------------------------------------ *)
 (* Consulting: corrected estimates. *)
 
-let scale e f =
-  let rows = e.Estimate.rows *. f in
-  {
-    Estimate.rows;
-    ndv =
-      List.map
-        (fun (c, n) -> c, Float.min n (Float.max rows 1.))
-        e.Estimate.ndv;
-  }
+let scale = Estimate.scale
 
 let atom_est ?feedback layout a =
   let e = Estimate.atom layout a in
@@ -247,40 +239,17 @@ let atom_est ?feedback layout a =
   else
     match lookup feedback (atom_key a) with Some f -> scale e f | None -> e
 
-(* Cardinality estimate of a physical plan from {!Estimate}'s atom,
-   join and union rules. A correction applies at the {e outermost}
-   node whose key has one (against the node's raw estimate — the base
-   the factor was learned from); below a miss the children are
-   corrected independently. *)
-let rec plan_est ?feedback layout p =
-  let corrected =
+(* A correction applies at the {e outermost} node whose key has one
+   ({!Estimate.plan}); an untrained store is asked nothing, not even
+   for a key. *)
+let plan_est ?feedback layout p =
+  let correct =
     match feedback with
-    | Some fb when Atomic.get fb.ready_keys > 0 -> (
-      match node_key p with
-      | None -> None
-      | Some key -> (
-        match factor fb key with
-        | None -> None
-        | Some f -> Some (scale (plan_est layout p) f)))
-    | _ -> None
+    | Some fb when Atomic.get fb.ready_keys > 0 ->
+      fun p -> Option.bind (node_key p) (factor fb)
+    | _ -> fun _ -> None
   in
-  match corrected with
-  | Some e -> e
-  | None -> (
-    match p with
-    | Plan.Scan a -> Estimate.atom layout a
-    | Plan.Hash_join { left; right; _ } | Plan.Merge_join { left; right; _ } ->
-      Estimate.join (plan_est ?feedback layout left) (plan_est ?feedback layout right)
-    | Plan.Index_join { left; atom; _ } ->
-      Estimate.join
-        (plan_est ?feedback layout left)
-        (atom_est ?feedback layout atom)
-    | Plan.Project { input; _ } -> plan_est ?feedback layout input
-    | Plan.Distinct p | Plan.Materialize p -> plan_est ?feedback layout p
-    | Plan.Union { inputs; _ } ->
-      Estimate.union
-        (Estimate.union_rows (fun p -> (plan_est ?feedback layout p).Estimate.rows) inputs)
-    | Plan.Sip { join; _ } -> plan_est ?feedback layout join)
+  Estimate.plan ~correct layout p
 
 let plan_rows ?feedback layout p = (plan_est ?feedback layout p).Estimate.rows
 
@@ -459,7 +428,7 @@ let load file =
         | t -> Ok t
         | exception Corrupt msg ->
           Error (Printf.sprintf "%s: corrupt feedback store (%s)" file msg)
-        | exception Sys_error e -> Error e)
+        | exception Sys_error e -> Error (Printf.sprintf "%s: %s" file e))
 
 let load_exn file =
   match load file with Ok t -> t | Error msg -> failwith msg

@@ -123,16 +123,16 @@ val lookup_fol : t option -> Query.Fol.t -> float option
 (** [lookup] of {!fol_key}, building the key only when {!trained}. *)
 
 val scale : Rdbms.Estimate.est -> float -> Rdbms.Estimate.est
-(** Scales an estimate's row count by a correction factor, clamping
-    each per-column distinct count to the corrected row count. *)
+(** {!Rdbms.Estimate.scale}. *)
 
 val atom_est : ?feedback:t -> Rdbms.Layout.t -> Query.Atom.t -> Rdbms.Estimate.est
 (** {!Rdbms.Estimate.atom} with the atom-key correction applied. *)
 
 val plan_est : ?feedback:t -> Rdbms.Layout.t -> Rdbms.Plan.t -> Rdbms.Estimate.est
-(** Cardinality estimate of a physical plan: {!Rdbms.Estimate}'s
-    atom, join and union rules folded over the tree, with the correction for the
-    {e outermost} matching key applied to each subtree. With no
+(** Cardinality estimate of a physical plan: {!Rdbms.Estimate.plan}
+    with this store's correction for each node's key, so the
+    correction for the {e outermost} matching key applies to each
+    subtree. With no
     [?feedback] this is the uncorrected static estimate — the base the
     factors were learned against (and the estimate {!Sip_pass} always
     used). *)

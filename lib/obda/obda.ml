@@ -15,7 +15,6 @@ type engine = {
   mutable generation : int;
       (* KB generation: bumped on every insert, reported to clients;
          plan validity does not read it *)
-  mutable views : Rdbms.Exec.view_store option;
   mutable sip : bool;  (* sideways-information-passing annotations *)
   mutable feedback : Cost.Feedback.t option;
       (* cardinality-correction store fed by analyze runs *)
@@ -43,7 +42,6 @@ let make_engine_of_layout kind layout =
     model = Cost.Cost_model.calibrated kind;
     id = Atomic.fetch_and_add next_engine_id 1;
     generation = 0;
-    views = None;
     sip = true;
     feedback = Some (Cost.Feedback.create ());
   }
@@ -56,33 +54,22 @@ let make_engine kind layout_kind abox =
 
 let generation e = e.generation
 
-(* An accepted insert advances the engine's KB generation and reports
-   the touched predicate. Invalidation is predicate-scoped: the view
-   store drops exactly the fragments that read the touched predicate
-   (the rest stay warm). The plan cache is not touched here: a
-   cost-based plan records the layout's emptiness epoch and the
-   cardinalities of what it reads, and its next lookup decides whether
-   the insert moved either far enough to search again ([plan_valid]). *)
-let data_changed e ~predicate =
-  e.generation <- e.generation + 1;
-  Option.iter
-    (fun s -> ignore (Rdbms.Exec.invalidate_views s [ predicate ]))
-    e.views
+(* An accepted insert advances the engine's KB generation. The plan
+   cache is not touched here: a cost-based plan records the layout's
+   emptiness epoch and the cardinalities of what it reads, and its next
+   lookup decides whether the insert moved either far enough to search
+   again ([plan_valid]). *)
+let data_changed e = e.generation <- e.generation + 1
 
 let insert_concept e ~concept ~ind =
   let inserted = Rdbms.Layout.insert_concept e.layout ~concept ~ind in
-  if inserted then data_changed e ~predicate:concept;
+  if inserted then data_changed e;
   inserted
 
 let insert_role e ~role ~subj ~obj =
   let inserted = Rdbms.Layout.insert_role e.layout ~role ~subj ~obj in
-  if inserted then data_changed e ~predicate:role;
+  if inserted then data_changed e;
   inserted
-
-let enable_fragment_views e =
-  if e.views = None then e.views <- Some (Rdbms.Exec.fresh_view_store ())
-
-let disable_fragment_views e = e.views <- None
 
 let set_sip e enabled = e.sip <- enabled
 
@@ -97,9 +84,6 @@ let set_feedback e enabled =
   else if e.feedback = None then e.feedback <- Some (Cost.Feedback.create ())
 
 let feedback_enabled e = e.feedback <> None
-
-let fragment_view_count e =
-  match e.views with None -> 0 | Some store -> Cache.Lru.length store
 
 let engine_name e =
   Printf.sprintf "%s/%s" e.profile.Rdbms.Explain.name (Rdbms.Layout.name e.layout)
@@ -478,8 +462,7 @@ let execute e tbox strategy q run =
 let answer e tbox strategy q =
   let _, outcome, _ =
     execute e tbox strategy q (fun plan ->
-        ( Rdbms.Exec.answers ~config:e.profile.Rdbms.Explain.exec_config ?views:e.views
-            e.layout plan,
+        ( Rdbms.Exec.answers ~config:e.profile.Rdbms.Explain.exec_config e.layout plan,
           () ))
   in
   outcome
@@ -503,8 +486,8 @@ let analyze e tbox strategy q =
   let p, outcome, stats =
     execute e tbox strategy q (fun plan ->
         let rel, stats =
-          Rdbms.Exec.run_analyzed ~config:e.profile.Rdbms.Explain.exec_config
-            ?views:e.views e.layout plan
+          Rdbms.Exec.run_analyzed ~config:e.profile.Rdbms.Explain.exec_config e.layout
+            plan
         in
         Rdbms.Exec.decode_rows e.layout rel, stats)
   in

@@ -155,16 +155,15 @@ val estimator : engine -> cost_source -> Optimizer.Estimator.t
 
     New facts can be inserted into a loaded engine (after the
     dynamic-databases concern of {e [17]}): inserts land in per-table
-    delta buffers ({!Rdbms.Storage}), indexes and statistics are
-    maintained in place, and invalidation is {e predicate-scoped} —
-    only the materialised fragment views that read the touched
-    concept/role are dropped. A cost-based plan is searched again on
-    its next lookup only when an insert filled a predicate that was
-    empty, or grew a predicate the plan reads past
-    {!plan_drift_factor} times the cardinality its search saw; plans
-    of the data-independent strategies survive updates outright.
-    Consistency of the update is
-    the caller's concern ({!Dllite.Kb.check_consistency} /
+    delta buffers ({!Rdbms.Storage}), and indexes and statistics are
+    maintained in place. No query result is kept across queries, so
+    an insert drops nothing: the next query reads the new facts. A
+    cost-based plan is searched again on its next lookup only when an
+    insert filled a predicate that was empty, or grew a predicate the
+    plan reads past {!plan_drift_factor} times the cardinality its
+    search saw; plans of the data-independent strategies survive
+    updates outright. Consistency of the update is the caller's
+    concern ({!Dllite.Kb.check_consistency} /
     {!Reform.Consistency}). *)
 
 val insert_concept : engine -> concept:string -> ind:string -> bool
@@ -223,28 +222,6 @@ val plan_cache_stats : unit -> Cache.Lru.stats
 
 val clear_plan_cache : unit -> unit
 (** Drops every cached plan. *)
-
-(** {2 Materialised fragment views}
-
-    The paper's §7 future-work extension: reformulated fragment queries
-    ([WITH] subqueries) are materialised anyway — keeping them in a
-    view store shared across queries lets later queries that
-    materialise the same fragment against the same data reuse the
-    stored result. The store is a bounded {!Cache.Lru} keyed by each
-    fragment's read set: an insert drops exactly the fragments that
-    read the touched predicate ({!Rdbms.Exec.invalidate_views}) and
-    keeps the rest warm, so a stale fragment is never served and an
-    update to one predicate does not cold-start the whole store. *)
-
-val enable_fragment_views : engine -> unit
-(** Start sharing materialised fragments across subsequent
-    {!answer} calls on this engine. Idempotent. *)
-
-val disable_fragment_views : engine -> unit
-(** Drop the store and stop sharing. *)
-
-val fragment_view_count : engine -> int
-(** Number of distinct fragments currently materialised. *)
 
 (** {2 Sideways information passing}
 

@@ -191,3 +191,26 @@ let rec reformulation_rows layout = function
   | Fol.Leaf { ucq; _ } -> union_rows (fun d -> cq_rows layout (Cq.atoms d)) (Ucq.disjuncts ucq)
   | Fol.Union { branches; _ } -> union_rows (reformulation_rows layout) branches
   | Fol.Join { parts; _ } -> fragments_rows (reformulation_rows layout) parts
+
+let scale e f = clamp_ndv { e with rows = e.rows *. f }
+
+let no_correction _ = None
+
+(* A node whose correction applies is estimated by scaling its
+   uncorrected estimate, the base the factor was learned against, and
+   its subtree is not asked again. *)
+let rec plan ~correct layout p =
+  match correct p with
+  | Some f -> scale (plan ~correct:no_correction layout p) f
+  | None -> (
+    match p with
+    | Plan.Scan a -> atom layout a
+    | Plan.Hash_join { left; right; _ } | Plan.Merge_join { left; right; _ } ->
+      join (plan ~correct layout left) (plan ~correct layout right)
+    | Plan.Index_join { left; atom = a; _ } ->
+      join (plan ~correct layout left) (plan ~correct layout (Plan.Scan a))
+    | Plan.Project { input = p; _ } | Plan.Distinct p | Plan.Materialize p | Plan.Sip { join = p; _ }
+      ->
+      plan ~correct layout p
+    | Plan.Union { inputs; _ } ->
+      union (union_rows (fun p -> (plan ~correct layout p).rows) inputs))

@@ -73,3 +73,21 @@ val reformulation_rows : Layout.t -> Query.Fol.t -> float
 (** Static rows of a reformulation: {!cq_rows} per CQ, {!union_rows}
     over a leaf's CQs and a union's branches, {!fragments_rows} over a
     join's parts. *)
+
+(** {2 Plans} *)
+
+val scale : est -> float -> est
+(** Scales an estimate's row count by a correction factor, clamping
+    each per-column distinct count to the corrected row count. *)
+
+val plan : correct:(Plan.t -> float option) -> Layout.t -> Plan.t -> est
+(** Cardinality estimate of a physical plan: {!atom}, {!join} and
+    {!union} folded over the tree; [Project], [Distinct],
+    [Materialize] and [Sip] pass their input's estimate through.
+    [correct] is asked for a factor at each node, outermost first.
+    Where it gives one, the node's estimate is its uncorrected
+    estimate {!scale}d by the factor, and the subtree is not asked
+    again; otherwise the children are estimated, and corrected,
+    independently. An index join's probed atom is asked as a [Scan]
+    of that atom. [~correct:(fun _ -> None)] gives the static
+    estimate. *)

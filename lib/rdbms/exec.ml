@@ -66,25 +66,6 @@ let fresh_counters () =
     build_hits = Atomic.make 0;
   }
 
-(* Keys carry the fragment's read set alongside the injective
-   structural key, so an update can drop exactly the views that read a
-   touched predicate and keep the rest warm. *)
-type view_store = (string list * string, Relation.t) Cache.Lru.t
-
-(* The LRU stores charge the exact byte footprint of the columnar
-   storage ({!Relation.bytes}) — no more per-row overhead guessing. *)
-let fresh_view_store () : view_store =
-  Cache.Lru.create ~cost_of:Relation.bytes ~name:"views" ~capacity:256 ()
-
-let view_key p = Plan.predicates p, Plan.structural_key p
-
-let invalidate_views (store : view_store) touched =
-  match touched with
-  | [] -> 0
-  | _ ->
-    Cache.Lru.invalidate_if store (fun (preds, _) ->
-        List.exists (fun p -> List.mem p touched) preds)
-
 (* The per-run scan/build caches are bounded too, with a capacity
    generous enough that all arms of one reformulated union share their
    scans — the bound only matters as a memory backstop on adversarial
@@ -101,7 +82,6 @@ type ctx = {
   counters : counters;
   scans : (string, Relation.t) Cache.Lru.t;  (* canonical scan results *)
   builds : (string, Relation.build_table) Cache.Lru.t;
-  views : view_store option;  (* cross-query materialised fragments *)
   sip_memo : (string, bool) Hashtbl.t;
       (* (reducer id, stored column) -> does the reducer intersect it?
          Owned by one run, which executes on one thread, so it needs no
@@ -290,8 +270,8 @@ let index_join_op ?keep ctx left_op atom probe_col =
    through; at a [Union] it is remapped positionally into every arm,
    and an arm whose reducer-filtered base accesses are provably empty
    is never compiled at all. Reducers are immutable after
-   construction, so every union arm shares them as they are. Every
-   cache-write site (scan cache, build cache, view store) stores
+   construction, so every union arm shares them as they are. Both
+   cache-write sites (scan cache, build cache) store
    {e unfiltered} data, so dropping or adding a binding anywhere is
    sound: reducers only prune, never invent. *)
 
@@ -436,23 +416,7 @@ let rec provably_empty ctx (env : senv) plan =
          inputs
   | Plan.Sip { join; _ } -> provably_empty ctx env join
 
-(* The static row estimate of a plan, by {!Estimate}'s rules: what
-   [Cost.Feedback.plan_est] returns without a correction store, which
-   this library cannot call. *)
-let rec static_est layout = function
-  | Plan.Scan a -> Estimate.atom layout a
-  | Plan.Hash_join { left; right; _ } | Plan.Merge_join { left; right; _ } ->
-    Estimate.join (static_est layout left) (static_est layout right)
-  | Plan.Index_join { left; atom; _ } ->
-    Estimate.join (static_est layout left) (Estimate.atom layout atom)
-  | Plan.Project { input = p; _ } | Plan.Distinct p | Plan.Materialize p | Plan.Sip { join = p; _ }
-    ->
-    static_est layout p
-  | Plan.Union { inputs; _ } ->
-    Estimate.union
-      (Estimate.union_rows (fun p -> (static_est layout p).Estimate.rows) inputs)
-
-(* The materialised fragments a join prefix is built from. *)
+(* The fragments a join prefix is built from. *)
 let rec fragments = function
   | Plan.Materialize _ as m -> [ m ]
   | Plan.Hash_join { left; right; _ } | Plan.Merge_join { left; right; _ } ->
@@ -471,8 +435,8 @@ let rec fragments = function
 let probe_first_ratio = 4.
 
 (* The single-column join key a [Sip] annotation can act on, and the
-   direction its reducer flows. A build side that is a materialised
-   fragment over the join column alone (such as the unary part of a
+   direction its reducer flows. A build side that is a fragment over
+   the join column alone (such as the unary part of a
    factorised leaf, DESIGN §15.6) only filters the probe side, and is
    built in full before its reducer exists. When it is estimated far
    larger than every fragment of the probe side, its reducer is the
@@ -481,7 +445,7 @@ let probe_first_ratio = 4.
 let sip_col ctx on dir left right =
   match on, dir, right with
   | [ c ], Plan.Build_to_probe, Plan.Materialize _ when Plan.out_cols right = [ c ] -> (
-    let rows p = (static_est ctx.layout p).Estimate.rows in
+    let rows p = (Estimate.plan ~correct:(fun _ -> None) ctx.layout p).Estimate.rows in
     let r = rows right in
     match fragments left with
     | _ :: _ as fs when List.for_all (fun f -> probe_first_ratio *. rows f < r) fs ->
@@ -497,8 +461,11 @@ let sip_col ctx on dir left right =
    compile time and stream them in batches; index joins, probes over
    cached builds, projections and distinct pipeline on top without
    materialising. The pipeline breakers are exactly: hash-join build
-   sides, merge joins (both sides sorted), [Materialize] fragments,
-   and nothing else — a union streams its arms without a barrier.
+   sides, merge joins (both sides sorted), and nothing else — a union
+   streams its arms without a barrier. [Materialize] marks a fragment
+   boundary for the planner, the SIP pass, the feedback keys, EXPLAIN
+   and [sip_col]; it compiles to its input, which a hash join above it
+   builds or probes like any other side.
 
    The one compiler serves plain and EXPLAIN ANALYZE runs alike. It
    takes an instrumentation hook: at each plan node it opens a frame
@@ -597,28 +564,9 @@ let rec compile h ctx env plan =
       finish fr ~elided
         (Physical.union ~cols (List.map fst done_arms))
         (List.map snd done_arms)
-  | Plan.Materialize p -> (
-    match ctx.views with
-    | None ->
-      let i, n = compile h ctx env p in
-      finish fr i [ n ]
-    | Some store ->
-      let key = view_key p in
-      let cache, rel, children =
-        match Cache.Lru.find store key with
-        | Some rel -> Hit, rel, []
-        | None ->
-          (* the stored fragment is compiled {e without} the reducer
-             environment — the view store is keyed on the fragment
-             alone and outlives this query; filters go on top of the
-             copy. The first stored copy wins if a concurrent query raced
-             on the same store. *)
-          let op, n = compile h ctx [] p in
-          Miss, Cache.Lru.add_if_absent store key (Physical.to_relation op), [ n ]
-      in
-      finish fr ~cache
-        (apply_sip ?on_pruned:fr.on_pruned env (Physical.of_relation rel))
-        children)
+  | Plan.Materialize p ->
+    let i, n = compile h ctx env p in
+    finish fr i [ n ]
   | Plan.Sip { join; dir } -> (
     (* the join compilers close the annotation's frame, so its node
        carries the annotation *)
@@ -830,7 +778,7 @@ let analyze =
    eight metrics-registry lookups per query. *)
 let disabled_run_caches = fresh_run_caches ()
 
-let make_ctx config counters views layout =
+let make_ctx config counters layout =
   let counters = Option.value ~default:(fresh_counters ()) counters in
   let scans, builds =
     if config.scan_cache || config.build_cache then fresh_run_caches ()
@@ -842,16 +790,15 @@ let make_ctx config counters views layout =
     counters;
     scans;
     builds;
-    views;
     sip_memo = Hashtbl.create 16;
   }
 
-let run ?(config = postgres_like) ?counters ?views layout plan =
-  let ctx = make_ctx config counters views layout in
+let run ?(config = postgres_like) ?counters layout plan =
+  let ctx = make_ctx config counters layout in
   Physical.to_relation (fst (compile plain ctx [] plan))
 
-let run_analyzed ?(config = postgres_like) ?counters ?views layout plan =
-  let ctx = make_ctx config counters views layout in
+let run_analyzed ?(config = postgres_like) ?counters layout plan =
+  let ctx = make_ctx config counters layout in
   let op, acc = compile analyze ctx [] plan in
   let rel = Physical.to_relation op in
   rel, stats_of acc
@@ -878,5 +825,5 @@ let decode_rows layout (rel : Relation.t) =
   in
   List.sort_uniq compare_row (List.init rel.Relation.nrows (fun i -> row i 0))
 
-let answers ?config ?views layout plan =
-  decode_rows layout (run ?config ?views layout plan)
+let answers ?config layout plan =
+  decode_rows layout (run ?config layout plan)

@@ -3,8 +3,10 @@
     scan->index-join->project chains never materialise intermediates,
     hash joins build once from columns and probe batch-at-a-time, and
     [Distinct] dedupes incrementally. The pipeline breakers are hash
-    builds, merge-join sorts and [Materialize] fragments; the arms of
-    a [Union] stream one after the other. (The pre-columnar
+    builds and merge-join sorts; the arms of a [Union] stream one
+    after the other. A [Materialize] node marks a fragment boundary
+    and compiles to its input: it breaks the pipeline only where a
+    hash build or merge sort above it does. (The pre-columnar
     row-at-a-time engine survives in the test suite as the reference
     for differential tests.)
 
@@ -17,8 +19,8 @@
 
     Evaluation is sequential: one run is one thread. The scan/build
     caches are shared across the arms of one run (bounded
-    {!Cache.Lru} instances, internally locked), and the view store
-    and counters may be shared by runs on different threads. *)
+    {!Cache.Lru} instances, internally locked), and the counters may
+    be shared by runs on different threads. *)
 
 type config = {
   scan_cache : bool;  (** share identical atom scans within one query *)
@@ -44,28 +46,6 @@ type counters = {
     miss reads its canonical scan without a scan request, so the
     totals are fixed by plan and data. *)
 
-type view_store = (string list * string, Relation.t) Cache.Lru.t
-(** Materialised fragment views (the paper's §7 future-work extension):
-    a bounded LRU shared {e across} query executions. Every
-    [Materialize] node's result is keyed by the fragment's read set
-    ({!Plan.predicates}) paired with the injective
-    {!Plan.structural_key} (plan {e text} would conflate a variable
-    with an equally-named constant) and costed at the exact
-    {!Relation.bytes} of the stored columns; it is reused verbatim on
-    the next query that materialises the same fragment against the
-    same data. After an update, {!invalidate_views} drops exactly the
-    fragments whose read set meets the touched predicates and keeps
-    the rest warm. *)
-
-val fresh_view_store : unit -> view_store
-(** A fresh store, bounded to 256 entries and costed by relation
-    bytes. *)
-
-val invalidate_views : view_store -> string list -> int
-(** [invalidate_views store touched] drops every stored fragment that
-    reads any of the [touched] predicate names and returns how many
-    were dropped; fragments over untouched predicates survive. *)
-
 val default_run_cache_capacity : int
 
 val set_run_cache_capacity : int -> unit
@@ -77,7 +57,6 @@ val set_run_cache_capacity : int -> unit
 val run :
   ?config:config ->
   ?counters:counters ->
-  ?views:view_store ->
   Layout.t ->
   Plan.t ->
   Relation.t
@@ -85,10 +64,11 @@ val run :
 
 (** {2 Instrumented (EXPLAIN ANALYZE) execution} *)
 
-(** What a node's scan / build-table / view access found in its
-    cache. [Uncached] covers operators with no cache in play (joins
-    over non-scan build sides, scans under the [postgres_like]
-    config, RDF-layout role scans). *)
+(** What a node's scan or build-table access found in its cache.
+    [Uncached] covers operators with no cache in play (joins over
+    non-scan build sides, scans under the [postgres_like] config,
+    RDF-layout role scans, and every [Materialize], [Project],
+    [Distinct] and [Union] node). *)
 type cache_outcome =
   | Hit
   | Miss
@@ -121,7 +101,6 @@ type node_stats = {
 val run_analyzed :
   ?config:config ->
   ?counters:counters ->
-  ?views:view_store ->
   Layout.t ->
   Plan.t ->
   Relation.t * node_stats
@@ -134,7 +113,6 @@ val run_analyzed :
 
 val answers :
   ?config:config ->
-  ?views:view_store ->
   Layout.t ->
   Plan.t ->
   string list list

@@ -15,10 +15,13 @@ type profile = {
 
 (* Per-row constants recalibrated for the columnar batch engine
    (BENCH_PR4.json): emitting an output row is a column write instead
-   of a boxed array allocation (c_out), Distinct dedupes incrementally over
-   selection vectors (c_distinct), and Materialize stores columns with
-   one blit per column (c_mat). Scan/build/probe stay put — the
-   per-row hash work is representation-independent. *)
+   of a boxed array allocation (c_out), and Distinct dedupes
+   incrementally over selection vectors (c_distinct). c_mat prices the
+   WITH fragment the modelled engine stores; the executor streams a
+   [Materialize] node's input instead, and the constant keeps its
+   calibrated value so that cover and plan choices stay put.
+   Scan/build/probe stay put too — the per-row hash work is
+   representation-independent. *)
 let pglite =
   {
     name = "pglite";
@@ -288,7 +291,6 @@ let cache_note stats =
   let rec subject = function
     | Plan.Scan _ -> "scan"
     | Plan.Hash_join _ -> "build"
-    | Plan.Materialize _ -> "view"
     | Plan.Sip { join; _ } -> subject join
     | _ -> "cache"
   in

@@ -2,8 +2,9 @@
    (the [op] record is the opened state) whose [next] yields column
    batches until [None]. Scan->index-join->project chains pipeline
    batch-at-a-time without materialising intermediates; the pipeline
-   breakers (hash-join builds, merge-join sorts, Materialize) live in
-   {!Exec}, which composes these operators with the cache policy. *)
+   breakers (hash-join builds, merge-join sorts) live in {!Exec}, which
+   composes these operators with the cache policy. A [Materialize]
+   plan node has no operator here: it compiles to its input. *)
 
 type op = {
   cols : string array;

@@ -69,36 +69,11 @@ let rec out_cols = function
   | Union { cols; _ } -> cols
   | Sip { join; _ } -> out_cols join
 
-(* The base predicates (concept and role names) a plan reads — the
-   data a cached result of this plan depends on. Sorted, duplicate
-   free; drives predicate-scoped view invalidation after updates. *)
-let predicates plan =
-  let acc = ref [] in
-  let atom = function
-    | Query.Atom.Ca (p, _) | Query.Atom.Ra (p, _, _) -> acc := p :: !acc
-  in
-  let rec go = function
-    | Scan a -> atom a
-    | Hash_join { left; right; _ } | Merge_join { left; right; _ } ->
-      go left;
-      go right
-    | Index_join { left; atom = a; _ } ->
-      atom a;
-      go left
-    | Project { input; _ } -> go input
-    | Distinct p | Materialize p -> go p
-    | Union { inputs; _ } -> List.iter go inputs
-    | Sip { join; _ } -> go join
-  in
-  go plan;
-  List.sort_uniq String.compare !acc
-
 (* An injective serialisation of a plan. [pp] is for humans and
    conflates a variable with an equally-named constant (both print as
    the bare name), so it must never key a cache; this form
    length-prefixes every string and tags every term/operator, making
-   it a prefix code — two distinct plans always differ. Used by the
-   executor's view store for [Materialize] fragments. *)
+   it a prefix code — two distinct plans always differ. *)
 let structural_key plan =
   let buf = Buffer.create 256 in
   let str s =

@@ -51,16 +51,10 @@ val out_cols : t -> string list
     named positionally ([_const0], [_const1], ...), matching
     {!Relation.project}. *)
 
-val predicates : t -> string list
-(** Sorted, duplicate-free concept/role names the plan reads — the
-    base data any cached result of (a fragment of) the plan depends
-    on. Drives predicate-scoped invalidation of materialised views
-    after updates. *)
-
 val structural_key : t -> string
 (** An injective serialisation of the plan (length-prefixed,
-    term-tagged — a prefix code): equal keys imply equal plans. Keys
-    the executor's materialised-view store; unlike {!pp}, it never
-    conflates a variable with an equally-named constant. *)
+    term-tagged — a prefix code): equal keys imply equal plans. Use it
+    wherever a plan must key a table or a digest; unlike {!pp}, it
+    never conflates a variable with an equally-named constant. *)
 
 val pp : Format.formatter -> t -> unit

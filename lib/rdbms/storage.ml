@@ -1062,7 +1062,7 @@ let load file =
             with
             | Corrupt msg -> Error (Printf.sprintf "%s: corrupt store (%s)" file msg)
             | End_of_file -> Error (Printf.sprintf "%s: corrupt store (truncated)" file)
-            | Sys_error e -> Error e))
+            | Sys_error e -> Error (Printf.sprintf "%s: %s" file e)))
 
 let load_exn file =
   match load file with Ok t -> t | Error msg -> failwith msg

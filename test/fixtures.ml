@@ -1,5 +1,5 @@
 (* Shared fixtures: the knowledge bases and queries used as running
-   examples in the paper. *)
+   examples in the paper, and the random corruption of saved files. *)
 
 open Query
 open Dllite
@@ -148,3 +148,42 @@ let example7_query =
         ra "supervisedBy" (v "z") (v "y");
       ]
     ()
+
+(* {1 Random corruption of a saved file} *)
+
+let read_bytes file =
+  let ic = open_in_bin file in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> Bytes.of_string (really_input_string ic (in_channel_length ic)))
+
+(* 500 cases, each writing [good] truncated (one case in four) or
+   with 1–3 random byte changes to a temporary file and asking [check]
+   about it. A case fails when [check] returns [false] or raises. *)
+let qcheck_corruption ~name good check =
+  QCheck2.Test.make ~name ~count:500
+    QCheck2.Gen.(int_bound 1_000_000)
+    (fun seed ->
+      let st = Random.State.make [| seed; 0xC0DE |] in
+      let good = Lazy.force good in
+      let n = Bytes.length good in
+      let b =
+        if Random.State.int st 4 = 0 then Bytes.sub good 0 (Random.State.int st n)
+        else begin
+          let b = Bytes.copy good in
+          for _ = 0 to Random.State.int st 3 do
+            let i = Random.State.int st n in
+            Bytes.set b i
+              (Char.chr (Char.code (Bytes.get b i) lxor (1 + Random.State.int st 255)))
+          done;
+          b
+        end
+      in
+      let file = Filename.temp_file "obda_corrupt" ".bin" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove file)
+        (fun () ->
+          let oc = open_out_bin file in
+          output_bytes oc b;
+          close_out oc;
+          check file))

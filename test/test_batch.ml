@@ -310,14 +310,10 @@ let qcheck_batch_equals_rowexec =
           let ref_answers = Rowexec.answers layout plan in
           List.for_all
             (fun config ->
-              let views = Exec.fresh_view_store () in
-              let got = Exec.run ~config ~views layout plan in
-              (* a second run serves any Materialize from the store *)
-              let again = Exec.run ~config ~views layout plan in
-              let analyzed, stats = Exec.run_analyzed ~config ~views layout plan in
+              let got = Exec.run ~config layout plan in
+              let analyzed, stats = Exec.run_analyzed ~config layout plan in
               got.Relation.cols = reference.Relation.cols
               && rows_bag got = ref_bag
-              && rows_bag again = ref_bag
               && rows_bag analyzed = ref_bag
               && stats.Exec.actual_rows = Relation.cardinality analyzed
               && Exec.answers ~config layout plan = ref_answers)

@@ -318,6 +318,24 @@ let test_abox_roundtrip () =
             ("role " ^ r) (decoded abox r) (decoded loaded r))
         (Abox.role_names abox))
 
+(* 1–3 random byte changes, or a truncation, of a saved ABox text
+   file: [load] returns [Error], or an ABox a store can be built from. *)
+let qcheck_abox_corruption =
+  qcheck_corruption ~name:"abox: random corruption = Error or an ABox"
+    (lazy
+      (let path = Filename.temp_file "abox" ".facts" in
+       Fun.protect
+         ~finally:(fun () -> Sys.remove path)
+         (fun () ->
+           Abox.save (Lubm.Generator.generate ~seed:31 ~target_facts:250 ()) path;
+           read_bytes path)))
+    (fun file ->
+      match Abox.load file with
+      | Error _ -> true
+      | Ok abox ->
+        ignore (Rdbms.Storage.of_abox abox);
+        true)
+
 (* Regression: a malformed line used to crash the process with a bare
    [Failure]; the parser now reports the offending line number and the
    CLI turns it into a clean error. *)
@@ -410,6 +428,7 @@ let suite =
     Alcotest.test_case "subsumees/subsumers" `Quick test_subsumees_subsumers_inverse;
     Alcotest.test_case "abox roundtrip" `Quick test_abox_roundtrip;
     Alcotest.test_case "abox malformed line" `Quick test_abox_malformed_line;
+    QCheck_alcotest.to_alcotest qcheck_abox_corruption;
     Alcotest.test_case "saturation basic" `Quick test_saturation_basic;
     Alcotest.test_case "saturation incomplete" `Quick test_saturation_sound_but_incomplete;
     Alcotest.test_case "saturation exact (random)" `Slow

@@ -174,6 +174,41 @@ let test_load_rejects_corruption () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "missing file loaded"
 
+(* 1–3 random byte changes, or a truncation, of an OBDAFBK1 file
+   trained on Q1–Q13: [load] returns [Error], or a store under which
+   GDL/ext answers Q1–Q13 as UCQ does. A changed factor or key may move
+   the estimates and the chosen covers, never the answers. *)
+let qcheck_corrupt_store =
+  let tbox = Lubm.Ontology.tbox and gdl = Obda.Gdl Obda.Ext_cost in
+  let queries = List.map (fun e -> e.Lubm.Workload.query) Lubm.Workload.queries in
+  let trained =
+    lazy
+      (let engine =
+         Obda.make_engine `Pglite `Simple (Lubm.Generator.generate ~seed:31 ~target_facts:250 ())
+       in
+       for _ = 1 to 2 do
+         List.iter (fun q -> ignore (Obda.analyze engine tbox gdl q)) queries
+       done;
+       let file = tmp_file "fb_trained.obdafbk" in
+       F.save (Option.get (Obda.feedback_store engine)) file;
+       let bytes = read_bytes file in
+       Sys.remove file;
+       engine, bytes, List.map (Obda.answers_exn engine tbox Obda.Ucq) queries)
+  in
+  qcheck_corruption ~name:"persistence: random corruption = Error or the same answers"
+    (lazy
+      (let _, bytes, _ = Lazy.force trained in
+       bytes))
+    (fun file ->
+      match F.load file with
+      | Error _ -> true
+      | Ok store ->
+        let engine, _, ucq = Lazy.force trained in
+        Obda.set_feedback_store engine (Some store);
+        (* search again under the loaded corrections *)
+        Obda.clear_plan_cache ();
+        List.map (Obda.answers_exn engine tbox gdl) queries = ucq)
+
 (* {1 The loop: analyze -> harvest -> corrected estimates -> re-rank} *)
 
 (* Two roles that never join: every R-edge ends in [a], every S-edge
@@ -301,4 +336,5 @@ let suite =
       test_feedback_toggle_and_metrics;
     QCheck_alcotest.to_alcotest qcheck_factors_clamped_monotone;
     QCheck_alcotest.to_alcotest qcheck_feedback_preserves_answers;
+    QCheck_alcotest.to_alcotest qcheck_corrupt_store;
   ]

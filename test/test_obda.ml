@@ -134,42 +134,6 @@ let test_uscq_strategy () =
     (let f = o.Obda.reformulation in
      Query.Fol.is_uscq f || Query.Fol.is_juscq f || Query.Fol.is_ucq f)
 
-let test_fragment_views () =
-  let abox = example7_abox () in
-  let engine = Obda.make_engine `Pglite `Simple abox in
-  let q = example7_query in
-  let without = Obda.answers_exn engine example7_tbox Obda.Croot q in
-  Obda.enable_fragment_views engine;
-  Alcotest.(check int) "store starts empty" 0 (Obda.fragment_view_count engine);
-  let first = Obda.answers_exn engine example7_tbox Obda.Croot q in
-  let populated = Obda.fragment_view_count engine in
-  check_bool "fragments materialised" true (populated > 0);
-  let second = Obda.answers_exn engine example7_tbox Obda.Croot q in
-  Alcotest.(check int) "no growth on reuse" populated (Obda.fragment_view_count engine);
-  check_bool "same answers with and without views" true
-    (without = first && first = second);
-  (* a different strategy sharing a fragment also agrees *)
-  let gdl = Obda.answers_exn engine example7_tbox (Obda.Gdl Obda.Ext_cost) q in
-  check_bool "gdl agrees under views" true (gdl = without);
-  Obda.disable_fragment_views engine;
-  Alcotest.(check int) "disabled store empty" 0 (Obda.fragment_view_count engine)
-
-let test_fragment_views_workload () =
-  (* answers are identical with and without the view store across the
-     whole workload, and the store actually accumulates fragments *)
-  let abox = Lubm.Generator.generate ~target_facts:6_000 () in
-  let plain = Obda.make_engine `Db2lite `Simple abox in
-  let cached = Obda.make_engine `Db2lite `Simple abox in
-  Obda.enable_fragment_views cached;
-  List.iter
-    (fun e ->
-      let q = e.Lubm.Workload.query in
-      let a1 = Obda.answers_exn plain Lubm.Ontology.tbox Obda.Croot q in
-      let a2 = Obda.answers_exn cached Lubm.Ontology.tbox Obda.Croot q in
-      if a1 <> a2 then Alcotest.failf "%s differs under views" e.Lubm.Workload.name)
-    Lubm.Workload.queries;
-  check_bool "views accumulated" true (Obda.fragment_view_count cached > 5)
-
 let test_incremental_updates () =
   List.iter
     (fun lk ->
@@ -193,28 +157,6 @@ let test_incremental_updates () =
            (Obda.answers_exn engine example1_tbox Obda.Ucq
               (Query.Cq.make ~head:[ v "x" ] ~body:[ ca "PhDStudent" (v "x") ] ()))))
     [ `Simple; `Rdf ]
-
-let test_updates_invalidate_views () =
-  let engine = Obda.make_engine `Pglite `Simple (example7_abox ()) in
-  Obda.enable_fragment_views engine;
-  ignore (Obda.answers_exn engine example7_tbox Obda.Croot example7_query);
-  let populated = Obda.fragment_view_count engine in
-  check_bool "views populated" true (populated > 0);
-  (* invalidation is predicate-scoped: an insert on a predicate no
-     fragment reads keeps every view warm ... *)
-  ignore (Obda.insert_concept engine ~concept:"Unrelated" ~ind:"Eve");
-  Alcotest.(check int) "untouched predicate keeps views" populated
-    (Obda.fragment_view_count engine);
-  (* ... while an insert on a predicate the fragments read drops them *)
-  ignore (Obda.insert_concept engine ~concept:"Graduate" ~ind:"Eve");
-  check_bool "touched fragments dropped" true
-    (Obda.fragment_view_count engine < populated);
-  (* and the new certain answer appears even through re-materialised views *)
-  let answers = Obda.answers_exn engine example7_tbox Obda.Croot example7_query in
-  check_bool "stale views not reused" true (List.mem [ "Eve" ] answers = false);
-  ignore (Obda.insert_concept engine ~concept:"PhDStudent" ~ind:"Eve");
-  let answers = Obda.answers_exn engine example7_tbox Obda.Croot example7_query in
-  check_bool "new answer after second insert" true (List.mem [ "Eve" ] answers)
 
 (* {1 Plan cache} *)
 
@@ -439,12 +381,12 @@ let test_plan_cache_head_named_like_canonical () =
 (* The qcheck property behind the incremental-update path: an engine
    grown by a random interleaved insert script answers every query
    identically (row order included) to an engine built fresh from the
-   final fact set — across profiles, layouts, strategies, SIP on/off,
-   live fragment views and random delta-merge boundaries. Interleaved
-   queries keep the view store, the plan caches and the data-aware
-   reformulation cache warm mid-script, so a stale fragment, a pruned
-   UCQ kept past the insert that filled its empty predicate or a tail
-   fact missed by a segmented scan would surface as a divergence. The
+   final fact set — across profiles, layouts, strategies, SIP on/off
+   and random delta-merge boundaries. Interleaved queries keep the
+   plan caches and the data-aware reformulation cache warm mid-script,
+   so a pruned UCQ kept past the insert that filled its empty
+   predicate or a tail fact missed by a merged view would surface as a
+   divergence. The
    base facts use a random subset of the predicates and the script
    fills most of the others, so inserts put the first fact into
    previously empty and previously hopeless predicates. Both engines
@@ -514,7 +456,6 @@ let qcheck_grown_equals_fresh =
             (* tiny threshold: the script crosses merge boundaries *)
             Rdbms.Storage.set_delta_rows s (1 + Random.State.int st 4)
           | Rdbms.Layout.Rdf _ -> ());
-          Obda.enable_fragment_views grown;
           List.iter
             (fun fact ->
               (match fact with
@@ -670,10 +611,7 @@ let suite =
       test_sql_rendered_only_under_a_limit;
     Alcotest.test_case "strategy names" `Quick test_strategy_names;
     Alcotest.test_case "uscq strategy" `Quick test_uscq_strategy;
-    Alcotest.test_case "fragment views" `Quick test_fragment_views;
-    Alcotest.test_case "fragment views workload" `Slow test_fragment_views_workload;
     Alcotest.test_case "incremental updates" `Quick test_incremental_updates;
-    Alcotest.test_case "updates invalidate views" `Quick test_updates_invalidate_views;
     Alcotest.test_case "plan cache hit" `Quick test_plan_cache_hit;
     Alcotest.test_case "plan cache hit skips the reduction" `Quick
       test_plan_cache_hit_skips_reduction;

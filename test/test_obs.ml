@@ -451,9 +451,9 @@ let test_golden_analyze () =
      miss)  q-err=1.00\n"
     rendered
 
-(* The batch engine's pipelined index join plus a Materialize fragment
-   served by the view store: the first execution misses, the second is
-   answered from the store (view hit, no children re-executed). *)
+(* The batch engine's pipelined index join over a Materialize
+   fragment, which compiles to its input: its node carries no cache
+   outcome of its own, and its scan child runs. *)
 let test_golden_analyze_physical () =
   let layout = golden_layout () in
   let plan =
@@ -465,29 +465,16 @@ let test_golden_analyze_physical () =
            probe_col = "y";
          })
   in
-  let views = Rdbms.Exec.fresh_view_store () in
-  let render () =
-    let _, stats =
-      Rdbms.Exec.run_analyzed ~config:Rdbms.Exec.db2_like ~views layout plan
-    in
-    scrub_times (Rdbms.Explain.render_analyze Rdbms.Explain.pglite layout stats)
-  in
-  Alcotest.(check string) "first run misses the view store"
+  let _, stats = Rdbms.Exec.run_analyzed ~config:Rdbms.Exec.db2_like layout plan in
+  Alcotest.(check string) "physical analyze rendering (times scrubbed)"
     "Distinct  est(cost=10 rows=1)  act(rows=1 time=Xms)  q-err=1.00\n\
      \  Index Join probe y into supervisedBy(z,y)  est(cost=8 rows=1)  \
      act(rows=1 time=Xms)  q-err=1.00\n\
-     \    Materialize  est(cost=4 rows=1)  act(rows=1 time=Xms, view miss)  \
+     \    Materialize  est(cost=4 rows=1)  act(rows=1 time=Xms)  \
      q-err=1.00\n\
      \      Scan worksWith(x,y)  est(cost=2 rows=1)  act(rows=1 time=Xms, \
      scan miss)  q-err=1.00\n"
-    (render ());
-  Alcotest.(check string) "second run hits the view store"
-    "Distinct  est(cost=10 rows=1)  act(rows=1 time=Xms)  q-err=1.00\n\
-     \  Index Join probe y into supervisedBy(z,y)  est(cost=8 rows=1)  \
-     act(rows=1 time=Xms)  q-err=1.00\n\
-     \    Materialize  est(cost=4 rows=1)  act(rows=1 time=Xms, view hit)  \
-     q-err=1.00\n"
-    (render ())
+    (scrub_times (Rdbms.Explain.render_analyze Rdbms.Explain.pglite layout stats))
 
 let test_analyze_json_valid () =
   let layout, plan = example1_plan () in

@@ -285,37 +285,17 @@ let test_legacy_file () =
    format carries no checksum, so a changed code can load as another
    valid code. *)
 let qcheck_corruption =
-  let good =
-    lazy
+  Fixtures.qcheck_corruption ~name:"store: random corruption = Error or a queryable store"
+    (lazy
       (with_temp_store (fun file ->
            Storage.save (Storage.of_abox (legacy_abox ())) file;
-           read_file file))
-  in
-  QCheck2.Test.make ~name:"store: random corruption = Error or a queryable store" ~count:500
-    QCheck2.Gen.(int_bound 1_000_000)
-    (fun seed ->
-      let st = Random.State.make [| seed; 0xC0DE |] in
-      let good = Lazy.force good in
-      let n = Bytes.length good in
-      let b =
-        if Random.State.int st 4 = 0 then Bytes.sub good 0 (Random.State.int st n)
-        else begin
-          let b = Bytes.copy good in
-          for _ = 0 to Random.State.int st 3 do
-            let i = Random.State.int st n in
-            Bytes.set b i
-              (Char.chr (Char.code (Bytes.get b i) lxor (1 + Random.State.int st 255)))
-          done;
-          b
-        end
-      in
-      with_temp_store (fun file ->
-          write_file file b;
-          match Storage.load file with
-          | Error _ -> true
-          | Ok s ->
-            ignore (ucq_answers s);
-            true))
+           read_file file)))
+    (fun file ->
+      match Storage.load file with
+      | Error _ -> true
+      | Ok s ->
+        ignore (ucq_answers s);
+        true)
 
 (* {1 Streaming builder = ABox load} *)
 
